@@ -12,7 +12,7 @@ Layers, from the bottom up:
 - exactlin: matrices, canonical subspaces and number fields over Q
 - quivalg: bound quiver algebras, modules, maps, submodules, duality
 - periods: period spaces, relation realization, depth filtrations,
-  induced maps, evaluation at comparison points
+  evaluation at comparison points
 - yoga: admissible exact sequences, universal lifts and extensions,
   saturation certificates, principality verdicts
 - onemotive: dimension formulas and synthesized matrix models for the

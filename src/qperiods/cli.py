@@ -18,6 +18,7 @@ from pathlib import Path
 from .exactlin import Matrix, NumberFieldElem
 from .quivalg import NotAdmissible, NotFiniteDimensional, SubmoduleHandle
 from .periods import (
+    NotAUnit,
     depth_space,
     endo_quotient,
     eval_and_conjecture,
@@ -68,6 +69,7 @@ INPUT_ERRORS = (
     OrthogonalityFailure,
     HypothesisFailed,
     RangeError,
+    NotAUnit,
 )
 
 

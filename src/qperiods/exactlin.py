@@ -195,10 +195,6 @@ class Matrix:
             raise DimensionMismatch("column counts differ")
         return Matrix(self.rows + other.rows, ncols=self.ncols)
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(tuple(tuple(self.rows[i][j] for j in col_idx)
-                            for i in row_idx), ncols=len(col_idx))
-
     def _same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch("shapes differ")
@@ -448,14 +444,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
-
-
-def kernel_subspace(m: Matrix) -> Subspace:
-    return Subspace(m.ncols, kernel_basis(m))
-
-
-def row_space(m: Matrix) -> Subspace:
-    return Subspace(m.ncols, m.rows)
 
 
 class QuotientPresentation:

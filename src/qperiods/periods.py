@@ -41,6 +41,7 @@ from .quivalg import (
     FdModule,
     ModuleMap,
     SubmoduleHandle,
+    block_map,
     end_algebra,
     factor_through_quotient,
     image_submodule,
@@ -95,9 +96,6 @@ class PeriodSpace:
     def quotient(self) -> QuotientPresentation:
         return QuotientPresentation(self.relations)
 
-    def class_of(self, c: Matrix) -> tuple:
-        return self.quotient().project(c.vec())
-
     def __repr__(self) -> str:
         return (f"PeriodSpace(dim {self.dim}, provenance "
                 f"{self.provenance!r})")
@@ -148,30 +146,6 @@ def relation_from_submodule(m: FdModule, power: int,
                 c = c + _outer(sg, om)
             vecs.append(c.vec())
     return Subspace(d * d, vecs)
-
-
-def hom_relation(f: ModuleMap) -> Subspace:
-    """Relations tying the coefficients of f's source and target together.
-
-    Lives in Q^(dM*dM) + Q^(dN*dN), flattened side by side: for every
-    vector sigma of M and functional omega of N, the pair
-    (sigma (x) omega.f, -(f.sigma) (x) omega) pairs to zero against every
-    algebra element simultaneously on both sides.
-    """
-    m, n = f.source, f.target
-    a = f.flattened()
-    dm, dn = m.dim, n.dim
-    vecs = []
-    for i in range(dm):
-        sigma = tuple(ONE if t == i else ZERO for t in range(dm))
-        a_sigma = a.apply(sigma)
-        for j in range(dn):
-            omega = tuple(ONE if t == j else ZERO for t in range(dn))
-            omega_a = tuple(a.rows[j][t] for t in range(dm))
-            left = _outer(sigma, omega_a)
-            right = _outer(a_sigma, omega).scale(Fraction(-1))
-            vecs.append(left.vec() + right.vec())
-    return Subspace(dm * dm + dn * dn, vecs)
 
 
 def endo_quotient(m: FdModule) -> PeriodSpace:
@@ -236,32 +210,6 @@ def _endo_tuple_maps(m: FdModule, power: int,
     return alphabet, combos
 
 
-def _column_map(m: FdModule, power: int, entries: Sequence[ModuleMap]) -> ModuleMap:
-    """(f_1, ..., f_power): M -> M^power."""
-    target = module_power(m, power)
-    blocks = []
-    for v in m.algebra.vertices:
-        stacked = None
-        for f in entries:
-            b = f.block(v)
-            stacked = b if stacked is None else stacked.vstack(b)
-        blocks.append(stacked)
-    return ModuleMap(m, target, blocks, check=False)
-
-
-def _row_map(m: FdModule, power: int, entries: Sequence[ModuleMap]) -> ModuleMap:
-    """(g_1 ... g_power): M^power -> M."""
-    source = module_power(m, power)
-    blocks = []
-    for v in m.algebra.vertices:
-        glued = None
-        for f in entries:
-            b = f.block(v)
-            glued = b if glued is None else glued.hstack(b)
-        blocks.append(glued)
-    return ModuleMap(source, m, blocks, check=False)
-
-
 def _candidate_handles(m: FdModule, power: int, strategy: str,
                        spin_bound: int,
                        endos: Sequence[ModuleMap]) -> list[SubmoduleHandle]:
@@ -282,9 +230,13 @@ def _candidate_handles(m: FdModule, power: int, strategy: str,
         alphabet, combos = _endo_tuple_maps(m, power, endos)
         for combo in combos:
             entries = [alphabet[combo.get(j, 0)] for j in range(power)]
-            col = _column_map(m, power, entries)
+            # the column (f_1, ..., f_power): M -> M^power and the row
+            # (f_1 ... f_power): M^power -> M
+            col = block_map(m, m, ambient,
+                            {(j, 0): f for j, f in enumerate(entries)})
             push(col.image())
-            row = _row_map(m, power, entries)
+            row = block_map(m, ambient, m,
+                            {(0, j): f for j, f in enumerate(entries)})
             push(row.kernel())
         # kernels and images of single endomorphisms, pushed to power 1
         if power == 1:
@@ -461,141 +413,6 @@ def verify_realization(c: Matrix, real: Realization) -> bool:
     if not real.witness.flat().annihilator().contains_vector(w_flat):
         return False
     return real.contraction() == c
-
-
-def change_realization_basis(real: Realization, g: Matrix) -> Realization:
-    """Rewrite the witness data along an invertible change of the tuple index.
-
-    Replaces sigma by sigma.g and omega by g^{-1}.omega; the contraction
-    is unchanged and the new spin witness is recomputed.
-    """
-    from .exactlin import invert
-    if real.power == 0:
-        return real
-    ginv = invert(g)
-    d = real.module.dim
-    smat = Matrix.from_columns(real.sigma, nrows=d)
-    wmat = Matrix(real.omega, ncols=d)
-    smat2 = smat * g
-    wmat2 = ginv * wmat
-    sigma = tuple(smat2.column(k) for k in range(real.power))
-    omega = tuple(wmat2.rows)
-    ambient = module_power(real.module, real.power)
-    witness = SubmoduleHandle.spin(ambient, [tuple_embed(real.module,
-                                                         real.power, sigma)])
-    return Realization(real.module, real.power, sigma, omega, witness)
-
-
-def pad_realization(real: Realization, extra: int = 1) -> Realization:
-    """Append zero-vector slots; the relation realized does not change."""
-    m = real.module
-    p = real.power + extra
-    zero_vec = tuple([ZERO] * m.dim)
-    sigma = real.sigma + tuple(zero_vec for _ in range(extra))
-    omega = real.omega + tuple(zero_vec for _ in range(extra))
-    ambient = module_power(m, p)
-    witness = SubmoduleHandle.spin(ambient, [tuple_embed(m, p, sigma)])
-    return Realization(m, p, sigma, omega, witness)
-
-
-def enlarge_realization(real: Realization,
-                        extra_vectors: Sequence[Sequence]) -> Realization | None:
-    """Grow the witness submodule if the functional tuple still allows it."""
-    m = real.module
-    ambient = module_power(m, real.power)
-    gens = [tuple_embed(m, real.power, real.sigma)]
-    gens.extend(tuple(rat(x) for x in v) for v in extra_vectors)
-    witness = SubmoduleHandle.spin(ambient, gens)
-    w_flat = tuple_embed(m, real.power, real.omega)
-    if not witness.flat().annihilator().contains_vector(w_flat):
-        return None
-    return Realization(m, real.power, real.sigma, real.omega, witness)
-
-
-# ---------------------------------------------------------------------------
-# induced maps on period spaces
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PeriodMap:
-    """The map a mono or epi induces between period spaces.
-
-    For a mono M' -> M it maps coefficients of M' to coefficients of M;
-    for an epi M -> M'' it maps coefficients of M'' to coefficients of M.
-    In both cases the relation subspace maps into the relation subspace
-    and evaluation at any comparison point is preserved, so the map
-    descends to the period quotients; on_quotient is that matrix, and it
-    does not depend on the one-sided inverse chosen inside.
-    """
-
-    kind: str
-    domain: PeriodSpace
-    codomain: PeriodSpace
-    ambient: Matrix
-    on_quotient: Matrix
-
-    def apply_ambient(self, c: Matrix) -> Matrix:
-        d = self.codomain.module.dim
-        return Matrix.unvec(self.ambient.apply(c.vec()), d, d)
-
-
-def induced_span_map(f: ModuleMap) -> PeriodMap:
-    """Period map induced by an injective or surjective module map.
-
-    Raises ValueError for maps that are neither; a map that is both is
-    treated as a mono.  Well-definedness on relations is checked, not
-    assumed.
-    """
-    from .exactlin import invert
-    if f.is_injective():
-        kind = "mono"
-        small, big = f.source, f.target
-        j = f.flattened()
-        # left inverse via the rational Gram matrix, deterministic
-        jt = j.transpose()
-        s = invert(jt * j) * jt
-        def push(cmat: Matrix) -> Matrix:
-            return j * cmat * s
-    elif f.is_surjective():
-        kind = "epi"
-        small, big = f.target, f.source
-        p = f.flattened()
-        pt = p.transpose()
-        s = pt * invert(p * pt)
-        def push(cmat: Matrix) -> Matrix:
-            return s * cmat * p
-    else:
-        raise ValueError("induced maps require a mono or an epi")
-    dom = period_space(small)
-    cod = period_space(big)
-    dsmall, dbig = small.dim, big.dim
-    cols = []
-    for i in range(dsmall):
-        for jj in range(dsmall):
-            cols.append(push(_elementary(dsmall, i, jj)).vec())
-    ambient = Matrix.from_columns(cols, nrows=dbig * dbig)
-    # well-definedness: relations land in relations
-    for v in dom.relations.basis_vectors():
-        image = ambient.apply(v)
-        if not cod.relations.contains_vector(image):
-            raise AssertionError(
-                "induced map failed to preserve relation subspaces")
-    qd, qc = dom.quotient(), cod.quotient()
-    on_quot_cols = []
-    for k in range(qd.dim):
-        coords = tuple(ONE if t == k else ZERO for t in range(qd.dim))
-        lifted = qd.lift(coords)
-        on_quot_cols.append(qc.project(ambient.apply(lifted)))
-    on_quotient = Matrix.from_columns(on_quot_cols, nrows=qc.dim)
-    return PeriodMap(kind, dom, cod, ambient, on_quotient)
-
-
-def compose_period_maps(outer: PeriodMap, inner: PeriodMap) -> Matrix:
-    """Quotient-level composition, for functoriality checks."""
-    if inner.codomain.module != outer.domain.module:
-        raise ValueError("period maps do not compose")
-    return outer.on_quotient * inner.on_quotient
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,6 @@ class BoundQuiverAlgebra:
                 return i
         raise KeyError(f"no basis path named {name}")
 
-    def vertex_unit_index(self, v: str) -> int:
-        return self.basis_index[(v, ())]
-
     # -- reduction and multiplication ------------------------------------------
 
     def _reduce_key(self, key: PathKey) -> tuple:
@@ -172,11 +169,6 @@ class BoundQuiverAlgebra:
                     if c:
                         out[k] += a * b * c
         return tuple(out)
-
-    def to_structure_algebra(self) -> "StructureAlgebra":
-        table = tuple(tuple(self.multiply_basis(i, j) for j in range(self.dim))
-                      for i in range(self.dim))
-        return StructureAlgebra(self.dim, self.unit, table)
 
     # -- opposite algebra -------------------------------------------------------
 
@@ -276,6 +268,33 @@ def build_algebra(vertices: Sequence[str],
         norm_relations.append(tuple(terms))
     norm_relations = tuple(norm_relations)
 
+    def reduce_ideal(bound: int):
+        """RREF of the ideal elements whose terms have length <= bound,
+        over the paths enumerated so far ordered longest first."""
+        col_order = sorted(all_paths, key=lambda k: (-len(k[1]), k[0], k[1]))
+        col_index = {k: i for i, k in enumerate(col_order)}
+        ideal_rows = []
+        for rel in norm_relations:
+            src_v = rel[0][1][0]
+            tgt_v = walk(rel[0][1])
+            pres = [p for p in all_paths if walk(p) == src_v]
+            posts = [p for p in all_paths if p[0] == tgt_v]
+            for pre in pres:
+                for post in posts:
+                    row = [ZERO] * len(col_order)
+                    ok = True
+                    for coeff, (tsrc, tarrows) in rel:
+                        key = (pre[0], pre[1] + tarrows + post[1])
+                        if len(key[1]) > bound:
+                            ok = False
+                            break
+                        row[col_index[key]] += coeff
+                    if ok and any(row):
+                        ideal_rows.append(tuple(row))
+        red, pivots = rref(Matrix(ideal_rows) if ideal_rows
+                           else Matrix.zero(0, len(col_order)))
+        return col_order, red, pivots
+
     window = max(2, max_rel_len)
     layers: list[list[PathKey]] = [[(v, ()) for v in vertices]]
     all_paths: list[PathKey] = list(layers[0])
@@ -301,29 +320,7 @@ def build_algebra(vertices: Sequence[str],
         if not layer:
             dead_streak = window
             break
-        # ideal elements whose terms all fit within the current length
-        col_order = sorted(all_paths, key=lambda k: (-len(k[1]), k[0], k[1]))
-        col_index = {k: i for i, k in enumerate(col_order)}
-        ideal_rows = []
-        for rel in norm_relations:
-            src_v = rel[0][1][0]
-            tgt_v = walk(rel[0][1])
-            pres = [p for p in all_paths if walk(p) == src_v]
-            posts = [p for p in all_paths if p[0] == tgt_v]
-            for pre in pres:
-                for post in posts:
-                    row = [ZERO] * len(col_order)
-                    ok = True
-                    for coeff, (tsrc, tarrows) in rel:
-                        key = (pre[0], pre[1] + tarrows + post[1])
-                        if len(key[1]) > length:
-                            ok = False
-                            break
-                        row[col_index[key]] += coeff
-                    if ok and any(row):
-                        ideal_rows.append(tuple(row))
-        red, pivots = rref(Matrix(ideal_rows) if ideal_rows
-                           else Matrix.zero(0, len(col_order)))
+        col_order, _, pivots = reduce_ideal(length)
         pivot_paths = {col_order[c] for c in pivots}
         if all(p in pivot_paths for p in layer):
             dead_streak += 1
@@ -336,28 +333,7 @@ def build_algebra(vertices: Sequence[str],
             f"path layers did not die out within length {max_path_length}")
 
     # final reduction data over everything enumerated
-    col_order = sorted(all_paths, key=lambda k: (-len(k[1]), k[0], k[1]))
-    col_index = {k: i for i, k in enumerate(col_order)}
-    ideal_rows = []
-    for rel in norm_relations:
-        src_v = rel[0][1][0]
-        tgt_v = walk(rel[0][1])
-        pres = [p for p in all_paths if walk(p) == src_v]
-        posts = [p for p in all_paths if p[0] == tgt_v]
-        for pre in pres:
-            for post in posts:
-                row = [ZERO] * len(col_order)
-                ok = True
-                for coeff, (tsrc, tarrows) in rel:
-                    key = (pre[0], pre[1] + tarrows + post[1])
-                    if len(key[1]) > final_len:
-                        ok = False
-                        break
-                    row[col_index[key]] += coeff
-                if ok and any(row):
-                    ideal_rows.append(tuple(row))
-    red, pivots = rref(Matrix(ideal_rows) if ideal_rows
-                       else Matrix.zero(0, len(col_order)))
+    col_order, red, pivots = reduce_ideal(final_len)
     pivot_cols = set(pivots)
     basis = tuple(sorted((k for i, k in enumerate(col_order)
                           if i not in pivot_cols),
@@ -418,14 +394,6 @@ class StructureAlgebra:
             basis = [ZERO] * self.dim
             basis[j] = ONE
             cols.append(self.multiply(x, basis))
-        return Matrix.from_columns(cols)
-
-    def right_mult(self, x: Sequence) -> Matrix:
-        cols = []
-        for j in range(self.dim):
-            basis = [ZERO] * self.dim
-            basis[j] = ONE
-            cols.append(self.multiply(basis, x))
         return Matrix.from_columns(cols)
 
     def trace_form(self) -> Matrix:
@@ -614,16 +582,6 @@ class FdModule:
         self._act_cache[i] = out
         return out
 
-    def act_element(self, coords: Sequence) -> Matrix:
-        out = Matrix.zero(self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c:
-                out = out + self.act_basis(i).scale(rat(c))
-        return out
-
-    def action_matrices(self) -> tuple[Matrix, ...]:
-        return tuple(self.act_basis(i) for i in range(self.algebra.dim))
-
     # -- predicates ------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -646,10 +604,6 @@ class FdModule:
 
 def simple_module(algebra: BoundQuiverAlgebra, vertex: str) -> FdModule:
     return FdModule(algebra, {vertex: 1}, {})
-
-
-def semisimple_module(algebra: BoundQuiverAlgebra, counts: dict) -> FdModule:
-    return FdModule(algebra, dict(counts), {})
 
 
 def projective_module(algebra: BoundQuiverAlgebra, vertex: str) -> FdModule:
@@ -729,6 +683,35 @@ def module_power_with_maps(m: FdModule, n: int):
         zero = FdModule(m.algebra, {v: 0 for v in m.algebra.vertices}, {})
         return zero, (), ()
     return direct_sum_with_maps([m] * n)
+
+
+def block_map(m: FdModule, source: FdModule, target: FdModule,
+              grid: dict) -> "ModuleMap":
+    """The map M^a -> M^b given by a matrix of endomorphisms of M.
+
+    source and target are the powers M^a and M^b as module_power builds
+    them; grid maps (row_slot, col_slot) to the endomorphism sending slot
+    col_slot of the source to slot row_slot of the target, and absent
+    slots are zero.  Each vertex space of a power is slot-major, as in
+    tuple_embed.  The blocks are not rechecked against the arrows.
+    """
+    blocks = []
+    for v in m.algebra.vertices:
+        dv = m.vdim(v)
+        ncols = source.vdim(v)
+        rows = []
+        if dv:
+            zero = (ZERO,) * dv
+            for i in range(target.vdim(v) // dv):
+                pieces = [grid[i, j].block(v).rows if (i, j) in grid else None
+                          for j in range(ncols // dv)]
+                for r in range(dv):
+                    row = ()
+                    for piece in pieces:
+                        row += zero if piece is None else piece[r]
+                    rows.append(row)
+        blocks.append(Matrix(rows, ncols=ncols))
+    return ModuleMap(source, target, blocks, check=False)
 
 
 def tuple_embed(m: FdModule, n: int, vectors: Sequence[Sequence]) -> tuple:
@@ -844,10 +827,6 @@ class ModuleMap:
         return all(s.dim == b.nrows
                    for s, b in zip(self.image().spaces, self.blocks))
 
-    def is_isomorphism(self) -> bool:
-        return self.is_injective() and self.is_surjective() \
-            and self.source.dims == self.target.dims
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ModuleMap) and self.source == other.source
                 and self.target == other.target and self.blocks == other.blocks)
@@ -958,25 +937,6 @@ class SubmoduleHandle:
     def full(cls, ambient: FdModule) -> "SubmoduleHandle":
         return cls(ambient, [Subspace.full_space(d) for d in ambient.dims],
                    check=False)
-
-    @classmethod
-    def from_flat_vectors(cls, ambient: FdModule,
-                          vectors: Sequence[Sequence]) -> "SubmoduleHandle":
-        """Strict constructor: the span must already be a submodule."""
-        flat = Subspace(ambient.dim, vectors)
-        pieces = []
-        covered = 0
-        for v in ambient.algebra.vertices:
-            coord = Subspace(ambient.dim, [
-                ambient.embed_vertex_vector(v, row)
-                for row in Matrix.identity(ambient.vdim(v)).rows])
-            piece = flat.intersect(coord)
-            covered += piece.dim
-            pieces.append(Subspace(ambient.vdim(v), [
-                ambient.slice_of(b, v) for b in piece.basis_vectors()]))
-        if covered != flat.dim:
-            raise NotASubmodule("span is not a direct sum of vertex pieces")
-        return cls(ambient, pieces)
 
     @classmethod
     def spin(cls, ambient: FdModule,

@@ -416,10 +416,12 @@ def structure_algebra_from_data(data) -> StructureAlgebra:
         parsed_table.append(tuple(cells))
     try:
         algebra = StructureAlgebra(dim, parsed_unit, tuple(parsed_table))
-        algebra.check_associative()
-        algebra.check_unit()
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    if not algebra.check_associative():
+        raise ValidationError("structure table is not associative")
+    if not algebra.check_unit():
+        raise ValidationError("structure unit is not a two-sided unit")
     return algebra
 
 

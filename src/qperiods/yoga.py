@@ -32,12 +32,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import Matrix, Subspace, ZERO
+from .exactlin import Matrix, Subspace
 from .periods import endo_quotient, period_space
 from .quivalg import (
     FdModule,
     ModuleMap,
     SubmoduleHandle,
+    block_map,
     direct_sum,
     direct_sum_with_maps,
     dual_module,
@@ -183,9 +184,6 @@ class AdmissibleSequence:
     def quot(self) -> FdModule:
         return self.projection.target
 
-    def low_vertices(self) -> tuple[str, ...]:
-        return self.partition.vertices_at(self.low_weights)
-
     def high_vertices(self) -> tuple[str, ...]:
         return self.partition.vertices_at(self.high_weights)
 
@@ -269,14 +267,6 @@ def trivial_sub_sequence(c: FdModule,
     """The sequence with sub C, middle C and zero quotient."""
     zero = _zero_module(c.algebra)
     return admissible_check(ModuleMap.identity(c), ModuleMap.zero(c, zero),
-                            partition)
-
-
-def trivial_quotient_sequence(c: FdModule,
-                              partition: WeightPartition) -> AdmissibleSequence:
-    """The sequence with zero sub, middle C and quotient C."""
-    zero = _zero_module(c.algebra)
-    return admissible_check(ModuleMap.zero(zero, c), ModuleMap.identity(c),
                             partition)
 
 
@@ -437,6 +427,18 @@ def _map_coords(f: ModuleMap) -> tuple:
     return tuple(x for b in f.blocks for row in b.rows for x in row)
 
 
+def _outward_homs_vanish(seq: AdmissibleSequence, side: str) -> bool:
+    """Right side: no nonzero map from the middle into the low classes.
+    Left side: no nonzero map from the high classes into the middle."""
+    m = seq.module
+    if side == "right":
+        return trace_quotient(
+            m, [v for v in m.algebra.vertices
+                if seq.partition.weight_of(v) not in seq.low_weights]
+        ).quotient.is_zero()
+    return largest_supported_submodule(m, seq.high_vertices()).is_zero()
+
+
 def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
     """Certify saturatedness on one side by the split-restriction test.
 
@@ -459,19 +461,13 @@ def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
         stage, stage_map = seq.sub_handle.quotient_module()
         induced = [factor_through_quotient(stage_map.compose(f), seq.sub_handle)
                    for f in endos]
-        outward = trace_quotient(
-            m, [v for v in algebra.vertices
-                if seq.partition.weight_of(v) not in seq.low_weights]
-        ).quotient.is_zero()
         outward_name = "maps_into_low_classes_vanish"
     else:
         stage, stage_map = seq.sub_handle.sub_module()
         induced = [factor_through_sub(f.compose(stage_map), seq.sub_handle)
                    for f in endos]
-        outward = largest_supported_submodule(
-            m, [v for v in algebra.vertices
-                if seq.partition.weight_of(v) in seq.high_weights]).is_zero()
         outward_name = "maps_from_high_classes_vanish"
+    outward = _outward_homs_vanish(seq, side)
     target_dim = len(hom_space(stage, stage))
     length = sum(stage.vdim(v) ** 2 for v in algebra.vertices)
     rank = Subspace(length, [_map_coords(f) for f in induced]).dim
@@ -707,19 +703,12 @@ def _apply_stage(partition: WeightPartition, seq: AdmissibleSequence,
         "Semisimple",
         "the stage quotient is a sum of simples, which is principal",
         {"dims": list(cur.quot.dims)}))
+    # with no companion absorbed cur is seq, whose outward homs the
+    # certified saturation check has already shown to vanish
+    if cur is not seq and not _outward_homs_vanish(cur, side):
+        return None
     mid = cur.module
     algebra = mid.algebra
-    if side == "right":
-        outward = trace_quotient(
-            mid, [v for v in algebra.vertices
-                  if partition.weight_of(v) not in cur.low_weights]
-        ).quotient.is_zero()
-    else:
-        outward = largest_supported_submodule(
-            mid, [v for v in algebra.vertices
-                  if partition.weight_of(v) in cur.high_weights]).is_zero()
-    if not outward:
-        return None
     if variant == "plain":
         companion = seq.sub if side == "right" else seq.quot
         rule = "SatPrincipal"
@@ -915,20 +904,6 @@ def class_c_explore(m: FdModule, target: SubmoduleHandle,
             f"target sits in an ambient of dimension {target_power * m.dim}, "
             f"beyond the budget of {budget}")
 
-    def build_map(a, b, entries) -> ModuleMap:
-        src, tgt = powers[a], powers[b]
-        blocks = []
-        for v in m.algebra.vertices:
-            dv = m.vdim(v)
-            rows = [[ZERO] * (dv * a) for _ in range(dv * b)]
-            for (i, j), e in entries.items():
-                blk = alphabet[e].block(v)
-                for r in range(dv):
-                    for c in range(dv):
-                        rows[i * dv + r][j * dv + c] = blk.rows[r][c]
-            blocks.append(Matrix(rows, ncols=dv * a))
-        return ModuleMap(src, tgt, blocks, check=False)
-
     maps = []
     for a in range(1, power_cap + 1):
         for b in range(1, power_cap + 1):
@@ -943,7 +918,9 @@ def class_c_explore(m: FdModule, target: SubmoduleHandle,
                         combos.append({p1: e1, p2: e2})
             for entries in combos:
                 label = f"{b}x{a} matrix {sorted(entries.items())}"
-                maps.append((a, b, build_map(a, b, entries), label))
+                grid = {pos: alphabet[e] for pos, e in entries.items()}
+                maps.append((a, b, block_map(m, powers[a], powers[b], grid),
+                             label))
 
     parents: dict = {}
     queue = []

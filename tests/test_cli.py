@@ -180,6 +180,19 @@ def test_validation_error_names_the_offender(tmp_path, capsys):
     assert "no_such_arrow" in err
 
 
+def test_eval_at_a_non_unit_is_refused(tmp_path, capsys):
+    path = tmp_path / "non_unit.json"
+    path.write_text(json.dumps({"u": {"a": ["1"]}}))    # nilpotent
+    code, out, err = run(
+        ["eval", fx("a2_P1.json"), "--comparison", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("qperiods eval: ")
+    assert "not a unit" in lines[0]
+
+
 def test_onemotive_rejects_mixed_flag_styles(capsys):
     code, _, err = run(
         ["onemotive", "--g", "1", "--l", "1", "--m", "1",

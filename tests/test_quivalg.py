@@ -21,6 +21,7 @@ from qperiods.quivalg import (
     NotAdmissible,
     NotFiniteDimensional,
     SubmoduleHandle,
+    block_map,
     build_algebra,
     direct_sum,
     direct_sum_with_maps,
@@ -33,6 +34,7 @@ from qperiods.quivalg import (
     projective_module,
     simple_module,
     trace_quotient,
+    tuple_embed,
 )
 
 # path counts per quiver, by hand: idempotents plus surviving paths
@@ -245,3 +247,32 @@ def test_module_map_validation():
     assert ModuleMap.zero(m, s).flattened().is_zero()
     ident = ModuleMap.identity(m)
     assert ident.flattened() == Matrix.identity(m.dim)
+
+
+@pytest.mark.parametrize("key", ["a3/proj", "kronecker/reg1", "a3/tower"])
+def test_block_map_places_each_endomorphism_in_its_slot(key):
+    m = zoo.get_module(key)
+    alphabet = [ModuleMap.identity(m)] + list(end_algebra(m)[1])
+    powers = {p: module_power(m, p) for p in (1, 2, 3)}
+    for a, b in [(1, 2), (2, 1), (2, 2), (3, 2)]:
+        positions = [(i, j) for i in range(b) for j in range(a)]
+        grids = [
+            {},
+            {positions[-1]: alphabet[-1]},
+            {pos: alphabet[n % len(alphabet)]
+             for n, pos in enumerate(positions)},
+        ]
+        xs = [tuple(Fraction(k * m.dim + i + 1, i + 2) for i in range(m.dim))
+              for k in range(a)]
+        for grid in grids:
+            f = block_map(m, powers[a], powers[b], grid)
+            # the blocks commute with the arrows once the check is rerun
+            ModuleMap(f.source, f.target, f.blocks, check=True)
+            ys = []
+            for i in range(b):
+                y = [Fraction(0)] * m.dim
+                for j in range(a):
+                    if (i, j) in grid:
+                        y = [s + t for s, t in zip(y, grid[i, j].apply(xs[j]))]
+                ys.append(tuple(y))
+            assert f.apply(tuple_embed(m, a, xs)) == tuple_embed(m, b, ys)

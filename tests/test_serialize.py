@@ -1,0 +1,147 @@
+"""The JSON layer: every dumper round-trips through its loader, and
+structure tables that fail their algebra checks are refused."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from qperiods import zoo
+from qperiods.cli import main
+from qperiods.exactlin import Matrix, NumberField
+from qperiods.periods import ComparisonPoint, period_space
+from qperiods.quivalg import (
+    StructureAlgebra,
+    field_extension_structure,
+    matrix_algebra_structure,
+)
+from qperiods.serialize import (
+    ValidationError,
+    algebra_from_data,
+    algebra_to_data,
+    comparison_from_data,
+    comparison_to_data,
+    dump_json,
+    load_json,
+    load_module,
+    module_from_data,
+    module_to_data,
+    partition_from_data,
+    partition_to_data,
+    relation_from_data,
+    relation_to_data,
+    structure_algebra_from_data,
+    structure_algebra_to_data,
+)
+from qperiods.yoga import WeightPartition
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _round_trip_cases():
+    """(id, object, dumper, loader) over the zoo corpus and the fixtures."""
+    a2_p1 = load_module(FIXTURES / "a2_P1.json")
+    a2 = a2_p1.algebra
+    cases = []
+    for key in zoo.WEIGHTS:
+        cases.append((f"algebra-{key}", zoo.algebra(key),
+                      algebra_to_data, algebra_from_data))
+        cases.append((f"partition-{key}",
+                      WeightPartition.of(dict(zoo.weight_classes(key))),
+                      partition_to_data, partition_from_data))
+    cases.append(("algebra-a2.json", algebra_from_data(
+        load_json(FIXTURES / "a2.json")), algebra_to_data, algebra_from_data))
+    for entry in zoo.corpus():
+        m = entry.module
+        cases.append((f"module-{entry.key}", m,
+                      module_to_data, module_from_data))
+        relations = period_space(m).relations.basis_vectors()
+        if relations:
+            cases.append((f"relation-{entry.key}",
+                          Matrix.unvec(relations[0], m.dim, m.dim),
+                          relation_to_data,
+                          lambda data, m=m: relation_from_data(data, m)))
+    for name in ("a2_P1.json", "a2_P1S2.json", "loop2_reg.json"):
+        cases.append((f"module-{name}", load_module(FIXTURES / name),
+                      module_to_data, module_from_data))
+    for name in ("a2_weights.json", "loop2_weights.json"):
+        cases.append((f"partition-{name}",
+                      partition_from_data(load_json(FIXTURES / name)),
+                      partition_to_data, partition_from_data))
+    cases.append(("relation-a2_relation.json",
+                  relation_from_data(load_json(FIXTURES / "a2_relation.json"),
+                                     a2_p1),
+                  relation_to_data,
+                  lambda data: relation_from_data(data, a2_p1)))
+    # a proper coefficient subfield: Q(sqrt 2) inside Q[x]/(x^4 - 2)
+    lf = NumberField([-2, 0, 0, 0, 1])
+    points = [("a2_cmp_u1.json", None), ("a2_cmp_generic.json", None),
+              ("subfield", ComparisonPoint(
+                  lf, (lf.one(), lf.gen(), lf.zero()),
+                  coeff_field=NumberField([-2, 0, 1]),
+                  coeff_image=lf.elem([0, 0, 1])))]
+    for name, point in points:
+        if point is None:
+            point = comparison_from_data(load_json(FIXTURES / name), a2)
+        cases.append((f"comparison-{name}", point,
+                      lambda p: comparison_to_data(p, a2),
+                      lambda data: comparison_from_data(data, a2)))
+    gauss = load_json(FIXTURES / "gauss_input.json")["B"]
+    for name, algebra in [
+            ("gauss_input.json", structure_algebra_from_data(gauss)),
+            ("matrix-2", matrix_algebra_structure(2)),
+            ("cubic-field", field_extension_structure([-2, 0, 0, 1]))]:
+        cases.append((f"structure-{name}", algebra,
+                      structure_algebra_to_data, structure_algebra_from_data))
+    return cases
+
+
+CASES = _round_trip_cases()
+
+
+def _same(x, y) -> bool:
+    if isinstance(x, StructureAlgebra):
+        # structure-constant algebras have no equality of their own
+        return (isinstance(y, StructureAlgebra)
+                and (x.dim, x.unit, x.table) == (y.dim, y.unit, y.table))
+    return x == y
+
+
+@pytest.mark.parametrize("obj,dump,load", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_dumpers_round_trip_through_json(obj, dump, load):
+    data = json.loads(dump_json(dump(obj)))
+    assert _same(load(data), obj)
+
+
+BAD_TABLES = {
+    # b0 * b0 = b0 is associative, but 2 b0 is not a unit
+    "bad-unit": ({"unit": ["2"], "table": [[["1"]]]}, "not a two-sided unit"),
+    # b0 b0 = b0, b0 b1 = 0, b1 b0 = b1, b1 b1 = b0:
+    # (b1 b1) b1 = b0 b1 = 0 but b1 (b1 b1) = b1 b0 = b1
+    "non-associative": ({"unit": ["1", "0"],
+                         "table": [[["1", "0"], ["0", "0"]],
+                                   [["0", "1"], ["1", "0"]]]},
+                        "not associative"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_TABLES))
+def test_structure_tables_failing_their_checks_are_refused(
+        name, tmp_path, capsys):
+    table, message = BAD_TABLES[name]
+    with pytest.raises(ValidationError, match=message):
+        structure_algebra_from_data(table)
+    data = load_json(FIXTURES / "gauss_input.json")
+    data["B"] = table
+    data["HA"] = data["HL"] = data["HT"] = {"dim": 0}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    code = main(["onemotive", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("qperiods onemotive: ") and message in lines[0]
+
