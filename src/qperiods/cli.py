@@ -207,19 +207,25 @@ def _cmd_endo(cfg: RunConfig):
 
 def _cmd_depth(cfg: RunConfig):
     m = load_module(cfg.paths["module"])
-    result = depth_space(m, cfg.k, spin_bound=cfg.spin_bound)
+    # the chain is stable by the power dim M, so larger k adds nothing
+    k = min(cfg.k, max(1, m.dim))
+    result = depth_space(m, k, spin_bound=cfg.spin_bound)
     report = _space_report("depth", result.space)
     report.update({
-        "k": cfg.k,
+        "k": k,
         "per_stage_dims": list(result.per_stage_dims),
         "certified": result.certified,
         "strategy": result.strategy,
     })
-    lines = _space_text(f"depth-{cfg.k} space", result.space)
+    lines = _space_text(f"depth-{k} space", result.space)
     lines.insert(1, "per-stage dimensions: "
                  + ", ".join(str(x) for x in result.per_stage_dims))
     lines.insert(2, f"certified against the full space: "
                  f"{'yes' if result.certified else 'no'}")
+    if k != cfg.k:
+        report["k_clamped_from"] = cfg.k
+        lines.insert(3, f"k clamped from {cfg.k} to {k}: the chain is stable "
+                        f"by the power dim M = {m.dim}")
     return (0 if result.certified else 2), report, lines
 
 

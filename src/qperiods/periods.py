@@ -48,7 +48,6 @@ from .quivalg import (
     module_power,
     module_power_with_maps,
     tuple_embed,
-    tuple_split,
 )
 
 
@@ -58,12 +57,6 @@ class NotAUnit(ValueError):
 
 def _outer(u: Sequence, v: Sequence) -> Matrix:
     return Matrix(tuple(tuple(a * b for b in v) for a in u), ncols=len(v))
-
-
-def _elementary(d: int, i: int, j: int) -> Matrix:
-    rows = [[ZERO] * d for _ in range(d)]
-    rows[i][j] = ONE
-    return Matrix(rows, ncols=d)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +113,7 @@ def period_space(m: FdModule) -> PeriodSpace:
 # ---------------------------------------------------------------------------
 
 
-def relation_from_submodule(m: FdModule, power: int,
+def relation_from_submodule(m: FdModule, power: int, ambient: FdModule,
                             handle: SubmoduleHandle) -> Subspace:
     """All coefficient relations contracted out of one submodule of M^power.
 
@@ -128,46 +121,70 @@ def relation_from_submodule(m: FdModule, power: int,
     and a functional tuple annihilating N' contracts to the coefficient
     matrix sum_k outer(sigma_k, omega_k), which pairs to zero against the
     whole algebra.  The function returns the span of these contractions
-    over a basis of N' and a basis of its annihilator.
+    over a basis of N' and a basis of its annihilator.  ambient is
+    M^power as module_power builds it.
     """
-    ambient = module_power(m, power)
     if handle.ambient != ambient:
         raise ValueError("handle does not live in the expected power of M")
     d = m.dim
+    # slot k of a tuple puts entry g of M at position where[k][g] of
+    # M^power, as in tuple_embed
+    where = [[0] * d for _ in range(power)]
+    pos = 0
+    for v in m.algebra.vertices:
+        for k in range(power):
+            for g in m.vertex_range(v):
+                where[k][g] = pos
+                pos += 1
+
+    def slot_terms(flat_vec):
+        return [[(g, flat_vec[p]) for g, p in enumerate(slot) if flat_vec[p]]
+                for slot in where]
+
     flat = handle.flat()
-    ann = flat.annihilator()
+    sigmas = [slot_terms(s) for s in flat.basis_vectors()]
+    omegas = [slot_terms(w) for w in flat.annihilator().basis_vectors()]
     vecs = []
-    for s_flat in flat.basis_vectors():
-        sigmas = tuple_split(m, power, s_flat)
-        for w_flat in ann.basis_vectors():
-            omegas = tuple_split(m, power, w_flat)
-            c = Matrix.zero(d, d)
-            for sg, om in zip(sigmas, omegas):
-                c = c + _outer(sg, om)
-            vecs.append(c.vec())
+    for sigma in sigmas:
+        for omega in omegas:
+            vec = [ZERO] * (d * d)
+            for sg, om in zip(sigma, omega):
+                for r, a in sg:
+                    row = r * d
+                    for c, b in om:
+                        vec[row + c] += a * b
+            vecs.append(vec)
     return Subspace(d * d, vecs)
 
 
 def endo_quotient(m: FdModule) -> PeriodSpace:
     """The endomorphism-side upper bound for the period space.
 
-    Relations are spanned by the commutators [C0, E] of elementary
-    coefficient matrices with flattened endomorphisms; the quotient is the
-    coefficient space modulo the span.  Always contains the pairing
-    kernel's quotient as a quotient; equality is what principality
-    certificates are about.
+    Relations are spanned by the commutators [E_ij, E] of the elementary
+    coefficient matrices with each basis endomorphism E.  Each one is
+    written straight into the flat coefficient vector: row i holds E's
+    row j, column j holds minus E's column i, so it has at most 2d
+    nonzeros; zero commutators are skipped.  Under the trace pairing
+    this span is the annihilator of the centraliser of End(M) in M_d(Q),
+    so the quotient is dual to the bicommutant of M.  It always has the
+    pairing kernel's quotient as a quotient; equality is what
+    principality certificates are about.
     """
     d = m.dim
     _, basis_maps = end_algebra(m)
-    flats = [b.flattened() for b in basis_maps]
     vecs = []
-    for e in flats:
+    for f in basis_maps:
+        e = f.flattened().rows
         for i in range(d):
             for j in range(d):
-                c0 = _elementary(d, i, j)
-                comm = c0 * e - e * c0
-                if not comm.is_zero():
-                    vecs.append(comm.vec())
+                vec = [ZERO] * (d * d)
+                vec[i * d:(i + 1) * d] = e[j]
+                for r in range(d):
+                    x = e[r][i]
+                    if x:
+                        vec[r * d + j] -= x
+                if any(vec):
+                    vecs.append(vec)
     return PeriodSpace(m, Subspace(d * d, vecs), "endo-quotient")
 
 
@@ -210,10 +227,9 @@ def _endo_tuple_maps(m: FdModule, power: int,
     return alphabet, combos
 
 
-def _candidate_handles(m: FdModule, power: int, strategy: str,
-                       spin_bound: int,
+def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
+                       strategy: str, spin_bound: int,
                        endos: Sequence[ModuleMap]) -> list[SubmoduleHandle]:
-    ambient = module_power(m, power)
     seen: set = set()
     out: list[SubmoduleHandle] = []
 
@@ -289,8 +305,10 @@ def depth_space(m: FdModule, k: int, strategy: str = "certified",
         if certified:
             per_stage.append(acc.dim)
             continue
-        for handle in _candidate_handles(m, power, strategy, spin_bound, endos):
-            rel = relation_from_submodule(m, power, handle)
+        ambient = module_power(m, power)
+        for handle in _candidate_handles(m, power, ambient, strategy,
+                                         spin_bound, endos):
+            rel = relation_from_submodule(m, power, ambient, handle)
             if rel.dim == 0:
                 continue
             grown = acc.add(rel)

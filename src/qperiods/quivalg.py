@@ -318,9 +318,10 @@ def build_algebra(vertices: Sequence[str],
                 "certified finite-dimensional")
         final_len = length
         if not layer:
-            dead_streak = window
+            reduced = None
             break
-        col_order, _, pivots = reduce_ideal(length)
+        reduced = reduce_ideal(length)
+        col_order, _, pivots = reduced
         pivot_paths = {col_order[c] for c in pivots}
         if all(p in pivot_paths for p in layer):
             dead_streak += 1
@@ -332,8 +333,11 @@ def build_algebra(vertices: Sequence[str],
         raise NotFiniteDimensional(
             f"path layers did not die out within length {max_path_length}")
 
-    # final reduction data over everything enumerated
-    col_order, red, pivots = reduce_ideal(final_len)
+    # final reduction data over everything enumerated; a dead streak ends
+    # right after reducing at final_len, so only an empty layer needs it
+    if reduced is None:
+        reduced = reduce_ideal(final_len)
+    col_order, red, pivots = reduced
     pivot_cols = set(pivots)
     basis = tuple(sorted((k for i, k in enumerate(col_order)
                           if i not in pivot_cols),
@@ -725,19 +729,6 @@ def tuple_embed(m: FdModule, n: int, vectors: Sequence[Sequence]) -> tuple:
     return tuple(rat(x) for x in out)
 
 
-def tuple_split(m: FdModule, n: int, flat: Sequence) -> tuple[tuple, ...]:
-    """Inverse of tuple_embed."""
-    comps = [[ZERO] * m.dim for _ in range(n)]
-    pos = 0
-    for v in m.algebra.vertices:
-        d = m.vdim(v)
-        for k in range(n):
-            for i, gi in enumerate(m.vertex_range(v)):
-                comps[k][gi] = rat(flat[pos + i])
-            pos += d
-    return tuple(tuple(c) for c in comps)
-
-
 # ---------------------------------------------------------------------------
 # module maps
 # ---------------------------------------------------------------------------
@@ -883,15 +874,38 @@ def hom_space(m: FdModule, n: FdModule) -> tuple[ModuleMap, ...]:
 
 
 def end_algebra(m: FdModule) -> tuple[StructureAlgebra, tuple[ModuleMap, ...]]:
-    """End(M) as a structure-constant algebra on the canonical hom basis."""
+    """End(M) as a structure-constant algebra on the canonical hom basis.
+
+    hom_space returns the echelon kernel basis of the commutation system,
+    which is the identity at its free unknowns: each basis map is one at
+    its own free unknown, its last nonzero entry, and zero at the others'.
+    The coordinates of an endomorphism are read at those unknowns and
+    checked by rebuilding the endomorphism from them.
+    """
     basis = hom_space(m, m)
     k = len(basis)
     if k == 0:
         return StructureAlgebra(0, (), ()), ()
-    stacked = Matrix.from_columns([b.flattened().vec() for b in basis])
+
+    def unknowns(f: ModuleMap) -> tuple:
+        return tuple(x for b in f.blocks for x in b.vec())
+
+    vecs = [unknowns(b) for b in basis]
+    free = [max(p for p, x in enumerate(v) if x) for v in vecs]
+    assert all(v[p] == (ONE if i == j else ZERO)
+               for i, v in enumerate(vecs) for j, p in enumerate(free)), \
+        "the hom basis is not the identity at its free unknowns"
+    support = [[(p, x) for p, x in enumerate(v) if x] for v in vecs]
+
     def coords(f: ModuleMap) -> tuple:
-        sol = solve(stacked, f.flattened().vec())
-        assert sol is not None, "endomorphism outside its own basis"
+        target = unknowns(f)
+        sol = tuple(target[p] for p in free)
+        rebuilt = [ZERO] * len(target)
+        for c, terms in zip(sol, support):
+            if c:
+                for p, x in terms:
+                    rebuilt[p] += c * x
+        assert tuple(rebuilt) == target, "endomorphism outside its own basis"
         return sol
     table = tuple(tuple(coords(basis[i].compose(basis[j])) for j in range(k))
                   for i in range(k))

@@ -1,0 +1,62 @@
+"""Modules shared by the oracle tests: fixed inputs and a generated family.
+
+ORACLE_INPUTS holds the 39 corpus modules (a2/p1^2 among them), the
+power p1^3 over a2, and the projective at the head of the linear quiver
+A_n for n = 4..6.
+rebased_modules() generates a corpus module seen through a random
+invertible integer basis change at every vertex, entries in [-3, 3]: an
+isomorphic module whose matrices are dense.
+"""
+
+from hypothesis import strategies as st
+
+from qperiods import zoo
+from qperiods.exactlin import Matrix, invert, rank
+from qperiods.quivalg import (
+    FdModule,
+    build_algebra,
+    module_power,
+    projective_module,
+)
+
+
+def linear_projective(n: int) -> FdModule:
+    """The projective at the source of x0 -> x1 -> ... -> x(n-1)."""
+    vertices = [f"x{i}" for i in range(n)]
+    arrows = [(f"a{i}", f"x{i}", f"x{i + 1}") for i in range(n - 1)]
+    return projective_module(build_algebra(vertices, arrows), "x0")
+
+
+def oracle_inputs() -> list:
+    p1 = zoo.get_module("a2/p1")
+    out = [(e.key, e.module) for e in zoo.corpus()]
+    out.append(("a2/p1^3", module_power(p1, 3)))
+    out += [(f"A_{n}/P0", linear_projective(n)) for n in range(4, 7)]
+    return out
+
+
+ORACLE_INPUTS = oracle_inputs()
+
+
+def rebase(m: FdModule, changes) -> FdModule:
+    """m with vertex v's basis changed by the invertible matrix changes[v]."""
+    alg = m.algebra
+    maps = {}
+    for a in alg.arrows:
+        g_t = changes[alg.vertices.index(a.target)]
+        g_s = changes[alg.vertices.index(a.source)]
+        maps[a.name] = g_t * m.maps[a.name] * invert(g_s)
+    return FdModule(alg, dict(zip(alg.vertices, m.dims)), maps)
+
+
+def _invertible(d: int):
+    entries = st.lists(st.integers(-3, 3), min_size=d * d, max_size=d * d)
+    return (entries.map(lambda xs: Matrix.unvec(xs, d, d))
+            .filter(lambda g: rank(g) == d))
+
+
+@st.composite
+def rebased_modules(draw):
+    entry = draw(st.sampled_from(zoo.corpus()))
+    m = entry.module
+    return rebase(m, [draw(_invertible(d)) for d in m.dims])

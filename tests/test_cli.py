@@ -6,6 +6,7 @@ Unknown, 1 for input the tool refuses to interpret.
 """
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -212,6 +213,24 @@ def test_depth_rejects_non_positive_k(capsys):
     code, _, err = run(["depth", fx("a2_P1.json"), "--k", "0"], capsys)
     assert code == 1
     assert "--k must be positive" in err
+
+
+def test_depth_clamps_huge_k_to_the_module_dimension(capsys):
+    base = ["--format", "json", "depth", fx("a2_P1.json"), "--k"]
+    code2, out2, _ = run(base + ["2"], capsys)
+    start = time.perf_counter()
+    code, out, _ = run(base + ["100000000"], capsys)
+    assert time.perf_counter() - start < 10
+    clamped, plain = json.loads(out), json.loads(out2)
+    assert code == code2 == 0
+    assert clamped["per_stage_dims"] == plain["per_stage_dims"]
+    assert clamped["k"] == plain["k"] == 2
+    assert clamped["k_clamped_from"] == 100000000
+    assert "k_clamped_from" not in plain
+    code, out, _ = run(["depth", fx("a2_P1.json"), "--k", "100000000"],
+                       capsys)
+    assert code == 0
+    assert "k clamped from 100000000 to 2" in out
 
 
 def test_no_command_prints_usage(capsys):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
 
 from qperiods import zoo
 from qperiods.exactlin import Matrix, NumberField, Subspace
@@ -25,8 +26,15 @@ from qperiods.periods import (
     realize_relation,
     verify_realization,
 )
-from qperiods.quivalg import ModuleMap, SubmoduleHandle, module_power
+from qperiods.quivalg import (
+    ModuleMap,
+    SubmoduleHandle,
+    end_algebra,
+    module_power,
+)
 from qperiods.yoga import WeightPartition, slice_by_weight
+
+from strategies import ORACLE_INPUTS, rebased_modules
 
 
 def to_sympy(m: Matrix) -> sympy.Matrix:
@@ -91,6 +99,94 @@ def test_endo_quotient_bounds_period_space():
         assert es.dim >= ps.dim, entry.key
         # commutator relations always pair to zero
         assert ps.relations.contains(es.relations), entry.key
+
+
+def elementary_commutator_relations(m) -> Subspace:
+    """The span of [E_ij, E] built as dense products of d x d matrices."""
+    d = m.dim
+    _, basis_maps = end_algebra(m)
+    vecs = []
+    for f in basis_maps:
+        e = f.flattened()
+        for i in range(d):
+            for j in range(d):
+                unit = Matrix.unvec([1 if t == i * d + j else 0
+                                     for t in range(d * d)], d, d)
+                comm = unit * e - e * unit
+                if not comm.is_zero():
+                    vecs.append(comm.vec())
+    return Subspace(d * d, vecs)
+
+
+def sympy_centraliser(mats, d: int) -> list:
+    """A basis of {X : XG = GX for every G in mats}, by sympy."""
+    rows = []
+    for g in mats:
+        for r in range(d):
+            for c in range(d):
+                # (XG - GX)[r, c] as a functional on X, vectorized row-major
+                row = [0] * (d * d)
+                for q in range(d):
+                    row[r * d + q] += g[q, c]
+                for p in range(d):
+                    row[p * d + c] -= g[r, p]
+                rows.append(row)
+    if not rows:
+        null = [sympy.eye(d * d)[:, t] for t in range(d * d)]
+    else:
+        null = sympy.Matrix(rows).nullspace()
+    return [sympy.Matrix(d, d, list(v)) for v in null]
+
+
+def bicommutant_relations(m) -> Subspace:
+    """The trace-annihilator of the centraliser of End(M), from scratch.
+
+    End(M) is the centraliser of the vertex idempotents and arrow
+    matrices acting on M; its own centraliser is the bicommutant, and a
+    relation C is a coefficient matrix with tr(X C) = 0 for every X in
+    the bicommutant.
+    """
+    d = m.dim
+    gens = []
+    for v in m.algebra.vertices:
+        idem = sympy.zeros(d, d)
+        for i in m.vertex_range(v):
+            idem[i, i] = 1
+        gens.append(idem)
+    for a in m.algebra.arrows:
+        rho = sympy.zeros(d, d)
+        src, tgt = m.offsets[a.source], m.offsets[a.target]
+        block = m.maps[a.name]
+        for r in range(block.nrows):
+            for c in range(block.ncols):
+                rho[tgt + r, src + c] = sympy.Rational(block.rows[r][c])
+        gens.append(rho)
+    bicommutant = sympy_centraliser(sympy_centraliser(gens, d), d)
+    # tr(X C) = sum_{p, q} X[p, q] C[q, p]; C's entry (q, p) sits at q*d + p
+    pairing = [[x[p, q] for q in range(d) for p in range(d)]
+               for x in bicommutant]
+    if not pairing:
+        return Subspace.full_space(d * d)
+    null = sympy.Matrix(pairing).nullspace()
+    return Subspace(d * d, [tuple(Fraction(x) for x in v) for v in null])
+
+
+def assert_endo_matches_oracles(m, key):
+    relations = endo_quotient(m).relations
+    assert relations == elementary_commutator_relations(m), key
+    assert relations == bicommutant_relations(m), key
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_endo_relations_equal_both_oracles(key, m):
+    assert_endo_matches_oracles(m, key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_modules())
+def test_endo_relations_equal_both_oracles_on_rebased_modules(m):
+    assert_endo_matches_oracles(m, repr(m))
 
 
 def test_depth_space_certifies_and_stabilizes():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperiods import zoo
-from qperiods.exactlin import Matrix
+from qperiods.exactlin import Matrix, solve
 from qperiods.quivalg import (
     FdModule,
     ModuleMap,
@@ -36,6 +36,8 @@ from qperiods.quivalg import (
     trace_quotient,
     tuple_embed,
 )
+
+from strategies import ORACLE_INPUTS, rebased_modules
 
 # path counts per quiver, by hand: idempotents plus surviving paths
 ALGEBRA_DIMS = {
@@ -109,6 +111,37 @@ def test_end_algebra_structure():
     s = zoo.get_module("a2/s1")
     algebra, _ = end_algebra(s)
     assert algebra.dim == 1 and algebra.is_semisimple()
+
+
+def assert_end_algebra_matches_solve(m, key):
+    """Each product's coordinates and the unit's, by one solve apiece."""
+    algebra, basis = end_algebra(m)
+    k = len(basis)
+    if k == 0:
+        assert algebra.dim == 0, key
+        return
+    stacked = Matrix.from_columns([b.flattened().vec() for b in basis])
+    table = tuple(
+        tuple(solve(stacked, basis[i].compose(basis[j]).flattened().vec())
+              for j in range(k))
+        for i in range(k))
+    unit = solve(stacked, ModuleMap.identity(m).flattened().vec())
+    assert algebra.table == table, key
+    assert algebra.unit == unit, key
+    assert algebra.check_associative(), key
+    assert algebra.check_unit(), key
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_end_algebra_equals_the_solve_oracle(key, m):
+    assert_end_algebra_matches_solve(m, key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_modules())
+def test_end_algebra_equals_the_solve_oracle_on_rebased_modules(m):
+    assert_end_algebra_matches_solve(m, repr(m))
 
 
 def test_matrix_algebra_structure_is_semisimple():
