@@ -194,15 +194,16 @@ def _space_text(label: str, space) -> list:
 def _cmd_period(cfg: RunConfig):
     m = load_module(cfg.paths["module"])
     space = period_space(m)
-    return 0, _space_report("period", space), \
-        _space_text("period space", space)
+    lines = _space_text("period space", space) if cfg.fmt == "text" else []
+    return 0, _space_report("period", space), lines
 
 
 def _cmd_endo(cfg: RunConfig):
     m = load_module(cfg.paths["module"])
     space = endo_quotient(m)
-    return 0, _space_report("endo", space), \
-        _space_text("endomorphism-side space", space)
+    lines = (_space_text("endomorphism-side space", space)
+             if cfg.fmt == "text" else [])
+    return 0, _space_report("endo", space), lines
 
 
 def _cmd_depth(cfg: RunConfig):
@@ -217,16 +218,20 @@ def _cmd_depth(cfg: RunConfig):
         "certified": result.certified,
         "strategy": result.strategy,
     })
+    code = 0 if result.certified else 2
+    if k != cfg.k:
+        report["k_clamped_from"] = cfg.k
+    if cfg.fmt != "text":
+        return code, report, []
     lines = _space_text(f"depth-{k} space", result.space)
     lines.insert(1, "per-stage dimensions: "
                  + ", ".join(str(x) for x in result.per_stage_dims))
     lines.insert(2, f"certified against the full space: "
                  f"{'yes' if result.certified else 'no'}")
     if k != cfg.k:
-        report["k_clamped_from"] = cfg.k
         lines.insert(3, f"k clamped from {cfg.k} to {k}: the chain is stable "
                         f"by the power dim M = {m.dim}")
-    return (0 if result.certified else 2), report, lines
+    return code, report, lines
 
 
 def _cmd_certify(cfg: RunConfig):

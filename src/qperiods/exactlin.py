@@ -260,7 +260,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             continue
         rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
         inv = rows[lead][col]
-        rows[lead] = [x / inv for x in rows[lead]]
+        if inv != 1:
+            rows[lead] = [x / inv for x in rows[lead]]
         for r in range(m.nrows):
             if r != lead and rows[r][col]:
                 factor = rows[r][col]
@@ -276,6 +277,22 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def _kernel_by_free_column(m: Matrix, one, zero) -> list:
+    """(f, kernel vector for f) for each free column f of m, by ascending f."""
+    red, pivots = rref(m)
+    pivot_set = set(pivots)
+    out = []
+    for f in range(m.ncols):
+        if f in pivot_set:
+            continue
+        vec = [zero] * m.ncols
+        vec[f] = one
+        for r, p in enumerate(pivots):
+            vec[p] = -red.rows[r][f]
+        out.append((f, tuple(vec)))
+    return out
+
+
 def kernel_basis(m: Matrix, one=ONE, zero=ZERO) -> tuple[tuple, ...]:
     """Basis of the right kernel {x : m x = 0}, one vector per free column.
 
@@ -283,17 +300,25 @@ def kernel_basis(m: Matrix, one=ONE, zero=ZERO) -> tuple[tuple, ...]:
     column f has entry one at f, minus the reduced entries at the pivot
     coordinates, zero elsewhere.  Deterministic given m.
     """
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [zero] * m.ncols
-        vec[f] = one
-        for r, p in enumerate(pivots):
-            vec[p] = -red.rows[r][f]
-        basis.append(tuple(vec))
-    return tuple(basis)
+    return tuple(vec for _, vec in _kernel_by_free_column(m, one, zero))
+
+
+def kernel_subspace(m: Matrix) -> "Subspace":
+    """The right kernel of a rational matrix, by a single elimination.
+
+    m is eliminated with its columns reversed.  Kernel vector f of the
+    reversed matrix is one at f and otherwise nonzero only at pivots left
+    of f.  Read back in the original order, it leads with that one at
+    column n-1-f and is zero at every other vector's leading column, so
+    the vectors, taken by descending f, already are the canonical RREF
+    basis of the kernel.  Equal to Subspace(n, kernel_basis(m)); entries
+    must be rational, as Subspace requires.
+    """
+    n = m.ncols
+    flipped = Matrix(tuple(r[::-1] for r in m.rows), ncols=n)
+    by_free = _kernel_by_free_column(flipped, ONE, ZERO)[::-1]
+    return Subspace._from_echelon(n, tuple(vec[::-1] for _, vec in by_free),
+                                  tuple(n - 1 - f for f, _ in by_free))
 
 
 def solve(a: Matrix, b: Sequence) -> tuple | None:
@@ -367,12 +392,23 @@ class Subspace:
         self.pivots = pivots
 
     @classmethod
+    def _from_echelon(cls, ambient: int, rows: tuple,
+                      pivots: tuple) -> "Subspace":
+        """Wrap rational rows already in canonical RREF, with their pivots."""
+        space = cls.__new__(cls)
+        space.ambient = ambient
+        space.basis = Matrix(rows, ncols=ambient)
+        space.pivots = pivots
+        return space
+
+    @classmethod
     def zero_space(cls, ambient: int) -> "Subspace":
         return cls(ambient)
 
     @classmethod
     def full_space(cls, ambient: int) -> "Subspace":
-        return cls(ambient, Matrix.identity(ambient).rows)
+        return cls._from_echelon(ambient, Matrix.identity(ambient).rows,
+                                 tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -414,9 +450,7 @@ class Subspace:
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace, as row vectors."""
-        if self.dim == 0:
-            return Subspace.full_space(self.ambient)
-        return Subspace(self.ambient, kernel_basis(self.basis))
+        return kernel_subspace(self.basis)
 
     def image_under(self, t: Matrix) -> "Subspace":
         if t.ncols != self.ambient:
@@ -426,10 +460,7 @@ class Subspace:
     def preimage_under(self, t: Matrix) -> "Subspace":
         if t.nrows != self.ambient:
             raise DimensionMismatch("map codomain does not match ambient")
-        ann = self.annihilator()
-        if ann.dim == 0:
-            return Subspace.full_space(t.ncols)
-        return Subspace(t.ncols, kernel_basis(ann.basis * t))
+        return kernel_subspace(self.annihilator().basis * t)
 
     def _same_ambient(self, other: "Subspace"):
         if self.ambient != other.ambient:

@@ -33,7 +33,7 @@ from .exactlin import (
     ZERO,
     ONE,
     k_linear_kernel,
-    kernel_basis,
+    kernel_subspace,
     rat,
     rref,
 )
@@ -104,7 +104,7 @@ def pairing_matrix(m: FdModule) -> Matrix:
 
 def period_space(m: FdModule) -> PeriodSpace:
     """The full period space, via the kernel of the coefficient pairing."""
-    relations = Subspace(m.dim ** 2, kernel_basis(pairing_matrix(m)))
+    relations = kernel_subspace(pairing_matrix(m))
     return PeriodSpace(m, relations, "pairing-kernel")
 
 

@@ -27,6 +27,7 @@ from .exactlin import (
     ONE,
     block_diagonal,
     kernel_basis,
+    kernel_subspace,
     rat,
     rref,
     solve,
@@ -410,9 +411,7 @@ class StructureAlgebra:
 
     def radical(self) -> Subspace:
         """Radical of the trace form; equals the Jacobson radical over Q."""
-        if self.dim == 0:
-            return Subspace.zero_space(0)
-        return Subspace(self.dim, kernel_basis(self.trace_form()))
+        return kernel_subspace(self.trace_form())
 
     def is_semisimple(self) -> bool:
         return self.radical().dim == 0
@@ -803,7 +802,7 @@ class ModuleMap:
                          [b.scale(c) for b in self.blocks], check=False)
 
     def kernel(self) -> "SubmoduleHandle":
-        spaces = [Subspace(b.ncols, kernel_basis(b)) for b in self.blocks]
+        spaces = [kernel_subspace(b) for b in self.blocks]
         return SubmoduleHandle(self.source, spaces)
 
     def image(self) -> "SubmoduleHandle":

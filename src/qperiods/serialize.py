@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from .exactlin import Matrix, NumberField, NumberFieldElem
@@ -52,8 +53,18 @@ def load_json(path):
         raise ParseError(path, exc.lineno, exc.msg) from exc
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def dump_json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    # the encoder yields one small string per token; joining them in
+    # batches keeps a large report from holding every token at once
+    chunks = _ENCODER.iterencode(data)
+    parts = []
+    while batch := list(islice(chunks, 4096)):
+        parts.append("".join(batch))
+    parts.append("\n")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +88,10 @@ def parse_rational(value, what: str = "value") -> Fraction:
 
 
 def rational_str(value) -> str:
-    return str(Fraction(value))
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    # the literal is one shared string: relation bases are mostly zeros
+    return str(value) if value else "0"
 
 
 def _expect(data, kind, what: str):

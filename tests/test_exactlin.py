@@ -13,6 +13,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qperiods.periods import pairing_matrix
+from strategies import ORACLE_INPUTS, rebased_modules
 from qperiods.exactlin import (
     DivisionByZero,
     FieldEmbedding,
@@ -25,6 +27,7 @@ from qperiods.exactlin import (
     invert,
     k_linear_kernel,
     kernel_basis,
+    kernel_subspace,
     poly_divmod,
     poly_gcd,
     poly_mul,
@@ -146,6 +149,97 @@ def test_subspace_image_preimage_adjunction(pair, rng):
     assert u.image_under(t).preimage_under(t).contains(u)
     image_of_t = Subspace.full_space(n).image_under(t)
     assert v.preimage_under(t).image_under(t) == v.intersect(image_of_t)
+
+
+def assert_kernel_subspace_canonical(m: Matrix):
+    """kernel_subspace(m) is the two-elimination construction, exactly."""
+    ours = kernel_subspace(m)
+    theirs = Subspace(m.ncols, kernel_basis(m))
+    assert ours.ambient == theirs.ambient
+    assert ours.basis == theirs.basis
+    assert ours.pivots == theirs.pivots
+
+
+@st.composite
+def integer_matrices(draw):
+    nrows = draw(st.integers(min_value=0, max_value=5))
+    ncols = draw(st.integers(min_value=0, max_value=7))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    return Matrix([[draw(entry) for _ in range(ncols)]
+                   for _ in range(nrows)], ncols=ncols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_kernel_subspace_is_the_canonical_kernel(m):
+    assert_kernel_subspace_canonical(m)
+
+
+def test_kernel_subspace_extreme_shapes():
+    rng = random.Random(415)
+    for n in range(5):
+        assert_kernel_subspace_canonical(Matrix((), ncols=n))
+        assert_kernel_subspace_canonical(Matrix.zero(3, n))
+        assert_kernel_subspace_canonical(Matrix.identity(n))
+        assert kernel_subspace(Matrix((), ncols=n)) == Subspace.full_space(n)
+        assert kernel_subspace(Matrix.identity(n)).dim == 0
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        m = random_matrix(rng, n, n + rng.randint(0, 3))
+        assert_kernel_subspace_canonical(m)
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_kernel_subspace_of_pairing_matrix(key, m):
+    assert_kernel_subspace_canonical(pairing_matrix(m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_modules())
+def test_kernel_subspace_of_rebased_pairing_matrix(m):
+    assert_kernel_subspace_canonical(pairing_matrix(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pair(), st.randoms(use_true_random=False))
+def test_annihilator_and_preimage_match_kernel_basis(pair, rng):
+    u, _ = pair
+    n = u.ambient
+    old_ann = (Subspace.full_space(n) if u.dim == 0
+               else Subspace(n, kernel_basis(u.basis)))
+    ann = u.annihilator()
+    assert (ann.basis, ann.pivots) == (old_ann.basis, old_ann.pivots)
+    t = random_matrix(rng, n, rng.randint(1, 4), span=2)
+    old_pre = (Subspace.full_space(t.ncols) if old_ann.dim == 0
+               else Subspace(t.ncols, kernel_basis(old_ann.basis * t)))
+    pre = u.preimage_under(t)
+    assert (pre.basis, pre.pivots) == (old_pre.basis, old_pre.pivots)
+
+
+def test_rref_over_a_number_field():
+    f = NumberField([-2, 0, 0, 1])             # Q[x]/(x^3-2)
+    one, zero, a = f.one(), f.zero(), f.gen()
+    # rational entries lifted into the field reduce as they do over Q
+    rng = random.Random(416)
+    for _ in range(10):
+        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+        lifted = Matrix([[f.from_rational(x) for x in r] for r in m.rows])
+        red, pivots = rref(m)
+        red_f, pivots_f = rref(lifted)
+        assert pivots_f == pivots
+        assert red_f == Matrix([[f.from_rational(x) for x in r]
+                                for r in red.rows])
+    # a pivot already one and a pivot that must be divided out
+    m = Matrix([[one, a, a * a], [a, a * a + one, zero], [a, one, one]])
+    red, pivots = rref(m)
+    assert pivots == (0, 1, 2)
+    assert red == Matrix.identity(3, one=one, zero=zero)
+    m = Matrix([[a, one], [a * a, a]])         # rank one
+    red, pivots = rref(m)
+    assert pivots == (0,)
+    assert red.rows[0][0] == one and red.rows[0][1] * a == one
+    assert not red.rows[1][0] and not red.rows[1][1]
 
 
 def test_quotient_presentation_project_lift():

@@ -104,8 +104,8 @@ def test_end_algebra_structure():
     for key in ("a2/p1", "a2/s1+s2", "a3/tower", "kronecker/proj1"):
         m = zoo.get_module(key)
         algebra, basis = end_algebra(m)
-        algebra.check_associative()
-        algebra.check_unit()
+        assert algebra.check_associative(), key
+        assert algebra.check_unit(), key
         assert algebra.dim == len(basis) == len(hom_space(m, m))
     # a simple module has scalar endomorphisms only
     s = zoo.get_module("a2/s1")

@@ -2,6 +2,7 @@
 structure tables that fail their algebra checks are refused."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from qperiods.serialize import (
     module_to_data,
     partition_from_data,
     partition_to_data,
+    rational_str,
     relation_from_data,
     relation_to_data,
     structure_algebra_from_data,
@@ -145,3 +147,22 @@ def test_structure_tables_failing_their_checks_are_refused(
     assert len(lines) == 1
     assert lines[0].startswith("qperiods onemotive: ") and message in lines[0]
 
+
+
+def test_rational_str_is_canonical_and_refuses_non_rationals():
+    for x in (0, 7, -2, Fraction(0), Fraction(-6, 4), "3/6", True):
+        assert rational_str(x) == str(Fraction(x))
+    field = NumberField([-2, 0, 0, 1])
+    with pytest.raises(TypeError):
+        rational_str(field.gen())
+    with pytest.raises(TypeError):
+        rational_str(None)
+
+
+def test_dump_json_matches_json_dumps():
+    # far more than one batch of encoder chunks, nested and unsorted
+    big = {"z": [[str(i), {"b": i, "a": None}] for i in range(5000)],
+           "a": {"y": [1.5, True, "\u00e9"], "x": []}}
+    for data in (big, [], {}, "text", 3):
+        assert dump_json(data) == json.dumps(
+            data, indent=2, sort_keys=True) + "\n"
