@@ -40,13 +40,15 @@ from .exactlin import (
 from .quivalg import (
     FdModule,
     ModuleMap,
+    NotASubmodule,
     SubmoduleHandle,
     block_map,
     end_algebra,
     factor_through_quotient,
     image_submodule,
     module_power,
-    module_power_with_maps,
+    slot_layout,
+    spin_pool,
     tuple_embed,
 )
 
@@ -127,19 +129,11 @@ def relation_from_submodule(m: FdModule, power: int, ambient: FdModule,
     if handle.ambient != ambient:
         raise ValueError("handle does not live in the expected power of M")
     d = m.dim
-    # slot k of a tuple puts entry g of M at position where[k][g] of
-    # M^power, as in tuple_embed
-    where = [[0] * d for _ in range(power)]
-    pos = 0
-    for v in m.algebra.vertices:
-        for k in range(power):
-            for g in m.vertex_range(v):
-                where[k][g] = pos
-                pos += 1
+    layout = slot_layout(m, power)
 
     def slot_terms(flat_vec):
         return [[(g, flat_vec[p]) for g, p in enumerate(slot) if flat_vec[p]]
-                for slot in where]
+                for slot in layout]
 
     flat = handle.flat()
     sigmas = [slot_terms(s) for s in flat.basis_vectors()]
@@ -248,10 +242,10 @@ def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
             entries = [alphabet[combo.get(j, 0)] for j in range(power)]
             # the column (f_1, ..., f_power): M -> M^power and the row
             # (f_1 ... f_power): M^power -> M
-            col = block_map(m, m, ambient,
+            col = block_map(m, [m], ambient, [m] * power,
                             {(j, 0): f for j, f in enumerate(entries)})
             push(col.image())
-            row = block_map(m, ambient, m,
+            row = block_map(ambient, [m] * power, m, [m],
                             {(0, j): f for j, f in enumerate(entries)})
             push(row.kernel())
         # kernels and images of single endomorphisms, pushed to power 1
@@ -266,19 +260,8 @@ def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
                 push((e - f).kernel())
 
     if use_spin:
-        n = ambient.dim
-        b = spin_bound
-        singles = Matrix.identity(n).rows
-        for v in singles:
-            push(SubmoduleHandle.spin(ambient, [v]))
-        coeff_pairs = [(Fraction(1), Fraction(c))
-                       for c in range(-b, b + 1) if c]
-        for i, j in itertools.combinations(range(n), 2):
-            for c1, c2 in coeff_pairs:
-                vec = [ZERO] * n
-                vec[i] = c1
-                vec[j] = c2
-                push(SubmoduleHandle.spin(ambient, [tuple(vec)]))
+        for h in spin_pool(ambient, spin_bound):
+            push(h)
     return out
 
 
@@ -422,7 +405,7 @@ def verify_realization(c: Matrix, real: Realization) -> bool:
         return False
     try:
         SubmoduleHandle(ambient, real.witness.spaces)  # revalidate stability
-    except Exception:
+    except NotASubmodule:
         return False
     s_flat = tuple_embed(m, real.power, real.sigma)
     if not real.witness.contains_vector(s_flat):
@@ -692,7 +675,7 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
     """
     if left.target != m or right.source != m:
         raise ValueError("maps do not frame the given module")
-    inner, inner_incls, inner_projs = module_power_with_maps(m0, x)
+    inner = module_power(m0, x)
     if left.source != inner:
         raise ValueError("the mono's source is not the declared power of M0")
     if right.target != module_power(m1, l):
@@ -703,26 +686,29 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
         raise ValueError("right map must be surjective")
     if left.image().spaces != right.kernel().spaces:
         raise ValueError("image of the mono must equal the kernel of the epi")
-    mx, mx_incls, _ = module_power_with_maps(m, x)
-    big, _, big_projs = module_power_with_maps(inner, x)
-    # g: (M0^x)^x -> M0, (u_1, ..., u_x) -> sum_j slot_j(u_j)
-    g = None
-    for jj in range(x):
-        term = inner_projs[jj].compose(big_projs[jj])
-        g = term if g is None else g + term
+    mx = module_power(m, x)
+    big = module_power(inner, x)
+    # g: (M0^x)^x -> M0, (u_1, ..., u_x) -> sum_j slot_j(u_j); big is also
+    # M0^(x*x), in which slot j of u_j is slot j*x + j
+    g = block_map(big, [m0] * (x * x), m0, [m0],
+                  {(0, j * x + j): ModuleMap.identity(m0) for j in range(x)})
     kh = g.kernel()
-    lifted = _map_power(left, x, big, mx)
+    lifted = block_map(big, [inner] * x, mx, [m] * x,
+                       {(j, j): left for j in range(x)})
     k_in_mx = image_submodule(lifted, kh)
     reduced, proj = k_in_mx.quotient_module()
     # mono from M0: embed into slot 1 of the inner power, then slot 1 of M^x
-    mu = proj.compose(mx_incls[0]).compose(left).compose(inner_incls[0])
+    into_inner = block_map(m0, [m0], inner, [m0] * x,
+                           {(0, 0): ModuleMap.identity(m0)})
+    into_mx = block_map(m, [m], mx, [m] * x, {(0, 0): ModuleMap.identity(m)})
+    mu = proj.compose(into_mx).compose(left).compose(into_inner)
     if not mu.is_injective():
         raise AssertionError("reduced sequence lost injectivity")
-    # epi onto M1^(x*l)
-    m1xl = module_power(m1, x * l)
-    right_power = _map_power(right, x, mx, module_power(right.target, x))
-    retyped = ModuleMap(mx, m1xl, right_power.blocks, check=False)
-    pi = factor_through_quotient(retyped, k_in_mx)
+    # epi onto M1^(x*l) = (M1^l)^x
+    right_power = block_map(mx, [m] * x, module_power(m1, x * l),
+                            [right.target] * x,
+                            {(j, j): right for j in range(x)})
+    pi = factor_through_quotient(right_power, k_in_mx)
     if not pi.is_surjective():
         raise AssertionError("reduced sequence lost surjectivity")
     if not pi.compose(mu).flattened().is_zero():
@@ -737,11 +723,3 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
          "x": x, "l": l, "middle_dim": reduced.dim},
         base.dim == red_space.dim)
 
-
-def _map_power(f: ModuleMap, x: int, src_power: FdModule,
-               tgt_power: FdModule) -> ModuleMap:
-    from .exactlin import block_diagonal
-    blocks = []
-    for v in f.source.algebra.vertices:
-        blocks.append(block_diagonal([f.block(v)] * x))
-    return ModuleMap(src_power, tgt_power, blocks, check=False)

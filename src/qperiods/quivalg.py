@@ -14,10 +14,11 @@ concatenates the vertex spaces in the algebra's vertex order.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactlin import (
     Matrix,
@@ -639,8 +640,9 @@ def projective_module(algebra: BoundQuiverAlgebra, vertex: str) -> FdModule:
     return FdModule(algebra, dims, maps)
 
 
-def direct_sum_with_maps(modules: Sequence[FdModule]):
-    """Direct sum together with the canonical inclusions and projections."""
+def direct_sum(modules: Sequence[FdModule]) -> FdModule:
+    """The direct sum: each vertex space lists the summands' spaces at
+    that vertex in order, and each arrow acts block-diagonally."""
     if not modules:
         raise ValueError("empty direct sum is ambiguous; pass a zero module")
     algebra = modules[0].algebra
@@ -648,31 +650,23 @@ def direct_sum_with_maps(modules: Sequence[FdModule]):
         if m.algebra != algebra:
             raise ValueError("direct sum of modules over different algebras")
     dims = {v: sum(m.vdim(v) for m in modules) for v in algebra.vertices}
-    maps = {}
-    for a in algebra.arrows:
-        maps[a.name] = block_diagonal([m.maps[a.name] for m in modules])
-    total = FdModule(algebra, dims, maps)
+    maps = {a.name: block_diagonal([m.maps[a.name] for m in modules])
+            for a in algebra.arrows}
+    return FdModule(algebra, dims, maps)
+
+
+def direct_sum_with_maps(modules: Sequence[FdModule]):
+    """Direct sum with its canonical inclusions and projections, each
+    checked against the arrows."""
+    total = direct_sum(modules)
     inclusions, projections = [], []
-    for idx, m in enumerate(modules):
-        inc_blocks, proj_blocks = [], []
-        for v in algebra.vertices:
-            before = sum(mm.vdim(v) for mm in modules[:idx])
-            rows = []
-            for i in range(dims[v]):
-                row = [ZERO] * m.vdim(v)
-                if before <= i < before + m.vdim(v):
-                    row[i - before] = ONE
-                rows.append(tuple(row))
-            inc = Matrix(rows, ncols=m.vdim(v))
-            inc_blocks.append(inc)
-            proj_blocks.append(inc.transpose())
-        inclusions.append(ModuleMap(m, total, inc_blocks))
-        projections.append(ModuleMap(total, m, proj_blocks))
+    for k, m in enumerate(modules):
+        ident = ModuleMap.identity(m)
+        inc = block_map(m, [m], total, modules, {(k, 0): ident})
+        proj = block_map(total, modules, m, [m], {(0, k): ident})
+        inclusions.append(ModuleMap(m, total, inc.blocks))
+        projections.append(ModuleMap(total, m, proj.blocks))
     return total, tuple(inclusions), tuple(projections)
-
-
-def direct_sum(modules: Sequence[FdModule]) -> FdModule:
-    return direct_sum_with_maps(modules)[0]
 
 
 def module_power(m: FdModule, n: int) -> FdModule:
@@ -681,51 +675,55 @@ def module_power(m: FdModule, n: int) -> FdModule:
     return direct_sum([m] * n)
 
 
-def module_power_with_maps(m: FdModule, n: int):
-    if n == 0:
-        zero = FdModule(m.algebra, {v: 0 for v in m.algebra.vertices}, {})
-        return zero, (), ()
-    return direct_sum_with_maps([m] * n)
-
-
-def block_map(m: FdModule, source: FdModule, target: FdModule,
+def block_map(source: FdModule, sources: Sequence[FdModule],
+              target: FdModule, targets: Sequence[FdModule],
               grid: dict) -> "ModuleMap":
-    """The map M^a -> M^b given by a matrix of endomorphisms of M.
+    """The map between direct sums given by a grid of maps between summands.
 
-    source and target are the powers M^a and M^b as module_power builds
-    them; grid maps (row_slot, col_slot) to the endomorphism sending slot
-    col_slot of the source to slot row_slot of the target, and absent
-    slots are zero.  Each vertex space of a power is slot-major, as in
-    tuple_embed.  The blocks are not rechecked against the arrows.
+    source is direct_sum(sources) and target is direct_sum(targets); grid
+    maps (row_slot, col_slot) to a map from sources[col_slot] to
+    targets[row_slot], and absent slots are zero.  Slot sizes at each
+    vertex are read from the summands.  The blocks are not rechecked
+    against the arrows.
     """
     blocks = []
-    for v in m.algebra.vertices:
-        dv = m.vdim(v)
-        ncols = source.vdim(v)
+    for v in source.algebra.vertices:
+        zeros = [(ZERO,) * s.vdim(v) for s in sources]
         rows = []
-        if dv:
-            zero = (ZERO,) * dv
-            for i in range(target.vdim(v) // dv):
-                pieces = [grid[i, j].block(v).rows if (i, j) in grid else None
-                          for j in range(ncols // dv)]
-                for r in range(dv):
-                    row = ()
-                    for piece in pieces:
-                        row += zero if piece is None else piece[r]
-                    rows.append(row)
-        blocks.append(Matrix(rows, ncols=ncols))
+        for i, t in enumerate(targets):
+            pieces = [grid[i, j].block(v).rows if (i, j) in grid else None
+                      for j in range(len(sources))]
+            for r in range(t.vdim(v)):
+                row = ()
+                for piece, zero in zip(pieces, zeros):
+                    row += zero if piece is None else piece[r]
+                rows.append(row)
+        blocks.append(Matrix(rows, ncols=sum(map(len, zeros))))
     return ModuleMap(source, target, blocks, check=False)
+
+
+def slot_layout(m: FdModule, n: int) -> list[list[int]]:
+    """Entry g of slot k of an n-tuple of vectors of M is coordinate
+    layout[k][g] of M^n, which is slot-major inside each vertex space."""
+    layout = [[0] * m.dim for _ in range(n)]
+    pos = 0
+    for v in m.algebra.vertices:
+        for slot in layout:
+            for g in m.vertex_range(v):
+                slot[g] = pos
+                pos += 1
+    return layout
 
 
 def tuple_embed(m: FdModule, n: int, vectors: Sequence[Sequence]) -> tuple:
     """Flatten an n-tuple of vectors of M into the coordinates of M^n."""
     if len(vectors) != n:
         raise ValueError("tuple length does not match the power")
-    out = []
-    for v in m.algebra.vertices:
-        for k in range(n):
-            out.extend(m.slice_of(vectors[k], v))
-    return tuple(rat(x) for x in out)
+    out = [ZERO] * (n * m.dim)
+    for vec, slot in zip(vectors, slot_layout(m, n)):
+        for g, p in enumerate(slot):
+            out[p] = rat(vec[g])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1071,6 +1069,25 @@ class SubmoduleHandle:
                          [p.projection for p in pres], check=False)
         self._quot = (quot, proj)
         return self._quot
+
+
+def spin_pool(m: FdModule, bound: int) -> Iterator[SubmoduleHandle]:
+    """Submodules of M spun from one small integer vector each.
+
+    First each coordinate vector e_i, then e_i + s*e_j for i < j and s in
+    [-bound, bound] without 0, in that order.  Different vectors may spin
+    the same submodule; callers drop the repeats.
+    """
+    n = m.dim
+    for e in Matrix.identity(n).rows:
+        yield SubmoduleHandle.spin(m, [e])
+    for i, j in itertools.combinations(range(n), 2):
+        for s in range(-bound, bound + 1):
+            if s:
+                vec = [ZERO] * n
+                vec[i] = ONE
+                vec[j] = Fraction(s)
+                yield SubmoduleHandle.spin(m, [tuple(vec)])
 
 
 def preimage_submodule(f: ModuleMap, handle: SubmoduleHandle) -> SubmoduleHandle:

@@ -40,7 +40,6 @@ from .quivalg import (
     SubmoduleHandle,
     block_map,
     direct_sum,
-    direct_sum_with_maps,
     dual_module,
     dual_submodule,
     end_algebra,
@@ -53,6 +52,7 @@ from .quivalg import (
     module_power,
     preimage_submodule,
     simple_module,
+    spin_pool,
     trace_quotient,
 )
 
@@ -258,14 +258,10 @@ def slice_by_weight(m: FdModule, partition: WeightPartition,
     return admissible_check(incl, proj, partition)
 
 
-def _zero_module(algebra) -> FdModule:
-    return FdModule(algebra, {v: 0 for v in algebra.vertices}, {})
-
-
 def trivial_sub_sequence(c: FdModule,
                          partition: WeightPartition) -> AdmissibleSequence:
     """The sequence with sub C, middle C and zero quotient."""
-    zero = _zero_module(c.algebra)
+    zero = module_power(c, 0)
     return admissible_check(ModuleMap.identity(c), ModuleMap.zero(c, zero),
                             partition)
 
@@ -275,13 +271,14 @@ def sum_sequence(seq_m: AdmissibleSequence,
     """The direct sum of two admissible sequences over the same partition."""
     if seq_m.partition != seq_n.partition:
         raise ValueError("summands must share the weight partition")
-    mid, mid_inc, mid_proj = direct_sum_with_maps([seq_m.module, seq_n.module])
-    sub, _, sub_proj = direct_sum_with_maps([seq_m.sub, seq_n.sub])
-    quot, quot_inc, _ = direct_sum_with_maps([seq_m.quot, seq_n.quot])
-    inclusion = (mid_inc[0].compose(seq_m.inclusion).compose(sub_proj[0])
-                 + mid_inc[1].compose(seq_n.inclusion).compose(sub_proj[1]))
-    projection = (quot_inc[0].compose(seq_m.projection).compose(mid_proj[0])
-                  + quot_inc[1].compose(seq_n.projection).compose(mid_proj[1]))
+    subs = [seq_m.sub, seq_n.sub]
+    mids = [seq_m.module, seq_n.module]
+    quots = [seq_m.quot, seq_n.quot]
+    mid = direct_sum(mids)
+    inclusion = block_map(direct_sum(subs), subs, mid, mids,
+                          {(0, 0): seq_m.inclusion, (1, 1): seq_n.inclusion})
+    projection = block_map(mid, mids, direct_sum(quots), quots,
+                           {(0, 0): seq_m.projection, (1, 1): seq_n.projection})
     return admissible_check(inclusion, projection, seq_m.partition)
 
 
@@ -353,9 +350,6 @@ def universal_extension(seq: AdmissibleSequence,
 
 
 def _search_pool(m: FdModule, bound: int, cap: int) -> list[SubmoduleHandle]:
-    coords = [m.embed_vertex_vector(v, row)
-              for v in m.algebra.vertices
-              for row in Matrix.identity(m.vdim(v)).rows]
     handles: list[SubmoduleHandle] = []
     seen: set = set()
 
@@ -366,14 +360,11 @@ def _search_pool(m: FdModule, bound: int, cap: int) -> list[SubmoduleHandle]:
 
     push(SubmoduleHandle.zero(m))
     push(SubmoduleHandle.full(m))
-    for c in coords:
-        push(SubmoduleHandle.spin(m, [c]))
-    for c1, c2 in itertools.combinations(coords, 2):
-        for s in range(-bound, bound + 1):
-            if s == 0:
-                continue
-            push(SubmoduleHandle.spin(
-                m, [tuple(a + Fraction(s) * b for a, b in zip(c1, c2))]))
+    if len(handles) < cap:
+        for h in spin_pool(m, bound):
+            push(h)
+            if len(handles) == cap:
+                break
     for h1, h2 in itertools.combinations(tuple(handles), 2):
         push(h1.add(h2))
         push(h1.intersect(h2))
@@ -620,6 +611,9 @@ def _core_candidates(x: FdModule, partition: WeightPartition, cap: int = 24):
     support = partition.support_weights(x)
     if not support:
         return
+    # Not spin_pool's order: c1 + c2 comes before c1 - c2, and all
+    # coordinates together come last.  This order picks the core that
+    # certify prints in its plan, so it must not change.
     coords = []
     for v in partition.vertices_at(support[:1]):
         for row in Matrix.identity(x.vdim(v)).rows:
@@ -919,8 +913,8 @@ def class_c_explore(m: FdModule, target: SubmoduleHandle,
             for entries in combos:
                 label = f"{b}x{a} matrix {sorted(entries.items())}"
                 grid = {pos: alphabet[e] for pos, e in entries.items()}
-                maps.append((a, b, block_map(m, powers[a], powers[b], grid),
-                             label))
+                maps.append((a, b, block_map(powers[a], [m] * a, powers[b],
+                                             [m] * b, grid), label))
 
     parents: dict = {}
     queue = []

@@ -15,6 +15,7 @@ from qperiods import zoo
 from qperiods.exactlin import Matrix, NumberField, Subspace
 from qperiods.periods import (
     ComparisonPoint,
+    Realization,
     check_absorb_identity,
     check_orthogonal_additivity,
     check_power_identity,
@@ -224,6 +225,30 @@ def test_realize_relation_frozen_cases():
     # budgets refuse honestly rather than widen
     rb = realize_relation(m, c, power_budget=1)
     assert rb.status == "budget" and rb.realization is None
+
+
+def test_verify_realization_rejects_a_witness_not_stable_under_an_arrow():
+    # P1 over a2: e at v1, f at v2, the arrow a sends e to f.  span(e) is
+    # not a submodule, yet it contains sigma = e, omega = f^* kills it and
+    # the tuples contract to C, so only the stability check can refuse.
+    m = zoo.get_module("a2/p1")
+    span_e = SubmoduleHandle(m, [Subspace.full_space(1),
+                                 Subspace.zero_space(1)], check=False)
+    c = Matrix([[0, 1], [0, 0]])
+    real = Realization(m, 1, ((1, 0),), ((0, 1),), span_e)
+    assert real.contraction() == c
+    assert not verify_realization(c, real)
+    # a bug inside the stability check is an error, not a rejected witness
+    class BuggySpace(Subspace):
+        __slots__ = ()
+
+        def contains(self, other):
+            raise TypeError("a bug, not a failed check")
+
+    broken = SubmoduleHandle(m, [Subspace.zero_space(1), BuggySpace(1)],
+                             check=False)
+    with pytest.raises(TypeError, match="a bug, not a failed check"):
+        verify_realization(c, Realization(m, 1, ((1, 0),), ((0, 1),), broken))
 
 
 def test_realize_rejects_non_relations():

@@ -6,6 +6,7 @@ characterizations (projectivity via vertex dimensions, rank-nullity,
 duality) rather than by re-running the code under test.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -33,9 +34,11 @@ from qperiods.quivalg import (
     module_power,
     projective_module,
     simple_module,
+    spin_pool,
     trace_quotient,
     tuple_embed,
 )
+from qperiods.yoga import _search_pool
 
 from strategies import ORACLE_INPUTS, rebased_modules
 
@@ -298,7 +301,7 @@ def test_block_map_places_each_endomorphism_in_its_slot(key):
         xs = [tuple(Fraction(k * m.dim + i + 1, i + 2) for i in range(m.dim))
               for k in range(a)]
         for grid in grids:
-            f = block_map(m, powers[a], powers[b], grid)
+            f = block_map(powers[a], [m] * a, powers[b], [m] * b, grid)
             # the blocks commute with the arrows once the check is rerun
             ModuleMap(f.source, f.target, f.blocks, check=True)
             ys = []
@@ -309,3 +312,91 @@ def test_block_map_places_each_endomorphism_in_its_slot(key):
                         y = [s + t for s, t in zip(y, grid[i, j].apply(xs[j]))]
                 ys.append(tuple(y))
             assert f.apply(tuple_embed(m, a, xs)) == tuple_embed(m, b, ys)
+
+
+# the spin-box family that depth_space used to build inline
+def reference_spin_box(ambient, b):
+    n = ambient.dim
+    out = [SubmoduleHandle.spin(ambient, [v])
+           for v in Matrix.identity(n).rows]
+    coeff_pairs = [(Fraction(1), Fraction(c)) for c in range(-b, b + 1) if c]
+    for i, j in itertools.combinations(range(n), 2):
+        for c1, c2 in coeff_pairs:
+            vec = [Fraction(0)] * n
+            vec[i] = c1
+            vec[j] = c2
+            out.append(SubmoduleHandle.spin(ambient, [tuple(vec)]))
+    return out
+
+
+# the spins of yoga._search_pool before it drew them from spin_pool
+def reference_search_spins(m, bound):
+    coords = [m.embed_vertex_vector(v, row)
+              for v in m.algebra.vertices
+              for row in Matrix.identity(m.vdim(v)).rows]
+    out = [SubmoduleHandle.spin(m, [c]) for c in coords]
+    for c1, c2 in itertools.combinations(coords, 2):
+        for s in range(-bound, bound + 1):
+            if s == 0:
+                continue
+            out.append(SubmoduleHandle.spin(
+                m, [tuple(a + Fraction(s) * b for a, b in zip(c1, c2))]))
+    return out
+
+
+def reference_search_pool(m, bound, cap):
+    handles, seen = [], set()
+
+    def push(h):
+        if h.spaces not in seen and len(handles) < cap:
+            seen.add(h.spaces)
+            handles.append(h)
+
+    push(SubmoduleHandle.zero(m))
+    push(SubmoduleHandle.full(m))
+    for h in reference_search_spins(m, bound):
+        push(h)
+    for h1, h2 in itertools.combinations(tuple(handles), 2):
+        push(h1.add(h2))
+        push(h1.intersect(h2))
+        if len(handles) >= cap:
+            break
+    return handles
+
+
+CORPUS = [(e.key, e.module) for e in zoo.corpus()]
+
+
+@pytest.mark.parametrize("key,m", CORPUS, ids=[k for k, _ in CORPUS])
+def test_spin_pool_enumerates_both_old_pools_in_order(key, m):
+    for power, bound in ((1, 1), (2, 1), (1, 2)):
+        ambient = module_power(m, power)
+        pool = [h.spaces for h in spin_pool(ambient, bound)]
+        assert pool == [h.spaces for h in reference_spin_box(ambient, bound)]
+        assert pool == [h.spaces
+                        for h in reference_search_spins(ambient, bound)]
+
+
+@pytest.mark.parametrize("key,m", CORPUS, ids=[k for k, _ in CORPUS])
+def test_search_pool_equals_the_old_pool_at_every_cap(key, m):
+    for cap in (1, 2, 3, 5, 8, 512):
+        assert ([h.spaces for h in _search_pool(m, 1, cap)]
+                == [h.spaces for h in reference_search_pool(m, 1, cap)])
+
+
+def test_search_pool_stops_spinning_at_its_cap(monkeypatch):
+    m = module_power(zoo.get_module("a3/proj"), 2)
+    distinct = []
+    for n, h in enumerate(spin_pool(m, 1), 1):
+        if h.spaces not in distinct and not (h.is_zero() or h.is_full()):
+            distinct.append(h.spaces)
+            if len(distinct) == 3:
+                needed = n
+                break
+    calls = []
+    spin = SubmoduleHandle.spin.__func__
+    monkeypatch.setattr(SubmoduleHandle, "spin", classmethod(
+        lambda cls, ambient, vectors: calls.append(1) or spin(
+            cls, ambient, vectors)))
+    assert len(_search_pool(m, 1, cap=5)) == 5
+    assert len(calls) == needed
