@@ -10,6 +10,7 @@ or validate.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,6 +19,7 @@ from pathlib import Path
 from .exactlin import Matrix, NumberFieldElem
 from .quivalg import NotAdmissible, NotFiniteDimensional, SubmoduleHandle
 from .periods import (
+    NotAField,
     NotAUnit,
     depth_space,
     endo_quotient,
@@ -70,6 +72,7 @@ INPUT_ERRORS = (
     HypothesisFailed,
     RangeError,
     NotAUnit,
+    NotAField,
 )
 
 
@@ -402,7 +405,9 @@ _HANDLERS = {
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qperiods",
         description="Exact period spaces of quiver representations.")

@@ -5,6 +5,14 @@ scalar is exact: ``fractions.Fraction`` for rational work, and
 ``NumberFieldElem`` for work in a number field presented as Q[x]/(f) with
 f monic, integral and squarefree.  No floats, ever.
 
+A product in Q[x]/(f), f of degree e, multiplies the nonzero coefficient
+pairs of its two reduced factors, then folds each coefficient of x^k,
+k = e..2e-2, into the lower ones through x^k mod f, a table each
+NumberField computes once (Cohen, A Course in Computational Algebraic
+Number Theory, section 4.2): no polynomial division per product.  A
+rational operand scales or shifts the coefficient tuple directly, and
+only inverse() runs the extended Euclidean algorithm against f.
+
 Matrices are small and dense (tuples of tuples), which is the right
 trade-off at the scale this package targets: ambient dimensions are a few
 dozen at most, and canonical forms matter far more than asymptotics.
@@ -29,6 +37,14 @@ class DimensionMismatch(ValueError):
 
 class DivisionByZero(ArithmeticError):
     """Division by zero, or by a zero divisor of a reducible Q[x]/(f)."""
+
+
+class ZeroDivisor(DivisionByZero):
+    """A nonzero element of a reducible Q[x]/(f) has no inverse."""
+
+    def __init__(self, field: "NumberField"):
+        super().__init__("zero divisor in a reducible Q[x]/(f)")
+        self.field = field
 
 
 class ReduciblePolynomial(ValueError):
@@ -245,7 +261,8 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
     Returns (R, pivots) where R has the same shape as m, pivot entries are
     one, pivot columns are otherwise zero, and zero rows sit at the bottom.
-    Works over any exact field the entries implement.
+    Works over any exact field the entries implement; each pivot row is
+    normalised by multiplying with one reciprocal of its pivot.
     """
     rows = [list(r) for r in m.rows]
     pivots = []
@@ -259,9 +276,10 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         if pivot_row is None:
             continue
         rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
-        inv = rows[lead][col]
-        if inv != 1:
-            rows[lead] = [x / inv for x in rows[lead]]
+        pivot = rows[lead][col]
+        if pivot != 1:
+            inv = 1 / pivot
+            rows[lead] = [x * inv if x else x for x in rows[lead]]
         for r in range(m.nrows):
             if r != lead and rows[r][col]:
                 factor = rows[r][col]
@@ -598,10 +616,16 @@ class NumberField:
     needed for anything downstream, while squarefreeness (checked via
     gcd(f, f')) guarantees the ring is a product of fields, so every
     nonzero non-zero-divisor is invertible and zero divisors are reported
-    as DivisionByZero when inversion actually fails.
+    as ZeroDivisor when inversion actually fails.
+
+    Two things are computed once per field: ``modulus``, f as Fractions,
+    and ``fold``, where fold[k - e] lists the nonzero (i, c) of
+    x^k mod f = sum c x^i for k = e .. 2e-2 (e the degree).  A product of
+    two reduced elements has degree at most 2e-2, so folding each high
+    coefficient through that table reduces it without dividing by f.
     """
 
-    __slots__ = ("coeffs", "degree")
+    __slots__ = ("coeffs", "degree", "modulus", "fold")
 
     def __init__(self, coeffs: Sequence[int]):
         coeffs = tuple(int(c) for c in coeffs)
@@ -614,13 +638,24 @@ class NumberField:
         if len(g) != 1:
             raise ReduciblePolynomial("defining polynomial is not squarefree")
         self.coeffs = coeffs
-        self.degree = len(coeffs) - 1
+        self.degree = e = len(coeffs) - 1
+        self.modulus = f
+        # x^e = -(f_0 + ... + f_{e-1} x^{e-1}); each next power is the
+        # previous one times x, its x^e term folded back the same way
+        power = [-c for c in f[:e]]
+        fold = []
+        for _ in range(e - 1):
+            fold.append(tuple((i, c) for i, c in enumerate(power) if c))
+            top = power[-1]
+            power = [ZERO] + power[:-1]
+            if top:
+                power = [a - top * c for a, c in zip(power, f)]
+        self.fold = tuple(fold)
 
     def elem(self, coeffs: Sequence) -> "NumberFieldElem":
         coeffs = [rat(c) for c in coeffs]
         if len(coeffs) > self.degree:
-            f = tuple(Fraction(c) for c in self.coeffs)
-            coeffs = list(poly_divmod(tuple(coeffs), f)[1])
+            coeffs = list(poly_divmod(tuple(coeffs), self.modulus)[1])
         coeffs += [ZERO] * (self.degree - len(coeffs))
         return NumberFieldElem(self, tuple(coeffs))
 
@@ -647,7 +682,11 @@ class NumberField:
 
 
 class NumberFieldElem:
-    """Element of a NumberField; supports mixed arithmetic with rationals."""
+    """Element of a NumberField; supports mixed arithmetic with rationals.
+
+    An int or Fraction operand is never promoted to a field element: it
+    scales the coefficient tuple, or shifts its constant term.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -656,75 +695,96 @@ class NumberFieldElem:
         self.field = field
         self.coeffs = coeffs
 
-    def _coerce(self, other):
-        if isinstance(other, NumberFieldElem):
-            if other.field != self.field:
-                raise FieldMismatch("elements of different number fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return None
+    def _same_field(self, other: "NumberFieldElem"):
+        if other.field is not self.field and other.field != self.field:
+            raise FieldMismatch("elements of different number fields")
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return NumberFieldElem(self.field, tuple(
-            a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if isinstance(other, NumberFieldElem):
+            self._same_field(other)
+            return NumberFieldElem(self.field, tuple(
+                a + b for a, b in zip(self.coeffs, other.coeffs)))
+        if isinstance(other, (int, Fraction)):
+            return NumberFieldElem(self.field,
+                                   (self.coeffs[0] + other,) + self.coeffs[1:])
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return NumberFieldElem(self.field, tuple(
-            a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if isinstance(other, NumberFieldElem):
+            self._same_field(other)
+            return NumberFieldElem(self.field, tuple(
+                a - b for a, b in zip(self.coeffs, other.coeffs)))
+        if isinstance(other, (int, Fraction)):
+            return NumberFieldElem(self.field,
+                                   (self.coeffs[0] - other,) + self.coeffs[1:])
+        return NotImplemented
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        if isinstance(other, (int, Fraction)):
+            return NumberFieldElem(self.field, (other - self.coeffs[0],)
+                                   + tuple(-a for a in self.coeffs[1:]))
+        return NotImplemented
 
     def __neg__(self):
         return NumberFieldElem(self.field, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            return NumberFieldElem(self.field,
+                                   tuple(a * other for a in self.coeffs))
+        if not isinstance(other, NumberFieldElem):
             return NotImplemented
-        f = tuple(Fraction(c) for c in self.field.coeffs)
-        prod = poly_divmod(poly_mul(self.coeffs, other.coeffs), f)[1]
-        return self.field.elem(prod)
+        self._same_field(other)
+        field = self.field
+        e = field.degree
+        right = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        # the unreduced product, None where no pair of nonzeros lands
+        prod = [None] * (2 * e - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in right:
+                    t = a * b
+                    s = prod[i + j]
+                    prod[i + j] = t if s is None else s + t
+        # x^k mod f has degree below e, so each high term folds once
+        for c, terms in zip(prod[e:], field.fold):
+            if c:
+                for i, t in terms:
+                    s = prod[i]
+                    prod[i] = c * t if s is None else s + c * t
+        return NumberFieldElem(field, tuple(ZERO if c is None else c
+                                            for c in prod[:e]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZero("inverse of zero")
+            return self * (ONE / other)
+        if not isinstance(other, NumberFieldElem):
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def inverse(self) -> "NumberFieldElem":
         if not self:
             raise DivisionByZero("inverse of zero")
-        f = tuple(Fraction(c) for c in self.field.coeffs)
         # extended euclid: s*a + t*f = g
-        a, b = poly_trim(self.coeffs), f
+        a, b = poly_trim(self.coeffs), self.field.modulus
         s0, s1 = (ONE,), ()
         while b:
             q, r = poly_divmod(a, b)
             a, b = b, r
             s0, s1 = s1, poly_add(s0, tuple(-c for c in poly_mul(q, s1)))
         if len(a) != 1:
-            raise DivisionByZero("zero divisor in a reducible Q[x]/(f)")
+            raise ZeroDivisor(self.field)
         inv = tuple(c / a[0] for c in s0)
         return self.field.elem(inv)
 
@@ -745,7 +805,7 @@ class NumberFieldElem:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
+            return self.coeffs[0] == other and not any(self.coeffs[1:])
         return (isinstance(other, NumberFieldElem)
                 and other.field == self.field
                 and other.coeffs == self.coeffs)
@@ -788,7 +848,7 @@ class FieldEmbedding:
                 raise FieldMismatch("image lives in the wrong field")
             acc = codomain.zero()
             for c in reversed(domain.coeffs):
-                acc = acc * image + codomain.from_rational(c)
+                acc = acc * image + c
             if acc:
                 raise ValueError("claimed image is not a root of the defining polynomial")
         self.domain = domain
@@ -803,7 +863,7 @@ class FieldEmbedding:
                 raise FieldMismatch("value does not live in the embedding's domain")
             acc = self.codomain.zero()
             for c in reversed(value.coeffs):
-                acc = acc * self.image + self.codomain.from_rational(c)
+                acc = acc * self.image + c
             return acc
         raise TypeError(f"cannot embed {value!r}")
 

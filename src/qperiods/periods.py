@@ -32,6 +32,7 @@ from .exactlin import (
     Subspace,
     ZERO,
     ONE,
+    ZeroDivisor,
     k_linear_kernel,
     kernel_subspace,
     rat,
@@ -55,6 +56,11 @@ from .quivalg import (
 
 class NotAUnit(ValueError):
     """The evaluation element is not invertible in the scalar extension."""
+
+
+class NotAField(ValueError):
+    """L or K is a squarefree but reducible Q[x]/(f), and the evaluation
+    had to divide by one of its zero divisors."""
 
 
 def _outer(u: Sequence, v: Sequence) -> Matrix:
@@ -517,8 +523,23 @@ def eval_and_conjecture(m: FdModule, point: ComparisonPoint,
     space, checks that the relation subspace evaluates to zero, and (for
     rational kernel vectors) attempts to realize each ambient kernel
     vector as a submodule relation.  The point holds when evaluation is
-    injective on the period quotient over K.
+    injective on the period quotient over K.  NotAField is raised when
+    L or K is a reducible Q[x]/(f) and the evaluation meets a zero
+    divisor there.
     """
+    try:
+        return _evaluate(m, point, realize)
+    except ZeroDivisor as exc:
+        role = ("value field L" if exc.field == point.value_field
+                else "coefficient field K")
+        raise NotAField(
+            f"the {role} = Q[x]/(f) with f = {list(exc.field.coeffs)} "
+            f"(constant term first) is not a field: f is reducible and "
+            f"the evaluation met a zero divisor") from exc
+
+
+def _evaluate(m: FdModule, point: ComparisonPoint,
+              realize: bool) -> EvalReport:
     _check_unit(m, point)
     space = period_space(m)
     lf = point.value_field

@@ -186,10 +186,6 @@ def algebra_to_data(alg: BoundQuiverAlgebra) -> dict:
     }
 
 
-def load_algebra(path) -> BoundQuiverAlgebra:
-    return algebra_from_data(load_json(path))
-
-
 # ---------------------------------------------------------------------------
 # modules
 

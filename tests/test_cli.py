@@ -6,14 +6,19 @@ Unknown, 1 for input the tool refuses to interpret.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from qperiods import cli
 from qperiods.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def fx(name):
@@ -194,6 +199,43 @@ def test_eval_at_a_non_unit_is_refused(tmp_path, capsys):
     assert "not a unit" in lines[0]
 
 
+REDUCIBLE_POINTS = {
+    # L = Q[x]/(x^2-1): the unit check divides by the zero divisor x+1
+    "value field L": {"field": [-1, 0, 1],
+                      "u": {"e_v1": [1, 1], "e_v2": [1], "a": [0]}},
+    # K = Q[y]/(y^2-1) sent to 1 in L = Q: the kernel over K meets y-1
+    "coefficient field K": {"field": [-1, 1], "coeff_field": [-1, 0, 1],
+                            "embedding_of_K": [1],
+                            "u": {"e_v1": [1], "e_v2": [1]}},
+}
+
+
+@pytest.mark.parametrize("role", sorted(REDUCIBLE_POINTS))
+def test_eval_over_a_reducible_field_is_refused(role, tmp_path, capsys):
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps(REDUCIBLE_POINTS[role]))
+    code, out, err = run(
+        ["eval", fx("a2_P1.json"), "--comparison", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"qperiods eval: the {role} = Q[x]/(f)")
+    assert "is not a field" in lines[0]
+
+
+def test_eval_over_a_reducible_field_without_zero_divisors_answers(tmp_path,
+                                                                  capsys):
+    path = tmp_path / "reducible.json"
+    path.write_text(json.dumps({"field": [-1, 0, 1],
+                                "u": {"e_v1": [1], "e_v2": [1]}}))
+    code, out, err = run(
+        ["eval", fx("a2_P1.json"), "--comparison", str(path)], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.startswith("verdict: the point ")
+
+
 def test_onemotive_rejects_mixed_flag_styles(capsys):
     code, _, err = run(
         ["onemotive", "--g", "1", "--l", "1", "--m", "1",
@@ -298,6 +340,47 @@ def test_repeated_runs_are_byte_identical(capsys):
         first = run(argv, capsys)
         second = run(argv, capsys)
         assert first == second
+
+
+def _fresh_process(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from qperiods.cli import main; sys.exit(main(sys.argv[1:]))",
+         *argv],
+        capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; a sequence of calls through it,
+    # a clamp, a usage error and a refusal among them, must answer as a
+    # fresh process does
+    refused = tmp_path / "reducible.json"
+    refused.write_text(json.dumps(REDUCIBLE_POINTS["value field L"]))
+    calls = [
+        ["period", fx("a2_P1.json")],
+        ["depth", fx("a2_P1.json"), "--k", "99"],
+        ["period", fx("a2_P1.json"), "--no-such-option"],
+        ["eval", fx("a2_P1.json"), "--comparison", str(refused)],
+        ["--format", "json", "certify", fx("a2_P1.json"),
+         "--weights", fx("a2_weights.json")],
+    ]
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 1, 0]
+    assert "k clamped from 99 to 2" in in_process[1][1]
+    assert "unrecognized arguments: --no-such-option" in in_process[2][2]
+    assert in_process == [_fresh_process(argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
 
 
 def test_emit_schema_is_valid_json(capsys):

@@ -12,9 +12,10 @@ import sympy
 from hypothesis import given, settings
 
 from qperiods import zoo
-from qperiods.exactlin import Matrix, NumberField, Subspace
+from qperiods.exactlin import Matrix, NumberField, Subspace, ZeroDivisor
 from qperiods.periods import (
     ComparisonPoint,
+    NotAField,
     Realization,
     check_absorb_identity,
     check_orthogonal_additivity,
@@ -358,6 +359,19 @@ def test_eval_requires_a_unit():
     m = zoo.get_module("a2/p1")
     with pytest.raises(ValueError):
         eval_and_conjecture(m, q_point(m, (0, 0, 1)))   # rho(u) singular
+
+
+def test_eval_over_a_reducible_value_field_names_it():
+    m = zoo.get_module("a2/p1")
+    lf = NumberField([-1, 0, 1])               # x^2 - 1 = (x-1)(x+1)
+    one, x = lf.one(), lf.gen()
+    point = ComparisonPoint(lf, (one + x, one, lf.zero()))
+    with pytest.raises(NotAField, match="value field L") as info:
+        eval_and_conjecture(m, point)
+    assert isinstance(info.value.__cause__, ZeroDivisor)
+    # a point whose evaluation never divides by a zero divisor still answers
+    rep = eval_and_conjecture(m, ComparisonPoint(lf, (one, one, lf.zero())))
+    assert rep.relations_evaluate_to_zero
 
 
 def test_eval_with_proper_coefficient_subfield():
