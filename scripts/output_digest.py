@@ -1,0 +1,107 @@
+"""Digest every benchmark question's output, to compare two checkouts.
+
+    python3 scripts/output_digest.py ROOT OUT.json [--seed 7]
+
+Imports the package from ROOT/src and the question lists from
+ROOT/perfbench/workloads.py, asks every question of the ladder, dense
+and corpus workloads at the seed through ``qperiods.cli.main``, once
+with ``--format json`` and once with ``--format text``, and writes to
+OUT.json, per question and format, the exit code and the sha256 of
+standard output and standard error.  Two checkouts answer alike exactly
+when their files are equal:
+
+    python3 scripts/output_digest.py OLD old.json
+    python3 scripts/output_digest.py NEW new.json
+    diff old.json new.json
+
+The inputs are written under a temporary directory and named by a
+relative path that is the same on every run, so that file names quoted
+in error lines match between checkouts; none are written under ROOT.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+WORKLOADS = ("ladder", "dense", "corpus")
+INPUTS = Path("inputs")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _ask(main, argv: list) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    error = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a traceback is an output too
+            code, error = None, f"{type(exc).__name__}: {exc}"
+    answer = {"exit": code, "stdout": _sha(out.getvalue()),
+              "stderr": _sha(err.getvalue())}
+    if error is not None:
+        answer["error"] = error
+    return answer
+
+
+def digest(root: Path, seed: int) -> dict:
+    sys.path.insert(0, str(root / "src"))
+    sys.path.insert(0, str(root / "perfbench"))
+    import workloads
+    from qperiods.cli import main
+    origin = Path(sys.modules["qperiods"].__file__).resolve()
+    if (root / "src").resolve() not in origin.parents:
+        raise RuntimeError(f"qperiods was imported from {origin}, "
+                           f"not from {root / 'src'}")
+    digests = {}
+    here = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for workload in WORKLOADS:
+                questions = workloads.generate(workload, seed,
+                                               INPUTS / workload)
+                for i, q in enumerate(questions):
+                    digests[f"{workload}/{i:03d}/{q.qid}"] = {
+                        fmt: _ask(main, ["--format", fmt, *q.argv])
+                        for fmt in ("json", "text")}
+        finally:
+            os.chdir(here)
+    return digests
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", type=Path,
+                        help="checkout whose src/ and perfbench/ are used")
+    parser.add_argument("out", type=Path, help="JSON file to write")
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    out = args.out.resolve()
+    if not (root / "src" / "qperiods" / "__init__.py").is_file():
+        print(f"output_digest: no src/qperiods under {root}", file=sys.stderr)
+        return 2
+    digests = digest(root, args.seed)
+    out.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    outputs = 2 * len(digests)
+    errors = sum("error" in a for d in digests.values() for a in d.values())
+    print(f"{len(digests)} questions, {outputs} outputs, "
+          f"{errors} tracebacks -> {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

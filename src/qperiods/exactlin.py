@@ -23,6 +23,7 @@ what makes the rest of the package deterministic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -774,19 +775,52 @@ class NumberFieldElem:
         return NotImplemented
 
     def inverse(self) -> "NumberFieldElem":
+        """Solve a * y = 1 by fraction-free elimination over the integers.
+
+        With D the lcm of the coefficient denominators, column j of the
+        integer matrix M is D*a*x^j mod f (f is monic integral, so the
+        reduction stays integral), and M y = D e_0.  Gauss-Jordan
+        elimination in Bareiss's form divides each update exactly by the
+        previous pivot, leaves det(M) on the whole diagonal and det(M)
+        times the solution in the right-hand column; the one division
+        into Fractions happens at the end.  A column without a pivot
+        means M is singular, so a is a zero divisor.
+        """
         if not self:
             raise DivisionByZero("inverse of zero")
-        # extended euclid: s*a + t*f = g
-        a, b = poly_trim(self.coeffs), self.field.modulus
-        s0, s1 = (ONE,), ()
-        while b:
-            q, r = poly_divmod(a, b)
-            a, b = b, r
-            s0, s1 = s1, poly_add(s0, tuple(-c for c in poly_mul(q, s1)))
-        if len(a) != 1:
-            raise ZeroDivisor(self.field)
-        inv = tuple(c / a[0] for c in s0)
-        return self.field.elem(inv)
+        field = self.field
+        e = field.degree
+        f = field.coeffs
+        scale = math.lcm(*(c.denominator for c in self.coeffs))
+        col = [c.numerator * (scale // c.denominator) for c in self.coeffs]
+        cols = [col]
+        for _ in range(e - 1):
+            top = col[-1]
+            col = [0] + col[:-1]
+            if top:
+                col = [a - top * c for a, c in zip(col, f)]
+            cols.append(col)
+        # rows of [M | e_0]
+        rows = [[cols[j][i] for j in range(e)] + [int(i == 0)]
+                for i in range(e)]
+        prev = 1
+        for k in range(e):
+            p = next((r for r in range(k, e) if rows[r][k]), None)
+            if p is None:
+                raise ZeroDivisor(field)
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot_row = rows[k]
+            pivot = pivot_row[k]
+            for r in range(e):
+                if r == k:
+                    continue
+                row = rows[r]
+                lead = row[k]
+                rows[r] = [(pivot * x - lead * y) // prev
+                           for x, y in zip(row, pivot_row)]
+            prev = pivot
+        return NumberFieldElem(field, tuple(Fraction(scale * row[e], prev)
+                                            for row in rows))
 
     def __pow__(self, exp: int):
         if exp < 0:

@@ -37,6 +37,27 @@ class ModelMismatch(RuntimeError):
     """The synthesized model disagrees with the closed forms."""
 
 
+# The matrix model has ambient dimension d = (top) + (middle) + (bottom)
+# + 2, which is 2g + l + m + 2 for rational inputs.  Its oracle
+# eliminates about (top + bottom) * d^2 commutators of d x d matrices,
+# and the closed forms solve hom systems with up to (middle)^2 unknowns.
+# On a 2-vCPU host d = 32 takes 1.5 s for g = 12, l = m = 1 and 7 s for
+# the slowest shape, g = 0, l = 1, m = 29; d = 40 takes up to 17 s, and
+# d = 806 (g = 400) gives no answer within minutes.  The corpus asks up
+# to d = 16.  Larger models are refused up front rather than left to run.
+MODEL_DIM_BUDGET = 32
+
+
+def check_model_budget(top: int, middle: int, bottom: int) -> None:
+    """RangeError if the model on layers of these dimensions would have
+    an ambient dimension beyond MODEL_DIM_BUDGET."""
+    d = top + middle + bottom + 2
+    if d > MODEL_DIM_BUDGET:
+        raise RangeError(
+            f"the matrix model would have ambient dimension {d}, beyond "
+            f"the budget of {MODEL_DIM_BUDGET}")
+
+
 # ---------------------------------------------------------------------------
 # modules over a structure-constant algebra
 # ---------------------------------------------------------------------------
@@ -182,6 +203,7 @@ def rational_input(g: int, m: int, l: int) -> SaturatedInput:
     """The unconstrained case: B = Q, middle of dimension 2g."""
     if g < 0 or m < 0 or l < 0:
         raise RangeError("layer dimensions must be nonnegative")
+    check_model_budget(l, 2 * g, m)
     q = rational_structure()
     return saturated_input(q, rational_module(q, 2 * g),
                            rational_module(q, m), rational_module(q, l))

@@ -44,8 +44,8 @@ from .quivalg import (
     NotASubmodule,
     SubmoduleHandle,
     block_map,
-    end_algebra,
     factor_through_quotient,
+    hom_space,
     image_submodule,
     module_power,
     slot_layout,
@@ -171,7 +171,7 @@ def endo_quotient(m: FdModule) -> PeriodSpace:
     principality certificates are about.
     """
     d = m.dim
-    _, basis_maps = end_algebra(m)
+    basis_maps = hom_space(m, m)
     vecs = []
     for f in basis_maps:
         e = f.flattened().rows
@@ -286,7 +286,7 @@ def depth_space(m: FdModule, k: int, strategy: str = "certified",
         raise ValueError(f"unknown strategy {strategy!r}")
     oracle = period_space(m)
     d = m.dim
-    _, endos = end_algebra(m)
+    endos = hom_space(m, m)
     acc = Subspace.zero_space(d * d)
     per_stage = []
     certified = acc == oracle.relations

@@ -870,16 +870,21 @@ def hom_space(m: FdModule, n: FdModule) -> tuple[ModuleMap, ...]:
     return tuple(out)
 
 
-def end_algebra(m: FdModule) -> tuple[StructureAlgebra, tuple[ModuleMap, ...]]:
+def end_algebra(m: FdModule, basis: tuple[ModuleMap, ...] | None = None
+                ) -> tuple[StructureAlgebra, tuple[ModuleMap, ...]]:
     """End(M) as a structure-constant algebra on the canonical hom basis.
 
     hom_space returns the echelon kernel basis of the commutation system,
     which is the identity at its free unknowns: each basis map is one at
     its own free unknown, its last nonzero entry, and zero at the others'.
     The coordinates of an endomorphism are read at those unknowns and
-    checked by rebuilding the endomorphism from them.
+    checked by rebuilding the endomorphism from them.  A caller that
+    already holds hom_space(m, m) passes it as basis.  Callers that only
+    need the basis should call hom_space(m, m) itself: the table costs
+    k^2 compositions.
     """
-    basis = hom_space(m, m)
+    if basis is None:
+        basis = hom_space(m, m)
     k = len(basis)
     if k == 0:
         return StructureAlgebra(0, (), ()), ()
@@ -1213,11 +1218,14 @@ def dual_submodule(m: FdModule, dm: FdModule,
 
 
 def module_iso(m: FdModule, n: FdModule, tries: int = 64) -> ModuleMap | None:
-    """An isomorphism M -> N, or None if the bounded search finds none.
+    """An isomorphism M -> N, or None if none is found.
 
-    Sound but not complete: a None may only be trusted after the cheap
-    necessary conditions (vertex dimensions, hom dimensions) have already
-    separated the modules, which the callers arrange.
+    Isomorphic modules have equal vertex dimensions and equal dim
+    Hom(M, N), dim End(M) and dim End(N).  The function checks the
+    vertex dimensions first and the hom dimensions once no single hom
+    basis map is invertible, and returns None when either differs.  Past
+    those tests the search over combinations of the hom basis is
+    bounded: it may miss an isomorphism that exists.
     """
     if m.algebra != n.algebra or m.dims != n.dims:
         return None
@@ -1233,6 +1241,8 @@ def module_iso(m: FdModule, n: FdModule, tries: int = 64) -> ModuleMap | None:
     for f in homs:
         if invertible(f):
             return f
+    if len(hom_space(m, m)) != len(homs) or len(hom_space(n, n)) != len(homs):
+        return None
     acc = homs[0]
     for f in homs[1:]:
         acc = acc + f

@@ -25,7 +25,12 @@ from .quivalg import (
 )
 from .periods import ComparisonPoint
 from .yoga import WeightPartition
-from .onemotive import BModule, SaturatedInput, b_module, saturated_input
+from .onemotive import (
+    SaturatedInput,
+    b_module,
+    check_model_budget,
+    saturated_input,
+)
 
 
 class ParseError(ValueError):
@@ -443,8 +448,8 @@ def structure_algebra_to_data(algebra: StructureAlgebra) -> dict:
     }
 
 
-def _b_module_from_data(data, algebra: StructureAlgebra,
-                        what: str) -> BModule:
+def _action_from_data(data, algebra: StructureAlgebra,
+                      what: str) -> list[Matrix]:
     _expect(data, dict, what)
     action = data.get("action")
     if action is None:
@@ -466,20 +471,21 @@ def _b_module_from_data(data, algebra: StructureAlgebra,
         dim = len(first)
         mats = [matrix_from_data(rows, dim, dim, f"{what} action[{k}]")
                 for k, rows in enumerate(action)]
-    try:
-        return b_module(algebra, mats)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return mats
 
 
 def graded_input_from_data(data) -> SaturatedInput:
     _expect(data, dict, "graded input")
     algebra = structure_algebra_from_data(_field(data, "B", "graded input"))
-    parts = {}
-    for key in ("HL", "HA", "HT"):
-        parts[key] = _b_module_from_data(
-            _field(data, key, "graded input"), algebra, key)
+    actions = {key: _action_from_data(_field(data, key, "graded input"),
+                                      algebra, key)
+               for key in ("HL", "HA", "HT")}
+    # checking the actions multiplies them, so the budget comes first
+    check_model_budget(*(mats[0].nrows if mats else 0
+                         for mats in actions.values()))
     try:
+        parts = {key: b_module(algebra, mats)
+                 for key, mats in actions.items()}
         return saturated_input(algebra, parts["HA"], parts["HT"],
                                parts["HL"])
     except ValueError as exc:

@@ -459,11 +459,13 @@ def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
                    for f in endos]
         outward_name = "maps_from_high_classes_vanish"
     outward = _outward_homs_vanish(seq, side)
-    target_dim = len(hom_space(stage, stage))
+    stage_endos = hom_space(stage, stage)
+    target_dim = len(stage_endos)
     length = sum(stage.vdim(v) ** 2 for v in algebra.vertices)
     rank = Subspace(length, [_map_coords(f) for f in induced]).dim
     surjective = rank == target_dim
-    semisimple = stage.dim == 0 or end_algebra(stage)[0].is_semisimple()
+    semisimple = (stage.dim == 0
+                  or end_algebra(stage, stage_endos)[0].is_semisimple())
     conditions = {
         "restriction_surjective": surjective,
         "restriction_rank": rank,
@@ -663,19 +665,22 @@ _STAGE_STATEMENTS = {
 }
 
 
+def _stage_sides(acc: tuple) -> tuple[str, ...]:
+    # the sum rule that absorbs companions only operates on the left
+    return ("left",) if acc else ("right", "left")
+
+
 def _apply_stage(partition: WeightPartition, seq: AdmissibleSequence,
                  side: str, variant: str, acc: tuple,
-                 prev_node: DerivationNode):
+                 prev_node: DerivationNode, sat: SaturatedVerdict):
     """Run one tower stage; the companion joins the certified sum.
 
-    Saturation is checked on the bare stage; the companions certified
-    so far are absorbed one at a time through the sum rule, which only
-    operates on the left.  Then the stage quotient must be semisimple
-    and the outward hom spaces of the enlarged middle must vanish.
+    sat is saturated_check(seq, side), the verdict on the bare stage;
+    side is one of _stage_sides(acc).  The companions certified so far
+    are absorbed one at a time through the sum rule.  Then the stage
+    quotient must be semisimple and the outward hom spaces of the
+    enlarged middle must vanish.
     """
-    if side == "right" and acc:
-        return None
-    sat = saturated_check(seq, side)
     if sat.status != "certified":
         return None
     children = [prev_node]
@@ -732,24 +737,21 @@ def _grow_tower(partition: WeightPartition, support: tuple[int, ...],
         yield steps, list(acc), prev_node
         return
     seq = slice_by_weight(truncs[k], partition, support[k - 1])
-    if acc:
-        options = (("left", "plain"), ("left", "witness"))
-    else:
-        options = (("right", "plain"), ("right", "witness"),
-                   ("left", "plain"), ("left", "witness"))
     used: list[FdModule] = []
-    for side, variant in options:
-        got = _apply_stage(partition, seq, side, variant, acc, prev_node)
-        if got is None:
-            continue
-        companion, node = got
-        if any(companion == u for u in used):
-            continue
-        used.append(companion)
-        yield from _grow_tower(partition, support, truncs, k + 1,
-                               acc + (companion,),
-                               steps + ({"side": side, "variant": variant},),
-                               node)
+    for side in _stage_sides(acc):
+        sat = saturated_check(seq, side)
+        for variant in ("plain", "witness"):
+            got = _apply_stage(partition, seq, side, variant, acc, prev_node,
+                               sat)
+            if got is None:
+                continue
+            companion, node = got
+            if any(companion == u for u in used):
+                continue
+            used.append(companion)
+            yield from _grow_tower(
+                partition, support, truncs, k + 1, acc + (companion,),
+                steps + ({"side": side, "variant": variant},), node)
 
 
 def _tower_runs(core: FdModule, partition: WeightPartition):
@@ -840,9 +842,12 @@ def replay_derivation(x: FdModule, partition: WeightPartition,
     node = DerivationNode("Semisimple", "replayed base", {})
     acc: tuple = ()
     for k, step in enumerate(plan["stages"], start=1):
+        side = step["side"]
+        if side not in _stage_sides(acc):
+            return False
         seq = slice_by_weight(truncs[k], partition, support[k - 1])
-        got = _apply_stage(partition, seq, step["side"], step["variant"],
-                           acc, node)
+        got = _apply_stage(partition, seq, side, step["variant"], acc, node,
+                           saturated_check(seq, side))
         if got is None:
             return False
         companion, node = got
@@ -884,7 +889,7 @@ def class_c_explore(m: FdModule, target: SubmoduleHandle,
     closure is exhausted.  BudgetExceeded is raised up front when the
     ambient size of the target already outruns the visit budget.
     """
-    _, endos = end_algebra(m)
+    endos = hom_space(m, m)
     alphabet = [None, ModuleMap.identity(m)] + list(endos)
     powers = {p: module_power(m, p) for p in range(1, power_cap + 1)}
     target_power = None

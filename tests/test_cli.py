@@ -145,6 +145,44 @@ def test_onemotive_flags_give_graded_dimensions(capsys):
     assert "matrix model agrees: yes" in out
 
 
+@pytest.mark.parametrize("g", range(1, 6))
+def test_onemotive_corpus_inputs_fit_the_model_budget(g, capsys):
+    code, out, err = run(["onemotive", "--g", str(g), "--l", "2", "--m", "2"],
+                         capsys)
+    assert code == 0 and err == ""
+    assert "matrix model agrees: yes" in out
+
+
+def one_budget_refusal(argv, capsys, dim):
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"qperiods onemotive: the matrix model would have ambient "
+        f"dimension {dim}, beyond the budget of 32"]
+
+
+def test_onemotive_flags_beyond_the_model_budget_are_refused(capsys):
+    one_budget_refusal(["onemotive", "--g", "400", "--l", "2", "--m", "2"],
+                       capsys, 806)
+
+
+def test_onemotive_input_beyond_the_model_budget_is_refused(tmp_path, capsys):
+    # checking a 200-dimensional action against B's table takes seconds;
+    # the budget refuses the file before that
+    def identity(n):
+        return [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "B": {"unit": ["1"], "table": [[["1"]]]},
+        "HL": {"action": [identity(2)]},
+        "HA": {"action": [identity(200)]},
+        "HT": {"action": [identity(2)]}}))
+    one_budget_refusal(["onemotive", "--input", str(path)], capsys, 206)
+
+
 def test_onemotive_input_file(capsys):
     code, out, _ = run(["onemotive", "--input", fx("gauss_input.json")],
                        capsys)

@@ -7,8 +7,10 @@ rebuilt as Fractions, every rational operand was first promoted to a
 full field element, inverse() ran the extended Euclidean algorithm
 against a freshly built f, and rref divided each entry of a pivot row by
 the pivot.  The package now folds products through a per-field table of
-x^k mod f, scales or shifts by rationals directly and normalises a pivot
-row with one reciprocal; these tests require the results to be equal.
+x^k mod f, scales or shifts by rationals directly, inverts by
+fraction-free integer elimination of the multiplication matrix and
+normalises a pivot row with one reciprocal; these tests require the
+results to be equal.
 """
 
 from fractions import Fraction
@@ -210,6 +212,27 @@ def test_inverse_equals_the_old_extended_euclid(case):
     assert a * inv == 1
     assert 1 / a == expected
     assert b / a == reference_mul(b, expected)
+
+
+tall_rationals = st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                           st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields.flatmap(lambda f: st.tuples(
+    st.just(f), st.lists(tall_rationals, min_size=f.degree,
+                         max_size=f.degree).map(f.elem))))
+def test_inverse_of_tall_coefficients_equals_the_old_extended_euclid(case):
+    # Bareiss's exact division by the previous pivot must hold for
+    # entries of any height, not only the small ones above
+    field, a = case
+    try:
+        expected = reference_inverse(a)
+    except DivisionByZero:
+        with pytest.raises(ZeroDivisor if a else DivisionByZero):
+            a.inverse()
+        return
+    assert a.inverse() == expected
 
 
 def test_zero_divisors_still_raise():

@@ -15,6 +15,7 @@ from qperiods.quivalg import (
     matrix_algebra_structure,
 )
 from qperiods.onemotive import (
+    MODEL_DIM_BUDGET,
     HypothesisFailed,
     RangeError,
     baker_dims,
@@ -48,6 +49,16 @@ def test_rational_closed_forms(g, m, l):
     assert dims == (2 + 4 * g * g, 2 * g * m + 2 * g * l, m * l)
     model = synthesize_model(rational_input(g, m, l))
     assert model.matches
+
+
+def test_the_model_budget_bounds_the_ambient_dimension():
+    # 2g + l + m + 2 = 32 is accepted, 33 refused before anything is built
+    assert MODEL_DIM_BUDGET == 32
+    assert rational_input(7, 8, 8).ha.dim == 14
+    assert rational_input(0, 1, 29).hl.dim == 29
+    for g, m, l in ((7, 8, 9), (0, 1, 30), (400, 2, 2)):
+        with pytest.raises(RangeError, match="beyond the budget of 32"):
+            rational_input(g, m, l)
 
 
 def test_gaussian_field_frozen():
