@@ -779,12 +779,13 @@ class NumberFieldElem:
 
         With D the lcm of the coefficient denominators, column j of the
         integer matrix M is D*a*x^j mod f (f is monic integral, so the
-        reduction stays integral), and M y = D e_0.  Gauss-Jordan
-        elimination in Bareiss's form divides each update exactly by the
-        previous pivot, leaves det(M) on the whole diagonal and det(M)
-        times the solution in the right-hand column; the one division
-        into Fractions happens at the end.  A column without a pivot
-        means M is singular, so a is a zero divisor.
+        reduction stays integral).  Solving M y = e_0 gives D*a*y = 1, so
+        the inverse is D*y.  Gauss-Jordan elimination in Bareiss's form
+        divides each update exactly by the previous pivot and ends with
+        the last pivot, which is +-det(M), on the whole diagonal and that
+        pivot times y in the right-hand column; the one division into
+        Fractions happens at the end.  A column without a pivot means M
+        is singular, so a is a zero divisor.
         """
         if not self:
             raise DivisionByZero("inverse of zero")

@@ -870,21 +870,18 @@ def hom_space(m: FdModule, n: FdModule) -> tuple[ModuleMap, ...]:
     return tuple(out)
 
 
-def end_algebra(m: FdModule, basis: tuple[ModuleMap, ...] | None = None
-                ) -> tuple[StructureAlgebra, tuple[ModuleMap, ...]]:
+def end_algebra(m: FdModule) -> tuple[StructureAlgebra, tuple[ModuleMap, ...]]:
     """End(M) as a structure-constant algebra on the canonical hom basis.
 
     hom_space returns the echelon kernel basis of the commutation system,
     which is the identity at its free unknowns: each basis map is one at
     its own free unknown, its last nonzero entry, and zero at the others'.
     The coordinates of an endomorphism are read at those unknowns and
-    checked by rebuilding the endomorphism from them.  A caller that
-    already holds hom_space(m, m) passes it as basis.  Callers that only
+    checked by rebuilding the endomorphism from them.  Callers that only
     need the basis should call hom_space(m, m) itself: the table costs
     k^2 compositions.
     """
-    if basis is None:
-        basis = hom_space(m, m)
+    basis = hom_space(m, m)
     k = len(basis)
     if k == 0:
         return StructureAlgebra(0, (), ()), ()

@@ -459,13 +459,12 @@ def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
                    for f in endos]
         outward_name = "maps_from_high_classes_vanish"
     outward = _outward_homs_vanish(seq, side)
-    stage_endos = hom_space(stage, stage)
+    end_stage, stage_endos = end_algebra(stage)
     target_dim = len(stage_endos)
     length = sum(stage.vdim(v) ** 2 for v in algebra.vertices)
     rank = Subspace(length, [_map_coords(f) for f in induced]).dim
     surjective = rank == target_dim
-    semisimple = (stage.dim == 0
-                  or end_algebra(stage, stage_endos)[0].is_semisimple())
+    semisimple = stage.dim == 0 or end_stage.is_semisimple()
     conditions = {
         "restriction_surjective": surjective,
         "restriction_rank": rank,

@@ -1,29 +1,26 @@
-"""End bases, saturation verdicts and isomorphism tests, against the
-constructions they replaced.
+"""Saturation verdicts and isomorphism tests, against the constructions
+they replaced.
 
 The references below are how the package used to compute: module_iso ran
 its scaled and random search whenever no single hom basis map was
-invertible, end_algebra always recomputed the hom basis it was built on,
-and every tower stage of certify_principal ran saturated_check once per
-(side, variant).  The package now rejects by the Hom/End dimensions before
-searching, lets a caller hand end_algebra the basis it holds, and checks
-each stage once per side; these tests require the same results, and
-count the calls to show the work is gone.  That replay_derivation accepts
-every corpus certificate is test_yoga's sweep.
+invertible, and every tower stage of certify_principal ran
+saturated_check once per (side, variant).  The package now rejects by the
+Hom/End dimensions before searching and checks each stage once per side;
+these tests require the same results, and count the calls to show the
+work is gone.  That replay_derivation accepts every corpus certificate
+is test_yoga's sweep.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
 
 from qperiods import yoga, zoo
 from qperiods.exactlin import Matrix, rref
 from qperiods.quivalg import (
     FdModule,
     ModuleMap,
-    end_algebra,
     hom_space,
     module_iso,
 )
@@ -33,8 +30,6 @@ from qperiods.yoga import (
     certify_principal,
     replay_derivation,
 )
-
-from strategies import ORACLE_INPUTS, rebased_modules
 
 CORPUS = {e.key: e for e in zoo.corpus()}
 
@@ -148,31 +143,6 @@ def test_nonisomorphic_sums_are_rejected_before_any_scaled_try():
             assert (homs != len(hom_space(m, m))
                     or homs != len(hom_space(n, n)))
     assert calls == []
-
-
-# -- end_algebra on a basis the caller holds -----------------------------------
-
-
-def assert_same_end_algebra(m):
-    basis = hom_space(m, m)
-    given_alg, given_basis = end_algebra(m, basis)
-    own_alg, own_basis = end_algebra(m)
-    assert given_basis == own_basis == basis
-    assert given_alg.dim == own_alg.dim
-    assert given_alg.unit == own_alg.unit
-    assert given_alg.table == own_alg.table
-
-
-@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
-                         ids=[key for key, _ in ORACLE_INPUTS])
-def test_end_algebra_on_a_given_basis_equals_its_own(key, m):
-    assert_same_end_algebra(m)
-
-
-@settings(max_examples=25, deadline=None)
-@given(rebased_modules())
-def test_end_algebra_on_a_given_basis_equals_its_own_when_rebased(m):
-    assert_same_end_algebra(m)
 
 
 # -- one saturation verdict per stage and side ---------------------------------
