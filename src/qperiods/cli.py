@@ -39,7 +39,6 @@ from .yoga import (
 from .onemotive import (
     RangeError,
     baker_dims,
-    graded_period_dims,
     rational_input,
     synthesize_model,
 )
@@ -358,8 +357,8 @@ def _cmd_onemotive(cfg: RunConfig):
             raise ValidationError("--g, --l, --m must be nonnegative")
         inp = rational_input(g, m_rank, l_dim)
         source = {"g": g, "l": l_dim, "m": m_rank}
-    dims = graded_period_dims(inp)
     model = synthesize_model(inp)
+    dims = model.formula
     report = {
         "command": "onemotive",
         "source": source,

@@ -19,6 +19,21 @@ dozen at most, and canonical forms matter far more than asymptotics.
 Subspaces are stored by their reduced row echelon basis, so two equal
 subspaces are structurally equal and hash alike.  That canonicality is
 what makes the rest of the package deterministic.
+
+Entries are checked and promoted once, where they enter the engine.
+Matrix(rows, ncols) and Matrix.unvec promote ints to Fractions, refuse
+any entry that is not a Fraction or a field element (floats, strings),
+and check the shape; Subspace(ambient, vectors) runs rat() on every
+entry and checks the lengths.  Parsed files, the zoo, and lists handed
+to FdModule or ModuleMap go through them.  Whatever the engine computes from entries
+that are already exact is wrapped as it is: Matrix._wrap builds the
+results of identity, zero, +, -, negation, *, transpose, hstack, vstack,
+block_diagonal and rref, and the matrices the other layers assemble from
+exact rows (the action of a basis path, the hom and hom_dim systems,
+outer products); Subspace._from_rows spans the sums, intersections,
+images and kernels here and the relation spans the other layers build.
+Neither walks the entries, so they must only ever see Fractions, or
+field elements for matrices over a number field.
 """
 
 from __future__ import annotations
@@ -73,20 +88,17 @@ def rat(value) -> Fraction:
 
 
 class Matrix:
-    """Immutable dense matrix over any exact field.
+    """Immutable dense matrix over Q or a number field.
 
-    Entries only need the arithmetic dunders, truthiness for "is nonzero"
-    and exact division; Fraction and NumberFieldElem both qualify.  Mixed
-    Fraction/NumberFieldElem matrices are not supported; lift first.
+    Entries are Fractions or NumberFieldElems; the constructor promotes
+    ints and refuses anything else.  Mixed Fraction/NumberFieldElem
+    matrices are not supported; lift first.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        # ints are promoted so that later division cannot fall into floats;
-        # Fraction and NumberFieldElem entries pass through untouched
-        rows = tuple(tuple(Fraction(x) if isinstance(x, int) else x
-                           for x in r) for r in rows)
+        rows = tuple(tuple(map(_promote, r)) for r in rows)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise DimensionMismatch("ragged rows")
         self.rows = rows
@@ -103,14 +115,24 @@ class Matrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _wrap(cls, rows: tuple, ncols: int) -> "Matrix":
+        """Trusted: rows is a tuple of tuples of width ncols whose entries
+        are already exact (computed from entries that were).  No walk."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.nrows = len(rows)
+        m.ncols = ncols
+        return m
+
+    @classmethod
     def identity(cls, n: int, one=ONE, zero=ZERO) -> "Matrix":
-        return cls(tuple(tuple(one if i == j else zero for j in range(n))
-                         for i in range(n)), ncols=n)
+        one, zero = _promote(one), _promote(zero)
+        return cls._wrap(tuple(tuple(one if i == j else zero
+                                     for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int, zero=ZERO) -> "Matrix":
-        return cls(tuple(tuple(zero for _ in range(ncols))
-                         for _ in range(nrows)), ncols=ncols)
+        return cls._wrap(((_promote(zero),) * ncols,) * nrows, ncols)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Iterable], nrows: int | None = None) -> "Matrix":
@@ -162,19 +184,19 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(tuple(tuple(a + b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)),
-                      ncols=self.ncols)
+        return Matrix._wrap(tuple(tuple(a + b for a, b in zip(ra, rb))
+                                  for ra, rb in zip(self.rows, other.rows)),
+                            self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(tuple(tuple(a - b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)),
-                      ncols=self.ncols)
+        return Matrix._wrap(tuple(tuple(a - b for a, b in zip(ra, rb))
+                                  for ra, rb in zip(self.rows, other.rows)),
+                            self.ncols)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(tuple(tuple(-a for a in r) for r in self.rows),
-                      ncols=self.ncols)
+        return Matrix._wrap(tuple(tuple(-a for a in r) for r in self.rows),
+                            self.ncols)
 
     def scale(self, c) -> "Matrix":
         return Matrix(tuple(tuple(c * a for a in r) for r in self.rows),
@@ -188,9 +210,8 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
         cols = other.transpose().rows
-        return Matrix(tuple(
-            tuple(_dot(r, c) for c in cols) for r in self.rows),
-            ncols=other.ncols)
+        return Matrix._wrap(tuple(
+            tuple(_dot(r, c) for c in cols) for r in self.rows), other.ncols)
 
     def apply(self, vector: Sequence) -> tuple:
         if len(vector) != self.ncols:
@@ -198,19 +219,21 @@ class Matrix:
         return tuple(_dot(r, vector) for r in self.rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(tuple(self.rows[i][j] for i in range(self.nrows))
-                            for j in range(self.ncols)), ncols=self.nrows)
+        if not self.rows:
+            return Matrix._wrap(((),) * self.ncols, 0)
+        return Matrix._wrap(tuple(zip(*self.rows)), self.nrows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise DimensionMismatch("row counts differ")
-        return Matrix(tuple(ra + rb for ra, rb in zip(self.rows, other.rows)),
-                      ncols=self.ncols + other.ncols)
+        return Matrix._wrap(tuple(ra + rb for ra, rb in
+                                  zip(self.rows, other.rows)),
+                            self.ncols + other.ncols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
             raise DimensionMismatch("column counts differ")
-        return Matrix(self.rows + other.rows, ncols=self.ncols)
+        return Matrix._wrap(self.rows + other.rows, self.ncols)
 
     def _same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -229,6 +252,18 @@ class Matrix:
         return f"Matrix({list(map(list, self.rows))!r})"
 
 
+def _promote(x):
+    """ints become Fractions, so that later division cannot fall into
+    floats; Fraction and NumberFieldElem pass through untouched, and
+    anything else is refused here, since computed matrices and spans no
+    longer look at their entries."""
+    if isinstance(x, (Fraction, NumberFieldElem)):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError(f"matrix entry {x!r} is not an exact scalar")
+
+
 def _dot(u: Sequence, v: Sequence):
     total = None
     for a, b in zip(u, v):
@@ -241,6 +276,7 @@ def block_diagonal(blocks: Sequence[Matrix], zero=ZERO) -> Matrix:
     """Assemble square-or-rectangular blocks along the diagonal."""
     nrows = sum(b.nrows for b in blocks)
     ncols = sum(b.ncols for b in blocks)
+    zero = _promote(zero)
     rows = [[zero] * ncols for _ in range(nrows)]
     r0 = c0 = 0
     for b in blocks:
@@ -249,7 +285,7 @@ def block_diagonal(blocks: Sequence[Matrix], zero=ZERO) -> Matrix:
                 rows[r0 + i][c0 + j] = b.rows[i][j]
         r0 += b.nrows
         c0 += b.ncols
-    return Matrix(rows, ncols=ncols)
+    return Matrix._wrap(tuple(map(tuple, rows)), ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +325,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         lead += 1
         if lead == m.nrows:
             break
-    return Matrix(rows, ncols=m.ncols), tuple(pivots)
+    return Matrix._wrap(tuple(map(tuple, rows)), m.ncols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -334,10 +370,10 @@ def kernel_subspace(m: Matrix) -> "Subspace":
     must be rational, as Subspace requires.
     """
     n = m.ncols
-    flipped = Matrix(tuple(r[::-1] for r in m.rows), ncols=n)
+    flipped = Matrix._wrap(tuple(r[::-1] for r in m.rows), n)
     by_free = _kernel_by_free_column(flipped, ONE, ZERO)[::-1]
-    return Subspace._from_echelon(n, tuple(vec[::-1] for _, vec in by_free),
-                                  tuple(n - 1 - f for f, _ in by_free))
+    return Subspace._from_rows(n, tuple(vec[::-1] for _, vec in by_free),
+                               tuple(n - 1 - f for f, _ in by_free))
 
 
 def solve(a: Matrix, b: Sequence) -> tuple | None:
@@ -381,7 +417,7 @@ def invert(m: Matrix) -> Matrix:
     red, pivots = rref(aug)
     if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
         raise DivisionByZero("matrix is singular")
-    return Matrix(tuple(r[n:] for r in red.rows))
+    return Matrix._wrap(tuple(r[n:] for r in red.rows), n)
 
 
 # ---------------------------------------------------------------------------
@@ -407,16 +443,24 @@ class Subspace:
             raise DimensionMismatch("vector length does not match ambient")
         red, pivots = rref(mat)
         self.ambient = ambient
-        self.basis = Matrix(red.rows[:len(pivots)], ncols=ambient)
+        self.basis = Matrix._wrap(red.rows[:len(pivots)], ambient)
         self.pivots = pivots
 
     @classmethod
-    def _from_echelon(cls, ambient: int, rows: tuple,
-                      pivots: tuple) -> "Subspace":
-        """Wrap rational rows already in canonical RREF, with their pivots."""
+    def _from_rows(cls, ambient: int, rows: tuple,
+                   pivots: tuple | None = None) -> "Subspace":
+        """Trusted: the span of rows, tuples of Fractions of length ambient
+        computed from exact entries, so nothing is checked or promoted.
+
+        Without pivots the rows are reduced here; with pivots they already
+        are the canonical RREF basis, with those pivot columns.
+        """
+        if pivots is None:
+            red, pivots = rref(Matrix._wrap(rows, ambient))
+            rows = red.rows[:len(pivots)]
         space = cls.__new__(cls)
         space.ambient = ambient
-        space.basis = Matrix(rows, ncols=ambient)
+        space.basis = Matrix._wrap(rows, ambient)
         space.pivots = pivots
         return space
 
@@ -426,8 +470,8 @@ class Subspace:
 
     @classmethod
     def full_space(cls, ambient: int) -> "Subspace":
-        return cls._from_echelon(ambient, Matrix.identity(ambient).rows,
-                                 tuple(range(ambient)))
+        return cls._from_rows(ambient, Matrix.identity(ambient).rows,
+                              tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -452,7 +496,8 @@ class Subspace:
 
     def add(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
-        return Subspace(self.ambient, self.basis.rows + other.basis.rows)
+        return Subspace._from_rows(self.ambient,
+                                   self.basis.rows + other.basis.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._same_ambient(other)
@@ -460,12 +505,10 @@ class Subspace:
             return Subspace.zero_space(self.ambient)
         # x in both spans: x = A^T u = B^T v, read off from the kernel of
         # the stacked transposes.
-        stacked = self.basis.transpose().hstack(-other.basis.transpose())
-        vecs = []
-        for k in kernel_basis(stacked):
-            u = k[:self.dim]
-            vecs.append(self.basis.transpose().apply(u))
-        return Subspace(self.ambient, vecs)
+        span = self.basis.transpose()
+        stacked = span.hstack(-other.basis.transpose())
+        return Subspace._from_rows(self.ambient, tuple(
+            span.apply(k[:self.dim]) for k in kernel_basis(stacked)))
 
     def annihilator(self) -> "Subspace":
         """Functionals vanishing on this subspace, as row vectors."""
@@ -474,7 +517,8 @@ class Subspace:
     def image_under(self, t: Matrix) -> "Subspace":
         if t.ncols != self.ambient:
             raise DimensionMismatch("map domain does not match ambient")
-        return Subspace(t.nrows, tuple(t.apply(v) for v in self.basis.rows))
+        return Subspace._from_rows(t.nrows, tuple(t.apply(v)
+                                                  for v in self.basis.rows))
 
     def preimage_under(self, t: Matrix) -> "Subspace":
         if t.nrows != self.ambient:
@@ -516,7 +560,7 @@ class QuotientPresentation:
         proj_rows = []
         for v in Matrix.identity(relations.ambient).rows:
             proj_rows.append(self._project_raw(v))
-        self.projection = Matrix(proj_rows, ncols=self.dim).transpose()
+        self.projection = Matrix._wrap(tuple(proj_rows), self.dim).transpose()
         sec_cols = []
         for k in self.free:
             col = [ZERO] * relations.ambient
@@ -553,25 +597,6 @@ def poly_trim(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
     while p and not p[-1]:
         p.pop()
     return tuple(p)
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim(tuple((p[i] if i < len(p) else ZERO)
-                           + (q[i] if i < len(q) else ZERO)
-                           for i in range(n)))
-
-
-def poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
 
 
 def poly_divmod(p, q):
@@ -920,9 +945,9 @@ def k_linear_kernel(embedding: FieldEmbedding,
     p = len(values)
     if embedding.domain is None:
         # one Q-row per L-coordinate
-        rows = [[values[j].coeffs[i] for j in range(p)]
-                for i in range(codomain.degree)]
-        return kernel_basis(Matrix(rows))
+        rows = tuple(tuple(values[j].coeffs[i] for j in range(p))
+                     for i in range(codomain.degree))
+        return kernel_basis(Matrix._wrap(rows, p))
     dom = embedding.domain
     e = dom.degree
     # unknowns: c_j = sum_t u_{j,t} g^t with g the K-generator; the L-linear
@@ -933,7 +958,7 @@ def k_linear_kernel(embedding: FieldEmbedding,
         for t in range(e):
             prod = gen_powers[t] * values[j]
             cols.append(prod.coeffs)
-    big = Matrix(cols).transpose()
+    big = Matrix._wrap(tuple(cols), codomain.degree).transpose()
     raw = kernel_basis(big)
     if not raw:
         return ()
@@ -941,5 +966,5 @@ def k_linear_kernel(embedding: FieldEmbedding,
     k_rows = []
     for vec in raw:
         k_rows.append(tuple(dom.elem(vec[j * e:(j + 1) * e]) for j in range(p)))
-    red, pivots = rref(Matrix(k_rows))
+    red, pivots = rref(Matrix._wrap(tuple(k_rows), p))
     return tuple(red.rows[:len(pivots)])

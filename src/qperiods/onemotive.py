@@ -226,8 +226,9 @@ def hom_dim(src: BModule, tgt: BModule) -> int:
                     row[p * ds + s] += act_t.rows[r][p]
                 for q in range(ds):
                     row[r * ds + q] -= act_s.rows[q][s]
-                rows.append(row)
-    return len(kernel_basis(Matrix(rows, ncols=dt * ds)))
+                if any(row):
+                    rows.append(tuple(row))
+    return len(kernel_basis(Matrix._wrap(tuple(rows), dt * ds)))
 
 
 def graded_period_dims(inp: SaturatedInput) -> tuple[int, int, int]:
@@ -360,7 +361,7 @@ def synthesize_model(inp: SaturatedInput) -> ModelReport:
                     generators[w].append(tuple(vec))
     graded = {}
     for w in sorted(coords, reverse=True):
-        span = Subspace(len(coords[w]), generators[w])
+        span = Subspace._from_rows(len(coords[w]), tuple(generators[w]))
         graded[w] = len(coords[w]) - span.dim
     total = sum(graded.values())
     for w, dim in graded.items():

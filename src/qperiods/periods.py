@@ -64,7 +64,7 @@ class NotAField(ValueError):
 
 
 def _outer(u: Sequence, v: Sequence) -> Matrix:
-    return Matrix(tuple(tuple(a * b for b in v) for a in u), ncols=len(v))
+    return Matrix._wrap(tuple(tuple(a * b for b in v) for a in u), len(v))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +153,8 @@ def relation_from_submodule(m: FdModule, power: int, ambient: FdModule,
                     row = r * d
                     for c, b in om:
                         vec[row + c] += a * b
-            vecs.append(vec)
-    return Subspace(d * d, vecs)
+            vecs.append(tuple(vec))
+    return Subspace._from_rows(d * d, tuple(vecs))
 
 
 def endo_quotient(m: FdModule) -> PeriodSpace:
@@ -184,8 +184,9 @@ def endo_quotient(m: FdModule) -> PeriodSpace:
                     if x:
                         vec[r * d + j] -= x
                 if any(vec):
-                    vecs.append(vec)
-    return PeriodSpace(m, Subspace(d * d, vecs), "endo-quotient")
+                    vecs.append(tuple(vec))
+    return PeriodSpace(m, Subspace._from_rows(d * d, tuple(vecs)),
+                       "endo-quotient")
 
 
 # ---------------------------------------------------------------------------

@@ -582,7 +582,7 @@ class FdModule:
         for bi, gi in enumerate(self.vertex_range(tgt)):
             for bj, gj in enumerate(self.vertex_range(src)):
                 rows[gi][gj] = block.rows[bi][bj]
-        out = Matrix(rows)
+        out = Matrix._wrap(tuple(map(tuple, rows)), self.dim)
         self._act_cache[i] = out
         return out
 
@@ -804,7 +804,7 @@ class ModuleMap:
         return SubmoduleHandle(self.source, spaces)
 
     def image(self) -> "SubmoduleHandle":
-        spaces = [Subspace(b.nrows, tuple(b.transpose().rows))
+        spaces = [Subspace._from_rows(b.nrows, b.transpose().rows)
                   for b in self.blocks]
         return SubmoduleHandle(self.target, spaces)
 
@@ -857,7 +857,7 @@ def hom_space(m: FdModule, n: FdModule) -> tuple[ModuleMap, ...]:
                 if any(row):
                     rows.append(tuple(row))
     if rows:
-        basis = kernel_basis(Matrix(rows))
+        basis = kernel_basis(Matrix._wrap(tuple(rows), total))
     else:
         basis = Matrix.identity(total).rows
     out = []
@@ -983,11 +983,15 @@ class SubmoduleHandle:
         return sum(s.dim for s in self.spaces)
 
     def flat(self) -> Subspace:
+        dim = self.ambient.dim
         vecs = []
         for v, s in zip(self.ambient.algebra.vertices, self.spaces):
+            off = self.ambient.offsets[v]
             for b in s.basis_vectors():
-                vecs.append(self.ambient.embed_vertex_vector(v, b))
-        return Subspace(self.ambient.dim, vecs)
+                vec = [ZERO] * dim
+                vec[off:off + len(b)] = b
+                vecs.append(tuple(vec))
+        return Subspace._from_rows(dim, tuple(vecs))
 
     def contains(self, other: "SubmoduleHandle") -> bool:
         return all(a.contains(b) for a, b in zip(self.spaces, other.spaces))

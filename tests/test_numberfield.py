@@ -28,9 +28,7 @@ from qperiods.exactlin import (
     NumberField,
     NumberFieldElem,
     ZeroDivisor,
-    poly_add,
     poly_divmod,
-    poly_mul,
     poly_trim,
     rref,
 )
@@ -45,6 +43,24 @@ FIELDS = {
 
 
 # -- references --------------------------------------------------------------
+
+
+def poly_add(p, q):
+    n = max(len(p), len(q))
+    return poly_trim(tuple((p[i] if i < len(p) else 0)
+                           + (q[i] if i < len(q) else 0)
+                           for i in range(n)))
+
+
+def poly_mul(p, q):
+    """Schoolbook product of little-endian coefficient tuples."""
+    if not p or not q:
+        return ()
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly_trim(out)
 
 
 def reference_modulus(field):
