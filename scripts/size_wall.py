@@ -1,0 +1,120 @@
+"""Time the size-wall rows of ROADMAP.md on one checkout.
+
+    python3 scripts/size_wall.py ROOT [--repeat 3]
+
+Imports the package from ROOT/src only, writes each input module under
+a temporary directory, and asks, through ``qperiods.cli.main`` with
+``--format json``:
+
+- ``endo`` on a2/p1^5, a2/p1^6 and a2/p1^7, and on a3/tower^2 re-based
+  by a seeded random integer basis change at every vertex;
+- ``depth --k dim M`` on a3/proj^3 and a3/proj^4;
+- ``period`` on a2/p1^16.
+
+Each row prints the module dimension d, the best of ``--repeat`` wall
+clock times and the first 16 hex digits of the sha256 of the output, so
+that two checkouts compare answers as well as times.  The times are
+plain seconds on whatever host runs this; nothing is claimed from them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import random
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REBASE_SEED = 1
+
+
+def rebase(m, rng: random.Random):
+    """m seen through a random invertible integer basis change at every
+    vertex, entries in [-3, 3]."""
+    from qperiods.exactlin import DivisionByZero, Matrix, invert
+    from qperiods.quivalg import FdModule
+    changes = []
+    for d in m.dims:
+        while True:
+            g = Matrix([[rng.randint(-3, 3) for _ in range(d)]
+                        for _ in range(d)], ncols=d)
+            try:
+                changes.append((g, invert(g)))
+                break
+            except DivisionByZero:
+                continue
+    alg = m.algebra
+    maps = {}
+    for a in alg.arrows:
+        s = alg.vertices.index(a.source)
+        t = alg.vertices.index(a.target)
+        maps[a.name] = changes[t][0] * m.maps[a.name] * changes[s][1]
+    return FdModule(alg, dict(zip(alg.vertices, m.dims)), maps)
+
+
+def rows() -> list:
+    """(label, module, command, extra argv) for each size-wall row."""
+    from qperiods import zoo
+    from qperiods.quivalg import module_power
+    p1 = zoo.get_module("a2/p1")
+    proj = zoo.get_module("a3/proj")
+    tower2 = module_power(zoo.get_module("a3/tower"), 2)
+    out = [(f"a2/p1^{k}", module_power(p1, k), "endo", [])
+           for k in (5, 6, 7)]
+    out.append((f"a3/tower^2 rebased (seed {REBASE_SEED})",
+                rebase(tower2, random.Random(REBASE_SEED)), "endo", []))
+    for k in (3, 4):
+        m = module_power(proj, k)
+        out.append((f"a3/proj^{k}", m, "depth", ["--k", str(m.dim)]))
+    out.append(("a2/p1^16", module_power(p1, 16), "period", []))
+    return out
+
+
+def ask(main, argv: list) -> tuple[float, str]:
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        main(["--format", "json", *argv])
+    elapsed = time.perf_counter() - start
+    return elapsed, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", type=Path)
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be positive")
+    sys.path.insert(0, str(args.root / "src"))
+    from qperiods.cli import main as cli_main
+    from qperiods.serialize import dump_json, module_to_data
+    origin = Path(sys.modules["qperiods"].__file__).resolve()
+    if (args.root / "src").resolve() not in origin.parents:
+        raise RuntimeError(f"qperiods was imported from {origin}, "
+                           f"not from {args.root / 'src'}")
+    print(f"{'input':<28} {'command':<7} {'d':>3} {'best s':>8}  sha256")
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (label, m, command, extra) in enumerate(rows()):
+            path = os.path.join(tmp, f"{i}.json")
+            Path(path).write_text(dump_json(module_to_data(m)))
+            times, digests = [], set()
+            for _ in range(args.repeat):
+                elapsed, digest = ask(cli_main, [command, path, *extra])
+                times.append(elapsed)
+                digests.add(digest)
+            if len(digests) != 1:
+                raise RuntimeError(f"{label}: the output changed between "
+                                   f"repeats")
+            print(f"{label:<28} {command:<7} {m.dim:>3} {min(times):>8.3f}  "
+                  f"{digests.pop()[:16]}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

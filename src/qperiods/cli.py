@@ -75,6 +75,16 @@ INPUT_ERRORS = (
 )
 
 
+# depth builds the whole spin-box family, the spins of e_i + s*e_j for
+# i < j and s in [-N, N] over M and M^2, before it can stop at a
+# certified stage, so its time grows linearly with N = --spin-bound.  On
+# a 2-vCPU host `depth --k 2` takes 0.06 s at N = 1, 0.57 s at N = 64 and
+# 1.85 s at N = 256 on a3/proj^2 (d = 6); at N = 64 the family adds 1.5 s
+# on a3/proj^3 (d = 9) and 3.7 s on a2/p1^6 (d = 12).  At N = 10^9 a2/P1
+# ran past a 15 s timeout although it is certified at stage 1.
+SPIN_BOUND_BUDGET = 64
+
+
 @dataclass
 class RunConfig:
     """One resolved invocation: a command, its inputs, and its budgets."""
@@ -99,6 +109,10 @@ class RunConfig:
                 raise ValidationError(f"{name} must be positive")
         if self.k is not None and self.k < 1:
             raise ValidationError("--k must be positive")
+        if self.spin_bound > SPIN_BOUND_BUDGET:
+            raise ValidationError(
+                f"--spin-bound {self.spin_bound} is beyond the budget of "
+                f"{SPIN_BOUND_BUDGET}")
 
 
 # ---------------------------------------------------------------------------

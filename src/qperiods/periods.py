@@ -34,6 +34,7 @@ from .exactlin import (
     ONE,
     ZeroDivisor,
     k_linear_kernel,
+    kernel_basis,
     kernel_subspace,
     rat,
     rref,
@@ -157,35 +158,93 @@ def relation_from_submodule(m: FdModule, power: int, ambient: FdModule,
     return Subspace._from_rows(d * d, tuple(vecs))
 
 
+def _is_scalar(e: tuple) -> bool:
+    """Whether the square matrix with rows e is c times the identity."""
+    c = e[0][0] if e else ZERO
+    return all(x == (c if i == j else ZERO)
+               for i, row in enumerate(e) for j, x in enumerate(row))
+
+
+def _commuting_with(cent: list, e: tuple) -> list:
+    """A basis of {X in span(cent) : XE = EX}.
+
+    Each X in cent is a sparse {i*d + k: nonzero entry} dict.  Only X's
+    nonzero entries reach [X, E]: entry x at (i, k) adds x*E[k, :] to row
+    i of XE and E[:, i]*x to column k of EX.  The commutators, one column
+    per X, are stacked over the positions they touch, and each kernel
+    vector y gives the commuting matrix sum_s y_s X_s.
+    """
+    d = len(e)
+    comms = []
+    for x in cent:
+        comm = {}
+        for pos, v in x.items():
+            i, k = divmod(pos, d)
+            row = i * d
+            for c, y in enumerate(e[k]):
+                if y:
+                    comm[row + c] = comm.get(row + c, ZERO) + v * y
+            for r in range(d):
+                y = e[r][i]
+                if y:
+                    p = r * d + k
+                    comm[p] = comm.get(p, ZERO) - y * v
+        comms.append(comm)
+    touched = sorted({p for comm in comms for p, v in comm.items() if v})
+    system = Matrix._wrap(tuple(tuple(comm.get(p, ZERO) for comm in comms)
+                                for p in touched), len(cent))
+    out = []
+    for y in kernel_basis(system):
+        acc = {}
+        for ys, x in zip(y, cent):
+            if ys:
+                for pos, v in x.items():
+                    acc[pos] = acc.get(pos, ZERO) + ys * v
+        out.append({pos: v for pos, v in acc.items() if v})
+    return out
+
+
 def endo_quotient(m: FdModule) -> PeriodSpace:
     """The endomorphism-side upper bound for the period space.
 
     Relations are spanned by the commutators [E_ij, E] of the elementary
-    coefficient matrices with each basis endomorphism E.  Each one is
-    written straight into the flat coefficient vector: row i holds E's
-    row j, column j holds minus E's column i, so it has at most 2d
-    nonzeros; zero commutators are skipped.  Under the trace pairing
-    this span is the annihilator of the centraliser of End(M) in M_d(Q),
-    so the quotient is dual to the bicommutant of M.  It always has the
+    coefficient matrices with each basis endomorphism E.  Since
+    tr(X [A, E]) = tr(A [E, X]), a coefficient matrix X pairs to zero
+    with all of them exactly when X commutes with every E: the span is
+    the trace-annihilator of the centraliser C of End(M) in M_d(Q), and
+    the quotient is dual to the bicommutant of M.  It always has the
     pairing kernel's quotient as a quotient; equality is what
     principality certificates are about.
+
+    So C is computed instead of the k*d^2 commutators.  Scalar basis
+    endomorphisms commute with everything and are skipped; while only
+    those were seen, C is all of M_d(Q) and the relations are zero.  The
+    first other E narrows the d^2 matrix units to their combinations
+    commuting with E, and each later E narrows that basis again, so no
+    system has more than d^2 rows.  The relations are then the kernel of
+    the pairing against C's basis: tr(XY) = sum_pq X_pq Y_qp, so X's row
+    holds X_pq at Y's flat position q*d + p.
     """
     d = m.dim
-    basis_maps = hom_space(m, m)
-    vecs = []
-    for f in basis_maps:
+    cent = None
+    for f in hom_space(m, m):
         e = f.flattened().rows
-        for i in range(d):
-            for j in range(d):
-                vec = [ZERO] * (d * d)
-                vec[i * d:(i + 1) * d] = e[j]
-                for r in range(d):
-                    x = e[r][i]
-                    if x:
-                        vec[r * d + j] -= x
-                if any(vec):
-                    vecs.append(tuple(vec))
-    return PeriodSpace(m, Subspace._from_rows(d * d, tuple(vecs)),
+        if _is_scalar(e):
+            continue
+        if cent is None:
+            cent = [{pos: ONE} for pos in range(d * d)]
+        cent = _commuting_with(cent, e)
+    if cent is None:
+        return PeriodSpace(m, Subspace._from_rows(d * d, (), ()),
+                           "endo-quotient")
+    pairing = []
+    for x in cent:
+        row = [ZERO] * (d * d)
+        for pos, v in x.items():
+            p, q = divmod(pos, d)
+            row[q * d + p] = v
+        pairing.append(tuple(row))
+    return PeriodSpace(m, kernel_subspace(Matrix._wrap(tuple(pairing), d * d)),
                        "endo-quotient")
 
 

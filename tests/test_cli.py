@@ -313,6 +313,24 @@ def test_depth_clamps_huge_k_to_the_module_dimension(capsys):
     assert "k clamped from 100000000 to 2" in out
 
 
+def test_depth_refuses_a_spin_bound_beyond_the_budget(capsys):
+    code, out, _ = run(["depth", fx("a2_P1.json"), "--k", "2",
+                        "--spin-bound", str(cli.SPIN_BOUND_BUDGET)], capsys)
+    assert code == 0
+    assert "certified against the full space: yes" in out
+    # refused before any module is spun
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "depth_space", None)
+        code, out, err = run(["depth", fx("a2_P1.json"), "--k", "2",
+                              "--spin-bound",
+                              str(cli.SPIN_BOUND_BUDGET + 1)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"qperiods depth: --spin-bound "
+                   f"{cli.SPIN_BOUND_BUDGET + 1} is beyond the budget of "
+                   f"{cli.SPIN_BOUND_BUDGET}\n")
+
+
 def test_no_command_prints_usage(capsys):
     code, _, err = run([], capsys)
     assert code == 1

@@ -9,6 +9,11 @@ Hom/End dimensions before searching and checks each stage once per side;
 these tests require the same results, and count the calls to show the
 work is gone.  That replay_derivation accepts every corpus certificate
 is test_yoga's sweep.
+
+endo_quotient used to reduce the k*d^2 commutators [E_ij, E] in one
+system; it now narrows the centraliser of End(M) one endomorphism at a
+time, and the sizes of the systems it eliminates show that the stack is
+gone.  test_periods compares its relations with the stack.
 """
 
 import random
@@ -16,13 +21,15 @@ from fractions import Fraction
 
 import pytest
 
-from qperiods import yoga, zoo
+from qperiods import exactlin, periods, yoga, zoo
 from qperiods.exactlin import Matrix, rref
+from qperiods.periods import endo_quotient
 from qperiods.quivalg import (
     FdModule,
     ModuleMap,
     hom_space,
     module_iso,
+    module_power,
 )
 from qperiods.yoga import (
     PrincipalityVerdict,
@@ -30,6 +37,8 @@ from qperiods.yoga import (
     certify_principal,
     replay_derivation,
 )
+
+from strategies import linear_projective
 
 CORPUS = {e.key: e for e in zoo.corpus()}
 
@@ -202,3 +211,40 @@ def test_replay_refuses_a_right_stage_after_a_companion_unchecked():
     assert result == [False]
     assert len(seen) == 1
 
+
+# -- endo_quotient -------------------------------------------------------------
+
+
+def eliminated_row_counts(run) -> list:
+    """The row count of every system that periods.kernel_basis or
+    exactlin.rref is handed while run() goes."""
+    rows = []
+
+    def recording(original):
+        def wrapper(m, *args):
+            rows.append(m.nrows)
+            return original(m, *args)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(periods, "kernel_basis", recording(periods.kernel_basis))
+        mp.setattr(exactlin, "rref", recording(exactlin.rref))
+        run()
+    return rows
+
+
+def test_endo_quotient_eliminates_no_system_over_d_squared_rows():
+    m = module_power(CORPUS["a2/p1"].module, 3)
+    d = m.dim
+    # the commutator stack had one row per basis endomorphism and (i, j)
+    assert len(hom_space(m, m)) * d * d == 324
+    rows = eliminated_row_counts(lambda: endo_quotient(m))
+    assert rows
+    assert max(rows) <= d * d
+
+
+def test_endo_quotient_of_scalar_endomorphisms_eliminates_only_hom():
+    m = linear_projective(10)
+    assert len(hom_space(m, m)) == 1
+    hom_rows = eliminated_row_counts(lambda: hom_space(m, m))
+    assert eliminated_row_counts(lambda: endo_quotient(m)) == hom_rows

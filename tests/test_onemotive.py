@@ -139,8 +139,8 @@ def test_radical_guard():
     table = (((ONE, ZERO), (ZERO, ONE)),
              ((ZERO, ONE), (ZERO, ZERO)))
     dual = StructureAlgebra(2, (ONE, ZERO), table)
-    dual.check_associative()
-    dual.check_unit()
+    assert dual.check_associative()
+    assert dual.check_unit()
     assert not dual.is_semisimple()
     reg = regular_power(dual, 1)
     with pytest.raises(HypothesisFailed):

@@ -32,11 +32,17 @@ from qperiods.quivalg import (
     ModuleMap,
     SubmoduleHandle,
     end_algebra,
+    hom_space,
     module_power,
 )
 from qperiods.yoga import WeightPartition, slice_by_weight
 
-from strategies import ORACLE_INPUTS, rebased_modules
+from strategies import (
+    ORACLE_INPUTS,
+    linear_projective,
+    rebase,
+    rebased_modules,
+)
 
 
 def to_sympy(m: Matrix) -> sympy.Matrix:
@@ -120,6 +126,28 @@ def elementary_commutator_relations(m) -> Subspace:
     return Subspace(d * d, vecs)
 
 
+def written_commutator_relations(m) -> Subspace:
+    """The same span, each [E_ij, E] written without a product.
+
+    Row i of E_ij E is E's row j and column j of E E_ij is E's column i,
+    so each commutator is two slices of E: the construction endo_quotient
+    used before it computed the centraliser, cheap enough at d = 6..10,
+    where the dense products take seconds.
+    """
+    d = m.dim
+    vecs = []
+    for f in hom_space(m, m):
+        e = f.flattened().rows
+        for i in range(d):
+            for j in range(d):
+                vec = [0] * (d * d)
+                vec[i * d:(i + 1) * d] = e[j]
+                for r in range(d):
+                    vec[r * d + j] -= e[r][i]
+                vecs.append(vec)
+    return Subspace(d * d, vecs)
+
+
 def sympy_centraliser(mats, d: int) -> list:
     """A basis of {X : XG = GX for every G in mats}, by sympy."""
     rows = []
@@ -173,9 +201,10 @@ def bicommutant_relations(m) -> Subspace:
     return Subspace(d * d, [tuple(Fraction(x) for x in v) for v in null])
 
 
-def assert_endo_matches_oracles(m, key):
+def assert_endo_matches_oracles(m, key,
+                                stack=elementary_commutator_relations):
     relations = endo_quotient(m).relations
-    assert relations == elementary_commutator_relations(m), key
+    assert relations == stack(m), key
     assert relations == bicommutant_relations(m), key
 
 
@@ -183,6 +212,46 @@ def assert_endo_matches_oracles(m, key):
                          ids=[key for key, _ in ORACLE_INPUTS])
 def test_endo_relations_equal_both_oracles(key, m):
     assert_endo_matches_oracles(m, key)
+    assert written_commutator_relations(m) == \
+        elementary_commutator_relations(m), key
+
+
+def larger_endo_inputs() -> list:
+    p1 = zoo.get_module("a2/p1")
+    # determinants -1 and 2
+    rebasings = [Matrix([[1, 2, 0], [0, 1, -1], [1, 0, 1]]),
+                 Matrix([[2, 1, 1], [1, 1, 0], [0, 1, 1]])]
+    return [
+        ("a2/p1^4", module_power(p1, 4)),
+        ("a2/p1^3 rebased", rebase(module_power(p1, 3), rebasings)),
+        ("a3/tower^2", module_power(zoo.get_module("a3/tower"), 2)),
+        ("a3yx/mix^2", module_power(zoo.get_module("a3yx/mix"), 2)),
+    ]
+
+
+LARGER_ENDO_INPUTS = larger_endo_inputs()
+
+
+@pytest.mark.parametrize("key,m", LARGER_ENDO_INPUTS,
+                         ids=[key for key, _ in LARGER_ENDO_INPUTS])
+def test_endo_relations_equal_both_oracles_at_d_6_to_10(key, m):
+    # the dense products of elementary_commutator_relations take 1-21 s
+    # here, so the stack is written from slices of E
+    assert_endo_matches_oracles(m, key, stack=written_commutator_relations)
+
+
+def test_endo_relations_of_the_zero_module_are_the_zero_space():
+    zero = module_power(zoo.get_module("a2/p1"), 0)
+    assert zero.dim == 0
+    assert endo_quotient(zero).relations == Subspace.zero_space(0)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10])
+def test_endo_relations_are_zero_when_end_is_the_scalars(n):
+    m = linear_projective(n)
+    assert [f.flattened() for f in hom_space(m, m)] == \
+        [Matrix.identity(n)]
+    assert endo_quotient(m).relations == Subspace.zero_space(n * n)
 
 
 @settings(max_examples=25, deadline=None)

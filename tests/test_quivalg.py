@@ -149,8 +149,8 @@ def test_end_algebra_equals_the_solve_oracle_on_rebased_modules(m):
 
 def test_matrix_algebra_structure_is_semisimple():
     m2 = matrix_algebra_structure(2)
-    m2.check_associative()
-    m2.check_unit()
+    assert m2.check_associative()
+    assert m2.check_unit()
     assert m2.dim == 4
     assert m2.is_semisimple()
     assert not m2.is_commutative()
