@@ -84,7 +84,6 @@ from .yoga import (
     class_c_explore,
     replay_derivation,
     saturated_check,
-    saturated_sum_check,
     slice_by_weight,
     universal_extension,
     universal_lift,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .exactlin import Matrix, NumberFieldElem
+from .exactlin import NumberFieldElem
 from .quivalg import NotAdmissible, NotFiniteDimensional, SubmoduleHandle
 from .periods import (
     NotAField,
@@ -52,7 +52,6 @@ from .serialize import (
     load_json,
     load_module,
     load_partition,
-    matrix_to_data,
     rational_str,
     relation_from_data,
     sequence_file_from_data,
@@ -129,13 +128,19 @@ def _vec_data(vec) -> list:
     return [_scalar_data(x) for x in vec]
 
 
-def _matrix_text(mat: Matrix, indent: str = "    ") -> list:
-    widths = [max((len(rational_str(row[j])) for row in mat.rows),
-                  default=1)
-              for j in range(mat.ncols)]
-    return [indent + "  ".join(rational_str(x).rjust(w)
-                               for x, w in zip(row, widths))
-            for row in mat.rows]
+def _matrix_text(rows: list, indent: str = "    ") -> list:
+    strs = [[rational_str(x) for x in row] for row in rows]
+    widths = [max(map(len, col)) for col in zip(*strs)]
+    return [indent + "  ".join(x.rjust(w) for x, w in zip(row, widths))
+            for row in strs]
+
+
+def _relation_rows(space) -> list:
+    """Each relation vector of space, sliced into the d rows of its
+    coefficient matrix (Matrix.vec is row-major)."""
+    d = space.module.dim
+    return [[v[i * d:(i + 1) * d] for i in range(d)]
+            for v in space.relations.basis_vectors()]
 
 
 def _handle_data(handle: SubmoduleHandle) -> dict:
@@ -182,9 +187,8 @@ def _node_text(node, depth: int = 0) -> list:
 
 
 def _space_report(command: str, space) -> tuple:
-    d = space.module.dim
-    basis = [matrix_to_data(Matrix.unvec(v, d, d))
-             for v in space.relations.basis_vectors()]
+    basis = [[vector_to_data(row) for row in rows]
+             for rows in _relation_rows(space)]
     report = {
         "command": command,
         "ambient_dim": space.ambient_dim,
@@ -197,13 +201,12 @@ def _space_report(command: str, space) -> tuple:
 
 
 def _space_text(label: str, space) -> list:
-    d = space.module.dim
     lines = [f"{label} dimension: {space.dim} "
              f"(ambient {space.ambient_dim}, relations "
              f"{space.relations.dim})"]
-    for i, v in enumerate(space.relations.basis_vectors()):
+    for i, rows in enumerate(_relation_rows(space)):
         lines.append(f"relation {i}:")
-        lines.extend(_matrix_text(Matrix.unvec(v, d, d)))
+        lines.extend(_matrix_text(rows))
     return lines
 
 
@@ -232,7 +235,7 @@ def _cmd_depth(cfg: RunConfig):
         "k": k,
         "per_stage_dims": list(result.per_stage_dims),
         "certified": result.certified,
-        "strategy": result.strategy,
+        "strategy": "certified",
     })
     code = 0 if result.certified else 2
     if k != cfg.k:

@@ -27,7 +27,7 @@ and check the shape; Subspace(ambient, vectors) runs rat() on every
 entry and checks the lengths.  Parsed files, the zoo, and lists handed
 to FdModule or ModuleMap go through them.  Whatever the engine computes from entries
 that are already exact is wrapped as it is: Matrix._wrap builds the
-results of identity, zero, +, -, negation, *, transpose, hstack, vstack,
+results of identity, zero, +, -, negation, *, transpose, hstack,
 block_diagonal and rref, and the matrices the other layers assemble from
 exact rows (the action of a basis path, the hom and hom_dim systems,
 outer products); Subspace._from_rows spans the sums, intersections,
@@ -229,11 +229,6 @@ class Matrix:
         return Matrix._wrap(tuple(ra + rb for ra, rb in
                                   zip(self.rows, other.rows)),
                             self.ncols + other.ncols)
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols:
-            raise DimensionMismatch("column counts differ")
-        return Matrix._wrap(self.rows + other.rows, self.ncols)
 
     def _same_shape(self, other: "Matrix"):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -543,13 +538,17 @@ class Subspace:
 class QuotientPresentation:
     """Coordinates on Q^n / R for a subspace R, via the free coordinates.
 
-    project sends a vector to the coordinate tuple of its class, section
-    sends coordinates to the canonical representative supported on the
-    free coordinates.  project after section is the identity, and
-    project kills exactly R.
+    free lists the columns that are not pivots of R's canonical RREF
+    basis.  projection, a dim x n matrix, sends a vector to the tuple of
+    its class's coordinates, and is read off that basis column by column:
+    the unit vector at a free column f goes to the unit at f's place, and
+    the one at the pivot p of basis row r goes to minus row r at the free
+    columns, since e_p minus row r lies in the same class and is
+    supported on the free columns.  So projection kills R and is the
+    identity on the free coordinates.
     """
 
-    __slots__ = ("relations", "free", "dim", "projection", "section")
+    __slots__ = ("relations", "free", "dim", "projection")
 
     def __init__(self, relations: Subspace):
         self.relations = relations
@@ -557,34 +556,12 @@ class QuotientPresentation:
         self.free = tuple(j for j in range(relations.ambient)
                           if j not in pivot_set)
         self.dim = len(self.free)
-        proj_rows = []
-        for v in Matrix.identity(relations.ambient).rows:
-            proj_rows.append(self._project_raw(v))
-        self.projection = Matrix._wrap(tuple(proj_rows), self.dim).transpose()
-        sec_cols = []
-        for k in self.free:
-            col = [ZERO] * relations.ambient
-            col[k] = ONE
-            sec_cols.append(tuple(col))
-        self.section = Matrix.from_columns(sec_cols, nrows=relations.ambient)
-
-    def _project_raw(self, v: Sequence) -> tuple:
-        v = [rat(x) for x in v]
-        for r, p in zip(self.relations.basis.rows, self.relations.pivots):
-            if v[p]:
-                c = v[p]
-                v = [a - c * b for a, b in zip(v, r)]
-        return tuple(v[k] for k in self.free)
-
-    def project(self, v: Sequence) -> tuple:
-        if len(v) != self.relations.ambient:
-            raise DimensionMismatch("vector length does not match ambient")
-        return self._project_raw(v)
-
-    def lift(self, coords: Sequence) -> tuple:
-        if len(coords) != self.dim:
-            raise DimensionMismatch("coordinate length does not match")
-        return self.section.apply(coords)
+        cols = [None] * relations.ambient
+        for k, f in enumerate(self.free):
+            cols[f] = tuple(ONE if t == k else ZERO for t in range(self.dim))
+        for row, p in zip(relations.basis.rows, relations.pivots):
+            cols[p] = tuple(-row[f] for f in self.free)
+        self.projection = Matrix._wrap(tuple(cols), self.dim).transpose()
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,6 @@ class PeriodSpace:
     def dim(self) -> int:
         return self.ambient_dim - self.relations.dim
 
-    def quotient(self) -> QuotientPresentation:
-        return QuotientPresentation(self.relations)
-
     def __repr__(self) -> str:
         return (f"PeriodSpace(dim {self.dim}, provenance "
                 f"{self.provenance!r})")
@@ -258,7 +255,6 @@ class DepthResult:
     space: PeriodSpace
     per_stage_relation_dims: tuple[int, ...]
     certified: bool
-    strategy: str
 
     @property
     def per_stage_dims(self) -> tuple[int, ...]:
@@ -288,8 +284,9 @@ def _endo_tuple_maps(m: FdModule, power: int,
 
 
 def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
-                       strategy: str, spin_bound: int,
+                       spin_bound: int,
                        endos: Sequence[ModuleMap]) -> list[SubmoduleHandle]:
+    """The hom-closure family, then the spin-box family at powers 1 and 2."""
     seen: set = set()
     out: list[SubmoduleHandle] = []
 
@@ -299,51 +296,43 @@ def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
             seen.add(key)
             out.append(h)
 
-    use_hom = strategy in ("certified", "hom-closure")
-    use_spin = strategy in ("certified", "spin-box") and power <= 2
+    alphabet, combos = _endo_tuple_maps(m, power, endos)
+    for combo in combos:
+        entries = [alphabet[combo.get(j, 0)] for j in range(power)]
+        # the column (f_1, ..., f_power): M -> M^power and the row
+        # (f_1 ... f_power): M^power -> M
+        col = block_map(m, [m], ambient, [m] * power,
+                        {(j, 0): f for j, f in enumerate(entries)})
+        push(col.image())
+        row = block_map(ambient, [m] * power, m, [m],
+                        {(0, j): f for j, f in enumerate(entries)})
+        push(row.kernel())
+    # kernels and images of single endomorphisms, pushed to power 1
+    if power == 1:
+        for e in endos:
+            push(e.image())
+            push(e.kernel())
+        for e, f in itertools.combinations(endos, 2):
+            push((e + f).image())
+            push((e + f).kernel())
+            push((e - f).image())
+            push((e - f).kernel())
 
-    if use_hom:
-        alphabet, combos = _endo_tuple_maps(m, power, endos)
-        for combo in combos:
-            entries = [alphabet[combo.get(j, 0)] for j in range(power)]
-            # the column (f_1, ..., f_power): M -> M^power and the row
-            # (f_1 ... f_power): M^power -> M
-            col = block_map(m, [m], ambient, [m] * power,
-                            {(j, 0): f for j, f in enumerate(entries)})
-            push(col.image())
-            row = block_map(ambient, [m] * power, m, [m],
-                            {(0, j): f for j, f in enumerate(entries)})
-            push(row.kernel())
-        # kernels and images of single endomorphisms, pushed to power 1
-        if power == 1:
-            for e in endos:
-                push(e.image())
-                push(e.kernel())
-            for e, f in itertools.combinations(endos, 2):
-                push((e + f).image())
-                push((e + f).kernel())
-                push((e - f).image())
-                push((e - f).kernel())
-
-    if use_spin:
+    if power <= 2:
         for h in spin_pool(ambient, spin_bound):
             push(h)
     return out
 
 
-def depth_space(m: FdModule, k: int, strategy: str = "certified",
-                spin_bound: int = 1) -> DepthResult:
+def depth_space(m: FdModule, k: int, spin_bound: int = 1) -> DepthResult:
     """Accumulated relation space over submodules of M^1, ..., M^k.
 
-    Strategies: 'certified' exhausts the hom-closure and spin-box
-    candidate families and stops as soon as the accumulated relations
-    match the pairing kernel; 'hom-closure' and 'spin-box' use a single
-    family and never stop early.  Each stage's relation dimension is
-    recorded; the chain is monotone by construction, and everything it
-    produces is checked to sit inside the pairing kernel.
+    Each stage contracts the hom-closure and spin-box candidate families
+    and stops as soon as the accumulated relations match the pairing
+    kernel.  Each stage's relation dimension is recorded; the chain is
+    monotone by construction, and everything it produces is checked to
+    sit inside the pairing kernel.
     """
-    if strategy not in ("certified", "hom-closure", "spin-box"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     oracle = period_space(m)
     d = m.dim
     endos = hom_space(m, m)
@@ -355,15 +344,15 @@ def depth_space(m: FdModule, k: int, strategy: str = "certified",
             per_stage.append(acc.dim)
             continue
         ambient = module_power(m, power)
-        for handle in _candidate_handles(m, power, ambient, strategy,
-                                         spin_bound, endos):
+        for handle in _candidate_handles(m, power, ambient, spin_bound,
+                                         endos):
             rel = relation_from_submodule(m, power, ambient, handle)
             if rel.dim == 0:
                 continue
             grown = acc.add(rel)
             if grown.dim != acc.dim:
                 acc = grown
-                if strategy == "certified" and acc == oracle.relations:
+                if acc == oracle.relations:
                     break
         assert oracle.relations.contains(acc), \
             "a contracted relation escaped the pairing kernel"
@@ -371,8 +360,7 @@ def depth_space(m: FdModule, k: int, strategy: str = "certified",
         if acc == oracle.relations:
             certified = True
     space = PeriodSpace(m, acc, "depth")
-    return DepthResult(space, tuple(per_stage), acc == oracle.relations,
-                       strategy)
+    return DepthResult(space, tuple(per_stage), acc == oracle.relations)
 
 
 # ---------------------------------------------------------------------------
@@ -611,17 +599,10 @@ def _evaluate(m: FdModule, point: ComparisonPoint,
     for i in range(d):
         for jj in range(d):
             ambient_values.append(rho_u.rows[jj][i])
-    quot = space.quotient()
-    values = []
-    for k in range(quot.dim):
-        coords = tuple(ONE if t == k else ZERO for t in range(quot.dim))
-        lifted = quot.lift(coords)
-        total = lf.zero()
-        for idx, x in enumerate(lifted):
-            if x:
-                total = total + ambient_values[idx] * x
-        values.append(total)
-    values = tuple(values)
+    # period class k is the class of the unit matrix at free column k,
+    # whose value is read off directly
+    free = QuotientPresentation(space.relations).free
+    values = tuple(ambient_values[j] for j in free)
     quotient_kernel = k_linear_kernel(emb, values)
     ambient_kernel = k_linear_kernel(emb, tuple(ambient_values))
     relations_zero = True

@@ -31,7 +31,6 @@ from .exactlin import (
     kernel_subspace,
     rat,
     rref,
-    solve,
 )
 
 
@@ -416,10 +415,6 @@ class StructureAlgebra:
 
     def is_semisimple(self) -> bool:
         return self.radical().dim == 0
-
-    def is_commutative(self) -> bool:
-        return all(self.table[i][j] == self.table[j][i]
-                   for i in range(self.dim) for j in range(self.dim))
 
     def check_associative(self) -> bool:
         for i in range(self.dim):
@@ -1033,7 +1028,12 @@ class SubmoduleHandle:
     # -- derived modules --------------------------------------------------------
 
     def sub_module(self) -> tuple[FdModule, ModuleMap]:
-        """The submodule as a module of its own, with the inclusion."""
+        """The submodule as a module of its own, with the inclusion.
+
+        A vector of a canonical subspace has its coordinates at the
+        pivots, so each arrow's matrix is read off the images of the
+        source basis there.
+        """
         if self._sub is not None:
             return self._sub
         algebra = self.ambient.algebra
@@ -1045,9 +1045,9 @@ class SubmoduleHandle:
             cols = []
             for b in src.basis_vectors():
                 img = self.ambient.maps[a.name].apply(b)
-                sol = solve(tgt.basis.transpose(), img)
-                assert sol is not None, "stability was already checked"
-                cols.append(sol)
+                assert tgt.contains_vector(img), \
+                    "stability was already checked"
+                cols.append(tuple(img[p] for p in tgt.pivots))
             maps[a.name] = (Matrix.from_columns(cols) if cols
                             else Matrix.zero(tgt.dim, 0))
         sub = FdModule(algebra, dims, maps)
@@ -1058,7 +1058,12 @@ class SubmoduleHandle:
         return self._sub
 
     def quotient_module(self) -> tuple[FdModule, ModuleMap]:
-        """The quotient by this submodule, with the projection."""
+        """The quotient by this submodule, with the projection.
+
+        The quotient's basis at a vertex is the classes of the unit
+        vectors at the free columns, so an arrow's matrix is the
+        projection applied to the ambient arrow's free columns.
+        """
         if self._quot is not None:
             return self._quot
         algebra = self.ambient.algebra
@@ -1068,13 +1073,19 @@ class SubmoduleHandle:
         for a in algebra.arrows:
             si = algebra.vertices.index(a.source)
             ti = algebra.vertices.index(a.target)
-            maps[a.name] = pres[ti].projection * self.ambient.maps[a.name] \
-                * pres[si].section
+            maps[a.name] = pres[ti].projection * _columns(
+                self.ambient.maps[a.name], pres[si].free)
         quot = FdModule(algebra, dims, maps)
         proj = ModuleMap(self.ambient, quot,
                          [p.projection for p in pres], check=False)
         self._quot = (quot, proj)
         return self._quot
+
+
+def _columns(mat: Matrix, cols: Sequence[int]) -> Matrix:
+    """The columns of mat at the given positions, in that order."""
+    return Matrix._wrap(tuple(tuple(r[c] for c in cols) for r in mat.rows),
+                        len(cols))
 
 
 def spin_pool(m: FdModule, bound: int) -> Iterator[SubmoduleHandle]:
@@ -1119,10 +1130,10 @@ def factor_through_sub(f: ModuleMap, handle: SubmoduleHandle) -> ModuleMap:
     for v, b, s in zip(f.source.algebra.vertices, f.blocks, handle.spaces):
         cols = []
         for j in range(b.ncols):
-            sol = solve(s.basis.transpose(), b.column(j))
-            if sol is None:
+            col = b.column(j)
+            if not s.contains_vector(col):
                 raise NotAModuleMap("image is not inside the submodule")
-            cols.append(sol)
+            cols.append(tuple(col[p] for p in s.pivots))
         blocks.append(Matrix.from_columns(cols) if cols
                       else Matrix.zero(s.dim, 0))
     return ModuleMap(f.source, sub, blocks, check=False)
@@ -1135,8 +1146,8 @@ def factor_through_quotient(f: ModuleMap, handle: SubmoduleHandle) -> ModuleMap:
         for vec in s.basis_vectors():
             if any(b.apply(vec)):
                 raise NotAModuleMap("map does not kill the submodule")
-    pres = [QuotientPresentation(s) for s in handle.spaces]
-    blocks = [b * p.section for b, p in zip(f.blocks, pres)]
+    blocks = [_columns(b, QuotientPresentation(s).free)
+              for b, s in zip(f.blocks, handle.spaces)]
     return ModuleMap(quot, f.target, blocks, check=False)
 
 

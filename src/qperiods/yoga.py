@@ -479,97 +479,38 @@ def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
                             conditions, splitness)
 
 
-@dataclass(frozen=True, eq=False)
-class SumSaturatedVerdict:
-    side: str
-    status: str                 # 'certified' | 'unknown'
-    conditions: dict
-    sequence: AdmissibleSequence
+def _sum_conditions(seq_m: AdmissibleSequence,
+                    seq_n: AdmissibleSequence) -> tuple[bool, dict]:
+    """The mixed hom conditions under which the sum of two left saturated
+    sequences stays left saturated.
 
-
-def _part_status(seq: AdmissibleSequence, side: str) -> str:
-    # a sequence with a vanishing end is saturated on both sides by
-    # convention: the lifting data it asks for degenerates to the maps
-    # themselves
-    if seq.sub.dim == 0 or seq.quot.dim == 0:
-        return "trivial"
-    return saturated_check(seq, side).status
-
-
-def _sum_conditions(seq_m: AdmissibleSequence, seq_n: AdmissibleSequence,
-                    side: str) -> tuple[bool, dict]:
+    No maps from the first sub to the second sub, restriction of maps
+    from the second middle onto its sub, and the cokernel of the second
+    sub's trace in the first middle clears the high classes.
+    """
     vertices = seq_m.module.algebra.vertices
     partition = seq_m.partition
-    if side == "left":
-        no_homs = len(hom_space(seq_m.sub, seq_n.sub)) == 0
-        whole = hom_space(seq_n.module, seq_m.sub)
-        restricted = [f.compose(seq_n.inclusion) for f in whole]
-        target_dim = len(hom_space(seq_n.sub, seq_m.sub))
-        length = sum(seq_m.sub.vdim(v) * seq_n.sub.vdim(v) for v in vertices)
-        onto = Subspace(length,
-                        [_map_coords(f) for f in restricted]).dim == target_dim
-        trace = SubmoduleHandle.zero(seq_m.module)
-        for f in hom_space(seq_n.sub, seq_m.module):
-            trace = trace.add(f.image())
-        coker = trace.quotient_module()[0]
-        high = seq_m.high_weights | seq_n.high_weights
-        clears = largest_supported_submodule(
-            coker, [v for v in vertices
-                    if partition.weight_of(v) in high]).is_zero()
-        conditions = {
-            "sub_homs_vanish": no_homs,
-            "restriction_to_sub_onto": onto,
-            "cokernel_clears_high_classes": clears,
-        }
-    else:
-        no_homs = len(hom_space(seq_n.quot, seq_m.quot)) == 0
-        whole = hom_space(seq_m.quot, seq_n.module)
-        projected = [seq_n.projection.compose(f) for f in whole]
-        target_dim = len(hom_space(seq_m.quot, seq_n.quot))
-        length = sum(seq_n.quot.vdim(v) * seq_m.quot.vdim(v) for v in vertices)
-        onto = Subspace(length,
-                        [_map_coords(f) for f in projected]).dim == target_dim
-        kernel = SubmoduleHandle.full(seq_m.module)
-        for f in hom_space(seq_m.module, seq_n.quot):
-            kernel = kernel.intersect(f.kernel())
-        kmod = kernel.sub_module()[0]
-        low = seq_m.low_weights | seq_n.low_weights
-        clears = trace_quotient(
-            kmod, [v for v in vertices
-                   if partition.weight_of(v) not in low]).quotient.is_zero()
-        conditions = {
-            "quot_homs_vanish": no_homs,
-            "projection_to_quot_onto": onto,
-            "kernel_clears_low_classes": clears,
-        }
+    no_homs = len(hom_space(seq_m.sub, seq_n.sub)) == 0
+    whole = hom_space(seq_n.module, seq_m.sub)
+    restricted = [f.compose(seq_n.inclusion) for f in whole]
+    target_dim = len(hom_space(seq_n.sub, seq_m.sub))
+    length = sum(seq_m.sub.vdim(v) * seq_n.sub.vdim(v) for v in vertices)
+    onto = Subspace(length,
+                    [_map_coords(f) for f in restricted]).dim == target_dim
+    trace = SubmoduleHandle.zero(seq_m.module)
+    for f in hom_space(seq_n.sub, seq_m.module):
+        trace = trace.add(f.image())
+    coker = trace.quotient_module()[0]
+    high = seq_m.high_weights | seq_n.high_weights
+    clears = largest_supported_submodule(
+        coker, [v for v in vertices
+                if partition.weight_of(v) in high]).is_zero()
+    conditions = {
+        "sub_homs_vanish": no_homs,
+        "restriction_to_sub_onto": onto,
+        "cokernel_clears_high_classes": clears,
+    }
     return all(conditions.values()), conditions
-
-
-def saturated_sum_check(seq_m: AdmissibleSequence, seq_n: AdmissibleSequence,
-                        side: str) -> SumSaturatedVerdict:
-    """Certify that the direct sum of two saturated sequences is saturated.
-
-    Both summands must already be saturated on the given side (trivial
-    sequences count), and the mixed hom conditions between the two must
-    hold: on the left, no maps from the first sub to the second sub,
-    restriction of maps from the second middle onto its sub, and the
-    cokernel of the second sub's trace in the first middle clears the
-    high classes; the right side mirrors this through quotients and
-    kernels.  The summed sequence itself is admissible whenever the
-    supports stay compatible, which admissible_check re-validates.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    first = _part_status(seq_m, side)
-    second = _part_status(seq_n, side)
-    joint_ok, joint = _sum_conditions(seq_m, seq_n, side)
-    total = sum_sequence(seq_m, seq_n)
-    conditions = {"first_summand": first, "second_summand": second}
-    conditions.update(joint)
-    parts_ok = (first in ("certified", "trivial")
-                and second in ("certified", "trivial"))
-    status = "certified" if parts_ok and joint_ok else "unknown"
-    return SumSaturatedVerdict(side, status, conditions, total)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +627,7 @@ def _apply_stage(partition: WeightPartition, seq: AdmissibleSequence,
     cur = seq
     for extra in acc:
         trivial = trivial_sub_sequence(extra, partition)
-        ok, joint = _sum_conditions(cur, trivial, "left")
+        ok, joint = _sum_conditions(cur, trivial)
         if not ok:
             return None
         cur = sum_sequence(cur, trivial)

@@ -61,6 +61,26 @@ def test_depth_not_yet_stable_exits_two(capsys):
     assert "certified against the full space: no" in out
 
 
+@pytest.mark.parametrize("name,k,code,certified,stages", [
+    ("a2_P1.json", 2, 0, True, [3, 3]),
+    ("loop2_reg.json", 1, 2, False, [3]),
+])
+def test_depth_json_keys(capsys, name, k, code, certified, stages):
+    got, out, _ = run(["--format", "json", "depth", fx(name), "--k", str(k)],
+                      capsys)
+    assert got == code
+    report = json.loads(out)
+    assert sorted(report) == [
+        "ambient_dim", "certified", "command", "dim", "exit_code", "k",
+        "per_stage_dims", "provenance", "relation_basis", "relation_dim",
+        "strategy"]
+    assert report["strategy"] == "certified"
+    assert report["certified"] is certified
+    assert report["per_stage_dims"] == stages
+    assert (report["command"], report["k"], report["exit_code"]) == \
+        ("depth", k, code)
+
+
 def test_certify_refuted_is_a_definite_answer(capsys):
     code, out, _ = run(
         ["certify", fx("a2_P1.json"), "--weights", fx("a2_weights.json")],

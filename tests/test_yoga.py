@@ -24,8 +24,8 @@ from qperiods.yoga import (
     class_c_explore,
     dual_sequence,
     replay_derivation,
+    _sum_conditions,
     saturated_check,
-    saturated_sum_check,
     slice_by_weight,
     sum_sequence,
     trivial_sub_sequence,
@@ -125,22 +125,21 @@ def test_saturation_mirrors_through_duality():
 
 
 def test_saturated_sum_check():
+    """The left sum rule certify absorbs companions with."""
     proj = zoo.get_module("a3/proj")
     seq = slice_by_weight(proj, A3, -1)
     extra = trivial_sub_sequence(zoo.get_module("a3/s_wm2"), A3)
-    for side in ("left", "right"):
-        verdict = saturated_sum_check(seq, extra, side)
-        assert verdict.status == "certified", side
-        assert verdict.conditions["first_summand"] == "certified"
-        assert verdict.conditions["second_summand"] == "trivial"
+    assert saturated_check(seq, "left").status == "certified"
+    ok, conditions = _sum_conditions(seq, extra)
+    assert ok and all(conditions.values())
     summed = sum_sequence(seq, extra)
     assert summed.module.dims == (1, 1, 2)
-    # an extra summand that admits maps into the sub breaks the left side
-    blocked = saturated_sum_check(
+    # an extra summand that admits maps into the sub breaks the rule
+    ok, conditions = _sum_conditions(
         slice_by_weight(proj, A3, -2),
-        trivial_sub_sequence(zoo.get_module("a3/s_wm2"), A3), "left")
-    assert blocked.status == "unknown"
-    assert not blocked.conditions["sub_homs_vanish"]
+        trivial_sub_sequence(zoo.get_module("a3/s_wm2"), A3))
+    assert not ok
+    assert not conditions["sub_homs_vanish"]
 
 
 # ---------------------------------------------------------------------------
