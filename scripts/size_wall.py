@@ -9,12 +9,15 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
 - ``endo`` on a2/p1^5, a2/p1^6 and a2/p1^7, and on a3/tower^2 re-based
   by a seeded random integer basis change at every vertex;
 - ``depth --k dim M`` on a3/proj^3 and a3/proj^4;
-- ``period`` on a2/p1^16.
+- ``period`` on a2/p1^16;
+- ``onemotive --g 0 --l 1 --m 29``, the slowest matrix model that
+  onemotive.MODEL_DIM_BUDGET admits (ambient dimension d = 32).
 
-Each row prints the module dimension d, the best of ``--repeat`` wall
-clock times and the first 16 hex digits of the sha256 of the output, so
-that two checkouts compare answers as well as times.  The times are
-plain seconds on whatever host runs this; nothing is claimed from them.
+Each row prints the module (or model) dimension d, the best of
+``--repeat`` wall clock times and the first 16 hex digits of the sha256
+of the output, so that two checkouts compare answers as well as times.
+The times are plain seconds on whatever host runs this; nothing is
+claimed from them.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ def rebase(m, rng: random.Random):
 
 
 def rows() -> list:
-    """(label, module, command, extra argv) for each size-wall row."""
+    """(label, module, command, extra argv) for each size-wall row; the
+    module is None for a row whose command takes no input file."""
     from qperiods import zoo
     from qperiods.quivalg import module_power
     p1 = zoo.get_module("a2/p1")
@@ -72,7 +76,16 @@ def rows() -> list:
         m = module_power(proj, k)
         out.append((f"a3/proj^{k}", m, "depth", ["--k", str(m.dim)]))
     out.append(("a2/p1^16", module_power(p1, 16), "period", []))
+    out.append(("rational g=0 l=1 m=29", None, "onemotive",
+                ["--g", "0", "--l", "1", "--m", "29"]))
     return out
+
+
+def model_dim(argv: list) -> int:
+    """The matrix model's ambient dimension 2g + l + m + 2 for
+    onemotive's --g, --l and --m."""
+    opts = dict(zip(argv[::2], map(int, argv[1::2])))
+    return 2 * opts["--g"] + opts["--l"] + opts["--m"] + 2
 
 
 def ask(main, argv: list) -> tuple[float, str]:
@@ -98,20 +111,24 @@ def main() -> int:
     if (args.root / "src").resolve() not in origin.parents:
         raise RuntimeError(f"qperiods was imported from {origin}, "
                            f"not from {args.root / 'src'}")
-    print(f"{'input':<28} {'command':<7} {'d':>3} {'best s':>8}  sha256")
+    print(f"{'input':<28} {'command':<9} {'d':>3} {'best s':>8}  sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, m, command, extra) in enumerate(rows()):
-            path = os.path.join(tmp, f"{i}.json")
-            Path(path).write_text(dump_json(module_to_data(m)))
+            if m is None:
+                argv, d = [command, *extra], model_dim(extra)
+            else:
+                path = os.path.join(tmp, f"{i}.json")
+                Path(path).write_text(dump_json(module_to_data(m)))
+                argv, d = [command, path, *extra], m.dim
             times, digests = [], set()
             for _ in range(args.repeat):
-                elapsed, digest = ask(cli_main, [command, path, *extra])
+                elapsed, digest = ask(cli_main, argv)
                 times.append(elapsed)
                 digests.add(digest)
             if len(digests) != 1:
                 raise RuntimeError(f"{label}: the output changed between "
                                    f"repeats")
-            print(f"{label:<28} {command:<7} {m.dim:>3} {min(times):>8.3f}  "
+            print(f"{label:<28} {command:<9} {d:>3} {min(times):>8.3f}  "
                   f"{digests.pop()[:16]}", flush=True)
     return 0
 

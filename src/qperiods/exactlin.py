@@ -28,10 +28,11 @@ entry and checks the lengths.  Parsed files, the zoo, and lists handed
 to FdModule or ModuleMap go through them.  Whatever the engine computes from entries
 that are already exact is wrapped as it is: Matrix._wrap builds the
 results of identity, zero, +, -, negation, *, transpose, hstack,
-block_diagonal and rref, and the matrices the other layers assemble from
-exact rows (the action of a basis path, the hom and hom_dim systems,
-outer products); Subspace._from_rows spans the sums, intersections,
-images and kernels here and the relation spans the other layers build.
+block_diagonal, rref and the intertwiner systems, and the matrices the
+other layers assemble from exact rows (the action of a basis path, the
+blocks of a hom basis, outer products); Subspace._from_rows spans the
+sums, intersections, images and kernels here and the relation spans the
+other layers build.
 Neither walks the entries, so they must only ever see Fractions, or
 field elements for matrices over a number field.
 """
@@ -168,6 +169,11 @@ class Matrix:
         for i in range(1, self.nrows):
             total = total + self.rows[i][i]
         return total
+
+    def nonzero_entries(self) -> list:
+        """(i, j, entry) for each nonzero entry, row by row."""
+        return [(i, j, x) for i, r in enumerate(self.rows)
+                for j, x in enumerate(r) if x]
 
     def vec(self) -> tuple:
         """Row-major flattening; the package-wide vectorization convention."""
@@ -369,6 +375,60 @@ def kernel_subspace(m: Matrix) -> "Subspace":
     by_free = _kernel_by_free_column(flipped, ONE, ZERO)[::-1]
     return Subspace._from_rows(n, tuple(vec[::-1] for _, vec in by_free),
                                tuple(n - 1 - f for f, _ in by_free))
+
+
+def intertwiners(basis: Sequence[dict], ncols: int,
+                 pairs: Sequence[tuple[list, list]]) -> list[dict]:
+    """A basis of {X in span(basis) : L X = X R for every (L, R) in pairs}.
+
+    Each X is a sparse {i*ncols + k: nonzero entry} dict, and L and R are
+    square matrices given by their nonzero (row, column, entry) triples,
+    as Matrix.nonzero_entries lists them.  Only X's nonzero entries reach
+    L X - X R: entry x at (i, k) adds L[:, i]*x to column k of L X and
+    x*R[k, :] to row i of X R.  The differences, one column per basis
+    element, are stacked over the (pair, position)s they touch and
+    eliminated once, and each kernel vector y gives sum_s y_s X_s.
+    Started from matrix units, the result is the echelon kernel basis of
+    the system in those units: one at its own free unit, its last
+    nonzero one, and zero at the others'.
+    """
+    diffs = [{} for _ in basis]
+    for t, (left, right) in enumerate(pairs):
+        left_cols: dict[int, list] = {}
+        for r, i, y in left:
+            left_cols.setdefault(i, []).append((r, y))
+        right_rows: dict[int, list] = {}
+        for k, c, y in right:
+            right_rows.setdefault(k, []).append((c, y))
+        for x, diff in zip(basis, diffs):
+            for pos, v in x.items():
+                i, k = divmod(pos, ncols)
+                for r, y in left_cols.get(i, ()):
+                    p = (t, r * ncols + k)
+                    diff[p] = diff.get(p, ZERO) + y * v
+                for c, y in right_rows.get(k, ()):
+                    p = (t, i * ncols + c)
+                    diff[p] = diff.get(p, ZERO) - v * y
+    # an X that all pairs fix is a free column of its own, so it is kept
+    # as it is, in its place, and only the others are eliminated
+    out, active = {}, []
+    for s, (x, diff) in enumerate(zip(basis, diffs)):
+        if any(diff.values()):
+            active.append(s)
+        else:
+            out[s] = x
+    touched = sorted({p for s in active for p, v in diffs[s].items() if v})
+    system = Matrix._wrap(tuple(tuple(diffs[s].get(p, ZERO) for s in active)
+                                for p in touched), len(active))
+    for y in kernel_basis(system):
+        acc = {}
+        for ys, s in zip(y, active):
+            if ys:
+                for pos, v in basis[s].items():
+                    acc[pos] = acc.get(pos, ZERO) + ys * v
+        free = active[max(j for j, ys in enumerate(y) if ys)]
+        out[free] = {pos: v for pos, v in acc.items() if v}
+    return [out[s] for s in sorted(out)]
 
 
 def solve(a: Matrix, b: Sequence) -> tuple | None:

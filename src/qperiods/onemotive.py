@@ -15,16 +15,19 @@ nonzero pieces, and their dimensions are pure B-linear algebra:
 The 2 counts the two rank-one tensor powers that tag along as direct
 summands.  synthesize_model rebuilds the same numbers from an
 independent oracle, the commutator quotient of the full matrix algebra
-on the total space by the realized endomorphism algebra, so the closed
-forms never stand alone.  baker_dims covers the complementary family
-with no middle piece but a prescribed subspace of relations.
+on the total space by the realized endomorphism algebra.  It reads that
+quotient through its trace dual, the centraliser of the realized
+algebra on the whole total space, never through a Hom_B between
+layers, so the closed forms never stand alone.  baker_dims covers the
+complementary family with no middle piece but a prescribed subspace of
+relations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Matrix, Subspace, ZERO, ONE, kernel_basis
+from .exactlin import Matrix, ZERO, ONE, intertwiners
 from .quivalg import StructureAlgebra, matrix_algebra_structure
 from .yoga import HypothesisFailed
 
@@ -38,13 +41,17 @@ class ModelMismatch(RuntimeError):
 
 
 # The matrix model has ambient dimension d = (top) + (middle) + (bottom)
-# + 2, which is 2g + l + m + 2 for rational inputs.  Its oracle
-# eliminates about (top + bottom) * d^2 commutators of d x d matrices,
-# and the closed forms solve hom systems with up to (middle)^2 unknowns.
-# On a 2-vCPU host d = 32 takes 1.5 s for g = 12, l = m = 1 and 7 s for
-# the slowest shape, g = 0, l = 1, m = 29; d = 40 takes up to 17 s, and
-# d = 806 (g = 400) gives no answer within minutes.  The corpus asks up
-# to d = 16.  Larger models are refused up front rather than left to run.
+# + 2, which is 2g + l + m + 2 for rational inputs.  Its oracle narrows
+# the d^2 matrix units, one weight at a time, to the centraliser of the
+# (algebra dim + 2 + top + bottom) basis matrices of the realized
+# algebra, and the closed forms solve hom systems with up to (middle)^2
+# unknowns.  On a shared 2-vCPU host the slowest shape the budget admits,
+# g = 0, l = 1, m = 29 (d = 32), takes 0.2 s through the CLI (its
+# scripts/size_wall.py row); synthesize_model itself takes 0.4 s at
+# d = 40 and about 6 s at d = 100.  The corpus asks up to d = 16.
+# Larger models are refused up front, with the input-error exit code,
+# and that refusal is part of what the CLI answers, so the budget does
+# not follow the speed.
 MODEL_DIM_BUDGET = 32
 
 
@@ -210,25 +217,14 @@ def rational_input(g: int, m: int, l: int) -> SaturatedInput:
 
 
 def hom_dim(src: BModule, tgt: BModule) -> int:
-    """Dimension of the equivariant maps, as the kernel of the
-    commuting-action system."""
+    """Dimension of the equivariant maps: the X from src to tgt with
+    tgt(b) X = X src(b) for every basis element b."""
     if not _same_algebra(src.algebra, tgt.algebra):
         raise HypothesisFailed("equivariant maps need a common algebra")
-    ds, dt = src.dim, tgt.dim
-    if ds == 0 or dt == 0:
-        return 0
-    rows = []
-    for act_s, act_t in zip(src.action, tgt.action):
-        for r in range(dt):
-            for s in range(ds):
-                row = [ZERO] * (dt * ds)
-                for p in range(dt):
-                    row[p * ds + s] += act_t.rows[r][p]
-                for q in range(ds):
-                    row[r * ds + q] -= act_s.rows[q][s]
-                if any(row):
-                    rows.append(tuple(row))
-    return len(kernel_basis(Matrix._wrap(tuple(rows), dt * ds)))
+    units = [{pos: ONE} for pos in range(tgt.dim * src.dim)]
+    return len(intertwiners(units, src.dim, [
+        (act_t.nonzero_entries(), act_s.nonzero_entries())
+        for act_s, act_t in zip(src.action, tgt.action)]))
 
 
 def graded_period_dims(inp: SaturatedInput) -> tuple[int, int, int]:
@@ -292,9 +288,12 @@ def synthesize_model(inp: SaturatedInput) -> ModelReport:
     idempotents, the maps from the weight-minus-two tag into the bottom
     layer, and the maps from the top layer onto the weight-zero tag.
     The quotient of the full matrix algebra by its commutators with
-    that span is graded by entry weight; its pieces must reproduce the
-    closed forms, and ModelMismatch means an engine bug, not a refuted
-    conjecture.
+    that span is graded by entry weight.  Since tr(Y [A, X]) =
+    tr([Y, A] X), it is the trace dual of the centraliser of the span,
+    so each piece is read as the dimension of a piece of the
+    centraliser, narrowed from the matrix units one basis matrix at a
+    time.  The pieces must reproduce the closed forms, and
+    ModelMismatch means an engine bug, not a refuted conjecture.
     """
     formula = graded_period_dims(inp)
     sizes = (inp.hl.dim, inp.ha.dim, inp.ht.dim, 1, 1)
@@ -332,37 +331,20 @@ def synthesize_model(inp: SaturatedInput) -> ModelReport:
     for i in range(inp.hl.dim):
         basis.append(unit(offsets[3], offsets[0] + i))
 
-    # the realized algebra is weight homogeneous of weight zero, so the
-    # commutator span splits by the weight of the seeding matrix unit
-    coords: dict[int, list[tuple[int, int]]] = {}
+    # the realized algebra has weight zero, so its centraliser is graded,
+    # and the trace form pairs the quotient's weight-w piece with the
+    # centraliser's weight -w piece
+    units: dict[int, list] = {}
     for a in range(d):
         for b in range(d):
-            coords.setdefault(wt[b] - wt[a], []).append((a, b))
-    index = {w: {ab: n for n, ab in enumerate(pairs)}
-             for w, pairs in coords.items()}
-    generators: dict[int, list] = {w: [] for w in coords}
-    for r in basis:
-        for i in range(d):
-            for j in range(d):
-                w = wt[j] - wt[i]
-                vec = [ZERO] * len(coords[w])
-                hit = False
-                for a in range(d):
-                    x = r.rows[a][i]
-                    if x:
-                        vec[index[w][(a, j)]] += x
-                        hit = True
-                for b in range(d):
-                    x = r.rows[j][b]
-                    if x:
-                        vec[index[w][(i, b)]] -= x
-                        hit = True
-                if hit and any(vec):
-                    generators[w].append(tuple(vec))
+            units.setdefault(wt[b] - wt[a], []).append({a * d + b: ONE})
+    entries = [r.nonzero_entries() for r in basis]
     graded = {}
-    for w in sorted(coords, reverse=True):
-        span = Subspace._from_rows(len(coords[w]), tuple(generators[w]))
-        graded[w] = len(coords[w]) - span.dim
+    for w in sorted(units, reverse=True):
+        cent = units[-w]
+        for r in entries:
+            cent = intertwiners(cent, d, [(r, r)])
+        graded[w] = len(cent)
     total = sum(graded.values())
     for w, dim in graded.items():
         if w > 0 and dim:

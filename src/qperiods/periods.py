@@ -33,8 +33,8 @@ from .exactlin import (
     ZERO,
     ONE,
     ZeroDivisor,
+    intertwiners,
     k_linear_kernel,
-    kernel_basis,
     kernel_subspace,
     rat,
     rref,
@@ -162,45 +162,6 @@ def _is_scalar(e: tuple) -> bool:
                for i, row in enumerate(e) for j, x in enumerate(row))
 
 
-def _commuting_with(cent: list, e: tuple) -> list:
-    """A basis of {X in span(cent) : XE = EX}.
-
-    Each X in cent is a sparse {i*d + k: nonzero entry} dict.  Only X's
-    nonzero entries reach [X, E]: entry x at (i, k) adds x*E[k, :] to row
-    i of XE and E[:, i]*x to column k of EX.  The commutators, one column
-    per X, are stacked over the positions they touch, and each kernel
-    vector y gives the commuting matrix sum_s y_s X_s.
-    """
-    d = len(e)
-    comms = []
-    for x in cent:
-        comm = {}
-        for pos, v in x.items():
-            i, k = divmod(pos, d)
-            row = i * d
-            for c, y in enumerate(e[k]):
-                if y:
-                    comm[row + c] = comm.get(row + c, ZERO) + v * y
-            for r in range(d):
-                y = e[r][i]
-                if y:
-                    p = r * d + k
-                    comm[p] = comm.get(p, ZERO) - y * v
-        comms.append(comm)
-    touched = sorted({p for comm in comms for p, v in comm.items() if v})
-    system = Matrix._wrap(tuple(tuple(comm.get(p, ZERO) for comm in comms)
-                                for p in touched), len(cent))
-    out = []
-    for y in kernel_basis(system):
-        acc = {}
-        for ys, x in zip(y, cent):
-            if ys:
-                for pos, v in x.items():
-                    acc[pos] = acc.get(pos, ZERO) + ys * v
-        out.append({pos: v for pos, v in acc.items() if v})
-    return out
-
-
 def endo_quotient(m: FdModule) -> PeriodSpace:
     """The endomorphism-side upper bound for the period space.
 
@@ -217,20 +178,22 @@ def endo_quotient(m: FdModule) -> PeriodSpace:
     endomorphisms commute with everything and are skipped; while only
     those were seen, C is all of M_d(Q) and the relations are zero.  The
     first other E narrows the d^2 matrix units to their combinations
-    commuting with E, and each later E narrows that basis again, so no
-    system has more than d^2 rows.  The relations are then the kernel of
-    the pairing against C's basis: tr(XY) = sum_pq X_pq Y_qp, so X's row
-    holds X_pq at Y's flat position q*d + p.
+    commuting with E (the intertwiners of the pair (E, E)), and each
+    later E narrows that basis again, so no system has more than d^2
+    rows.  The relations are then the kernel of the pairing against C's
+    basis: tr(XY) = sum_pq X_pq Y_qp, so X's row holds X_pq at Y's flat
+    position q*d + p.
     """
     d = m.dim
     cent = None
     for f in hom_space(m, m):
-        e = f.flattened().rows
-        if _is_scalar(e):
+        e = f.flattened()
+        if _is_scalar(e.rows):
             continue
         if cent is None:
             cent = [{pos: ONE} for pos in range(d * d)]
-        cent = _commuting_with(cent, e)
+        entries = e.nonzero_entries()
+        cent = intertwiners(cent, d, [(entries, entries)])
     if cent is None:
         return PeriodSpace(m, Subspace._from_rows(d * d, (), ()),
                            "endo-quotient")
@@ -307,11 +270,9 @@ def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
         row = block_map(ambient, [m] * power, m, [m],
                         {(0, j): f for j, f in enumerate(entries)})
         push(row.kernel())
-    # kernels and images of single endomorphisms, pushed to power 1
+    # at power 1 the column and row (e) above already pushed the image
+    # and kernel of each single endomorphism; add those of e + f, e - f
     if power == 1:
-        for e in endos:
-            push(e.image())
-            push(e.kernel())
         for e, f in itertools.combinations(endos, 2):
             push((e + f).image())
             push((e + f).kernel())

@@ -27,7 +27,7 @@ from .exactlin import (
     ZERO,
     ONE,
     block_diagonal,
-    kernel_basis,
+    intertwiners,
     kernel_subspace,
     rat,
     rref,
@@ -819,48 +819,36 @@ class ModuleMap:
 
 
 def hom_space(m: FdModule, n: FdModule) -> tuple[ModuleMap, ...]:
-    """A canonical basis of Hom(M, N), via the commutation linear system."""
+    """A canonical basis of Hom(M, N).
+
+    The maps are the intertwiners X, from M's flattened coordinates to
+    N's, in the span of the vertex-block matrix units with N(a) X = X M(a)
+    for every arrow a.  Started from the units in ascending position,
+    they are the echelon kernel basis in those unknowns.
+    """
     if m.algebra != n.algebra:
         raise NotAModuleMap("modules live over different algebras")
-    algebra = m.algebra
-    sizes = [(n.vdim(v), m.vdim(v)) for v in algebra.vertices]
-    offs = []
-    run = 0
-    for r, c in sizes:
-        offs.append(run)
-        run += r * c
-    total = run
-    if total == 0:
+    d = m.dim
+    ranges = [(n.vertex_range(v), m.vertex_range(v))
+              for v in m.algebra.vertices]
+    units = [{i * d + k: ONE} for rows, cols in ranges
+             for i in rows for k in cols]
+    if not units:
         return ()
 
-    def var(vi, i, j):
-        return offs[vi] + i * sizes[vi][1] + j
+    def arrow(mod: FdModule, a: Arrow) -> list:
+        """Arrow a's nonzero entries on mod's flattened coordinates."""
+        t, s = mod.offsets[a.target], mod.offsets[a.source]
+        return [(t + i, s + j, x)
+                for i, j, x in mod.maps[a.name].nonzero_entries()]
 
-    rows = []
-    for a in algebra.arrows:
-        si = algebra.vertices.index(a.source)
-        ti = algebra.vertices.index(a.target)
-        na = n.maps[a.name]
-        ma = m.maps[a.name]
-        for i in range(n.vdim(a.target)):
-            for j in range(m.vdim(a.source)):
-                row = [ZERO] * total
-                for k in range(n.vdim(a.source)):
-                    row[var(si, k, j)] += na.rows[i][k]
-                for l in range(m.vdim(a.target)):
-                    row[var(ti, i, l)] -= ma.rows[l][j]
-                if any(row):
-                    rows.append(tuple(row))
-    if rows:
-        basis = kernel_basis(Matrix._wrap(tuple(rows), total))
-    else:
-        basis = Matrix.identity(total).rows
+    pairs = [(arrow(n, a), arrow(m, a)) for a in m.algebra.arrows]
     out = []
-    for vec in basis:
-        blocks = []
-        for vi, (r, c) in enumerate(sizes):
-            blocks.append(Matrix.unvec(
-                vec[offs[vi]:offs[vi] + r * c], r, c))
+    for x in intertwiners(units, d, pairs):
+        blocks = [Matrix._wrap(tuple(tuple(x.get(i * d + k, ZERO)
+                                           for k in cols) for i in rows),
+                               len(cols))
+                  for rows, cols in ranges]
         out.append(ModuleMap(m, n, blocks))
     return tuple(out)
 
@@ -868,9 +856,10 @@ def hom_space(m: FdModule, n: FdModule) -> tuple[ModuleMap, ...]:
 def end_algebra(m: FdModule) -> tuple[StructureAlgebra, tuple[ModuleMap, ...]]:
     """End(M) as a structure-constant algebra on the canonical hom basis.
 
-    hom_space returns the echelon kernel basis of the commutation system,
-    which is the identity at its free unknowns: each basis map is one at
-    its own free unknown, its last nonzero entry, and zero at the others'.
+    hom_space returns the echelon kernel basis of the intertwiner system
+    in the vertex-block unknowns, which is the identity at its free
+    unknowns: each basis map is one at its own free unknown, its last
+    nonzero entry, and zero at the others'.
     The coordinates of an endomorphism are read at those unknowns and
     checked by rebuilding the endomorphism from them.  Callers that only
     need the basis should call hom_space(m, m) itself: the table costs

@@ -216,7 +216,7 @@ def test_replay_refuses_a_right_stage_after_a_companion_unchecked():
 
 
 def eliminated_row_counts(run) -> list:
-    """The row count of every system that periods.kernel_basis or
+    """The row count of every system that exactlin.kernel_basis or
     exactlin.rref is handed while run() goes."""
     rows = []
 
@@ -227,7 +227,7 @@ def eliminated_row_counts(run) -> list:
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(periods, "kernel_basis", recording(periods.kernel_basis))
+        mp.setattr(exactlin, "kernel_basis", recording(exactlin.kernel_basis))
         mp.setattr(exactlin, "rref", recording(exactlin.rref))
         run()
     return rows
