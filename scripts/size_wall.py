@@ -9,6 +9,8 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
 - ``endo`` on a2/p1^5, a2/p1^6 and a2/p1^7, and on a3/tower^2 re-based
   by a seeded random integer basis change at every vertex;
 - ``depth --k dim M`` on a3/proj^3 and a3/proj^4;
+- ``depth --spin-bound 64``, the widest spin box the CLI admits, on
+  a3/proj^2 with ``--k 2`` and on a3/proj^3 with ``--k 9``;
 - ``period`` on a2/p1^16;
 - ``onemotive --g 0 --l 1 --m 29``, the slowest matrix model that
   onemotive.MODEL_DIM_BUDGET admits (ambient dimension d = 32).
@@ -75,6 +77,9 @@ def rows() -> list:
     for k in (3, 4):
         m = module_power(proj, k)
         out.append((f"a3/proj^{k}", m, "depth", ["--k", str(m.dim)]))
+    for k, depth_k in ((2, 2), (3, 9)):
+        out.append((f"a3/proj^{k} --spin-bound 64", module_power(proj, k),
+                    "depth", ["--k", str(depth_k), "--spin-bound", "64"]))
     out.append(("a2/p1^16", module_power(p1, 16), "period", []))
     out.append(("rational g=0 l=1 m=29", None, "onemotive",
                 ["--g", "0", "--l", "1", "--m", "29"]))

@@ -74,13 +74,15 @@ INPUT_ERRORS = (
 )
 
 
-# depth builds the whole spin-box family, the spins of e_i + s*e_j for
-# i < j and s in [-N, N] over M and M^2, before it can stop at a
-# certified stage, so its time grows linearly with N = --spin-bound.  On
-# a 2-vCPU host `depth --k 2` takes 0.06 s at N = 1, 0.57 s at N = 64 and
-# 1.85 s at N = 256 on a3/proj^2 (d = 6); at N = 64 the family adds 1.5 s
-# on a3/proj^3 (d = 9) and 3.7 s on a2/p1^6 (d = 12).  At N = 10^9 a2/P1
-# ran past a 15 s timeout although it is certified at stage 1.
+# depth builds its candidates one at a time and reaches the spin-box
+# family, the spins of e_i + s*e_j for i < j and s in [-N, N] over M and
+# M^2, only in a stage that the hom-closure family does not certify, so
+# N = --spin-bound bounds only the time of those stages.  On a 2-vCPU
+# host, depth_space(m, dim M) on kronecker/proj1 (d = 3), whose stages
+# reach the family, takes 0.003 s at N = 1, 0.055 s at N = 64 and 0.21 s
+# at N = 256; on a3/proj^2 (d = 6), which certifies before it,
+# depth_space(m, 2) takes 0.016 s at every N up to 10^9.  Refusing a
+# wider box is part of the CLI's answers, so the budget stays.
 SPIN_BOUND_BUDGET = 64
 
 

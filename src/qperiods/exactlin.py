@@ -11,7 +11,8 @@ k = e..2e-2, into the lower ones through x^k mod f, a table each
 NumberField computes once (Cohen, A Course in Computational Algebraic
 Number Theory, section 4.2): no polynomial division per product.  A
 rational operand scales or shifts the coefficient tuple directly, and
-only inverse() runs the extended Euclidean algorithm against f.
+only inverse() solves a linear system: fraction-free Gauss-Jordan
+elimination on the matrix of multiplication by the element.
 
 Matrices are small and dense (tuples of tuples), which is the right
 trade-off at the scale this package targets: ambient dimensions are a few
@@ -417,6 +418,8 @@ def intertwiners(basis: Sequence[dict], ncols: int,
             active.append(s)
         else:
             out[s] = x
+    if not active:
+        return list(basis)
     touched = sorted({p for s in active for p, v in diffs[s].items() if v})
     system = Matrix._wrap(tuple(tuple(diffs[s].get(p, ZERO) for s in active)
                                 for p in touched), len(active))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactlin import (
     FieldEmbedding,
@@ -225,103 +225,84 @@ class DepthResult:
         return tuple(amb - r for r in self.per_stage_relation_dims)
 
 
-def _endo_tuple_maps(m: FdModule, power: int,
-                     endos: Sequence[ModuleMap]):
-    """Column and row maps between M and M^power over {id} + End basis.
+def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
+                       spin_bound: int, endos: Sequence[ModuleMap]
+                       ) -> Iterator[SubmoduleHandle]:
+    """The hom-closure family, then the spin-box family at powers 1 and 2.
 
+    The hom-closure family takes the image of each column M -> M^power
+    and the kernel of each row M^power -> M over {id} + End basis.
     Tuples keep at most two slots away from the identity entry, which is
     enough to reach every relation the corpus and the certificates need
-    while keeping the candidate count polynomial in the power.
+    while keeping the candidate count polynomial in the power.  Each
+    handle is built when it is asked for, and a handle may repeat one
+    yielded before; the caller drops the repeats.
     """
     alphabet = [ModuleMap.identity(m)] + list(endos)
-    slots = range(power)
-    combos = [dict()]
-    for j in slots:
-        for a in range(1, len(alphabet)):
-            combos.append({j: a})
-    for j, k in itertools.combinations(slots, 2):
-        for a in range(1, len(alphabet)):
-            for b in range(1, len(alphabet)):
-                combos.append({j: a, k: b})
-    return alphabet, combos
-
-
-def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
-                       spin_bound: int,
-                       endos: Sequence[ModuleMap]) -> list[SubmoduleHandle]:
-    """The hom-closure family, then the spin-box family at powers 1 and 2."""
-    seen: set = set()
-    out: list[SubmoduleHandle] = []
-
-    def push(h: SubmoduleHandle):
-        key = h.spaces
-        if key not in seen:
-            seen.add(key)
-            out.append(h)
-
-    alphabet, combos = _endo_tuple_maps(m, power, endos)
+    letters = range(1, len(alphabet))
+    combos = itertools.chain(
+        [{}],
+        ({j: a} for j in range(power) for a in letters),
+        ({j: a, k: b} for j, k in itertools.combinations(range(power), 2)
+         for a in letters for b in letters))
     for combo in combos:
         entries = [alphabet[combo.get(j, 0)] for j in range(power)]
         # the column (f_1, ..., f_power): M -> M^power and the row
         # (f_1 ... f_power): M^power -> M
         col = block_map(m, [m], ambient, [m] * power,
                         {(j, 0): f for j, f in enumerate(entries)})
-        push(col.image())
+        yield col.image()
         row = block_map(ambient, [m] * power, m, [m],
                         {(0, j): f for j, f in enumerate(entries)})
-        push(row.kernel())
-    # at power 1 the column and row (e) above already pushed the image
-    # and kernel of each single endomorphism; add those of e + f, e - f
+        yield row.kernel()
+    # at power 1 the column and row (e) above already gave the image and
+    # kernel of each single endomorphism; add those of e + f, e - f
     if power == 1:
         for e, f in itertools.combinations(endos, 2):
-            push((e + f).image())
-            push((e + f).kernel())
-            push((e - f).image())
-            push((e - f).kernel())
-
+            yield (e + f).image()
+            yield (e + f).kernel()
+            yield (e - f).image()
+            yield (e - f).kernel()
     if power <= 2:
-        for h in spin_pool(ambient, spin_bound):
-            push(h)
-    return out
+        yield from spin_pool(ambient, spin_bound)
 
 
 def depth_space(m: FdModule, k: int, spin_bound: int = 1) -> DepthResult:
     """Accumulated relation space over submodules of M^1, ..., M^k.
 
     Each stage contracts the hom-closure and spin-box candidate families
-    and stops as soon as the accumulated relations match the pairing
-    kernel.  Each stage's relation dimension is recorded; the chain is
-    monotone by construction, and everything it produces is checked to
-    sit inside the pairing kernel.
+    and stops as soon as the accumulated relations reach the dimension
+    of the pairing kernel P.  Everything contracted is checked to sit
+    inside P, so reaching its dimension is reaching P itself, and the
+    stages after that repeat the dimension without work.  Each stage's
+    relation dimension is recorded; the chain is monotone by
+    construction.
     """
-    oracle = period_space(m)
+    relations = period_space(m).relations
     d = m.dim
     endos = hom_space(m, m)
     acc = Subspace.zero_space(d * d)
     per_stage = []
-    certified = acc == oracle.relations
     for power in range(1, k + 1):
-        if certified:
-            per_stage.append(acc.dim)
-            continue
-        ambient = module_power(m, power)
-        for handle in _candidate_handles(m, power, ambient, spin_bound,
-                                         endos):
-            rel = relation_from_submodule(m, power, ambient, handle)
-            if rel.dim == 0:
-                continue
-            grown = acc.add(rel)
-            if grown.dim != acc.dim:
-                acc = grown
-                if acc == oracle.relations:
+        if acc.dim < relations.dim:
+            ambient = module_power(m, power)
+            seen = set()
+            for handle in _candidate_handles(m, power, ambient, spin_bound,
+                                             endos):
+                if handle.spaces in seen:
+                    continue
+                seen.add(handle.spaces)
+                rel = relation_from_submodule(m, power, ambient, handle)
+                if rel.dim == 0:
+                    continue
+                acc = acc.add(rel)
+                if acc.dim == relations.dim:
                     break
-        assert oracle.relations.contains(acc), \
-            "a contracted relation escaped the pairing kernel"
+            assert relations.contains(acc), \
+                "a contracted relation escaped the pairing kernel"
         per_stage.append(acc.dim)
-        if acc == oracle.relations:
-            certified = True
     space = PeriodSpace(m, acc, "depth")
-    return DepthResult(space, tuple(per_stage), acc == oracle.relations)
+    return DepthResult(space, tuple(per_stage), acc.dim == relations.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +383,6 @@ def realize_relation(m: FdModule, c: Matrix,
     w_flat = tuple_embed(m, r, omega)
     if witness.flat().annihilator().contains_vector(w_flat):
         real = Realization(m, r, sigma, omega, witness)
-        assert real.contraction() == c
         return RealizationResult("realized", real)
     return RealizationResult(
         "unknown", None,

@@ -14,22 +14,38 @@ endo_quotient used to reduce the k*d^2 commutators [E_ij, E] in one
 system; it now narrows the centraliser of End(M) one endomorphism at a
 time, and the sizes of the systems it eliminates show that the stack is
 gone.  test_periods compares its relations with the stack.
+
+depth_space used to build each stage's whole candidate family before it
+contracted the first one, and compared the accumulated relations with
+the pairing kernel's basis to certify.  It now builds candidates on
+demand and certifies by dimension; the eager construction is kept here
+as the reference, and the spins it no longer makes are counted.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from qperiods import exactlin, periods, yoga, zoo
 from qperiods.exactlin import Matrix, rref
-from qperiods.periods import endo_quotient
+from qperiods.periods import (
+    depth_space,
+    endo_quotient,
+    period_space,
+    relation_from_submodule,
+)
 from qperiods.quivalg import (
     FdModule,
     ModuleMap,
+    SubmoduleHandle,
+    block_map,
     hom_space,
     module_iso,
     module_power,
+    spin_pool,
 )
 from qperiods.yoga import (
     PrincipalityVerdict,
@@ -38,7 +54,7 @@ from qperiods.yoga import (
     replay_derivation,
 )
 
-from strategies import linear_projective
+from strategies import ORACLE_INPUTS, linear_projective, rebased_modules
 
 CORPUS = {e.key: e for e in zoo.corpus()}
 
@@ -248,3 +264,116 @@ def test_endo_quotient_of_scalar_endomorphisms_eliminates_only_hom():
     assert len(hom_space(m, m)) == 1
     hom_rows = eliminated_row_counts(lambda: hom_space(m, m))
     assert eliminated_row_counts(lambda: endo_quotient(m)) == hom_rows
+
+
+# -- depth_space ---------------------------------------------------------------
+
+
+def reference_candidate_handles(m: FdModule, power: int, ambient: FdModule,
+                                spin_bound: int, endos) -> list:
+    """Every candidate of a stage, built before the first contraction."""
+    seen, out = set(), []
+
+    def push(h):
+        if h.spaces not in seen:
+            seen.add(h.spaces)
+            out.append(h)
+
+    alphabet = [ModuleMap.identity(m)] + list(endos)
+    combos = [dict()]
+    for j in range(power):
+        for a in range(1, len(alphabet)):
+            combos.append({j: a})
+    for j, k in itertools.combinations(range(power), 2):
+        for a in range(1, len(alphabet)):
+            for b in range(1, len(alphabet)):
+                combos.append({j: a, k: b})
+    for combo in combos:
+        entries = [alphabet[combo.get(j, 0)] for j in range(power)]
+        push(block_map(m, [m], ambient, [m] * power,
+                       {(j, 0): f for j, f in enumerate(entries)}).image())
+        push(block_map(ambient, [m] * power, m, [m],
+                       {(0, j): f for j, f in enumerate(entries)}).kernel())
+    if power == 1:
+        for e, f in itertools.combinations(endos, 2):
+            push((e + f).image())
+            push((e + f).kernel())
+            push((e - f).image())
+            push((e - f).kernel())
+    if power <= 2:
+        for h in spin_pool(ambient, spin_bound):
+            push(h)
+    return out
+
+
+def reference_depth_space(m: FdModule, k: int, spin_bound: int) -> tuple:
+    """(relations, per-stage relation dims, certified) as depth_space
+    computed them with eager candidates and basis comparisons."""
+    oracle = period_space(m)
+    endos = hom_space(m, m)
+    acc = exactlin.Subspace.zero_space(m.dim ** 2)
+    per_stage = []
+    certified = acc == oracle.relations
+    for power in range(1, k + 1):
+        if certified:
+            per_stage.append(acc.dim)
+            continue
+        ambient = module_power(m, power)
+        for handle in reference_candidate_handles(m, power, ambient,
+                                                  spin_bound, endos):
+            rel = relation_from_submodule(m, power, ambient, handle)
+            if rel.dim == 0:
+                continue
+            grown = acc.add(rel)
+            if grown.dim != acc.dim:
+                acc = grown
+                if acc == oracle.relations:
+                    break
+        assert oracle.relations.contains(acc)
+        per_stage.append(acc.dim)
+        if acc == oracle.relations:
+            certified = True
+    return acc, tuple(per_stage), acc == oracle.relations
+
+
+def assert_depth_matches_reference(m: FdModule, label: str):
+    for k in sorted({1, m.dim}):
+        for spin_bound in (1, 2):
+            res = depth_space(m, k, spin_bound=spin_bound)
+            assert (res.space.relations, res.per_stage_relation_dims,
+                    res.certified) == reference_depth_space(
+                        m, k, spin_bound), (label, k, spin_bound)
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_depth_space_equals_the_eager_construction(key, m):
+    assert_depth_matches_reference(m, key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_modules())
+def test_depth_space_equals_the_eager_construction_on_rebased_modules(m):
+    assert_depth_matches_reference(m, repr(m))
+
+
+def count_spins(run) -> int:
+    count = 0
+    original = SubmoduleHandle.spin.__func__
+
+    def counting(cls, ambient, vectors):
+        nonlocal count
+        count += 1
+        return original(cls, ambient, vectors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SubmoduleHandle, "spin", classmethod(counting))
+        run()
+    return count
+
+
+def test_depth_spins_no_more_at_a_wider_spin_box_once_certified():
+    m = module_power(CORPUS["a3/proj"].module, 2)
+    assert depth_space(m, 2, spin_bound=64).certified
+    assert (count_spins(lambda: depth_space(m, 2, spin_bound=64))
+            == count_spins(lambda: depth_space(m, 2, spin_bound=1)))

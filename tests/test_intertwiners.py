@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qperiods import exactlin
 from qperiods.exactlin import (
     ONE,
     ZERO,
@@ -194,6 +195,17 @@ def test_intertwiners_narrow_a_given_basis():
     for x in got:
         assert 2 not in x and x.get(0, ZERO) == x.get(3, ZERO)
     assert any(0 in x for x in got)
+
+
+def test_intertwiners_eliminate_nothing_when_no_element_moves(monkeypatch):
+    def refuse(m):
+        raise AssertionError("an empty system was eliminated")
+
+    monkeypatch.setattr(exactlin, "kernel_basis", refuse)
+    units = [{pos: ONE} for pos in range(4)]
+    two = [(i, i, ONE + ONE) for i in range(2)]
+    for pairs in ([], [(two, two)]):
+        assert intertwiners(units, 2, pairs) == units
 
 
 # -- hom_space -----------------------------------------------------------------
