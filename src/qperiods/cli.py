@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,36 +85,6 @@ INPUT_ERRORS = (
 SPIN_BOUND_BUDGET = 64
 
 
-@dataclass
-class RunConfig:
-    """One resolved invocation: a command, its inputs, and its budgets."""
-
-    command: str
-    paths: dict = field(default_factory=dict)
-    numbers: dict = field(default_factory=dict)
-    k: int | None = None
-    spin_bound: int = 1
-    power_budget: int | None = None
-    core_cap: int = 24
-    fmt: str = "text"
-
-    def validate(self):
-        for role, path in self.paths.items():
-            if path is not None and not Path(path).is_file():
-                raise ValidationError(f"{role} file does not exist: {path}")
-        for name, bound in (("--spin-bound", self.spin_bound),
-                            ("--power-budget", self.power_budget),
-                            ("--frontier-cap", self.core_cap)):
-            if bound is not None and bound < 1:
-                raise ValidationError(f"{name} must be positive")
-        if self.k is not None and self.k < 1:
-            raise ValidationError("--k must be positive")
-        if self.spin_bound > SPIN_BOUND_BUDGET:
-            raise ValidationError(
-                f"--spin-bound {self.spin_bound} is beyond the budget of "
-                f"{SPIN_BOUND_BUDGET}")
-
-
 # ---------------------------------------------------------------------------
 # rendering helpers
 
@@ -130,10 +99,10 @@ def _vec_data(vec) -> list:
     return [_scalar_data(x) for x in vec]
 
 
-def _matrix_text(rows: list, indent: str = "    ") -> list:
+def _matrix_text(rows: list) -> list:
     strs = [[rational_str(x) for x in row] for row in rows]
     widths = [max(map(len, col)) for col in zip(*strs)]
-    return [indent + "  ".join(x.rjust(w) for x, w in zip(row, widths))
+    return ["    " + "  ".join(x.rjust(w) for x, w in zip(row, widths))
             for row in strs]
 
 
@@ -212,26 +181,26 @@ def _space_text(label: str, space) -> list:
     return lines
 
 
-def _cmd_period(cfg: RunConfig):
-    m = load_module(cfg.paths["module"])
+def _cmd_period(args):
+    m = load_module(args.module)
     space = period_space(m)
-    lines = _space_text("period space", space) if cfg.fmt == "text" else []
+    lines = _space_text("period space", space) if args.fmt == "text" else []
     return 0, _space_report("period", space), lines
 
 
-def _cmd_endo(cfg: RunConfig):
-    m = load_module(cfg.paths["module"])
+def _cmd_endo(args):
+    m = load_module(args.module)
     space = endo_quotient(m)
     lines = (_space_text("endomorphism-side space", space)
-             if cfg.fmt == "text" else [])
+             if args.fmt == "text" else [])
     return 0, _space_report("endo", space), lines
 
 
-def _cmd_depth(cfg: RunConfig):
-    m = load_module(cfg.paths["module"])
+def _cmd_depth(args):
+    m = load_module(args.module)
     # the chain is stable by the power dim M, so larger k adds nothing
-    k = min(cfg.k, max(1, m.dim))
-    result = depth_space(m, k, spin_bound=cfg.spin_bound)
+    k = min(args.k, max(1, m.dim))
+    result = depth_space(m, k, spin_bound=args.spin_bound)
     report = _space_report("depth", result.space)
     report.update({
         "k": k,
@@ -240,25 +209,25 @@ def _cmd_depth(cfg: RunConfig):
         "strategy": "certified",
     })
     code = 0 if result.certified else 2
-    if k != cfg.k:
-        report["k_clamped_from"] = cfg.k
-    if cfg.fmt != "text":
+    if k != args.k:
+        report["k_clamped_from"] = args.k
+    if args.fmt != "text":
         return code, report, []
     lines = _space_text(f"depth-{k} space", result.space)
     lines.insert(1, "per-stage dimensions: "
                  + ", ".join(str(x) for x in result.per_stage_dims))
     lines.insert(2, f"certified against the full space: "
                  f"{'yes' if result.certified else 'no'}")
-    if k != cfg.k:
-        lines.insert(3, f"k clamped from {cfg.k} to {k}: the chain is stable "
+    if k != args.k:
+        lines.insert(3, f"k clamped from {args.k} to {k}: the chain is stable "
                         f"by the power dim M = {m.dim}")
     return code, report, lines
 
 
-def _cmd_certify(cfg: RunConfig):
-    m = load_module(cfg.paths["module"])
-    partition = load_partition(cfg.paths["weights"])
-    verdict = certify_principal(m, partition, core_cap=cfg.core_cap)
+def _cmd_certify(args):
+    m = load_module(args.module)
+    partition = load_partition(args.weights)
+    verdict = certify_principal(m, partition, core_cap=args.frontier_cap)
     report = {
         "command": "certify",
         "status": verdict.status,
@@ -284,10 +253,10 @@ def _cmd_certify(cfg: RunConfig):
     return code, report, lines
 
 
-def _cmd_realize(cfg: RunConfig):
-    m = load_module(cfg.paths["module"])
-    c = relation_from_data(load_json(cfg.paths["relation"]), m)
-    result = realize_relation(m, c, power_budget=cfg.power_budget)
+def _cmd_realize(args):
+    m = load_module(args.module)
+    c = relation_from_data(load_json(args.relation), m)
+    result = realize_relation(m, c, power_budget=args.power_budget)
     report = {
         "command": "realize",
         "status": result.status,
@@ -310,9 +279,9 @@ def _cmd_realize(cfg: RunConfig):
     return (0 if result.status == "realized" else 2), report, lines
 
 
-def _cmd_eval(cfg: RunConfig):
-    m = load_module(cfg.paths["module"])
-    point = load_comparison(cfg.paths["comparison"], m.algebra)
+def _cmd_eval(args):
+    m = load_module(args.module)
+    point = load_comparison(args.comparison, m.algebra)
     rep = eval_and_conjecture(m, point)
     statuses = sorted(r.status for _, r in rep.realizations)
     report = {
@@ -340,13 +309,13 @@ def _cmd_eval(cfg: RunConfig):
     return 0, report, lines
 
 
-def _cmd_lift(cfg: RunConfig):
-    data = load_json(cfg.paths["sequence"])
+def _cmd_lift(args):
+    data = load_json(args.sequence)
     m, partition, cut = sequence_file_from_data(
-        data, base_dir=Path(cfg.paths["sequence"]).parent)
+        data, base_dir=Path(args.sequence).parent)
     seq = slice_by_weight(m, partition, cut)
     vectors = target_vectors_from_data(
-        load_json(cfg.paths["target"]), seq.quot, "target")
+        load_json(args.target), seq.quot, "target")
     target = SubmoduleHandle.spin(seq.quot, vectors)
     lift = universal_lift(seq, target)
     report = {
@@ -364,18 +333,13 @@ def _cmd_lift(cfg: RunConfig):
     return 0, report, lines
 
 
-def _cmd_onemotive(cfg: RunConfig):
-    if cfg.paths.get("input") is not None:
-        inp = load_graded_input(cfg.paths["input"])
-        source = {"input": str(cfg.paths["input"])}
+def _cmd_onemotive(args):
+    if args.input is not None:
+        inp = load_graded_input(args.input)
+        source = {"input": str(args.input)}
     else:
-        g = cfg.numbers["g"]
-        l_dim = cfg.numbers["l"]
-        m_rank = cfg.numbers["m"]
-        if min(g, l_dim, m_rank) < 0:
-            raise ValidationError("--g, --l, --m must be nonnegative")
-        inp = rational_input(g, m_rank, l_dim)
-        source = {"g": g, "l": l_dim, "m": m_rank}
+        inp = rational_input(args.g, args.m, args.l)
+        source = {"g": args.g, "l": args.l, "m": args.m}
     model = synthesize_model(inp)
     dims = model.formula
     report = {
@@ -394,13 +358,13 @@ def _cmd_onemotive(cfg: RunConfig):
     return 0, report, lines
 
 
-def _cmd_baker(cfg: RunConfig):
-    dim = baker_dims(cfg.numbers["x"], cfg.numbers["l"], cfg.numbers["n"])
+def _cmd_baker(args):
+    dim = baker_dims(args.x, args.l, args.n)
     report = {
         "command": "baker",
-        "x": cfg.numbers["x"],
-        "l": cfg.numbers["l"],
-        "n": cfg.numbers["n"],
+        "x": args.x,
+        "l": args.l,
+        "n": args.n,
         "dim": dim,
     }
     return 0, report, [str(dim)]
@@ -492,24 +456,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command, fmt=args.fmt)
+def _validate(args) -> None:
+    """Raise ValidationError for what the parser admits but the command
+    cannot answer.  args holds only the options of the command's own
+    subparser."""
+    if args.command == "onemotive":
+        ranks = (args.g, args.l, args.m)
+        by_ranks = any(r is not None for r in ranks)
+        if (args.input is not None) == by_ranks:
+            raise ValidationError("give either --input or all of --g --l --m")
+        if by_ranks and None in ranks:
+            raise ValidationError("--g, --l and --m go together")
+        if by_ranks and min(ranks) < 0:
+            raise ValidationError("--g, --l, --m must be nonnegative")
     for role in ("module", "weights", "relation", "comparison",
                  "sequence", "target", "input"):
-        if hasattr(args, role):
-            cfg.paths[role] = getattr(args, role)
-    for number in ("g", "l", "m", "x", "n"):
-        if hasattr(args, number):
-            cfg.numbers[number] = getattr(args, number)
-    if hasattr(args, "k"):
-        cfg.k = args.k
-    if hasattr(args, "spin_bound"):
-        cfg.spin_bound = args.spin_bound
-    if hasattr(args, "power_budget"):
-        cfg.power_budget = args.power_budget
-    if hasattr(args, "frontier_cap"):
-        cfg.core_cap = args.frontier_cap
-    return cfg
+        path = getattr(args, role, None)
+        if path is not None and not Path(path).is_file():
+            raise ValidationError(f"{role} file does not exist: {path}")
+    for name in ("spin_bound", "power_budget", "frontier_cap", "k"):
+        bound = getattr(args, name, None)
+        if bound is not None and bound < 1:
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"{flag} must be positive")
+    spin_bound = getattr(args, "spin_bound", 1)
+    if spin_bound > SPIN_BOUND_BUDGET:
+        raise ValidationError(
+            f"--spin-bound {spin_bound} is beyond the budget of "
+            f"{SPIN_BOUND_BUDGET}")
 
 
 def main(argv=None) -> int:
@@ -522,26 +496,13 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("qperiods: a command is required", file=sys.stderr)
         return 1
-    if args.command == "onemotive":
-        by_file = args.input is not None
-        by_ranks = (args.g is not None or args.l is not None
-                    or args.m is not None)
-        if by_file == by_ranks:
-            print("qperiods onemotive: give either --input or all of "
-                  "--g --l --m", file=sys.stderr)
-            return 1
-        if not by_file and None in (args.g, args.l, args.m):
-            print("qperiods onemotive: --g, --l and --m go together",
-                  file=sys.stderr)
-            return 1
-    cfg = _config_from_args(args)
     try:
-        cfg.validate()
-        code, report, lines = _HANDLERS[cfg.command](cfg)
+        _validate(args)
+        code, report, lines = _HANDLERS[args.command](args)
     except INPUT_ERRORS as exc:
-        print(f"qperiods {cfg.command}: {exc}", file=sys.stderr)
+        print(f"qperiods {args.command}: {exc}", file=sys.stderr)
         return 1
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         report["exit_code"] = code
         print(dump_json(report), end="")
     else:

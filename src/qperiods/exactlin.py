@@ -149,9 +149,6 @@ class Matrix:
         i, j = ij
         return self.rows[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
-
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
 
@@ -274,12 +271,11 @@ def _dot(u: Sequence, v: Sequence):
     return ZERO if total is None else total
 
 
-def block_diagonal(blocks: Sequence[Matrix], zero=ZERO) -> Matrix:
+def block_diagonal(blocks: Sequence[Matrix]) -> Matrix:
     """Assemble square-or-rectangular blocks along the diagonal."""
     nrows = sum(b.nrows for b in blocks)
     ncols = sum(b.ncols for b in blocks)
-    zero = _promote(zero)
-    rows = [[zero] * ncols for _ in range(nrows)]
+    rows = [[ZERO] * ncols for _ in range(nrows)]
     r0 = c0 = 0
     for b in blocks:
         for i in range(b.nrows):
@@ -334,7 +330,7 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def _kernel_by_free_column(m: Matrix, one, zero) -> list:
+def _kernel_by_free_column(m: Matrix) -> list:
     """(f, kernel vector for f) for each free column f of m, by ascending f."""
     red, pivots = rref(m)
     pivot_set = set(pivots)
@@ -342,22 +338,22 @@ def _kernel_by_free_column(m: Matrix, one, zero) -> list:
     for f in range(m.ncols):
         if f in pivot_set:
             continue
-        vec = [zero] * m.ncols
-        vec[f] = one
+        vec = [ZERO] * m.ncols
+        vec[f] = ONE
         for r, p in enumerate(pivots):
             vec[p] = -red.rows[r][f]
         out.append((f, tuple(vec)))
     return out
 
 
-def kernel_basis(m: Matrix, one=ONE, zero=ZERO) -> tuple[tuple, ...]:
+def kernel_basis(m: Matrix) -> tuple[tuple, ...]:
     """Basis of the right kernel {x : m x = 0}, one vector per free column.
 
     The basis is the standard echelon kernel basis: vector k for free
     column f has entry one at f, minus the reduced entries at the pivot
     coordinates, zero elsewhere.  Deterministic given m.
     """
-    return tuple(vec for _, vec in _kernel_by_free_column(m, one, zero))
+    return tuple(vec for _, vec in _kernel_by_free_column(m))
 
 
 def kernel_subspace(m: Matrix) -> "Subspace":
@@ -373,7 +369,7 @@ def kernel_subspace(m: Matrix) -> "Subspace":
     """
     n = m.ncols
     flipped = Matrix._wrap(tuple(r[::-1] for r in m.rows), n)
-    by_free = _kernel_by_free_column(flipped, ONE, ZERO)[::-1]
+    by_free = _kernel_by_free_column(flipped)[::-1]
     return Subspace._from_rows(n, tuple(vec[::-1] for _, vec in by_free),
                                tuple(n - 1 - f for f, _ in by_free))
 

@@ -503,8 +503,7 @@ def _check_unit(m: FdModule, point: ComparisonPoint):
                        "scalar-extended algebra")
 
 
-def eval_and_conjecture(m: FdModule, point: ComparisonPoint,
-                        realize: bool = True) -> EvalReport:
+def eval_and_conjecture(m: FdModule, point: ComparisonPoint) -> EvalReport:
     """Evaluate the period classes of M at a comparison point.
 
     Computes the value of every period class, the K-linear kernel of
@@ -517,7 +516,7 @@ def eval_and_conjecture(m: FdModule, point: ComparisonPoint,
     divisor there.
     """
     try:
-        return _evaluate(m, point, realize)
+        return _evaluate(m, point)
     except ZeroDivisor as exc:
         role = ("value field L" if exc.field == point.value_field
                 else "coefficient field K")
@@ -527,8 +526,7 @@ def eval_and_conjecture(m: FdModule, point: ComparisonPoint,
             f"the evaluation met a zero divisor") from exc
 
 
-def _evaluate(m: FdModule, point: ComparisonPoint,
-              realize: bool) -> EvalReport:
+def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
     _check_unit(m, point)
     space = period_space(m)
     lf = point.value_field
@@ -555,17 +553,16 @@ def _evaluate(m: FdModule, point: ComparisonPoint,
         if total:
             relations_zero = False
     realizations = []
-    if realize:
-        for vec in ambient_kernel:
-            rational = _rational_vector(vec)
-            if rational is None:
-                realizations.append(
-                    (vec, RealizationResult(
-                        "unknown", None,
-                        "kernel vector has non-rational coefficients")))
-                continue
-            c = Matrix.unvec(rational, d, d)
-            realizations.append((vec, realize_relation(m, c)))
+    for vec in ambient_kernel:
+        rational = _rational_vector(vec)
+        if rational is None:
+            realizations.append(
+                (vec, RealizationResult(
+                    "unknown", None,
+                    "kernel vector has non-rational coefficients")))
+            continue
+        c = Matrix.unvec(rational, d, d)
+        realizations.append((vec, realize_relation(m, c)))
     return EvalReport(
         module=m, point=point, space=space, values=values,
         quotient_kernel=quotient_kernel, ambient_kernel=ambient_kernel,

@@ -158,19 +158,6 @@ class BoundQuiverAlgebra:
         self._mult[(i, j)] = out
         return out
 
-    def multiply(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple:
-        out = [ZERO] * self.dim
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                for k, c in enumerate(self.multiply_basis(i, j)):
-                    if c:
-                        out[k] += a * b * c
-        return tuple(out)
-
     # -- opposite algebra -------------------------------------------------------
 
     def opposite(self) -> "BoundQuiverAlgebra":
@@ -794,14 +781,16 @@ class ModuleMap:
         return ModuleMap(self.source, self.target,
                          [b.scale(c) for b in self.blocks], check=False)
 
+    # the kernel and the image of a module map are submodules, so their
+    # handles skip the check that each arrow keeps them
     def kernel(self) -> "SubmoduleHandle":
         spaces = [kernel_subspace(b) for b in self.blocks]
-        return SubmoduleHandle(self.source, spaces)
+        return SubmoduleHandle(self.source, spaces, check=False)
 
     def image(self) -> "SubmoduleHandle":
         spaces = [Subspace._from_rows(b.nrows, b.transpose().rows)
                   for b in self.blocks]
-        return SubmoduleHandle(self.target, spaces)
+        return SubmoduleHandle(self.target, spaces, check=False)
 
     def is_injective(self) -> bool:
         return all(s.dim == 0 for s in self.kernel().spaces)
@@ -824,7 +813,8 @@ def hom_space(m: FdModule, n: FdModule) -> tuple[ModuleMap, ...]:
     The maps are the intertwiners X, from M's flattened coordinates to
     N's, in the span of the vertex-block matrix units with N(a) X = X M(a)
     for every arrow a.  Started from the units in ascending position,
-    they are the echelon kernel basis in those unknowns.
+    they are the echelon kernel basis in those unknowns.  Each solves
+    the commutation system, so its squares are not multiplied again.
     """
     if m.algebra != n.algebra:
         raise NotAModuleMap("modules live over different algebras")
@@ -849,7 +839,7 @@ def hom_space(m: FdModule, n: FdModule) -> tuple[ModuleMap, ...]:
                                            for k in cols) for i in rows),
                                len(cols))
                   for rows, cols in ranges]
-        out.append(ModuleMap(m, n, blocks))
+        out.append(ModuleMap(m, n, blocks, check=False))
     return tuple(out)
 
 
@@ -1218,7 +1208,7 @@ def dual_submodule(m: FdModule, dm: FdModule,
 # ---------------------------------------------------------------------------
 
 
-def module_iso(m: FdModule, n: FdModule, tries: int = 64) -> ModuleMap | None:
+def module_iso(m: FdModule, n: FdModule) -> ModuleMap | None:
     """An isomorphism M -> N, or None if none is found.
 
     Isomorphic modules have equal vertex dimensions and equal dim
@@ -1258,7 +1248,7 @@ def module_iso(m: FdModule, n: FdModule, tries: int = 64) -> ModuleMap | None:
         if invertible(acc):
             return acc
     rng = random.Random(20240)
-    for _ in range(tries):
+    for _ in range(64):
         acc = None
         for f in homs:
             c = Fraction(rng.randint(-5, 5))

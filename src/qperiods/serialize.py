@@ -239,8 +239,8 @@ def module_from_data(data, base_dir=None) -> FdModule:
         raise ValidationError(str(exc)) from exc
 
 
-def module_to_data(m: FdModule, algebra_ref=None) -> dict:
-    """Serialize a module; algebra_ref is a path string or None for inline."""
+def module_to_data(m: FdModule) -> dict:
+    """Serialize a module with its algebra inline."""
     maps = {}
     for arrow in m.algebra.arrows:
         nrows = m.dims[m.algebra.vertices.index(arrow.target)]
@@ -248,8 +248,7 @@ def module_to_data(m: FdModule, algebra_ref=None) -> dict:
         if nrows and ncols:
             maps[arrow.name] = matrix_to_data(m.maps[arrow.name])
     return {
-        "algebra": algebra_ref if algebra_ref is not None
-        else algebra_to_data(m.algebra),
+        "algebra": algebra_to_data(m.algebra),
         "dims": {v: d for v, d in zip(m.algebra.vertices, m.dims) if d},
         "maps": maps,
     }
@@ -365,8 +364,10 @@ def comparison_from_data(data, algebra: BoundQuiverAlgebra) -> ComparisonPoint:
                 f"'u' names an unknown path {name!r}") from exc
         coords[idx] = _nf_elem(value_field, coeffs, f"u[{name!r}]")
     try:
-        return ComparisonPoint(value_field, tuple(coords),
-                               coeff_field, coeff_image)
+        point = ComparisonPoint(value_field, tuple(coords),
+                                coeff_field, coeff_image)
+        point.embedding()  # embedding_of_K must be a root of coeff_field
+        return point
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 

@@ -107,10 +107,6 @@ class WeightPartition:
                 seen.add(v)
         return cls(norm)
 
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(w for w, _ in self.classes)
-
     def weight_of(self, vertex: str) -> int:
         for w, vs in self.classes:
             if vertex in vs:
@@ -367,9 +363,8 @@ def _search_pool(m: FdModule, bound: int, cap: int) -> list[SubmoduleHandle]:
     return handles
 
 
-def bounded_lift_search(seq: AdmissibleSequence, n1: SubmoduleHandle,
-                        bound: int = 1,
-                        cap: int = 512) -> tuple[SubmoduleHandle, ...]:
+def bounded_lift_search(seq: AdmissibleSequence,
+                        n1: SubmoduleHandle) -> tuple[SubmoduleHandle, ...]:
     """All lifts of the target found in a bounded pool of submodules.
 
     The pool is spun from single coordinates and small integer
@@ -379,19 +374,19 @@ def bounded_lift_search(seq: AdmissibleSequence, n1: SubmoduleHandle,
     """
     if n1.ambient != seq.quot:
         raise ValueError("the target must be a submodule of the quotient")
-    return tuple(h for h in _search_pool(seq.module, bound, cap)
+    return tuple(h for h in _search_pool(seq.module, 1, 512)
                  if image_submodule(seq.projection, h) == n1)
 
 
-def bounded_extension_search(seq: AdmissibleSequence, n0: SubmoduleHandle,
-                             bound: int = 1,
-                             cap: int = 512) -> tuple[SubmoduleHandle, ...]:
+def bounded_extension_search(
+        seq: AdmissibleSequence,
+        n0: SubmoduleHandle) -> tuple[SubmoduleHandle, ...]:
     """All extensions of the prescribed intersection found in the pool."""
     if n0.ambient != seq.sub:
         raise ValueError("the prescribed intersection must be a submodule "
                          "of the sub")
     n0_in_m = image_submodule(seq.inclusion, n0)
-    return tuple(h for h in _search_pool(seq.module, bound, cap)
+    return tuple(h for h in _search_pool(seq.module, 1, 512)
                  if h.intersect(seq.sub_handle) == n0_in_m)
 
 

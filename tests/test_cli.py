@@ -257,6 +257,21 @@ def test_eval_at_a_non_unit_is_refused(tmp_path, capsys):
     assert "not a unit" in lines[0]
 
 
+def test_eval_refuses_an_embedding_that_is_not_a_root(tmp_path, capsys):
+    # K = Q[y]/(y^2-2) cannot send y to 1 in L = Q[x]/(x^3-2)
+    path = tmp_path / "bad_embedding.json"
+    path.write_text(json.dumps({
+        "field": ["-2", "0", "0", "1"], "coeff_field": ["-2", "0", "1"],
+        "embedding_of_K": ["1"],
+        "u": {"a": ["0", "0", "1"], "e_v1": ["1"], "e_v2": ["0", "1"]}}))
+    code, out, err = run(
+        ["eval", fx("a2_P1.json"), "--comparison", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == ("qperiods eval: claimed image is not a root of the "
+                   "defining polynomial\n")
+
+
 REDUCIBLE_POINTS = {
     # L = Q[x]/(x^2-1): the unit check divides by the zero divisor x+1
     "value field L": {"field": [-1, 0, 1],

@@ -281,7 +281,8 @@ SLICE_PAIRS = _slice_pairs()
 @pytest.mark.parametrize("key,partition,m,n", SLICE_PAIRS,
                          ids=[k for k, *_ in SLICE_PAIRS])
 def test_sum_sequence_equals_the_composite_sums(key, partition, m, n):
-    for cut_m, cut_n in itertools.product(partition.weights, repeat=2):
+    for cut_m, cut_n in itertools.product(
+            [w for w, _ in partition.classes], repeat=2):
         seq_m = slice_by_weight(m, partition, cut_m)
         seq_n = slice_by_weight(n, partition, cut_n)
         ref_inc, ref_proj = reference_sum_sequence(seq_m, seq_n)

@@ -1,4 +1,4 @@
-"""Every function and method of the package has a caller.
+"""Every function, method and defaulted parameter of the package has a caller.
 
 A private (single leading underscore) top-level function, class or
 method can only be reached from inside the package, so one that nothing
@@ -12,8 +12,17 @@ are listed in ALLOWED with the test file that calls them and what they
 serve there; an entry whose name is gone, has found a caller, or is no
 longer called by its test is stale and fails the guard too.
 
-Names are matched syntactically: a bare name or an attribute of that
-name counts as a reference.
+Every parameter with a default of a package function or method must
+be passed, by position or by keyword, by some call in the package or in
+the users; the function's own recursive calls count.  The few that only
+tests pass are listed in PASSED_BY_TESTS with the test file that passes
+them, and a stale entry fails the guard as above.
+
+Names are matched syntactically.  A bare name or an attribute of that
+name counts as a reference to a top-level function or class, but only
+an attribute counts for a method, so that a local variable does not
+keep alive the method it shadows.  A call counts for every function or
+method of its name.
 """
 
 import ast
@@ -70,6 +79,20 @@ ALLOWED = {
         "the refuted a2/p1"),
 }
 
+# module.function.parameter -> (test file that passes it, what for)
+PASSED_BY_TESTS = {
+    "exactlin.Matrix.zero.zero": (
+        "test_trusted_paths.py",
+        "an int zero, which the trusted constructor must still promote"),
+    "yoga.class_c_explore.power_cap": (
+        "test_acceptance.py",
+        "the exploration's power bound, stated where its refutation is "
+        "checked"),
+    "yoga.class_c_explore.budget": (
+        "test_yoga.py",
+        "a budget of 1, which the exploration must report as exhausted"),
+}
+
 
 def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
@@ -93,23 +116,26 @@ def _definitions(tree: ast.Module, keep):
 
 
 def _references(tree: ast.Module):
+    """(name, line, whether it is an attribute) of each name in tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
 def _reference_list(trees: dict) -> list:
-    return [(name, fname, line) for fname, tree in trees.items()
-            for name, line in _references(tree)]
+    return [(name, fname, line, attr) for fname, tree in trees.items()
+            for name, line, attr in _references(tree)]
 
 
-def _referenced(node, fname: str, refs: list) -> bool:
-    """Whether refs name node anywhere outside node's own body."""
-    return any(name == node.name and not (
+def _referenced(label: str, node, fname: str, refs: list) -> bool:
+    """Whether refs name node anywhere outside node's own body; a method
+    (label Class.method) only by an attribute."""
+    method = "." in label
+    return any(name == node.name and (attr or not method) and not (
         ref_file == fname and node.lineno <= line <= node.end_lineno)
-        for name, ref_file, line in refs)
+        for name, ref_file, line, attr in refs)
 
 
 def dead_definitions(trees: dict) -> list:
@@ -118,8 +144,8 @@ def dead_definitions(trees: dict) -> list:
     refs = _reference_list(trees)
     return [f"{fname}:{node.lineno} {node.name}"
             for fname, tree in trees.items()
-            for _, node in _definitions(tree, _is_private)
-            if not _referenced(node, fname, refs)]
+            for label, node in _definitions(tree, _is_private)
+            if not _referenced(label, node, fname, refs)]
 
 
 def unused_public(package: dict, users: dict, tests: dict,
@@ -138,7 +164,7 @@ def unused_public(package: dict, users: dict, tests: dict,
     for fname, tree in package.items():
         module = fname[:-len(".py")]
         for label, node in _definitions(tree, _is_public):
-            if _referenced(node, fname, refs):
+            if _referenced(label, node, fname, refs):
                 continue
             key = f"{module}.{label}"
             unused.add(key)
@@ -149,9 +175,92 @@ def unused_public(package: dict, users: dict, tests: dict,
         if key not in unused:
             problems.append(f"stale entry {key}: used, or no such name")
         elif test_file not in tests or not any(
-                ref == name for ref, _ in _references(tests[test_file])):
+                ref == name for ref, _, _ in _references(tests[test_file])):
             problems.append(f"stale entry {key}: {test_file} does not "
                             f"call it")
+    return problems
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(label, called name, position, parameter) of each parameter with a
+    default of each top-level function and method in tree.  The called
+    name of __init__ is its class; position counts the arguments a call
+    passes positionally (not self or cls), and is None for keyword-only
+    parameters."""
+    for label, node in _definitions(tree, lambda name: True):
+        if isinstance(node, ast.ClassDef):
+            continue
+        cls, _, name = label.rpartition(".")
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        bound = 1 if cls and not static else 0
+        called = cls if name == "__init__" else name
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield label, called, i - bound, arg.arg
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield label, called, None, arg.arg
+
+
+def _passes(call: ast.Call, position, param: str) -> bool:
+    """Whether call may set the parameter; a starred argument or a
+    **mapping may set any."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return position is not None and (
+        len(call.args) > position
+        or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _calls(trees: dict) -> dict:
+    """Called name -> the calls of that name in trees."""
+    out: dict = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute)
+                        else None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def _passed(calls: dict, called: str, position, param: str) -> bool:
+    return any(_passes(c, position, param) for c in calls.get(called, ()))
+
+
+def unpassed_parameters(package: dict, users: dict, tests: dict,
+                        allowed: dict) -> list:
+    """The defaulted parameters of package (file name -> parsed module)
+    that no call in package or users passes, unless allowed; and the
+    allowed entries that are stale.
+
+    allowed maps module.function.parameter to (test file, reason), and
+    the test file must be a key of tests.
+    """
+    calls = _calls({**package, **users})
+    problems, unpassed = [], {}
+    for fname, tree in package.items():
+        module = fname[:-len(".py")]
+        for label, called, position, param in _defaulted_parameters(tree):
+            if _passed(calls, called, position, param):
+                continue
+            key = f"{module}.{label}.{param}"
+            unpassed[key] = (called, position, param)
+            if key not in allowed:
+                problems.append(f"{fname} {label}({param}) is never passed")
+    for key, (test_file, _) in sorted(allowed.items()):
+        if key not in unpassed:
+            problems.append(f"stale entry {key}: passed, or no such "
+                            f"parameter")
+        elif test_file not in tests or not _passed(
+                _calls({test_file: tests[test_file]}), *unpassed[key]):
+            problems.append(f"stale entry {key}: {test_file} does not "
+                            f"pass it")
     return problems
 
 
@@ -175,6 +284,16 @@ def test_every_public_name_has_a_user_or_an_oracle_test():
     tests = _parse(sorted(TESTS.glob("test_*.py")))
     assert len(package) > 5 and len(users) > 10
     problems = unused_public(package, users, tests, ALLOWED)
+    assert not problems, "; ".join(problems)
+
+
+def test_every_defaulted_parameter_is_passed_or_set_by_a_test():
+    package = _parse(sorted(PACKAGE.glob("*.py")))
+    users = _parse((path for d in USERS
+                    for path in sorted((ROOT / d).glob("*.py"))),
+                   key=lambda path: str(path.relative_to(ROOT)))
+    tests = _parse(sorted(TESTS.glob("test_*.py")))
+    problems = unpassed_parameters(package, users, tests, PASSED_BY_TESTS)
     assert not problems, "; ".join(problems)
 
 
@@ -219,3 +338,54 @@ def test_the_guard_sees_unused_public_names():
     problems = unused_public(package, users, tests, allowed)
     assert "stale entry a.exported: test_b.py does not call it" in problems
     assert "stale entry a.untested: test_a.py does not call it" in problems
+
+
+def test_a_local_variable_does_not_use_the_method_it_shadows():
+    source = ("class M:\n    def row(self):\n        return 1\n\n"
+              "    def _cell(self):\n        return 2\n\n"
+              "    def column(self):\n        return 3\n\n"
+              "def rows(m):\n    row = _cell = 0\n    return row, _cell, M()\n")
+    package = {"a.py": ast.parse(source)}
+    users = {"demos/d.py": ast.parse(
+        "from qperiods.a import rows\nrow = rows(0)\nrow.column()\n")}
+    assert dead_definitions(package) == ["a.py:5 _cell"]
+    assert unused_public(package, users, {}, {}) == ["a.py:2 M.row is unused"]
+
+
+def test_the_guard_sees_unpassed_parameters():
+    source = ("def walk(x, depth=0, *, cap=8):\n"
+              "    return walk(x, depth + 1) if depth < 3 else x\n\n"
+              "def spread(*vectors, scale=1, **extra):\n    return vectors\n\n"
+              "class Box:\n    def __init__(self, size, fill=0):\n"
+              "        self.size = size\n\n"
+              "    def grow(self, by=1, twice=False):\n        return self\n\n"
+              "    @staticmethod\n    def empty(size=0, fill=None):\n"
+              "        return Box(size)\n\n"
+              "    @classmethod\n    def of(cls, size, fill=None):\n"
+              "        return cls(size)\n")
+    package = {"a.py": ast.parse(source)}
+    # walk's depth is set only by its own recursion, Box's fill by
+    # position, grow's by by keyword; a starred argument or a **mapping
+    # may set any parameter
+    users = {"demos/d.py": ast.parse(
+        "from qperiods.a import Box, spread\nBox(1, 2).grow(by=2)\n"
+        "Box.empty(3)\nBox.of(*sizes)\nspread(**options)\n")}
+    tests = {"test_a.py": ast.parse(
+        "from qperiods.a import walk, Box\nwalk(1, cap=2)\n"
+        "Box(1).grow(1, True)\n")}
+    allowed = {"a.walk.cap": ("test_a.py", "the cap"),
+               "a.Box.grow.twice": ("test_b.py", "no such test file"),
+               "a.Box.empty.fill": ("test_a.py", "not passed by test_a"),
+               "a.Box.grow.by": ("test_a.py", "passed by a demo now"),
+               "a.gone.param": ("test_a.py", "deleted since")}
+    assert unpassed_parameters(package, users, tests, allowed) == [
+        "stale entry a.Box.empty.fill: test_a.py does not pass it",
+        "stale entry a.Box.grow.by: passed, or no such parameter",
+        "stale entry a.Box.grow.twice: test_b.py does not pass it",
+        "stale entry a.gone.param: passed, or no such parameter",
+    ]
+    assert unpassed_parameters(package, users, tests, {}) == [
+        "a.py walk(cap) is never passed",
+        "a.py Box.grow(twice) is never passed",
+        "a.py Box.empty(fill) is never passed",
+    ]

@@ -4,22 +4,29 @@ Matrix(rows, ncols) promotes ints and refuses floats and strings;
 Subspace(ambient, vectors) turns ints and strings into Fractions; both
 check shapes.  Matrices and subspaces the engine computes from entries
 that are already exact go through Matrix._wrap and Subspace._from_rows
-instead, which check nothing.
-These tests wrap both trusted paths with a checking shim, ask every
+instead, which check nothing.  One layer up, ModuleMap(..., check=True)
+multiplies every commutation square and SubmoduleHandle(..., check=True)
+maps every subspace through its arrows, while hom_space's basis maps
+and the handles of ModuleMap.kernel and ModuleMap.image skip those
+checks, since they hold by construction.
+These tests wrap all five trusted paths with a checking shim, ask every
 corpus question, the ladder and dense rungs of dimension at most 8 and
 the modules of strategies.py, and require every entry the trusted paths
 receive to be a Fraction, or a NumberFieldElem throughout for matrices
-over a number field.  The public constructors keep refusing bad input.
+over a number field, and every trusted map and handle to pass the
+public constructor's check.  The public constructors keep refusing bad
+input.
 """
 
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from qperiods import zoo
+from qperiods import quivalg, zoo
 from qperiods.cli import main
 from qperiods.exactlin import (
     DimensionMismatch,
@@ -46,6 +53,10 @@ from qperiods.periods import (
     realize_relation,
 )
 from qperiods.quivalg import (
+    ModuleMap,
+    NotAModuleMap,
+    NotASubmodule,
+    SubmoduleHandle,
     field_extension_structure,
     matrix_algebra_structure,
     module_power,
@@ -58,12 +69,16 @@ CUBIC = NumberField([-2, 0, 0, 1])
 
 
 class TrustedPathCheck:
-    """Checking shims around Matrix._wrap and Subspace._from_rows."""
+    """Checking shims around Matrix._wrap and Subspace._from_rows, and
+    around the maps of hom_space and the handles of ModuleMap.kernel and
+    ModuleMap.image, which go back through the public constructors."""
 
     def __init__(self):
         self.matrices = 0
         self.subspaces = 0
         self.over_l = 0
+        self.maps = 0
+        self.handles = 0
 
     def install(self, mp: pytest.MonkeyPatch):
         wrap = Matrix._wrap.__func__
@@ -85,6 +100,33 @@ class TrustedPathCheck:
 
         mp.setattr(Matrix, "_wrap", classmethod(checked_wrap))
         mp.setattr(Subspace, "_from_rows", classmethod(checked_from_rows))
+
+        hom_space = quivalg.hom_space
+
+        def checked_hom_space(m, n):
+            basis = hom_space(m, n)
+            for f in basis:
+                ModuleMap(f.source, f.target, f.blocks)
+            self.maps += len(basis)
+            return basis
+
+        # the layers call hom_space through the name each one imported
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("qperiods.")
+                    and getattr(module, "hom_space", None) is hom_space):
+                mp.setattr(module, "hom_space", checked_hom_space)
+
+        def checked_handle(method):
+            def checked(f):
+                handle = method(f)
+                SubmoduleHandle(handle.ambient, handle.spaces)
+                self.handles += 1
+                return handle
+            return checked
+
+        for method in ("kernel", "image"):
+            mp.setattr(ModuleMap, method,
+                       checked_handle(getattr(ModuleMap, method)))
 
     @staticmethod
     def entry_kinds(rows, width) -> set:
@@ -207,6 +249,7 @@ def test_corpus_questions_pass_only_exact_entries(trusted):
                  "--target", str(FIXTURES / "a3_target.json")])
     assert code == 0
     assert trusted.matrices and trusted.subspaces and trusted.over_l
+    assert trusted.maps and trusted.handles
 
 
 def test_onemotive_models_over_larger_algebras_pass_only_exact_entries(
@@ -230,6 +273,7 @@ def test_ladder_and_dense_rungs_pass_only_exact_entries(trusted, rebased):
     ask_the_rungs((lambda m: random_rebase(m, rng)) if rebased
                   else (lambda m: m), rng)
     assert trusted.matrices and trusted.subspaces and trusted.over_l
+    assert trusted.maps and trusted.handles
 
 
 def test_oracle_inputs_pass_only_exact_entries(trusted):
@@ -238,6 +282,7 @@ def test_oracle_inputs_pass_only_exact_entries(trusted):
         endo_quotient(m)
         depth_space(m, max(1, m.dim))
     assert trusted.matrices and trusted.subspaces
+    assert trusted.maps and trusted.handles
 
 
 @settings(max_examples=15, deadline=None)
@@ -249,7 +294,7 @@ def test_rebased_modules_pass_only_exact_entries(m):
         period_space(m)
         endo_quotient(m)
         depth_space(m, max(1, m.dim))
-    assert check.matrices
+    assert check.matrices and check.maps
 
 
 def test_the_shim_catches_an_int_on_a_trusted_path(trusted):
@@ -259,6 +304,28 @@ def test_the_shim_catches_an_int_on_a_trusted_path(trusted):
         Subspace._from_rows(2, ((Fraction(1), 0),))
     with pytest.raises(AssertionError):
         Matrix._wrap(((CUBIC.one(), Fraction(0)),), 2)
+
+
+def test_the_shim_catches_a_map_or_a_handle_that_is_not_one():
+    # on a2/p1 = (Q -> Q), 1 at v1 and 0 at v2 neither commutes with the
+    # arrow nor spans a subspace that it keeps
+    m = zoo.get_module("a2/p1")
+    blocks = [Matrix.identity(1), Matrix.zero(1, 1)]
+    not_a_map = ModuleMap(m, m, blocks, check=False)
+    not_a_sub = SubmoduleHandle(
+        m, [Subspace.full_space(1), Subspace.zero_space(1)], check=False)
+    check = TrustedPathCheck()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quivalg, "hom_space", lambda m, n: (not_a_map,))
+        mp.setattr(ModuleMap, "kernel", lambda f: not_a_sub)
+        mp.setattr(ModuleMap, "image", lambda f: not_a_sub)
+        check.install(mp)
+        with pytest.raises(NotAModuleMap):
+            quivalg.hom_space(m, m)
+        with pytest.raises(NotASubmodule):
+            ModuleMap.identity(m).kernel()
+        with pytest.raises(NotASubmodule):
+            ModuleMap.identity(m).image()
 
 
 # -- the public constructors still check and promote ---------------------------

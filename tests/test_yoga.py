@@ -50,8 +50,8 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         WeightPartition.of({0: ("v1",), -1: ("v1",)})   # vertex twice
     p = WeightPartition.of({0: ("v1",), -1: ("v2",)})
-    assert p.weights == (0, -1)
-    assert p.negate().weights == (1, 0)
+    assert p.classes == ((0, ("v1",)), (-1, ("v2",)))
+    assert p.negate().classes == ((1, ("v2",)), (0, ("v1",)))
     assert p.negate().negate() == p
     with pytest.raises(ValueError):
         parts("a2").validate_for(zoo.algebra("a3"))
