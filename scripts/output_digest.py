@@ -1,4 +1,4 @@
-"""Digest every benchmark question's output, to compare two checkouts.
+"""Digest every benchmark question's and demo's output, to compare checkouts.
 
     python3 scripts/output_digest.py ROOT OUT.json [--seed 7]
 
@@ -7,8 +7,13 @@ ROOT/perfbench/workloads.py, asks every question of the ladder, dense
 and corpus workloads at the seed through ``qperiods.cli.main``, once
 with ``--format json`` and once with ``--format text``, and writes to
 OUT.json, per question and format, the exit code and the sha256 of
-standard output and standard error.  Two checkouts answer alike exactly
-when their files are equal:
+standard output and standard error.  It also runs every ROOT/demos/*.py
+in a fresh interpreter against ROOT/src, from ROOT, and records the
+same three things per demo, with ROOT written as "ROOT" in its output
+so that quoted fixture paths match between checkouts.  The demos are
+what reaches universal extensions and the bounded searches, which no
+command does.  Two checkouts answer alike exactly when their files are
+equal:
 
     python3 scripts/output_digest.py OLD old.json
     python3 scripts/output_digest.py NEW new.json
@@ -27,6 +32,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -56,6 +62,15 @@ def _ask(main, argv: list) -> dict:
     return answer
 
 
+def _run_demo(root: Path, demo: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          text=True, cwd=root, env=env, timeout=600)
+    return {"exit": proc.returncode,
+            "stdout": _sha(proc.stdout.replace(str(root), "ROOT")),
+            "stderr": _sha(proc.stderr.replace(str(root), "ROOT"))}
+
+
 def digest(root: Path, seed: int) -> dict:
     sys.path.insert(0, str(root / "src"))
     sys.path.insert(0, str(root / "perfbench"))
@@ -79,6 +94,8 @@ def digest(root: Path, seed: int) -> dict:
                         for fmt in ("json", "text")}
         finally:
             os.chdir(here)
+    for demo in sorted((root / "demos").glob("*.py")):
+        digests[f"demos/{demo.name}"] = {"run": _run_demo(root, demo)}
     return digests
 
 
@@ -96,10 +113,11 @@ def main(argv=None) -> int:
         return 2
     digests = digest(root, args.seed)
     out.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    outputs = 2 * len(digests)
+    demos = sum(key.startswith("demos/") for key in digests)
+    outputs = sum(len(d) for d in digests.values())
     errors = sum("error" in a for d in digests.values() for a in d.values())
-    print(f"{len(digests)} questions, {outputs} outputs, "
-          f"{errors} tracebacks -> {out}")
+    print(f"{len(digests) - demos} questions, {demos} demos, "
+          f"{outputs} outputs, {errors} tracebacks -> {out}")
     return 0
 
 

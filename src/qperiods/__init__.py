@@ -10,11 +10,14 @@ values.
 Layers, from the bottom up:
 
 - exactlin: matrices, canonical subspaces and number fields over Q
-- quivalg: bound quiver algebras, modules, maps, submodules, duality
+- quivalg: bound quiver algebras, modules, maps, and submodules with
+  their two fixpoints: the submodule spun from some vectors and the
+  largest submodule inside given vertex spaces
 - periods: period spaces, relation realization, depth filtrations,
   evaluation at comparison points
-- yoga: admissible exact sequences, universal lifts and extensions,
-  saturation certificates, principality verdicts
+- yoga: admissible exact sequences, universal lifts and extensions as
+  those fixpoints on the middle module, saturation certificates,
+  principality verdicts
 - onemotive: dimension formulas and synthesized matrix models for the
   weight-graded instances
 - zoo: the bundled corpus of small algebras and modules
@@ -44,14 +47,12 @@ from .quivalg import (
     SubmoduleHandle,
     build_algebra,
     direct_sum,
-    dual_module,
     end_algebra,
     hom_space,
     module_iso,
     module_power,
     projective_module,
     simple_module,
-    trace_quotient,
 )
 from .periods import (
     ComparisonPoint,

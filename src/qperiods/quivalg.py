@@ -18,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .exactlin import (
     Matrix,
@@ -74,7 +74,7 @@ class BoundQuiverAlgebra:
     """
 
     def __init__(self, vertices, arrows, relations, basis, reduction,
-                 raw_relations, max_len):
+                 max_len):
         self.vertices: tuple[str, ...] = vertices
         self.arrows: tuple[Arrow, ...] = arrows
         self.relations = relations          # normalized: tuple of term tuples
@@ -83,10 +83,8 @@ class BoundQuiverAlgebra:
         self.basis_index = {k: i for i, k in enumerate(basis)}
         self.arrow_by_name = {a.name: a for a in arrows}
         self._reduction = reduction         # PathKey -> tuple[(basis_idx, coeff)]
-        self._raw_relations = raw_relations
         self._max_len = max_len
         self._mult: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-        self._opposite = None
         self.unit = self.coords_from_terms(
             [(ONE, (v, ())) for v in vertices])
 
@@ -158,20 +156,6 @@ class BoundQuiverAlgebra:
         self._mult[(i, j)] = out
         return out
 
-    # -- opposite algebra -------------------------------------------------------
-
-    def opposite(self) -> "BoundQuiverAlgebra":
-        if self._opposite is None:
-            arrows = [(a.name, a.target, a.source) for a in self.arrows]
-            relations = []
-            for rel in self._raw_relations:
-                relations.append([(c, tuple(reversed(key[1])))
-                                  for c, key in rel])
-            self._opposite = build_algebra(
-                self.vertices, arrows, relations,
-                max_path_length=self._max_len + 4)
-        return self._opposite
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, BoundQuiverAlgebra)
                 and self.vertices == other.vertices
@@ -186,10 +170,12 @@ class BoundQuiverAlgebra:
                 f"{len(self.arrows)} arrows, dim {self.dim})")
 
 
+_MAX_PATH_LENGTH = 24
+
+
 def build_algebra(vertices: Sequence[str],
                   arrows: Sequence,
-                  relations: Sequence = (),
-                  max_path_length: int = 24) -> BoundQuiverAlgebra:
+                  relations: Sequence = ()) -> BoundQuiverAlgebra:
     """Construct a bound quiver algebra with an explicit path basis.
 
     arrows: triples (name, source, target).  relations: each relation is a
@@ -201,7 +187,7 @@ def build_algebra(vertices: Sequence[str],
     modulo shorter paths.  For relations that mix path lengths the
     enumeration keeps going for a window of extra layers before it
     commits, which settles every ideal in this package's scope; if layers
-    refuse to die within max_path_length the construction raises
+    refuse to die within _MAX_PATH_LENGTH the construction raises
     NotFiniteDimensional rather than guess.
     """
     vertices = tuple(str(v) for v in vertices)
@@ -290,7 +276,7 @@ def build_algebra(vertices: Sequence[str],
     final_len = 0
     path_budget = 200_000
 
-    for length in range(1, max_path_length + 1):
+    for length in range(1, _MAX_PATH_LENGTH + 1):
         prev = layers[length - 1]
         layer = []
         for src, seq in prev:
@@ -319,7 +305,7 @@ def build_algebra(vertices: Sequence[str],
             dead_streak = 0
     else:
         raise NotFiniteDimensional(
-            f"path layers did not die out within length {max_path_length}")
+            f"path layers did not die out within length {_MAX_PATH_LENGTH}")
 
     # final reduction data over everything enumerated; a dead streak ends
     # right after reducing at final_len, so only an empty layer needs it
@@ -344,7 +330,7 @@ def build_algebra(vertices: Sequence[str],
         reduction[col_order[c]] = tuple(sorted(terms))
 
     return BoundQuiverAlgebra(vertices, arrow_objs, norm_relations, basis,
-                              reduction, norm_relations, final_len)
+                              reduction, final_len)
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +744,10 @@ class ModuleMap:
     def apply(self, flat: Sequence) -> tuple:
         return self.flattened().apply(flat)
 
+    def vec(self) -> tuple:
+        """The blocks' entries vertex by vertex, each block row-major."""
+        return tuple(x for b in self.blocks for x in b.vec())
+
     def compose(self, other: "ModuleMap") -> "ModuleMap":
         """self after other."""
         if other.target is not self.source and other.target != self.source:
@@ -860,10 +850,7 @@ def end_algebra(m: FdModule) -> tuple[StructureAlgebra, tuple[ModuleMap, ...]]:
     if k == 0:
         return StructureAlgebra(0, (), ()), ()
 
-    def unknowns(f: ModuleMap) -> tuple:
-        return tuple(x for b in f.blocks for x in b.vec())
-
-    vecs = [unknowns(b) for b in basis]
+    vecs = [b.vec() for b in basis]
     free = [max(p for p, x in enumerate(v) if x) for v in vecs]
     assert all(v[p] == (ONE if i == j else ZERO)
                for i, v in enumerate(vecs) for j, p in enumerate(free)), \
@@ -871,7 +858,7 @@ def end_algebra(m: FdModule) -> tuple[StructureAlgebra, tuple[ModuleMap, ...]]:
     support = [[(p, x) for p, x in enumerate(v) if x] for v in vecs]
 
     def coords(f: ModuleMap) -> tuple:
-        target = unknowns(f)
+        target = f.vec()
         sol = tuple(target[p] for p in free)
         rebuilt = [ZERO] * len(target)
         for c, terms in zip(sol, support):
@@ -944,6 +931,25 @@ class SubmoduleHandle:
                 grown = spaces[ti].add(pushed)
                 if grown.dim != spaces[ti].dim:
                     spaces[ti] = grown
+                    changed = True
+        return cls(ambient, spaces, check=False)
+
+    @classmethod
+    def largest_inside(cls, ambient: FdModule,
+                       spaces: Sequence[Subspace]) -> "SubmoduleHandle":
+        """Largest submodule whose space at each vertex lies in the given
+        one; spaces lists one subspace per vertex, in vertex order."""
+        spaces = list(spaces)
+        changed = True
+        while changed:
+            changed = False
+            for a in ambient.algebra.arrows:
+                si = ambient.algebra.vertices.index(a.source)
+                ti = ambient.algebra.vertices.index(a.target)
+                shrunk = spaces[si].intersect(
+                    spaces[ti].preimage_under(ambient.maps[a.name]))
+                if shrunk.dim != spaces[si].dim:
+                    spaces[si] = shrunk
                     changed = True
         return cls(ambient, spaces, check=False)
 
@@ -1128,79 +1134,6 @@ def factor_through_quotient(f: ModuleMap, handle: SubmoduleHandle) -> ModuleMap:
     blocks = [_columns(b, QuotientPresentation(s).free)
               for b, s in zip(f.blocks, handle.spaces)]
     return ModuleMap(quot, f.target, blocks, check=False)
-
-
-# ---------------------------------------------------------------------------
-# trace and support constructions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TraceQuotient:
-    generated: SubmoduleHandle
-    quotient: FdModule
-    projection: ModuleMap
-
-
-def trace_quotient(m: FdModule, vertices: Iterable[str]) -> TraceQuotient:
-    """Largest quotient of M with no composition factor at the given vertices.
-
-    The generated submodule is the one spun up by every vertex-space vector
-    at the listed vertices; the quotient is M modulo that trace.
-    """
-    vertices = set(vertices)
-    unknown = vertices - set(m.algebra.vertices)
-    if unknown:
-        raise ValueError(f"unknown vertices: {sorted(unknown)}")
-    gens = []
-    for v in sorted(vertices):
-        for row in Matrix.identity(m.vdim(v)).rows:
-            gens.append(m.embed_vertex_vector(v, row))
-    generated = SubmoduleHandle.spin(m, gens)
-    quot, proj = generated.quotient_module()
-    return TraceQuotient(generated, quot, proj)
-
-
-def largest_supported_submodule(m: FdModule,
-                                vertices: Iterable[str]) -> SubmoduleHandle:
-    """Largest submodule of M supported only at the given vertices."""
-    vertices = set(vertices)
-    spaces = [Subspace.full_space(d) if v in vertices
-              else Subspace.zero_space(d)
-              for v, d in zip(m.algebra.vertices, m.dims)]
-    changed = True
-    while changed:
-        changed = False
-        for a in m.algebra.arrows:
-            si = m.algebra.vertices.index(a.source)
-            ti = m.algebra.vertices.index(a.target)
-            shrunk = spaces[si].intersect(
-                spaces[ti].preimage_under(m.maps[a.name]))
-            if shrunk.dim != spaces[si].dim:
-                spaces[si] = shrunk
-                changed = True
-    return SubmoduleHandle(m, spaces, check=False)
-
-
-# ---------------------------------------------------------------------------
-# duality
-# ---------------------------------------------------------------------------
-
-
-def dual_module(m: FdModule) -> FdModule:
-    """The linear dual as a module over the opposite algebra."""
-    opp = m.algebra.opposite()
-    maps = {a.name: m.maps[a.name].transpose() for a in m.algebra.arrows}
-    return FdModule(opp, dict(zip(m.algebra.vertices, m.dims)), maps)
-
-
-def dual_submodule(m: FdModule, dm: FdModule,
-                   handle: SubmoduleHandle) -> SubmoduleHandle:
-    """The annihilator of a submodule, as a submodule of the dual."""
-    if handle.ambient != m:
-        raise NotASubmodule("handle does not live in the given module")
-    spaces = [s.annihilator() for s in handle.spaces]
-    return SubmoduleHandle(dm, spaces, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -412,6 +412,8 @@ def relation_to_data(c: Matrix) -> dict:
 def structure_algebra_from_data(data) -> StructureAlgebra:
     _expect(data, dict, "structure algebra")
     unit = _expect(_field(data, "unit", "structure algebra"), list, "unit")
+    if not unit:
+        raise ValidationError("a coefficient algebra needs a nonempty unit")
     dim = len(unit)
     table = _expect(_field(data, "table", "structure algebra"), list, "table")
     if len(table) != dim:

@@ -7,8 +7,11 @@ representations whose sub lives in strictly lower classes than its
 quotient.  Around that notion this module provides:
 
   * universal lifts and universal extensions of prescribed end data
-    across an admissible sequence, with bounded searches to compare
-    against;
+    across an admissible sequence, each a fixpoint on the middle
+    module: the lift is the submodule spun from the target's preimage
+    at the high vertices, the extension the largest submodule inside
+    the prescribed intersection at the low vertices; bounded searches
+    compare against both;
   * a saturatedness test per side (the endomorphism restriction onto
     the relevant end must be onto a semisimple target and the outward
     hom spaces must vanish), plus the sum rule that lets a saturated
@@ -40,20 +43,16 @@ from .quivalg import (
     SubmoduleHandle,
     block_map,
     direct_sum,
-    dual_module,
-    dual_submodule,
     end_algebra,
     factor_through_quotient,
     factor_through_sub,
     hom_space,
     image_submodule,
-    largest_supported_submodule,
     module_iso,
     module_power,
     preimage_submodule,
     simple_module,
     spin_pool,
-    trace_quotient,
 )
 
 
@@ -141,10 +140,6 @@ class WeightPartition:
         hit = {self.weight_of(v) for v in m.algebra.vertices if m.vdim(v) > 0}
         return tuple(sorted(hit, reverse=True))
 
-    def negate(self) -> "WeightPartition":
-        """The partition seen from the dual side; weights flip sign."""
-        return WeightPartition.of([(-w, vs) for w, vs in self.classes])
-
 
 # ---------------------------------------------------------------------------
 # admissible sequences
@@ -179,6 +174,9 @@ class AdmissibleSequence:
     @property
     def quot(self) -> FdModule:
         return self.projection.target
+
+    def low_vertices(self) -> tuple[str, ...]:
+        return self.partition.vertices_at(self.low_weights)
 
     def high_vertices(self) -> tuple[str, ...]:
         return self.partition.vertices_at(self.high_weights)
@@ -272,21 +270,6 @@ def sum_sequence(seq_m: AdmissibleSequence,
     return admissible_check(inclusion, projection, seq_m.partition)
 
 
-def dual_sequence(seq: AdmissibleSequence) -> AdmissibleSequence:
-    """The annihilator sequence in the dual module over the opposite algebra.
-
-    The annihilator of the sub becomes the new sub, and the weights
-    flip sign, so left-side questions about the dual are right-side
-    questions about the original.
-    """
-    m = seq.module
-    dm = dual_module(m)
-    ann = dual_submodule(m, dm, seq.sub_handle)
-    _, dincl = ann.sub_module()
-    _, dproj = ann.quotient_module()
-    return admissible_check(dincl, dproj, seq.partition.negate())
-
-
 # ---------------------------------------------------------------------------
 # universal lifts and extensions
 # ---------------------------------------------------------------------------
@@ -296,17 +279,19 @@ def universal_lift(seq: AdmissibleSequence,
                    n1: SubmoduleHandle) -> SubmoduleHandle:
     """The smallest submodule of the middle projecting onto the given one.
 
-    Every submodule that projects onto the target agrees with the
-    preimage in the high coordinates, so the submodule generated by
-    those coordinates is contained in all of them; it is the universal
-    lift.  HypothesisFailed guards the defining property.
+    The sub is zero at the high vertices, so every submodule that
+    projects onto the target agrees there with the target's preimage,
+    and the submodule spun from the preimage's vectors at those vertices
+    is contained in all of them; it is the universal lift.
+    HypothesisFailed guards the defining property.
     """
     if n1.ambient != seq.quot:
         raise ValueError("the target must be a submodule of the quotient")
+    m = seq.module
     pre = preimage_submodule(seq.projection, n1)
-    pmod, pincl = pre.sub_module()
-    lifted = image_submodule(pincl,
-                             trace_quotient(pmod, seq.high_vertices()).generated)
+    lifted = SubmoduleHandle.spin(
+        m, [m.embed_vertex_vector(v, b) for v in seq.high_vertices()
+            for b in pre.space(v).basis_vectors()])
     if image_submodule(seq.projection, lifted) != n1:
         raise HypothesisFailed(
             "the minimal candidate does not project onto the target")
@@ -317,22 +302,22 @@ def universal_extension(seq: AdmissibleSequence,
                         n0: SubmoduleHandle) -> SubmoduleHandle:
     """The largest submodule of the middle meeting the sub in the given one.
 
-    Computed by duality: submodules meeting the sub prescribedly
-    correspond to annihilators lifting a prescribed image on the dual
-    side, where the smallest one exists; its annihilator is the
-    largest extension here.
+    The sub is all of the middle at the low vertices and zero elsewhere,
+    so a submodule meets it in the prescribed one exactly when it agrees
+    with it at the low vertices.  The largest submodule inside the
+    prescribed one there, and unconstrained elsewhere, contains it and
+    is the universal extension.  HypothesisFailed guards the defining
+    property.
     """
     if n0.ambient != seq.sub:
         raise ValueError("the prescribed intersection must be a submodule "
                          "of the sub")
     m = seq.module
     n0_in_m = image_submodule(seq.inclusion, n0)
-    dm = dual_module(m)
-    dseq = dual_sequence(seq)
-    ann_n0 = dual_submodule(m, dm, n0_in_m)
-    target = image_submodule(dseq.projection, ann_n0)
-    lifted = universal_lift(dseq, target)
-    extended = SubmoduleHandle(m, [s.annihilator() for s in lifted.spaces])
+    low = seq.low_vertices()
+    extended = SubmoduleHandle.largest_inside(
+        m, [s if v in low else Subspace.full_space(s.ambient)
+            for v, s in zip(m.algebra.vertices, n0_in_m.spaces)])
     if extended.intersect(seq.sub_handle) != n0_in_m:
         raise HypothesisFailed(
             "the maximal candidate does not meet the sub in the target")
@@ -403,20 +388,21 @@ class SaturatedVerdict:
     splitness: str
 
 
-def _map_coords(f: ModuleMap) -> tuple:
-    return tuple(x for b in f.blocks for row in b.rows for x in row)
-
-
 def _outward_homs_vanish(seq: AdmissibleSequence, side: str) -> bool:
-    """Right side: no nonzero map from the middle into the low classes.
-    Left side: no nonzero map from the high classes into the middle."""
+    """Right side: no nonzero map from the middle into the low classes,
+    that is, the coordinates outside them spin all of the middle.
+    Left side: no nonzero map from the high classes into the middle,
+    that is, no nonzero submodule lives at the high vertices alone."""
     m = seq.module
     if side == "right":
-        return trace_quotient(
-            m, [v for v in m.algebra.vertices
-                if seq.partition.weight_of(v) not in seq.low_weights]
-        ).quotient.is_zero()
-    return largest_supported_submodule(m, seq.high_vertices()).is_zero()
+        low = seq.low_vertices()
+        gens = [m.embed_vertex_vector(v, row) for v in m.algebra.vertices
+                if v not in low for row in Matrix.identity(m.vdim(v)).rows]
+        return SubmoduleHandle.spin(m, gens).is_full()
+    high = seq.high_vertices()
+    return SubmoduleHandle.largest_inside(
+        m, [Subspace.full_space(d) if v in high else Subspace.zero_space(d)
+            for v, d in zip(m.algebra.vertices, m.dims)]).is_zero()
 
 
 def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
@@ -451,7 +437,7 @@ def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
     end_stage, stage_endos = end_algebra(stage)
     target_dim = len(stage_endos)
     length = sum(stage.vdim(v) ** 2 for v in algebra.vertices)
-    rank = Subspace(length, [_map_coords(f) for f in induced]).dim
+    rank = Subspace(length, [f.vec() for f in induced]).dim
     surjective = rank == target_dim
     semisimple = stage.dim == 0 or end_stage.is_semisimple()
     conditions = {
@@ -485,15 +471,17 @@ def _sum_conditions(seq_m: AdmissibleSequence,
     target_dim = len(hom_space(seq_n.sub, seq_m.sub))
     length = sum(seq_m.sub.vdim(v) * seq_n.sub.vdim(v) for v in vertices)
     onto = Subspace(length,
-                    [_map_coords(f) for f in restricted]).dim == target_dim
+                    [f.vec() for f in restricted]).dim == target_dim
     trace = SubmoduleHandle.zero(seq_m.module)
     for f in hom_space(seq_n.sub, seq_m.module):
         trace = trace.add(f.image())
-    coker = trace.quotient_module()[0]
+    # a submodule of M / trace at the high vertices alone is one of M
+    # between the trace and the trace plus everything at those vertices
     high = seq_m.high_weights | seq_n.high_weights
-    clears = largest_supported_submodule(
-        coker, [v for v in vertices
-                if partition.weight_of(v) in high]).is_zero()
+    clears = SubmoduleHandle.largest_inside(
+        seq_m.module,
+        [Subspace.full_space(s.ambient) if partition.weight_of(v) in high
+         else s for v, s in zip(vertices, trace.spaces)]) == trace
     conditions = {
         "sub_homs_vanish": no_homs,
         "restriction_to_sub_onto": onto,

@@ -210,6 +210,20 @@ def test_onemotive_input_file(capsys):
     assert "graded period dimensions: 4, 4, 2 (total 10)" in out
 
 
+def test_onemotive_refuses_a_zero_dimensional_coefficient_algebra(
+        tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"B": {"unit": [], "table": []},
+                                "HL": {"action": []}}))
+    code, out, err = run(["onemotive", "--input", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("qperiods onemotive: ")
+    assert "nonempty unit" in lines[0]
+
+
 def test_baker_prints_the_bare_count(capsys):
     code, out, _ = run(["baker", "--x", "1", "--l", "2", "--n", "0"], capsys)
     assert code == 0

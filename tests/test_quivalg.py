@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperiods import zoo
-from qperiods.exactlin import Matrix, solve
+from qperiods.exactlin import Matrix, Subspace, solve
 from qperiods.quivalg import (
     FdModule,
     ModuleMap,
@@ -27,7 +27,6 @@ from qperiods.quivalg import (
     build_algebra,
     direct_sum,
     direct_sum_with_maps,
-    dual_module,
     end_algebra,
     factor_through_sub,
     hom_space,
@@ -37,11 +36,11 @@ from qperiods.quivalg import (
     projective_module,
     simple_module,
     spin_pool,
-    trace_quotient,
     tuple_embed,
 )
 from qperiods.yoga import _search_pool
 
+from references import dual_module, opposite, trace
 from strategies import ORACLE_INPUTS, rebased_modules
 
 # path counts per quiver, by hand: idempotents plus surviving paths
@@ -76,9 +75,9 @@ def test_build_algebra_rejects_bad_input():
 def test_opposite_is_an_involution():
     for key in ALGEBRA_DIMS:
         alg = zoo.algebra(key)
-        opp = alg.opposite()
+        opp = opposite(alg)
         assert opp.dim == alg.dim
-        assert opp.opposite() == alg
+        assert opposite(opp) == alg
 
 
 def test_corpus_size():
@@ -239,11 +238,26 @@ def test_spin_closure_property(vectors):
 def test_trace_quotient_clears_named_vertices():
     m = zoo.get_module("a3/proj")
     for verts in (("w0",), ("w0", "wm1"), ("wm2",)):
-        tq = trace_quotient(m, verts)
+        generated = trace(m, verts)
+        quotient, projection = generated.quotient_module()
         for v in verts:
-            assert tq.quotient.vdim(v) == 0
-        assert tq.projection.is_surjective()
-        assert tq.generated.dim + tq.quotient.dim == m.dim
+            assert quotient.vdim(v) == 0
+        assert projection.is_surjective()
+        assert generated.dim + quotient.dim == m.dim
+
+
+@settings(max_examples=30, deadline=None)
+@given(rebased_modules(), st.data())
+def test_largest_inside_holds_every_submodule_inside(m, data):
+    spaces = [Subspace(d, data.draw(st.lists(
+        st.lists(st.integers(-2, 2), min_size=d, max_size=d), max_size=d)))
+        for d in m.dims]
+    largest = SubmoduleHandle.largest_inside(m, spaces)
+    SubmoduleHandle(m, largest.spaces)      # checks that arrows keep it
+    assert all(s.contains(t) for s, t in zip(spaces, largest.spaces))
+    for h in _search_pool(m, 1, 64):
+        inside = all(s.contains(t) for s, t in zip(spaces, h.spaces))
+        assert largest.contains(h) == inside
 
 
 def test_dual_module_preserves_dims_and_homs():

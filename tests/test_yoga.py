@@ -2,11 +2,14 @@
 
 The certification sweep is frozen as a full status table over the
 bundled corpus; certificates are replayed from their recorded plans,
-and universal lifts and extensions are checked extremal against the
-bounded brute-force search.
+universal lifts and extensions are checked extremal against the
+bounded brute-force search, and they and the outward hom tests are
+checked equal to the duality and trace-quotient constructions of
+tests/references.py.
 """
 
 import pytest
+from hypothesis import given, settings
 
 from qperiods import zoo
 from qperiods.quivalg import ModuleMap, SubmoduleHandle, module_power
@@ -22,8 +25,8 @@ from qperiods.yoga import (
     bounded_lift_search,
     certify_principal,
     class_c_explore,
-    dual_sequence,
     replay_derivation,
+    _outward_homs_vanish,
     _sum_conditions,
     saturated_check,
     slice_by_weight,
@@ -32,6 +35,9 @@ from qperiods.yoga import (
     universal_extension,
     universal_lift,
 )
+
+import references
+from strategies import rebased_modules
 
 
 def parts(algebra_key: str) -> WeightPartition:
@@ -51,8 +57,8 @@ def test_partition_validation():
         WeightPartition.of({0: ("v1",), -1: ("v1",)})   # vertex twice
     p = WeightPartition.of({0: ("v1",), -1: ("v2",)})
     assert p.classes == ((0, ("v1",)), (-1, ("v2",)))
-    assert p.negate().classes == ((1, ("v2",)), (0, ("v1",)))
-    assert p.negate().negate() == p
+    assert references.negate(p).classes == ((1, ("v2",)), (0, ("v1",)))
+    assert references.negate(references.negate(p)) == p
     with pytest.raises(ValueError):
         parts("a2").validate_for(zoo.algebra("a3"))
 
@@ -115,13 +121,17 @@ def test_p1_socle_sequence_right_saturated():
     assert "maps_from_high_classes_vanish" in left.conditions
 
 
+CORPUS_SLICES = references.corpus_slices()
+
+
 def test_saturation_mirrors_through_duality():
-    seq = slice_by_weight(zoo.get_module("a2/p1"), A2, -1)
-    dual = dual_sequence(seq)
-    assert (saturated_check(seq, "right").status
-            == saturated_check(dual, "left").status)
-    assert (saturated_check(seq, "left").status
-            == saturated_check(dual, "right").status)
+    assert len(CORPUS_SLICES) == 96
+    for label, _, seq in CORPUS_SLICES:
+        dual = references.dual_sequence(seq)
+        assert (saturated_check(seq, "right").status
+                == saturated_check(dual, "left").status), label
+        assert (saturated_check(seq, "left").status
+                == saturated_check(dual, "right").status), label
 
 
 def test_saturated_sum_check():
@@ -191,6 +201,54 @@ def test_universal_objects_beat_bounded_search():
         for candidate in bounded_extension_search(
                 seq, SubmoduleHandle.zero(seq.sub)):
             assert ext.contains(candidate), (key, cut)
+
+
+def assert_fixpoints_match_references(seq, label, count):
+    """Lifts of zero, all and count spun targets, extensions of the
+    same in the sub, and both outward hom tests, against the references."""
+    for n1 in references.targets(seq.quot, count):
+        assert universal_lift(seq, n1) == references.lift(seq, n1), label
+    for n0 in references.targets(seq.sub, count):
+        assert (universal_extension(seq, n0)
+                == references.extension(seq, n0)), label
+    for side in ("left", "right"):
+        assert (_outward_homs_vanish(seq, side)
+                == references.outward_homs_vanish(seq, side)), (label, side)
+
+
+def assert_clears_matches_reference(seq_m, seq_n, label):
+    _, conditions = _sum_conditions(seq_m, seq_n)
+    assert (conditions["cokernel_clears_high_classes"]
+            == references.cokernel_clears(seq_m, seq_n)), label
+
+
+def test_fixpoints_equal_the_reference_constructions():
+    slices_by_algebra = {}
+    for label, key, seq in CORPUS_SLICES:
+        assert_fixpoints_match_references(seq, label, 12)
+        slices_by_algebra.setdefault(key, []).append(seq)
+    clears = 0
+    for entry in zoo.corpus():
+        for seq in slices_by_algebra[entry.algebra_key]:
+            trivial = trivial_sub_sequence(entry.module, seq.partition)
+            assert_clears_matches_reference(seq, trivial, entry.key)
+            clears += 1
+    assert clears == 632
+
+
+@settings(max_examples=20, deadline=None)
+@given(rebased_modules())
+def test_fixpoints_equal_the_references_on_rebased_modules(m):
+    key = next(e.algebra_key for e in zoo.corpus()
+               if e.module.algebra == m.algebra)
+    partition = parts(key)
+    seqs = [slice_by_weight(m, partition, w) for w, _ in partition.classes]
+    for seq in seqs:
+        assert_fixpoints_match_references(seq, seq, 4)
+        for other in seqs:
+            assert_clears_matches_reference(seq, other, (seq, other))
+        assert_clears_matches_reference(
+            seq, trivial_sub_sequence(m, partition), seq)
 
 
 # ---------------------------------------------------------------------------
