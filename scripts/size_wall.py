@@ -11,7 +11,7 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
 - ``depth --k dim M`` on a3/proj^3 and a3/proj^4;
 - ``depth --spin-bound 64``, the widest spin box the CLI admits, on
   a3/proj^2 with ``--k 2`` and on a3/proj^3 with ``--k 9``;
-- ``period`` on a2/p1^16;
+- ``period`` on a2/p1^16, a2/p1^24 and a2/p1^32 (d = 32, 48 and 64);
 - ``onemotive --g 0 --l 1 --m 29``, the slowest matrix model that
   onemotive.MODEL_DIM_BUDGET admits (ambient dimension d = 32).
 
@@ -80,7 +80,8 @@ def rows() -> list:
     for k, depth_k in ((2, 2), (3, 9)):
         out.append((f"a3/proj^{k} --spin-bound 64", module_power(proj, k),
                     "depth", ["--k", str(depth_k), "--spin-bound", "64"]))
-    out.append(("a2/p1^16", module_power(p1, 16), "period", []))
+    out += [(f"a2/p1^{k}", module_power(p1, k), "period", [])
+            for k in (16, 24, 32)]
     out.append(("rational g=0 l=1 m=29", None, "onemotive",
                 ["--g", "0", "--l", "1", "--m", "29"]))
     return out

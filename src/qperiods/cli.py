@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .exactlin import NumberFieldElem
+from .exactlin import ZERO, NumberFieldElem
 from .quivalg import NotAdmissible, NotFiniteDimensional, SubmoduleHandle
 from .periods import (
     NotAField,
@@ -84,6 +84,37 @@ INPUT_ERRORS = (
 # wider box is part of the CLI's answers, so the budget stays.
 SPIN_BOUND_BUDGET = 64
 
+# Each command refuses a module whose dimension d is beyond its budget
+# before it reads the module's maps: without one, period on the a2 module
+# with dims {v1: 400, v2: 0} fills memory in its kernel elimination.  Each
+# budget is the largest d timed at which the slowest input tried still
+# answers within about a minute and half a gigabyte, through the CLI with
+# --format json on a shared 2-vCPU host (S1^d is the a2 module with dims
+# {v1: d, v2: 0}):
+# - period and endo print a relation basis of about 13 d^4 bytes of JSON,
+#   222 MB at d = 64.  period takes 1.6 s on a2/p1^32 (d = 64; 490 MB
+#   resident) and 4.0 s on S1^80 (1.2 GB); endo takes 8.1 s on a2/p1^32
+#   and 17 s on S1^64;
+# - depth --k d takes 18 s on a3/proj^6 (d = 18) and on a2/p1^8
+#   (d = 16), and 83 s on a3/proj^8 (d = 24);
+# - certify takes 8.2 s on a2/p1^32 and 18 s on S1^64;
+# - realize of a combination of the whole relation basis takes 3.1 s on
+#   a2/p1^16 (d = 32) and 38 s on a2/p1^32;
+# - eval takes 7.9 s on a2/p1^16, 30 s on a2/p1^24 (d = 48) and more
+#   than a minute on a2/p1^32;
+# - lift of the a3 sequence fixture's module to the k-th power (d = 5k)
+#   takes 1.4 s at d = 160 and 13 s at d = 320.
+# The benchmark asks at most d = 16 (period on a2/p1^8).
+MODULE_DIM_BUDGET = {
+    "period": 64,
+    "endo": 64,
+    "depth": 24,
+    "certify": 64,
+    "realize": 64,
+    "eval": 48,
+    "lift": 320,
+}
+
 
 # ---------------------------------------------------------------------------
 # rendering helpers
@@ -100,18 +131,36 @@ def _vec_data(vec) -> list:
 
 
 def _matrix_text(rows: list) -> list:
-    strs = [[rational_str(x) for x in row] for row in rows]
-    widths = [max(map(len, col)) for col in zip(*strs)]
-    return ["    " + "  ".join(x.rjust(w) for x, w in zip(row, widths))
-            for row in strs]
+    """Rows of entry strings, right-aligned in columns.  A row object that
+    appears more than once, such as a shared zero row, is laid out once."""
+    distinct = {id(row): row for row in rows}
+    widths = [max(map(len, col)) for col in zip(*distinct.values())]
+    line = "    " + "  ".join(f"%{w}s" for w in widths)
+    text = {key: line % tuple(row) for key, row in distinct.items()}
+    return [text[id(row)] for row in rows]
 
 
-def _relation_rows(space) -> list:
-    """Each relation vector of space, sliced into the d rows of its
-    coefficient matrix (Matrix.vec is row-major)."""
-    d = space.module.dim
-    return [[v[i * d:(i + 1) * d] for i in range(d)]
-            for v in space.relations.basis_vectors()]
+def _relation_rows(vectors, d: int) -> list:
+    """Each relation vector as the d rows of its coefficient matrix
+    (Matrix.vec is row-major), every entry as rational_str writes it.
+
+    Relation bases are almost all zeros, most of them the ZERO object:
+    so each distinct value is written once, and the rows that are all
+    zero share one list.
+    """
+    zero_row = ["0"] * d
+    texts = {}
+
+    def text(x):
+        s = texts.get(x)
+        if s is None:
+            s = texts[x] = rational_str(x)
+        return s
+
+    return [[zero_row if row.count(ZERO) == d
+             else ["0" if x is ZERO else text(x) for x in row]
+             for row in (v[i * d:(i + 1) * d] for i in range(d))]
+            for v in vectors]
 
 
 def _handle_data(handle: SubmoduleHandle) -> dict:
@@ -157,47 +206,49 @@ def _node_text(node, depth: int = 0) -> list:
 # command handlers, each returning (exit_code, report dict, text lines)
 
 
-def _space_report(command: str, space) -> tuple:
-    basis = [[vector_to_data(row) for row in rows]
-             for rows in _relation_rows(space)]
-    report = {
+def _load_module(args):
+    return load_module(args.module, MODULE_DIM_BUDGET[args.command])
+
+
+def _space_report(command: str, space) -> dict:
+    return {
         "command": command,
         "ambient_dim": space.ambient_dim,
         "dim": space.dim,
         "relation_dim": space.relations.dim,
-        "relation_basis": basis,
+        "relation_basis": _relation_rows(space.relations.basis_vectors(),
+                                         space.module.dim),
         "provenance": space.provenance,
     }
-    return report
 
 
-def _space_text(label: str, space) -> list:
-    lines = [f"{label} dimension: {space.dim} "
-             f"(ambient {space.ambient_dim}, relations "
-             f"{space.relations.dim})"]
-    for i, rows in enumerate(_relation_rows(space)):
+def _space_text(label: str, report: dict) -> list:
+    lines = [f"{label} dimension: {report['dim']} "
+             f"(ambient {report['ambient_dim']}, relations "
+             f"{report['relation_dim']})"]
+    for i, rows in enumerate(report["relation_basis"]):
         lines.append(f"relation {i}:")
         lines.extend(_matrix_text(rows))
     return lines
 
 
 def _cmd_period(args):
-    m = load_module(args.module)
-    space = period_space(m)
-    lines = _space_text("period space", space) if args.fmt == "text" else []
-    return 0, _space_report("period", space), lines
+    m = _load_module(args)
+    report = _space_report("period", period_space(m))
+    lines = _space_text("period space", report) if args.fmt == "text" else []
+    return 0, report, lines
 
 
 def _cmd_endo(args):
-    m = load_module(args.module)
-    space = endo_quotient(m)
-    lines = (_space_text("endomorphism-side space", space)
+    m = _load_module(args)
+    report = _space_report("endo", endo_quotient(m))
+    lines = (_space_text("endomorphism-side space", report)
              if args.fmt == "text" else [])
-    return 0, _space_report("endo", space), lines
+    return 0, report, lines
 
 
 def _cmd_depth(args):
-    m = load_module(args.module)
+    m = _load_module(args)
     # the chain is stable by the power dim M, so larger k adds nothing
     k = min(args.k, max(1, m.dim))
     result = depth_space(m, k, spin_bound=args.spin_bound)
@@ -213,7 +264,7 @@ def _cmd_depth(args):
         report["k_clamped_from"] = args.k
     if args.fmt != "text":
         return code, report, []
-    lines = _space_text(f"depth-{k} space", result.space)
+    lines = _space_text(f"depth-{k} space", report)
     lines.insert(1, "per-stage dimensions: "
                  + ", ".join(str(x) for x in result.per_stage_dims))
     lines.insert(2, f"certified against the full space: "
@@ -225,7 +276,7 @@ def _cmd_depth(args):
 
 
 def _cmd_certify(args):
-    m = load_module(args.module)
+    m = _load_module(args)
     partition = load_partition(args.weights)
     verdict = certify_principal(m, partition, core_cap=args.frontier_cap)
     report = {
@@ -254,7 +305,7 @@ def _cmd_certify(args):
 
 
 def _cmd_realize(args):
-    m = load_module(args.module)
+    m = _load_module(args)
     c = relation_from_data(load_json(args.relation), m)
     result = realize_relation(m, c, power_budget=args.power_budget)
     report = {
@@ -280,7 +331,7 @@ def _cmd_realize(args):
 
 
 def _cmd_eval(args):
-    m = load_module(args.module)
+    m = _load_module(args)
     point = load_comparison(args.comparison, m.algebra)
     rep = eval_and_conjecture(m, point)
     statuses = sorted(r.status for _, r in rep.realizations)
@@ -312,7 +363,8 @@ def _cmd_eval(args):
 def _cmd_lift(args):
     data = load_json(args.sequence)
     m, partition, cut = sequence_file_from_data(
-        data, base_dir=Path(args.sequence).parent)
+        data, base_dir=Path(args.sequence).parent,
+        max_dim=MODULE_DIM_BUDGET["lift"])
     seq = slice_by_weight(m, partition, cut)
     vectors = target_vectors_from_data(
         load_json(args.target), seq.quot, "target")

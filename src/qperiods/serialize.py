@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 from .exactlin import Matrix, NumberField, NumberFieldElem
@@ -26,6 +25,7 @@ from .quivalg import (
 from .periods import ComparisonPoint
 from .yoga import WeightPartition
 from .onemotive import (
+    RangeError,
     SaturatedInput,
     b_module,
     check_model_budget,
@@ -58,18 +58,78 @@ def load_json(path):
         raise ParseError(path, exc.lineno, exc.msg) from exc
 
 
+# lays out every scalar but a string, as json.dumps does
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_quote = json.encoder.encode_basestring_ascii
 
 
 def dump_json(data) -> str:
-    # the encoder yields one small string per token; joining them in
-    # batches keeps a large report from holding every token at once
-    chunks = _ENCODER.iterencode(data)
+    """data laid out as json.dumps(data, indent=2, sort_keys=True) lays it
+    out, plus a final newline."""
     parts = []
-    while batch := list(islice(chunks, 4096)):
-        parts.append("".join(batch))
+    _write(data, "\n", parts, {})
     parts.append("\n")
     return "".join(parts)
+
+
+def _write(value, newline: str, parts: list, written: dict) -> None:
+    """Append the JSON text of value to parts; newline is the line break
+    and indent of value's own level.
+
+    A flat list of strings, such as one row of a relation's matrix, is
+    written in one join, and written maps (id, newline) of each one
+    written so far to its text: a report repeats one zero-row list
+    thousands of times, and data outlives the call, so no id is reused
+    meanwhile.
+    """
+    if isinstance(value, str):
+        parts.append(_quote(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        key = (id(value), newline)
+        text = written.get(key)
+        if text is None:
+            inner = newline + "  "
+            try:
+                # _quote refuses anything but a string
+                text = written[key] = (
+                    "[" + inner + ("," + inner).join(map(_quote, value))
+                    + newline + "]")
+            except TypeError:
+                sep = "[" + inner
+                for item in value:
+                    parts.append(sep)
+                    _write(item, inner, parts, written)
+                    sep = "," + inner
+                parts.append(newline + "]")
+                return
+        parts.append(text)
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(sep + _quote(_key_str(key)) + ": ")
+            _write(item, inner, parts, written)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        parts.append(_ENCODER.encode(value))
+
+
+def _key_str(key) -> str:
+    """A dict key as JSON names it: bools, ints, floats and None by their
+    JSON text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return _ENCODER.encode(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +255,13 @@ def algebra_to_data(alg: BoundQuiverAlgebra) -> dict:
 # modules
 
 
-def module_from_data(data, base_dir=None) -> FdModule:
+def module_from_data(data, base_dir=None, max_dim=None) -> FdModule:
     """Build a module from parsed JSON.
 
     The "algebra" key holds either an inline algebra object or a path,
     resolved relative to base_dir (the directory of the module file).
-    Arrows absent from "maps" act by zero.
+    Arrows absent from "maps" act by zero.  A module whose dimension is
+    above max_dim is refused with RangeError before its maps are read.
     """
     _expect(data, dict, "module")
     alg_ref = _field(data, "algebra", "module")
@@ -221,6 +282,10 @@ def module_from_data(data, base_dir=None) -> FdModule:
             raise ValidationError(
                 f"dims[{vertex!r}] must be a nonnegative integer")
         dims[vertex] = d
+    dim = sum(dims.values())
+    if max_dim is not None and dim > max_dim:
+        raise RangeError(f"the module has dimension {dim}, beyond the "
+                         f"budget of {max_dim}")
 
     maps = {}
     maps_data = _expect(data.get("maps", {}), dict, "maps")
@@ -254,8 +319,9 @@ def module_to_data(m: FdModule) -> dict:
     }
 
 
-def load_module(path) -> FdModule:
-    return module_from_data(load_json(path), base_dir=Path(path).parent)
+def load_module(path, max_dim=None) -> FdModule:
+    return module_from_data(load_json(path), base_dir=Path(path).parent,
+                            max_dim=max_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +569,15 @@ def load_graded_input(path) -> SaturatedInput:
 # exact sequences and lift targets
 
 
-def sequence_file_from_data(data, base_dir=None):
+def sequence_file_from_data(data, base_dir=None, max_dim=None):
     """A sequence file names a module, a partition, and a weight cut.
 
-    Returns (module, partition, cut); the caller slices.
+    Returns (module, partition, cut); the caller slices.  max_dim bounds
+    the module's dimension as in module_from_data.
     """
     _expect(data, dict, "sequence")
-    module = module_from_data(_field(data, "module", "sequence"), base_dir)
+    module = module_from_data(_field(data, "module", "sequence"), base_dir,
+                              max_dim)
     partition = partition_from_data(_field(data, "partition", "sequence"))
     cut = _field(data, "cut", "sequence")
     if not isinstance(cut, int) or isinstance(cut, bool):

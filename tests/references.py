@@ -14,6 +14,10 @@ the longer routes instead:
 
 They share no code with the fixpoints beyond spin, annihilators and the
 module constructions, so agreement between the two is evidence for both.
+
+matrix_text is the text layout of a relation matrix one entry at a
+time, as the command line wrote it before it formatted each distinct
+value once.
 """
 
 import functools
@@ -29,6 +33,7 @@ from qperiods.quivalg import (
     preimage_submodule,
     spin_pool,
 )
+from qperiods.serialize import rational_str
 from qperiods.yoga import WeightPartition, admissible_check, slice_by_weight
 
 
@@ -157,3 +162,12 @@ def targets(m: FdModule, count: int) -> list:
             seen.add(h.spaces)
             out.append(h)
     return out
+
+
+def matrix_text(rows: list) -> list:
+    """The `--format text` lines of a matrix given by its rows of
+    rationals: rational_str of every entry, right-aligned in columns."""
+    strs = [[rational_str(x) for x in row] for row in rows]
+    widths = [max(map(len, col)) for col in zip(*strs)]
+    return ["    " + "  ".join(x.rjust(w) for x, w in zip(row, widths))
+            for row in strs]

@@ -16,6 +16,7 @@ import pytest
 
 from qperiods import cli
 from qperiods.cli import main
+from qperiods.serialize import load_module, sequence_file_from_data
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -378,6 +379,64 @@ def test_depth_refuses_a_spin_bound_beyond_the_budget(capsys):
     assert err == (f"qperiods depth: --spin-bound "
                    f"{cli.SPIN_BOUND_BUDGET + 1} is beyond the budget of "
                    f"{cli.SPIN_BOUND_BUDGET}\n")
+
+
+MODULE_COMMANDS = {
+    # command: (the extra arguments, the work the refusal comes before)
+    "period": ([], "period_space"),
+    "endo": ([], "endo_quotient"),
+    "depth": (["--k", "1"], "depth_space"),
+    "certify": (["--weights", fx("a2_weights.json")], "certify_principal"),
+    "realize": (["--relation", fx("a2_relation.json")], "realize_relation"),
+    "eval": (["--comparison", fx("a2_cmp_u1.json")], "eval_and_conjecture"),
+    "lift": (["--target", fx("a3_target.json")], "universal_lift"),
+}
+
+
+def _module_of_dim(command, dim, tmp_path):
+    """A valid input file whose module has dimension dim at one vertex
+    and no maps: a sequence file for lift, an a2 module otherwise."""
+    if command == "lift":
+        data = json.loads((FIXTURES / "a3_seq.json").read_text())
+        data["module"]["dims"] = {"w0": dim}
+        data["module"]["maps"] = {}
+    else:
+        data = {"algebra": fx("a2.json"), "dims": {"v1": dim, "v2": 0}}
+    path = tmp_path / f"{command}-{dim}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_every_module_command_has_a_dimension_budget():
+    assert sorted(cli.MODULE_DIM_BUDGET) == sorted(MODULE_COMMANDS)
+    # far above the largest benchmark input, period on a2/p1^8 (d = 16)
+    assert min(cli.MODULE_DIM_BUDGET.values()) > 16
+
+
+@pytest.mark.parametrize("command", sorted(MODULE_COMMANDS))
+def test_a_module_beyond_the_command_budget_is_refused(
+        command, tmp_path, capsys):
+    extra, work = MODULE_COMMANDS[command]
+    budget = cli.MODULE_DIM_BUDGET[command]
+    if command == "lift":
+        sequence = json.loads(
+            Path(_module_of_dim(command, budget, tmp_path)).read_text())
+        module, _, _ = sequence_file_from_data(
+            sequence, FIXTURES, max_dim=budget)
+    else:
+        module = load_module(_module_of_dim(command, budget, tmp_path),
+                             max_dim=budget)
+    assert module.dim == budget
+    # refused before the maps are read and before any of the work
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, work, None)
+        code, out, err = run(
+            [command, _module_of_dim(command, budget + 1, tmp_path), *extra],
+            capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (f"qperiods {command}: the module has dimension "
+                   f"{budget + 1}, beyond the budget of {budget}\n")
 
 
 def test_no_command_prints_usage(capsys):

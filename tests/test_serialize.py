@@ -6,10 +6,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qperiods import zoo
-from qperiods.cli import main
-from qperiods.exactlin import Matrix, NumberField
+from qperiods.cli import _matrix_text, _relation_rows, main
+from qperiods.exactlin import ZERO, Matrix, NumberField
 from qperiods.periods import ComparisonPoint, period_space
 from qperiods.quivalg import (
     StructureAlgebra,
@@ -36,6 +38,7 @@ from qperiods.serialize import (
     structure_algebra_to_data,
 )
 from qperiods.yoga import WeightPartition
+from references import matrix_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -160,9 +163,112 @@ def test_rational_str_is_canonical_and_refuses_non_rationals():
 
 
 def test_dump_json_matches_json_dumps():
-    # far more than one batch of encoder chunks, nested and unsorted
+    # large, nested and unsorted
     big = {"z": [[str(i), {"b": i, "a": None}] for i in range(5000)],
            "a": {"y": [1.5, True, "\u00e9"], "x": []}}
     for data in (big, [], {}, "text", 3):
         assert dump_json(data) == json.dumps(
             data, indent=2, sort_keys=True) + "\n"
+
+
+def _dumps(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+RATIONAL_STRINGS = st.builds(
+    lambda p, q: rational_str(Fraction(p, q)),
+    st.integers(-10**6, 10**6), st.integers(1, 50))
+SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+           | st.floats() | RATIONAL_STRINGS | st.text())
+KEYS = (st.text() | RATIONAL_STRINGS | st.integers()
+        | st.floats(allow_nan=False) | st.booleans() | st.none())
+
+
+def _containers(children):
+    flat = st.lists(RATIONAL_STRINGS | st.text(), max_size=6)
+    return (st.lists(children, max_size=5)
+            | st.lists(children, max_size=4).map(tuple)
+            | st.lists(flat, max_size=4)
+            # one key type per dict: sort_keys cannot order str against int
+            | KEYS.flatmap(lambda key: st.dictionaries(
+                st.from_type(type(key)) if key is not None else st.none(),
+                children, max_size=5)))
+
+
+REPORTS = st.recursive(SCALARS, _containers, max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORTS)
+def test_dump_json_equals_json_dumps_on_generated_reports(data):
+    assert dump_json(data) == _dumps(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(RATIONAL_STRINGS, max_size=4), REPORTS, st.data())
+def test_a_list_repeated_at_several_depths_is_written_at_each(
+        row, other, data):
+    # the writer remembers each flat list it wrote by identity and depth
+    places = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    report = {"other": other, "rows": [row]}
+    for depth in places:
+        nested = row
+        for _ in range(depth):
+            nested = [nested, row]
+        report["rows"].append(nested)
+    assert dump_json(report) == _dumps(report)
+
+
+@pytest.mark.parametrize("data", [
+    [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], [[]], {}],
+    [["0", "0"], [], ["0"]],
+    ["1", {"a": "2"}], ["1", ["2"]], ["1", 2], [3, "x"], ["a", None, True],
+    ["a", 1.5], [("a", "b"), ("c",)], ("x", ["y"]), {"t": ("a", 1)},
+    ["-7/3", "0", "12345678901234567890/7", "-1"],
+    ["\u00e9", "\x00\x1f\n\t\"\\", "\u2028", "\U0001f600", "\x7f"],
+    {"\u00e9": 1, "\n": [2], "": None},
+    {3: "a", -1: "b"}, {1.5: "a", 0.25: "b"}, {True: 1, False: 0},
+    {None: "n"}, {"a": {"c": 1, "b": 2}},
+    0, -3, 2**80, 1.0, -0.0, 1e300, float("inf"), float("nan"),
+    True, False, None, "", "0",
+], ids=repr)
+def test_dump_json_equals_json_dumps_on_edge_cases(data):
+    assert dump_json(data) == _dumps(data)
+
+
+def test_dump_json_refuses_what_json_dumps_refuses():
+    for data in ({(1, 2): "tuple key"}, [Fraction(1, 2)], {"a": {1j}}):
+        with pytest.raises(TypeError):
+            json.dumps(data, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dump_json(data)
+
+
+ENTRIES = (st.just(ZERO)
+           | st.builds(Fraction, st.just(0))      # a zero that is not ZERO
+           | st.builds(Fraction, st.integers(-10**4, 10**4),
+                       st.integers(1, 40)))
+
+
+@st.composite
+def relation_vectors(draw):
+    """(d, vectors): a few length d^2 vectors, mostly ZERO."""
+    d = draw(st.integers(0, 6))
+    sparse = st.one_of(st.just(ZERO), st.just(ZERO), ENTRIES)
+    vectors = draw(st.lists(
+        st.lists(sparse, min_size=d * d, max_size=d * d).map(tuple),
+        max_size=4))
+    return d, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(relation_vectors())
+def test_relation_rows_equal_the_per_entry_json_and_text(case):
+    d, vectors = case
+    rows = _relation_rows(vectors, d)
+    matrices = [[v[i * d:(i + 1) * d] for i in range(d)] for v in vectors]
+    assert rows == [[[rational_str(x) for x in row] for row in matrix]
+                    for matrix in matrices]
+    assert ([_matrix_text(r) for r in rows]
+            == [matrix_text(matrix) for matrix in matrices])
+    assert dump_json(rows) == _dumps(rows)
