@@ -13,7 +13,9 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
   a3/proj^2 with ``--k 2`` and on a3/proj^3 with ``--k 9``;
 - ``period`` on a2/p1^16, a2/p1^24 and a2/p1^32 (d = 32, 48 and 64);
 - ``onemotive --g 0 --l 1 --m 29``, the slowest matrix model that
-  onemotive.MODEL_DIM_BUDGET admits (ambient dimension d = 32).
+  onemotive.MODEL_DIM_BUDGET admits (ambient dimension d = 32);
+- ``eval`` on a2/p1^8, a2/p1^12 and a2/p1^16 (d = 16, 24 and 32) at
+  one fixed unit over Q[x]/(x^3 - 2).
 
 Each row prints the module (or model) dimension d, the best of
 ``--repeat`` wall clock times and the first 16 hex digits of the sha256
@@ -62,9 +64,20 @@ def rebase(m, rng: random.Random):
     return FdModule(alg, dict(zip(alg.vertices, m.dims)), maps)
 
 
+def unit_point(algebra) -> dict:
+    """The unit with x + 1 at every vertex and x^2 - x + 1 on every path
+    of positive length, over Q[x]/(x^3 - 2)."""
+    return {"field": [-2, 0, 0, 1],
+            "u": {name: [1, -1, 1] if arrows else [1, 1, 0]
+                  for name, (_, arrows) in zip(algebra.basis_names(),
+                                               algebra.basis)}}
+
+
 def rows() -> list:
     """(label, module, command, extra argv) for each size-wall row; the
-    module is None for a row whose command takes no input file."""
+    module is None for a row whose command takes no input file, and an
+    extra argument that is a dict is written to a JSON file whose path
+    takes its place."""
     from qperiods import zoo
     from qperiods.quivalg import module_power
     p1 = zoo.get_module("a2/p1")
@@ -84,6 +97,8 @@ def rows() -> list:
             for k in (16, 24, 32)]
     out.append(("rational g=0 l=1 m=29", None, "onemotive",
                 ["--g", "0", "--l", "1", "--m", "29"]))
+    out += [(f"a2/p1^{k}", module_power(p1, k), "eval",
+             ["--comparison", unit_point(p1.algebra)]) for k in (8, 12, 16)]
     return out
 
 
@@ -120,6 +135,10 @@ def main() -> int:
     print(f"{'input':<28} {'command':<9} {'d':>3} {'best s':>8}  sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, m, command, extra) in enumerate(rows()):
+            for j, arg in enumerate(extra):
+                if isinstance(arg, dict):
+                    extra[j] = os.path.join(tmp, f"{i}-{j}.json")
+                    Path(extra[j]).write_text(dump_json(arg))
             if m is None:
                 argv, d = [command, *extra], model_dim(extra)
             else:

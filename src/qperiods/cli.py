@@ -100,8 +100,10 @@ SPIN_BOUND_BUDGET = 64
 # - certify takes 8.2 s on a2/p1^32 and 18 s on S1^64;
 # - realize of a combination of the whole relation basis takes 3.1 s on
 #   a2/p1^16 (d = 32) and 38 s on a2/p1^32;
-# - eval takes 7.9 s on a2/p1^16, 30 s on a2/p1^24 (d = 48) and more
-#   than a minute on a2/p1^32;
+# - eval takes 1.2 s on a2/p1^16 and 4.1 s on a2/p1^24 (d = 48) at a
+#   unit over Q[x]/(x^3 - 2), with d^2 - 1 kernel vectors realized; its
+#   budget was chosen at 30 s on a2/p1^24 and is kept, since moving a
+#   budget changes which inputs are answered;
 # - lift of the a3 sequence fixture's module to the k-th power (d = 5k)
 #   takes 1.4 s at d = 160 and 13 s at d = 320.
 # The benchmark asks at most d = 16 (period on a2/p1^8).
@@ -126,8 +128,14 @@ def _scalar_data(x):
     return rational_str(x)
 
 
-def _vec_data(vec) -> list:
-    return [_scalar_data(x) for x in vec]
+def _vector_rows(vectors) -> list:
+    """Each vector as the list of its entries, as _scalar_data writes them.
+
+    Kernel vectors over Q are mostly the ZERO object, which reads "0";
+    every other distinct entry is written once.
+    """
+    text = _memo(_scalar_data)
+    return [["0" if x is ZERO else text(x) for x in v] for v in vectors]
 
 
 def _matrix_text(rows: list) -> list:
@@ -140,6 +148,19 @@ def _matrix_text(rows: list) -> list:
     return [text[id(row)] for row in rows]
 
 
+def _memo(write):
+    """write, called once per distinct entry."""
+    texts = {}
+
+    def text(x):
+        s = texts.get(x)
+        if s is None:
+            s = texts[x] = write(x)
+        return s
+
+    return text
+
+
 def _relation_rows(vectors, d: int) -> list:
     """Each relation vector as the d rows of its coefficient matrix
     (Matrix.vec is row-major), every entry as rational_str writes it.
@@ -149,14 +170,7 @@ def _relation_rows(vectors, d: int) -> list:
     zero share one list.
     """
     zero_row = ["0"] * d
-    texts = {}
-
-    def text(x):
-        s = texts.get(x)
-        if s is None:
-            s = texts[x] = rational_str(x)
-        return s
-
+    text = _memo(rational_str)
     return [[zero_row if row.count(ZERO) == d
              else ["0" if x is ZERO else text(x) for x in row]
              for row in (v[i * d:(i + 1) * d] for i in range(d))]
@@ -341,8 +355,8 @@ def _cmd_eval(args):
         "holds": rep.holds,
         "period_dim": rep.space.dim,
         "values": [_scalar_data(v) for v in rep.values],
-        "quotient_kernel": [_vec_data(v) for v in rep.quotient_kernel],
-        "ambient_kernel": [_vec_data(v) for v in rep.ambient_kernel],
+        "quotient_kernel": _vector_rows(rep.quotient_kernel),
+        "ambient_kernel": _vector_rows(rep.ambient_kernel),
         "relations_evaluate_to_zero": rep.relations_evaluate_to_zero,
         "realization_statuses": statuses,
     }

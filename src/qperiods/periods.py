@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .exactlin import (
@@ -155,11 +154,14 @@ def relation_from_submodule(m: FdModule, power: int, ambient: FdModule,
     return Subspace._from_rows(d * d, tuple(vecs))
 
 
-def _is_scalar(e: tuple) -> bool:
-    """Whether the square matrix with rows e is c times the identity."""
-    c = e[0][0] if e else ZERO
-    return all(x == (c if i == j else ZERO)
-               for i, row in enumerate(e) for j, x in enumerate(row))
+def _is_scalar(entries: list, d: int) -> bool:
+    """Whether the d x d matrix with these nonzero entries, as
+    Matrix.nonzero_entries lists them, is c times the identity."""
+    if not entries:
+        return True
+    c = entries[0][2]
+    return len(entries) == d and all(i == j and x == c
+                                     for i, j, x in entries)
 
 
 def endo_quotient(m: FdModule) -> PeriodSpace:
@@ -187,12 +189,11 @@ def endo_quotient(m: FdModule) -> PeriodSpace:
     d = m.dim
     cent = None
     for f in hom_space(m, m):
-        e = f.flattened()
-        if _is_scalar(e.rows):
+        entries = f.flattened().nonzero_entries()
+        if _is_scalar(entries, d):
             continue
         if cent is None:
             cent = [{pos: ONE} for pos in range(d * d)]
-        entries = e.nonzero_entries()
         cent = intertwiners(cent, d, [(entries, entries)])
     if cent is None:
         return PeriodSpace(m, Subspace._from_rows(d * d, (), ()),
@@ -342,7 +343,8 @@ class RealizationResult:
 
 
 def realize_relation(m: FdModule, c: Matrix,
-                     power_budget: int | None = None) -> RealizationResult:
+                     power_budget: int | None = None,
+                     witnesses: dict | None = None) -> RealizationResult:
     """Realize a coefficient relation as a submodule of a power of M.
 
     Rank-factors C = sum_k outer(sigma_k, omega_k) with m = rank(C) and
@@ -350,6 +352,12 @@ def realize_relation(m: FdModule, c: Matrix,
     the canonical candidate witness, and if the omega tuple fails to
     annihilate it the matrix is reported unrealizable at this power
     rather than silently widened.
+
+    The witness depends on the sigma tuple alone.  witnesses maps each
+    sigma tuple spun so far to its witness and that witness's
+    annihilator; a caller realizing many matrices of the same module
+    passes one dict to all of those calls, so that each distinct tuple is
+    spun once.  Without it the call spins for itself.
     """
     d = m.dim
     if (c.nrows, c.ncols) != (d, d):
@@ -364,24 +372,30 @@ def realize_relation(m: FdModule, c: Matrix,
         return RealizationResult(
             "budget", None,
             f"rank {r} exceeds the allowed power budget {power_budget}")
-    omega = tuple(red.rows[i] for i in range(r))
-    w_mat = Matrix(omega, ncols=d)
-    sig_cols = []
+    omega = red.rows[:r]
+    # the pivots of an rref basis read off coordinates directly, so
+    # sigma_k is C's column at pivot k and row i of C is
+    # sum_k C[i][pivot k] * omega_k; that sum is rebuilt over the nonzero
+    # terms and compared row by row
+    sigma = tuple(tuple(row[p] for row in c.rows) for p in pivots)
+    omega_terms = [[(j, b) for j, b in enumerate(w) if b] for w in omega]
     for row in c.rows:
-        coeffs = []
-        for i in range(r):
-            coeffs.append(row[pivots[i]])
-        sig_cols.append(tuple(coeffs))
-    # row i of C equals sum_k sig_cols[i][k] * omega_k because the pivots
-    # of an rref basis read off coordinates directly
-    lmat = Matrix(sig_cols, ncols=r)
-    assert lmat * w_mat == c, "rank factorization failed"
-    sigma = tuple(lmat.column(k) for k in range(r))
-    ambient = module_power(m, r)
-    s_flat = tuple_embed(m, r, sigma)
-    witness = SubmoduleHandle.spin(ambient, [s_flat])
-    w_flat = tuple_embed(m, r, omega)
-    if witness.flat().annihilator().contains_vector(w_flat):
+        rebuilt = [ZERO] * d
+        for p, terms in zip(pivots, omega_terms):
+            a = row[p]
+            if a:
+                for j, b in terms:
+                    rebuilt[j] += a * b
+        assert rebuilt == list(row), "rank factorization failed"
+    if witnesses is None:
+        witnesses = {}
+    spun = witnesses.get(sigma)
+    if spun is None:
+        witness = SubmoduleHandle.spin(module_power(m, r),
+                                       [tuple_embed(m, r, sigma)])
+        spun = witnesses[sigma] = (witness, witness.flat().annihilator())
+    witness, annihilator = spun
+    if annihilator.contains_vector(tuple_embed(m, r, omega)):
         real = Realization(m, r, sigma, omega, witness)
         return RealizationResult("realized", real)
     return RealizationResult(
@@ -544,25 +558,31 @@ def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
     values = tuple(ambient_values[j] for j in free)
     quotient_kernel = k_linear_kernel(emb, values)
     ambient_kernel = k_linear_kernel(emb, tuple(ambient_values))
+    # relation bases are almost all zeros, nearly every one of them the
+    # shared ZERO, which is skipped without a call to Fraction.__bool__
     relations_zero = True
     for v in space.relations.basis_vectors():
         total = lf.zero()
         for idx, x in enumerate(v):
-            if x:
+            if x is not ZERO and x:
                 total = total + ambient_values[idx] * x
         if total:
             relations_zero = False
+    # over K = Q the kernel vectors already are tuples of Fractions
     realizations = []
+    witnesses = {}
     for vec in ambient_kernel:
-        rational = _rational_vector(vec)
+        rational = vec if emb.domain is None else _rational_vector(vec)
         if rational is None:
             realizations.append(
                 (vec, RealizationResult(
                     "unknown", None,
                     "kernel vector has non-rational coefficients")))
             continue
-        c = Matrix.unvec(rational, d, d)
-        realizations.append((vec, realize_relation(m, c)))
+        c = Matrix._wrap(tuple(rational[i * d:(i + 1) * d]
+                               for i in range(d)), d)
+        realizations.append((vec, realize_relation(m, c,
+                                                   witnesses=witnesses)))
     return EvalReport(
         module=m, point=point, space=space, values=values,
         quotient_kernel=quotient_kernel, ambient_kernel=ambient_kernel,
@@ -572,16 +592,13 @@ def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
 
 
 def _rational_vector(vec) -> tuple | None:
+    """A vector of K-elements as Fractions, or None if an entry lies
+    outside Q."""
     out = []
     for x in vec:
-        if isinstance(x, Fraction):
-            out.append(x)
-        elif isinstance(x, NumberFieldElem):
-            if any(x.coeffs[1:]):
-                return None
-            out.append(x.coeffs[0])
-        else:
-            out.append(rat(x))
+        if any(x.coeffs[1:]):
+            return None
+        out.append(x.coeffs[0])
     return tuple(out)
 
 

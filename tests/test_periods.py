@@ -5,16 +5,19 @@ arrow matrices and takes the nullspace of the trace pairing; the
 package's own kernel code never enters that route.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qperiods import zoo
+from qperiods import periods, zoo
 from qperiods.exactlin import Matrix, NumberField, Subspace, ZeroDivisor
 from qperiods.periods import (
     ComparisonPoint,
+    _is_scalar,
     NotAField,
     Realization,
     check_absorb_identity,
@@ -446,3 +449,94 @@ def test_eval_with_proper_coefficient_subfield():
     # kernels are K-spaces; evaluation stays exact all the way down
     assert rep.relations_evaluate_to_zero
     assert isinstance(rep.holds, bool)
+
+
+def _one_over_q(m):
+    """The unit u = 1, the sum of the vertex idempotents, over Q."""
+    field = NumberField([0, 1])
+    return ComparisonPoint(field, tuple(
+        field.elem([0 if arrows else 1]) for _, arrows in m.algebra.basis))
+
+
+def _cubic_unit(m, rng):
+    """A unit over Q[x]/(x^3 - 2): nonzero vertex coefficients and
+    arbitrary path coefficients, as the benchmark draws them."""
+    lf = NumberField([-2, 0, 0, 1])
+    coords = []
+    for _, arrows in m.algebra.basis:
+        c = [rng.randint(-3, 3) for _ in range(3)]
+        while not (arrows or any(c)):
+            c = [rng.randint(-3, 3) for _ in range(3)]
+        coords.append(lf.elem(c))
+    return ComparisonPoint(lf, tuple(coords))
+
+
+def test_eval_realizations_equal_fresh_realizations():
+    # eval spins each distinct sigma tuple once for all of its kernel
+    # vectors; every answer must be what a lone realize_relation gives
+    rank_two = repeats = unknown = 0
+    for key, m in ORACLE_INPUTS:
+        d = m.dim
+        for point in (_one_over_q(m), _cubic_unit(m, random.Random(key))):
+            rep = eval_and_conjecture(m, point)
+            sigmas = []
+            for vec, shared in rep.realizations:
+                fresh = realize_relation(m, Matrix.unvec(vec, d, d))
+                assert (shared.status, shared.reason) == \
+                    (fresh.status, fresh.reason), key
+                unknown += fresh.status == "unknown"
+                if fresh.realization is None:
+                    assert shared.realization is None
+                    continue
+                a, b = shared.realization, fresh.realization
+                assert (a.power, a.sigma, a.omega, a.witness.spaces) == \
+                    (b.power, b.sigma, b.omega, b.witness.spaces), key
+                rank_two += a.power == 2
+                sigmas.append(a.sigma)
+            repeats += len(sigmas) - len(set(sigmas))
+    assert rank_two and repeats and unknown, (rank_two, repeats, unknown)
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_a_wrong_rank_factorization_is_refused(monkeypatch, row):
+    # an rref whose omega row is scaled no longer factors C; the check
+    # must see it, whichever row it is
+    m = zoo.get_module("loop2/reg")
+    c = Matrix([[1, 2], [3, -1]])
+    exact = periods.rref
+
+    def scaled(mat):
+        red, pivots = exact(mat)
+        rows = list(red.rows)
+        rows[row] = tuple(2 * x for x in rows[row])
+        return Matrix._wrap(tuple(rows), red.ncols), pivots
+
+    assert realize_relation(m, c).status in ("realized", "unknown")
+    monkeypatch.setattr(periods, "rref", scaled)
+    with pytest.raises(AssertionError, match="rank factorization failed"):
+        realize_relation(m, c)
+
+
+def _dense_is_scalar(rows) -> bool:
+    c = rows[0][0] if rows else 0
+    return all(x == (c if i == j else 0)
+               for i, row in enumerate(rows) for j, x in enumerate(row))
+
+
+@st.composite
+def near_scalar_matrices(draw):
+    """c times the identity, with a few entries perhaps changed."""
+    d = draw(st.integers(0, 4))
+    c = draw(st.integers(-2, 2))
+    rows = [[c if i == j else 0 for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 2)) if d else 0):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        rows[i][j] = draw(st.integers(-2, 2))
+    return Matrix(rows, ncols=d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_scalar_matrices())
+def test_is_scalar_from_nonzero_entries_matches_the_dense_test(e):
+    assert (_is_scalar(e.nonzero_entries(), e.nrows)
+            == _dense_is_scalar(e.rows))

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperiods import zoo
-from qperiods.cli import _matrix_text, _relation_rows, main
+from qperiods.cli import (
+    _matrix_text,
+    _relation_rows,
+    _scalar_data,
+    _vector_rows,
+    main,
+)
 from qperiods.exactlin import ZERO, Matrix, NumberField
 from qperiods.periods import ComparisonPoint, period_space
 from qperiods.quivalg import (
@@ -271,4 +277,21 @@ def test_relation_rows_equal_the_per_entry_json_and_text(case):
                     for matrix in matrices]
     assert ([_matrix_text(r) for r in rows]
             == [matrix_text(matrix) for matrix in matrices])
+    assert dump_json(rows) == _dumps(rows)
+
+
+CUBIC = NumberField([-2, 0, 0, 1])
+CUBIC_ENTRIES = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(
+    CUBIC.elem)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.lists(st.one_of(st.just(ZERO), ENTRIES), max_size=12)
+             .map(tuple), max_size=4),
+    st.lists(st.lists(CUBIC_ENTRIES, max_size=6).map(tuple), max_size=4)))
+def test_vector_rows_equal_the_per_entry_data(vectors):
+    # kernel vectors over Q, and over a proper coefficient field K
+    rows = _vector_rows(vectors)
+    assert rows == [[_scalar_data(x) for x in v] for v in vectors]
     assert dump_json(rows) == _dumps(rows)
