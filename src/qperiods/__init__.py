@@ -65,13 +65,11 @@ from .periods import (
     endo_quotient,
     eval_and_conjecture,
     period_space,
-    pushout_reduction,
     realize_relation,
     verify_realization,
 )
 from .yoga import (
     AdmissibleSequence,
-    BudgetExceeded,
     HypothesisFailed,
     NotExact,
     OrthogonalityFailure,
@@ -79,10 +77,8 @@ from .yoga import (
     SupportViolation,
     WeightPartition,
     admissible_check,
-    bounded_extension_search,
     bounded_lift_search,
     certify_principal,
-    class_c_explore,
     replay_derivation,
     saturated_check,
     slice_by_weight,

@@ -137,11 +137,8 @@ class Matrix:
         return cls._wrap(((_promote(zero),) * ncols,) * nrows, ncols)
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Iterable], nrows: int | None = None) -> "Matrix":
-        cols = tuple(tuple(c) for c in cols)
-        if not cols and nrows is None:
-            nrows = 0
-        return cls(cols, ncols=nrows).transpose()
+    def from_columns(cls, cols: Sequence[Iterable]) -> "Matrix":
+        return cls(tuple(tuple(c) for c in cols)).transpose()
 
     # -- basic queries -------------------------------------------------------
 
@@ -428,27 +425,6 @@ def intertwiners(basis: Sequence[dict], ncols: int,
         free = active[max(j for j, ys in enumerate(y) if ys)]
         out[free] = {pos: v for pos, v in acc.items() if v}
     return [out[s] for s in sorted(out)]
-
-
-def solve(a: Matrix, b: Sequence) -> tuple | None:
-    """One solution of a x = b, or None if the system is inconsistent.
-
-    When solutions form an affine family, the representative with zero free
-    coordinates is returned, so the output is deterministic.
-    """
-    if len(b) != a.nrows:
-        raise DimensionMismatch("right-hand side has wrong length")
-    aug = a.hstack(Matrix(tuple((x,) for x in b), ncols=1))
-    red, pivots = rref(aug)
-    if a.ncols in pivots:
-        return None
-    x = [ZERO] * a.ncols
-    if a.ncols and a.nrows:
-        zero = a.rows[0][0] - a.rows[0][0]
-        x = [zero] * a.ncols
-    for r, p in enumerate(pivots):
-        x[p] = red.rows[r][a.ncols]
-    return tuple(x)
 
 
 def invert(m: Matrix) -> Matrix:

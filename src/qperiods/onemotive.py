@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import Matrix, ZERO, ONE, intertwiners
-from .quivalg import StructureAlgebra, matrix_algebra_structure
+from .quivalg import StructureAlgebra
 from .yoga import HypothesisFailed
 
 
@@ -143,26 +143,6 @@ def regular_power(algebra: StructureAlgebra, k: int) -> BModule:
                     row[copy * n + c] = block.rows[r][c]
                 rows.append(row)
         mats.append(Matrix(rows, ncols=n * k))
-    return b_module(algebra, mats)
-
-
-def matrix_column_module(n: int, k: int) -> BModule:
-    """(Q^n)^k over the n-by-n matrix algebra, matrix units acting as such."""
-    if n < 1 or k < 0:
-        raise RangeError("need a positive matrix size and a nonnegative "
-                         "power")
-    algebra = matrix_algebra_structure(n)
-    mats = []
-    for i in range(n):
-        for j in range(n):
-            rows = []
-            for copy in range(k):
-                for r in range(n):
-                    row = [ZERO] * (n * k)
-                    if r == i:
-                        row[copy * n + j] = ONE
-                    rows.append(row)
-            mats.append(Matrix(rows, ncols=n * k))
     return b_module(algebra, mats)
 
 

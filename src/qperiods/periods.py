@@ -44,9 +44,7 @@ from .quivalg import (
     NotASubmodule,
     SubmoduleHandle,
     block_map,
-    factor_through_quotient,
     hom_space,
-    image_submodule,
     module_power,
     slot_layout,
     spin_pool,
@@ -463,18 +461,6 @@ class EvalReport:
         return "holds" if self.holds else "fails"
 
 
-def evaluate_coefficient(m: FdModule, point: ComparisonPoint,
-                         c: Matrix) -> NumberFieldElem:
-    """tr(rho(u) C) inside the value field."""
-    rho_u = _rho_of_unit(m, point)
-    total = point.value_field.zero()
-    d = m.dim
-    for i in range(d):
-        for jj in range(d):
-            total = total + rho_u.rows[i][jj] * rat(c.rows[jj][i])
-    return total
-
-
 def _rho_of_unit(m: FdModule, point: ComparisonPoint) -> Matrix:
     lf = point.value_field
     d = m.dim
@@ -487,34 +473,27 @@ def _rho_of_unit(m: FdModule, point: ComparisonPoint) -> Matrix:
             for jj in range(d):
                 if mat.rows[i][jj]:
                     rows[i][jj] = rows[i][jj] + coeff * rat(mat.rows[i][jj])
-    return Matrix(rows, ncols=d)
+    return Matrix._wrap(tuple(map(tuple, rows)), d)
 
 
 def _check_unit(m: FdModule, point: ComparisonPoint):
-    """u must be invertible in the scalar-extended algebra itself."""
+    """u must be invertible in the scalar-extended algebra itself.
+
+    The arrows span a nilpotent ideal, so u is a unit of A (x) L exactly
+    when each vertex-idempotent coefficient is a unit of L.  A zero
+    coefficient is refused first; inverting the others lets a zero
+    divisor of a reducible L end in NotAField.
+    """
     algebra = m.algebra
-    lf = point.value_field
     if len(point.u_coords) != algebra.dim:
         raise ValueError("unit coordinates do not match the algebra basis")
-    n = algebra.dim
-    cols = []
-    for jj in range(n):
-        basis = [ZERO] * n
-        basis[jj] = ONE
-        col = [lf.zero() for _ in range(n)]
-        for i, ci in enumerate(point.u_coords):
-            if not ci:
-                continue
-            prod = algebra.multiply_basis(i, jj)
-            for t, c in enumerate(prod):
-                if c:
-                    col[t] = col[t] + ci * rat(c)
-        cols.append(tuple(col))
-    lmul = Matrix.from_columns(cols, nrows=n)
-    _, pivots = rref(lmul)
-    if len(pivots) != n:
+    coeffs = [point.u_coords[algebra.basis_index[(v, ())]]
+              for v in algebra.vertices]
+    if not all(coeffs):
         raise NotAUnit("the evaluation element is not a unit of the "
                        "scalar-extended algebra")
+    for c in coeffs:
+        c.inverse()
 
 
 def eval_and_conjecture(m: FdModule, point: ComparisonPoint) -> EvalReport:
@@ -600,143 +579,3 @@ def _rational_vector(vec) -> tuple | None:
             return None
         out.append(x.coeffs[0])
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# structural identities
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    applicable: bool
-    holds: bool
-    dims: dict
-
-
-def check_power_identity(m: FdModule, n: int) -> IdentityReport:
-    """The period space dimension of M^n equals that of M for n >= 1."""
-    if n < 1:
-        raise ValueError("power must be at least 1")
-    base = period_space(m)
-    powered = period_space(module_power(m, n))
-    return IdentityReport(
-        "power", True, base.dim == powered.dim,
-        {"base": base.dim, "power": powered.dim, "n": n})
-
-
-def check_absorb_identity(m: FdModule, witness: ModuleMap) -> IdentityReport:
-    """M + N has the same period space dimension as M alone when N embeds
-    in or is a quotient of M.
-
-    witness must be a mono N -> M or an epi M -> N.
-    """
-    if witness.target == m and witness.is_injective():
-        other = witness.source
-    elif witness.source == m and witness.is_surjective():
-        other = witness.target
-    else:
-        return IdentityReport("absorb", False, False, {})
-    from .quivalg import direct_sum
-    base = period_space(m)
-    summed = period_space(direct_sum([m, other]))
-    return IdentityReport(
-        "absorb", True, base.dim == summed.dim,
-        {"base": base.dim, "sum": summed.dim})
-
-
-def check_orthogonal_additivity(m0: FdModule, m1: FdModule) -> IdentityReport:
-    """dim P(M0 + M1) = dim P(M0) + dim P(M1) for modules with disjoint
-    vertex support.
-
-    Disjoint support means disjoint composition factors, which is what
-    makes the subquotient-closed subcategories around the two modules
-    Hom-orthogonal.  Hom-vanishing between the modules alone is weaker
-    and does not grant additivity: a uniserial module and one of its
-    middle factors admit no homs either way yet share coefficients.
-    """
-    support0 = {v for v in m0.algebra.vertices if m0.vdim(v)}
-    support1 = {v for v in m1.algebra.vertices if m1.vdim(v)}
-    if m0.algebra is not m1.algebra or support0 & support1:
-        return IdentityReport("orthogonal-additivity", False, False, {})
-    from .quivalg import direct_sum
-    p0, p1 = period_space(m0), period_space(m1)
-    ps = period_space(direct_sum([m0, m1]))
-    return IdentityReport(
-        "orthogonal-additivity", True, ps.dim == p0.dim + p1.dim,
-        {"left": p0.dim, "right": p1.dim, "sum": ps.dim})
-
-
-@dataclass(frozen=True)
-class PushoutReduction:
-    module: FdModule                 # the reduced middle term
-    sub_map: ModuleMap               # M0 -> reduced
-    quot_map: ModuleMap              # reduced -> M1^(x*l)
-    dims: dict
-    holds: bool
-
-
-def pushout_reduction(m: FdModule, m0: FdModule, x: int,
-                      left: ModuleMap, m1: FdModule, l: int,
-                      right: ModuleMap) -> PushoutReduction:
-    """Collapse a two-sided power sequence to a one-sided one.
-
-    Input: a mono left: M0^x -> M and an epi right: M -> M1^l with
-    image(left) = kernel(right); M0 and M1 are passed along with their
-    multiplicities and the power layout is validated.  Output: a module
-    with a mono from M0 itself and an epi onto M1^(x*l), exact in the
-    middle, and the period dimension comparison with M.  The middle term
-    is M^x modulo the kernel of the slotwise evaluation map on the
-    embedded copies of M0^x.
-    """
-    if left.target != m or right.source != m:
-        raise ValueError("maps do not frame the given module")
-    inner = module_power(m0, x)
-    if left.source != inner:
-        raise ValueError("the mono's source is not the declared power of M0")
-    if right.target != module_power(m1, l):
-        raise ValueError("the epi's target is not the declared power of M1")
-    if not left.is_injective():
-        raise ValueError("left map must be injective")
-    if not right.is_surjective():
-        raise ValueError("right map must be surjective")
-    if left.image().spaces != right.kernel().spaces:
-        raise ValueError("image of the mono must equal the kernel of the epi")
-    mx = module_power(m, x)
-    big = module_power(inner, x)
-    # g: (M0^x)^x -> M0, (u_1, ..., u_x) -> sum_j slot_j(u_j); big is also
-    # M0^(x*x), in which slot j of u_j is slot j*x + j
-    g = block_map(big, [m0] * (x * x), m0, [m0],
-                  {(0, j * x + j): ModuleMap.identity(m0) for j in range(x)})
-    kh = g.kernel()
-    lifted = block_map(big, [inner] * x, mx, [m] * x,
-                       {(j, j): left for j in range(x)})
-    k_in_mx = image_submodule(lifted, kh)
-    reduced, proj = k_in_mx.quotient_module()
-    # mono from M0: embed into slot 1 of the inner power, then slot 1 of M^x
-    into_inner = block_map(m0, [m0], inner, [m0] * x,
-                           {(0, 0): ModuleMap.identity(m0)})
-    into_mx = block_map(m, [m], mx, [m] * x, {(0, 0): ModuleMap.identity(m)})
-    mu = proj.compose(into_mx).compose(left).compose(into_inner)
-    if not mu.is_injective():
-        raise AssertionError("reduced sequence lost injectivity")
-    # epi onto M1^(x*l) = (M1^l)^x
-    right_power = block_map(mx, [m] * x, module_power(m1, x * l),
-                            [right.target] * x,
-                            {(j, j): right for j in range(x)})
-    pi = factor_through_quotient(right_power, k_in_mx)
-    if not pi.is_surjective():
-        raise AssertionError("reduced sequence lost surjectivity")
-    if not pi.compose(mu).flattened().is_zero():
-        raise AssertionError("reduced sequence is not a complex")
-    if mu.image().spaces != pi.kernel().spaces:
-        raise AssertionError("reduced sequence is not exact in the middle")
-    base = period_space(m)
-    red_space = period_space(reduced)
-    return PushoutReduction(
-        reduced, mu, pi,
-        {"original": base.dim, "reduced": red_space.dim,
-         "x": x, "l": l, "middle_dim": reduced.dim},
-        base.dim == red_space.dim)
-

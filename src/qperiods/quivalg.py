@@ -84,7 +84,6 @@ class BoundQuiverAlgebra:
         self.arrow_by_name = {a.name: a for a in arrows}
         self._reduction = reduction         # PathKey -> tuple[(basis_idx, coeff)]
         self._max_len = max_len
-        self._mult: dict[tuple[int, int], tuple[Fraction, ...]] = {}
         self.unit = self.coords_from_terms(
             [(ONE, (v, ())) for v in vertices])
 
@@ -138,23 +137,6 @@ class BoundQuiverAlgebra:
             for i, c in self._reduce_key(key):
                 out[i] += rat(coeff) * c
         return tuple(out)
-
-    def multiply_basis(self, i: int, j: int) -> tuple[Fraction, ...]:
-        """Coordinates of p_i * p_j, with p_j acting first."""
-        hit = self._mult.get((i, j))
-        if hit is not None:
-            return hit
-        left, right = self.basis[i], self.basis[j]
-        if self.path_target(right) != left[0]:
-            out = tuple([ZERO] * self.dim)
-        else:
-            key = (right[0], right[1] + left[1])
-            out = [ZERO] * self.dim
-            for b, c in self._reduce_key(key):
-                out[b] = c
-            out = tuple(out)
-        self._mult[(i, j)] = out
-        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BoundQuiverAlgebra)
@@ -375,12 +357,15 @@ class StructureAlgebra:
         return Matrix.from_columns(cols)
 
     def trace_form(self) -> Matrix:
-        mults = [self.left_mult(tuple(ONE if i == j else ZERO
-                                      for j in range(self.dim)))
-                 for i in range(self.dim)]
-        return Matrix(tuple(tuple((mults[i] * mults[j]).trace()
-                                  for j in range(self.dim))
-                            for i in range(self.dim)))
+        """tr(L_i L_j) read off the table: L_i L_j = sum_k c_ij^k L_k, and
+        tr(L_k) = sum_l c_kl^l, so no left multiplication is built."""
+        n = self.dim
+        traces = [sum((self.table[k][l][l] for l in range(n)), ZERO)
+                  for k in range(n)]
+        return Matrix._wrap(tuple(
+            tuple(sum((c * t for c, t in zip(cell, traces) if c), ZERO)
+                  for cell in row)
+            for row in self.table), n)
 
     def radical(self) -> Subspace:
         """Radical of the trace form; equals the Jacobson radical over Q."""
@@ -411,26 +396,6 @@ class StructureAlgebra:
 
     def __repr__(self) -> str:
         return f"StructureAlgebra(dim {self.dim})"
-
-
-def matrix_algebra_structure(n: int) -> StructureAlgebra:
-    """M_n(Q) on the matrix-unit basis, row-major."""
-    dim = n * n
-    def idx(i, j):
-        return i * n + j
-    table = [[tuple([ZERO] * dim) for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    out = [ZERO] * dim
-                    if j == k:
-                        out[idx(i, l)] = ONE
-                    table[idx(i, j)][idx(k, l)] = tuple(out)
-    unit = [ZERO] * dim
-    for i in range(n):
-        unit[idx(i, i)] = ONE
-    return StructureAlgebra(dim, unit, table)
 
 
 def field_extension_structure(coeffs: Sequence[int]) -> StructureAlgebra:
@@ -621,20 +586,6 @@ def direct_sum(modules: Sequence[FdModule]) -> FdModule:
     maps = {a.name: block_diagonal([m.maps[a.name] for m in modules])
             for a in algebra.arrows}
     return FdModule(algebra, dims, maps)
-
-
-def direct_sum_with_maps(modules: Sequence[FdModule]):
-    """Direct sum with its canonical inclusions and projections, each
-    checked against the arrows."""
-    total = direct_sum(modules)
-    inclusions, projections = [], []
-    for k, m in enumerate(modules):
-        ident = ModuleMap.identity(m)
-        inc = block_map(m, [m], total, modules, {(k, 0): ident})
-        proj = block_map(total, modules, m, [m], {(0, k): ident})
-        inclusions.append(ModuleMap(m, total, inc.blocks))
-        projections.append(ModuleMap(total, m, proj.blocks))
-    return total, tuple(inclusions), tuple(projections)
 
 
 def module_power(m: FdModule, n: int) -> FdModule:

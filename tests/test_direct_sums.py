@@ -9,6 +9,8 @@ where[k][g] table filled slot by slot, and sums of inclusion-map-projection
 composites.  The package now lays out a sum in direct_sum,
 builds every map between sums with block_map and every power's layout
 with slot_layout; these tests require the results to be equal.
+direct_sum_with_maps itself now lives in references.py, built from
+direct_sum and block_map.
 """
 
 import itertools
@@ -27,7 +29,6 @@ from qperiods.quivalg import (
     SubmoduleHandle,
     block_map,
     direct_sum,
-    direct_sum_with_maps,
     end_algebra,
     module_power,
     slot_layout,
@@ -41,6 +42,7 @@ from qperiods.yoga import (
     sum_sequence,
 )
 
+from references import direct_sum_with_maps
 from strategies import ORACLE_INPUTS, rebased_modules
 
 

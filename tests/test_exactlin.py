@@ -33,8 +33,8 @@ from qperiods.exactlin import (
     rank,
     rat,
     rref,
-    solve,
 )
+from references import solve
 
 
 def random_matrix(rng, nrows, ncols, span=6):

@@ -25,7 +25,6 @@ from qperiods.exactlin import (
 )
 from qperiods.onemotive import (
     hom_dim,
-    matrix_column_module,
     rational_input,
     regular_power,
     saturated_input,
@@ -35,9 +34,9 @@ from qperiods.quivalg import (
     ModuleMap,
     field_extension_structure,
     hom_space,
-    matrix_algebra_structure,
 )
 
+from references import matrix_algebra_structure, matrix_column_module
 from strategies import ORACLE_INPUTS, rebased_modules
 
 

@@ -7,10 +7,13 @@ in src/qperiods references outside its own body is dead code.
 A public top-level function, class or method must be referenced outside
 its own body by another part of the package, by a demo, by the benchmark
 (perfbench/) or by a script (scripts/).  Being re-exported from
-__init__.py does not count.  The few public names that only tests call
-are listed in ALLOWED with the test file that calls them and what they
-serve there; an entry whose name is gone, has found a caller, or is no
-longer called by its test is stale and fails the guard too.
+__init__.py does not count, and neither does a test: a helper that only
+tests call (an oracle, a brute-force search, a dumper no command needs)
+belongs in tests/references.py or in the test file that uses it, not in
+the package.  ALLOWED could list such a name with the test file that
+calls it and what it serves there, and it is empty; an entry whose name
+is gone, has found a caller, or is no longer called by its test is
+stale and fails the guard too.
 
 Every parameter with a default of a package function or method must
 be passed, by position or by keyword, by some call in the package or in
@@ -33,64 +36,15 @@ PACKAGE = ROOT / "src" / "qperiods"
 TESTS = ROOT / "tests"
 USERS = ("demos", "perfbench", "scripts")
 
-# module.name -> (test file that calls it, what it is kept for)
-ALLOWED = {
-    "exactlin.solve": (
-        "test_quivalg.py",
-        "one solve per product: the oracle for end_algebra's structure "
-        "constants"),
-    "onemotive.matrix_column_module": (
-        "test_onemotive.py",
-        "the column modules (Q^n)^k of the matrix algebra, the paper's "
-        "frozen weight-graded example and a hom_dim oracle"),
-    "periods.evaluate_coefficient": (
-        "test_acceptance.py",
-        "tr(rho(u) C): the check that summing formal periods commutes "
-        "with evaluation"),
-    "quivalg.direct_sum_with_maps": (
-        "test_acceptance.py",
-        "a sum with its inclusions and projections, for the same "
-        "additivity check"),
-    "periods.check_power_identity": (
-        "test_acceptance.py",
-        "the paper's identity P(M^n) = P(M)"),
-    "periods.check_absorb_identity": (
-        "test_acceptance.py",
-        "the paper's absorption of subobjects and quotients by direct sum"),
-    "periods.check_orthogonal_additivity": (
-        "test_acceptance.py",
-        "the paper's additivity over Hom-orthogonal summands"),
-    "periods.pushout_reduction": (
-        "test_acceptance.py",
-        "the paper's pushout reduction of a two-sided power sequence"),
-    "serialize.comparison_to_data": (
-        "test_serialize.py",
-        "the dumper that round-trips the comparison-point format"),
-    "serialize.structure_algebra_to_data": (
-        "test_serialize.py",
-        "the dumper that round-trips the structure-constant format"),
-    "yoga.bounded_extension_search": (
-        "test_acceptance.py",
-        "the brute-force search that universal_extension is extremal "
-        "against"),
-    "yoga.class_c_explore": (
-        "test_acceptance.py",
-        "the class C exploration that finds no realizing submodule on "
-        "the refuted a2/p1"),
-}
+# module.name -> (test file that calls it, what it is kept for); empty,
+# because the oracles that only tests call live in tests/references.py
+ALLOWED = {}
 
 # module.function.parameter -> (test file that passes it, what for)
 PASSED_BY_TESTS = {
     "exactlin.Matrix.zero.zero": (
         "test_trusted_paths.py",
         "an int zero, which the trusted constructor must still promote"),
-    "yoga.class_c_explore.power_cap": (
-        "test_acceptance.py",
-        "the exploration's power bound, stated where its refutation is "
-        "checked"),
-    "yoga.class_c_explore.budget": (
-        "test_yoga.py",
-        "a budget of 1, which the exploration must report as exhausted"),
 }
 
 

@@ -9,11 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperiods.exactlin import ONE, ZERO
-from qperiods.quivalg import (
-    StructureAlgebra,
-    field_extension_structure,
-    matrix_algebra_structure,
-)
+from qperiods.quivalg import StructureAlgebra, field_extension_structure
 from qperiods.onemotive import (
     MODEL_DIM_BUDGET,
     HypothesisFailed,
@@ -22,7 +18,6 @@ from qperiods.onemotive import (
     b_module,
     graded_period_dims,
     hom_dim,
-    matrix_column_module,
     rational_input,
     rational_module,
     rational_structure,
@@ -30,6 +25,7 @@ from qperiods.onemotive import (
     saturated_input,
     synthesize_model,
 )
+from references import matrix_algebra_structure, matrix_column_module
 
 
 def test_rational_base_case_frozen():

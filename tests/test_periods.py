@@ -20,14 +20,10 @@ from qperiods.periods import (
     _is_scalar,
     NotAField,
     Realization,
-    check_absorb_identity,
-    check_orthogonal_additivity,
-    check_power_identity,
     depth_space,
     endo_quotient,
     eval_and_conjecture,
     period_space,
-    pushout_reduction,
     realize_relation,
     verify_realization,
 )
@@ -39,6 +35,12 @@ from qperiods.quivalg import (
     module_power,
 )
 from qperiods.yoga import WeightPartition, slice_by_weight
+from references import (
+    check_absorb_identity,
+    check_orthogonal_additivity,
+    check_power_identity,
+    pushout_reduction,
+)
 
 from strategies import (
     ORACLE_INPUTS,

@@ -15,22 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperiods import zoo
-from qperiods.exactlin import Matrix, Subspace, solve
+from qperiods.exactlin import Matrix, Subspace
 from qperiods.quivalg import (
     FdModule,
     ModuleMap,
     NotAModuleMap,
     NotAdmissible,
     NotFiniteDimensional,
+    StructureAlgebra,
     SubmoduleHandle,
     block_map,
     build_algebra,
     direct_sum,
-    direct_sum_with_maps,
     end_algebra,
     factor_through_sub,
     hom_space,
-    matrix_algebra_structure,
     module_iso,
     module_power,
     projective_module,
@@ -40,7 +39,14 @@ from qperiods.quivalg import (
 )
 from qperiods.yoga import _search_pool
 
-from references import dual_module, opposite, trace
+from references import (
+    direct_sum_with_maps,
+    dual_module,
+    matrix_algebra_structure,
+    opposite,
+    solve,
+    trace,
+)
 from strategies import ORACLE_INPUTS, rebased_modules
 
 # path counts per quiver, by hand: idempotents plus surviving paths
@@ -154,6 +160,28 @@ def test_matrix_algebra_structure_is_semisimple():
     assert m2.check_unit()
     assert m2.dim == 4
     assert m2.is_semisimple()
+
+
+def test_trace_form_equals_the_traces_of_left_multiplications():
+    """trace_form reads tr(L_i L_j) off the table; the traces of the
+    products of left_mult's matrices give the same Gram matrix."""
+    dual_numbers = StructureAlgebra(2, (1, 0),
+                                    (((1, 0), (0, 1)), ((0, 1), (0, 0))))
+    s1_4, _ = end_algebra(module_power(zoo.get_module("a2/s1"), 4))
+    assert s1_4.dim == 16
+    for label, algebra in [("M_3", matrix_algebra_structure(3)),
+                           ("dual numbers", dual_numbers),
+                           ("End(S1^4)", s1_4)]:
+        n = algebra.dim
+        mults = [algebra.left_mult(tuple(Fraction(int(i == j))
+                                         for j in range(n)))
+                 for i in range(n)]
+        gram = Matrix([[sum(a.rows[p][q] * b.rows[q][p]
+                            for p in range(n) for q in range(n))
+                        for b in mults] for a in mults])
+        assert algebra.trace_form() == gram, label
+    assert dual_numbers.radical().dim == 1
+    assert s1_4.is_semisimple()
 
 
 def test_module_iso_finds_permuted_sums():

@@ -1,5 +1,8 @@
 """The JSON layer: every dumper round-trips through its loader, and
-structure tables that fail their algebra checks are refused."""
+structure tables that fail their algebra checks are refused.
+
+The package writes no comparison points and no structure tables, so
+their dumpers live here, beside the round trips that use them."""
 
 import json
 from fractions import Fraction
@@ -20,16 +23,15 @@ from qperiods.cli import (
 from qperiods.exactlin import ZERO, Matrix, NumberField
 from qperiods.periods import ComparisonPoint, period_space
 from qperiods.quivalg import (
+    BoundQuiverAlgebra,
     StructureAlgebra,
     field_extension_structure,
-    matrix_algebra_structure,
 )
 from qperiods.serialize import (
     ValidationError,
     algebra_from_data,
     algebra_to_data,
     comparison_from_data,
-    comparison_to_data,
     dump_json,
     load_json,
     load_module,
@@ -41,12 +43,36 @@ from qperiods.serialize import (
     relation_from_data,
     relation_to_data,
     structure_algebra_from_data,
-    structure_algebra_to_data,
+    vector_to_data,
 )
 from qperiods.yoga import WeightPartition
-from references import matrix_text
+from references import matrix_algebra_structure, matrix_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def comparison_to_data(point: ComparisonPoint,
+                       algebra: BoundQuiverAlgebra) -> dict:
+    """The comparison-point format, which only the command line reads."""
+    data = {
+        "field": list(point.value_field.coeffs),
+        "u": {name: vector_to_data(elem.coeffs)
+              for name, elem in zip(algebra.basis_names(), point.u_coords)
+              if any(elem.coeffs)},
+    }
+    if point.coeff_field is not None:
+        data["coeff_field"] = list(point.coeff_field.coeffs)
+        data["embedding_of_K"] = vector_to_data(point.coeff_image.coeffs)
+    return data
+
+
+def structure_algebra_to_data(algebra: StructureAlgebra) -> dict:
+    """The structure-constant format, which only the command line reads."""
+    return {
+        "unit": vector_to_data(algebra.unit),
+        "table": [[vector_to_data(cell) for cell in row]
+                  for row in algebra.table],
+    }
 
 
 def _round_trip_cases():

@@ -38,7 +38,6 @@ from qperiods.exactlin import (
     rref,
 )
 from qperiods.onemotive import (
-    matrix_column_module,
     rational_input,
     regular_power,
     saturated_input,
@@ -58,10 +57,10 @@ from qperiods.quivalg import (
     NotASubmodule,
     SubmoduleHandle,
     field_extension_structure,
-    matrix_algebra_structure,
     module_power,
 )
 from qperiods.yoga import WeightPartition, certify_principal
+from references import matrix_algebra_structure, matrix_column_module
 from strategies import ORACLE_INPUTS, linear_projective, rebase, rebased_modules
 
 FIXTURES = Path(__file__).parent / "fixtures"

@@ -14,17 +14,14 @@ from hypothesis import given, settings
 from qperiods import zoo
 from qperiods.quivalg import ModuleMap, SubmoduleHandle, module_power
 from qperiods.yoga import (
-    BudgetExceeded,
     HypothesisFailed,
     NotExact,
     OrthogonalityFailure,
     SupportViolation,
     WeightPartition,
     admissible_check,
-    bounded_extension_search,
     bounded_lift_search,
     certify_principal,
-    class_c_explore,
     replay_derivation,
     _outward_homs_vanish,
     _sum_conditions,
@@ -198,7 +195,7 @@ def test_universal_objects_beat_bounded_search():
         for candidate in bounded_lift_search(seq, target):
             assert candidate.contains(lift), (key, cut)
         ext = universal_extension(seq, SubmoduleHandle.zero(seq.sub))
-        for candidate in bounded_extension_search(
+        for candidate in references.bounded_extension_search(
                 seq, SubmoduleHandle.zero(seq.sub)):
             assert ext.contains(candidate), (key, cut)
 
@@ -364,7 +361,7 @@ def test_explore_reaches_easy_diagonal():
     m = zoo.get_module("a2/p1")
     mm = module_power(m, 2)
     diag = SubmoduleHandle.spin(mm, [(1, 0, 1, 0)])
-    res = class_c_explore(mm, diag, power_cap=2, budget=400)
+    res = references.class_c_explore(mm, diag, power_cap=2, budget=400)
     assert res.found
     assert res.steps is not None and len(res.steps) >= 1
 
@@ -372,7 +369,7 @@ def test_explore_reaches_easy_diagonal():
 def test_explore_cannot_derive_socle():
     m = zoo.get_module("a2/p1")
     socle = SubmoduleHandle.spin(m, [(0, 1)])
-    res = class_c_explore(m, socle, power_cap=2, budget=400)
+    res = references.class_c_explore(m, socle, power_cap=2, budget=400)
     assert not res.found
     assert res.exhausted
     assert res.visited == 8
@@ -381,5 +378,5 @@ def test_explore_cannot_derive_socle():
 def test_explore_budget_guard():
     m = zoo.get_module("a2/p1")
     socle = SubmoduleHandle.spin(m, [(0, 1)])
-    with pytest.raises(BudgetExceeded):
-        class_c_explore(m, socle, power_cap=2, budget=1)
+    with pytest.raises(references.BudgetExceeded):
+        references.class_c_explore(m, socle, power_cap=2, budget=1)
