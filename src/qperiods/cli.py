@@ -97,7 +97,8 @@ SPIN_BOUND_BUDGET = 64
 #   and 17 s on S1^64;
 # - depth --k d takes 18 s on a3/proj^6 (d = 18) and on a2/p1^8
 #   (d = 16), and 83 s on a3/proj^8 (d = 24);
-# - certify takes 8.2 s on a2/p1^32 and 18 s on S1^64;
+# - certify takes 4.8 s on a2/p1^32 and 3.8 s on S1^64 (170 MB), nearly
+#   all of it hom_space and the centraliser narrowed by its basis;
 # - realize of a combination of the whole relation basis takes 3.1 s on
 #   a2/p1^16 (d = 32) and 38 s on a2/p1^32;
 # - eval takes 1.2 s on a2/p1^16 and 4.1 s on a2/p1^24 (d = 48) at a

@@ -642,6 +642,32 @@ def poly_derivative(p):
     return poly_trim(tuple(p[i] * i for i in range(1, len(p))))
 
 
+_SQUAREFREE_PRIME = 2_147_483_647           # 2^31 - 1
+
+
+def _squarefree_mod_prime(coeffs: Sequence[int]) -> bool:
+    """Whether the monic integer polynomial is squarefree modulo one fixed
+    31-bit prime p, by gcd(f, f') over GF(p).
+
+    The discriminant of a monic f reduces modulo p to that of f mod p, so
+    True means f is squarefree over Q.  False decides nothing: p may
+    divide the discriminant of a squarefree f.
+    """
+    p = _SQUAREFREE_PRIME
+    f = list(poly_trim([c % p for c in coeffs]))
+    g = list(poly_trim([i * c % p for i, c in enumerate(coeffs)][1:]))
+    while g:
+        inv = pow(g[-1], -1, p)
+        while len(f) >= len(g):
+            c = f[-1] * inv % p
+            shift = len(f) - len(g)
+            for i, b in enumerate(g):
+                f[shift + i] = (f[shift + i] - c * b) % p
+            f = list(poly_trim(f))
+        f, g = g, f
+    return len(f) == 1
+
+
 # ---------------------------------------------------------------------------
 # number fields Q[x]/(f)
 # ---------------------------------------------------------------------------
@@ -652,7 +678,8 @@ class NumberField:
 
     Squarefree rather than irreducible: irreducibility testing is not
     needed for anything downstream, while squarefreeness (checked via
-    gcd(f, f')) guarantees the ring is a product of fields, so every
+    gcd(f, f') modulo one fixed prime, and over Q only when that test
+    fails) guarantees the ring is a product of fields, so every
     nonzero non-zero-divisor is invertible and zero divisors are reported
     as ZeroDivisor when inversion actually fails.
 
@@ -672,8 +699,8 @@ class NumberField:
         if coeffs[-1] != 1:
             raise ReduciblePolynomial("defining polynomial must be monic")
         f = tuple(Fraction(c) for c in coeffs)
-        g = poly_gcd(f, poly_derivative(f))
-        if len(g) != 1:
+        if (not _squarefree_mod_prime(coeffs)
+                and len(poly_gcd(f, poly_derivative(f))) != 1):
             raise ReduciblePolynomial("defining polynomial is not squarefree")
         self.coeffs = coeffs
         self.degree = e = len(coeffs) - 1

@@ -162,6 +162,31 @@ def _is_scalar(entries: list, d: int) -> bool:
                                      for i, j, x in entries)
 
 
+def _centraliser(m: FdModule) -> list | None:
+    """A basis of the centraliser C of End(M) in M_d(Q), as sparse
+    {flat position: entry} dicts, or None when C is all of M_d(Q).
+
+    Scalar basis endomorphisms commute with everything and are skipped;
+    while only those were seen, C is all of M_d(Q).  The first other E
+    narrows the d^2 matrix units to their combinations commuting with E
+    (the intertwiners of the pair (E, E)), and each later E narrows that
+    basis again, so no system has more than d^2 rows.  C holds the
+    scalars, so once it is down to one element no later E can narrow it.
+    """
+    d = m.dim
+    cent = None
+    for f in hom_space(m, m):
+        if cent is not None and len(cent) == 1:
+            break
+        entries = f.flattened().nonzero_entries()
+        if _is_scalar(entries, d):
+            continue
+        if cent is None:
+            cent = [{pos: ONE} for pos in range(d * d)]
+        cent = intertwiners(cent, d, [(entries, entries)])
+    return cent
+
+
 def endo_quotient(m: FdModule) -> PeriodSpace:
     """The endomorphism-side upper bound for the period space.
 
@@ -174,25 +199,13 @@ def endo_quotient(m: FdModule) -> PeriodSpace:
     pairing kernel's quotient as a quotient; equality is what
     principality certificates are about.
 
-    So C is computed instead of the k*d^2 commutators.  Scalar basis
-    endomorphisms commute with everything and are skipped; while only
-    those were seen, C is all of M_d(Q) and the relations are zero.  The
-    first other E narrows the d^2 matrix units to their combinations
-    commuting with E (the intertwiners of the pair (E, E)), and each
-    later E narrows that basis again, so no system has more than d^2
-    rows.  The relations are then the kernel of the pairing against C's
-    basis: tr(XY) = sum_pq X_pq Y_qp, so X's row holds X_pq at Y's flat
-    position q*d + p.
+    So C is computed instead of the k*d^2 commutators (_centraliser),
+    and the quotient's dimension is dim C.  The relations are the kernel
+    of the pairing against C's basis: tr(XY) = sum_pq X_pq Y_qp, so X's
+    row holds X_pq at Y's flat position q*d + p.
     """
     d = m.dim
-    cent = None
-    for f in hom_space(m, m):
-        entries = f.flattened().nonzero_entries()
-        if _is_scalar(entries, d):
-            continue
-        if cent is None:
-            cent = [{pos: ONE} for pos in range(d * d)]
-        cent = intertwiners(cent, d, [(entries, entries)])
+    cent = _centraliser(m)
     if cent is None:
         return PeriodSpace(m, Subspace._from_rows(d * d, (), ()),
                            "endo-quotient")

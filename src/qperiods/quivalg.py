@@ -866,24 +866,34 @@ class SubmoduleHandle:
     @classmethod
     def spin(cls, ambient: FdModule,
              vectors: Sequence[Sequence]) -> "SubmoduleHandle":
-        """Smallest submodule containing the given flattened vectors."""
-        spaces = []
-        for v in ambient.algebra.vertices:
-            spaces.append(Subspace(
-                ambient.vdim(v),
-                [ambient.slice_of(w, v) for w in vectors]))
-        changed = True
-        while changed:
-            changed = False
-            for a in ambient.algebra.arrows:
-                si = ambient.algebra.vertices.index(a.source)
-                ti = ambient.algebra.vertices.index(a.target)
-                pushed = spaces[si].image_under(ambient.maps[a.name])
-                grown = spaces[ti].add(pushed)
-                if grown.dim != spaces[ti].dim:
-                    spaces[ti] = grown
-                    changed = True
-        return cls(ambient, spaces, check=False)
+        """Smallest submodule containing the given flattened vectors.
+
+        That is A.G, the span of the images of the generators G under the
+        algebra's path basis, since the basis paths span A.  Each path
+        from a vertex carries the generators' parts there to its target
+        vertex, one arrow map at a time, sharing the images of common
+        prefixes; the images landing at each vertex are eliminated once.
+        """
+        algebra = ambient.algebra
+        images: dict[str, list] = {v: [] for v in algebra.vertices}
+        pushed: dict[PathKey, list] = {}
+
+        def push(key: PathKey) -> list:
+            hit = pushed.get(key)
+            if hit is None:
+                source, arrows = key
+                if arrows:
+                    t = ambient.maps[arrows[-1]]
+                    hit = (t.apply(x) for x in push((source, arrows[:-1])))
+                else:
+                    hit = (ambient.slice_of(w, source) for w in vectors)
+                hit = pushed[key] = [x for x in hit if any(x)]
+            return hit
+
+        for key in algebra.basis:
+            images[algebra.path_target(key)].extend(push(key))
+        return cls(ambient, [Subspace(ambient.vdim(v), images[v])
+                             for v in algebra.vertices], check=False)
 
     @classmethod
     def largest_inside(cls, ambient: FdModule,

@@ -387,14 +387,15 @@ RATIONAL_FIELD_COEFFS = (0, 1)      # the polynomial x, a degree-one field
 
 
 # A value or coefficient field of degree above this budget is refused
-# before it is built: the squarefree check, a gcd over Fractions, grows
-# steeply with the degree.  Timed through the CLI with --format json on
-# a shared 2-vCPU host, eval on a2/p1^24 (d = 48, the largest module its
-# budget admits) over Q[x]/(f), for a monic f with coefficients drawn
-# from [-9, 9] and a unit with such coefficients at every path, takes
-# 3.7 s at degree 3, 6.3 s at 50, 8.6 s at 64, 15 s at 80 and 37 s at
-# 100 (210 MB resident).  Building that field alone takes 0.36 s at
-# degree 50, 31 s at 100 and 147 s at 128.  The benchmark asks degree 3.
+# before it is built: eval's arithmetic in the field grows with the
+# degree.  Timed through the CLI with --format json on a shared 2-vCPU
+# host, eval on a2/p1^24 (d = 48, the largest module its budget admits)
+# over Q[x]/(f), for a monic f with coefficients drawn from [-9, 9] and a
+# unit with such coefficients at every path, takes 3.7 s at degree 3,
+# 6.2 s at 50 and 9.6 s at 100 (210 MB resident), and 13 s at degree 100
+# with f's coefficients drawn from [-1000, 1000].  Building the field,
+# whose squarefree check is a gcd modulo one prime, takes 0.04 s at
+# degree 100 for either range.  The benchmark asks degree 3.
 FIELD_DEGREE_BUDGET = 100
 
 

@@ -16,10 +16,13 @@ quotient.  Around that notion this module provides:
     the relevant end must be onto a semisimple target and the outward
     hom spaces must vanish), plus the sum rule that lets a saturated
     sequence absorb extra summands inside its sub;
-  * a certifier that either assembles a module from semisimple stages
-    along the weight filtration and returns a replayable derivation
-    tree, refutes principality by a dimension gap against the period
-    space, or honestly reports Unknown.
+  * a certifier that certifies a semisimple module outright, then
+    refutes principality by a dimension gap against the period space
+    (a principal module realizes every relation through its
+    endomorphisms, so a gap leaves the search nothing to find), and only
+    without a gap searches for a module assembled from semisimple stages
+    along the weight filtration, returning a replayable derivation tree,
+    or honestly reports Unknown.
 
 Principality of a representation means that every relation in its
 period space, at every power, is realized by structure maps; the
@@ -32,8 +35,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import Matrix, Subspace
-from .periods import endo_quotient, period_space
+from .exactlin import Matrix, Subspace, rank
+from .periods import _centraliser, pairing_matrix
 from .quivalg import (
     FdModule,
     ModuleMap,
@@ -503,8 +506,13 @@ class PrincipalityVerdict:
 
 
 def _dim_pair(x: FdModule) -> dict:
-    return {"endo_quotient": endo_quotient(x).dim,
-            "period_space": period_space(x).dim}
+    """The commutator-side and pairing-side dimensions, read without
+    building either relation basis: dim C of the centraliser that
+    endo_quotient narrows, and the rank of the coefficient pairing."""
+    d = x.dim
+    cent = _centraliser(x)
+    return {"endo_quotient": d * d if cent is None else len(cent),
+            "period_space": rank(pairing_matrix(x))}
 
 
 def _core_candidates(x: FdModule, partition: WeightPartition, cap: int = 24):
@@ -666,32 +674,10 @@ def _tower_runs(core: FdModule, partition: WeightPartition):
     yield from _grow_tower(partition, support, truncs, 1, (), (), base)
 
 
-def certify_principal(x: FdModule,
-                      partition: WeightPartition,
-                      core_cap: int = 24) -> PrincipalityVerdict:
-    """Certify, refute, or give up on principality of a representation.
-
-    Semisimple modules are certified outright.  Otherwise the certifier
-    spins cores from top-class coordinates, at most core_cap of them,
-    and grows each along the
-    weight filtration, stage by stage: a saturated stage with principal
-    ends stays principal after adding a companion (its far end, or a
-    semisimple class witness), and companions already won are absorbed
-    through the sum rule.  If some assembled sum is isomorphic to the
-    module, that derivation is the certificate.  Failing that, a strict
-    gap between the commutator-side dimension and the period space
-    refutes; otherwise the verdict is Unknown, never a bluff.
-    """
-    partition.validate_for(x.algebra)
-    dims = _dim_pair(x)
-    if x.is_semisimple_rep():
-        node = DerivationNode(
-            "Semisimple",
-            "every arrow acts by zero, so the module is a sum of simples, "
-            "which is principal",
-            {"dims": list(x.dims)})
-        return PrincipalityVerdict("Certified", node, dims,
-                                   {"kind": "semisimple"})
+def _certificate_search(x: FdModule, partition: WeightPartition,
+                        core_cap: int) -> tuple[DerivationNode, dict] | None:
+    """The core x tower search: (derivation, plan) of the first assembled
+    sum isomorphic to x, or None."""
     for vecs, core in _core_candidates(x, partition, core_cap):
         for steps, companions, node in _tower_runs(core, partition):
             assembled = direct_sum([core] + companions)
@@ -708,7 +694,39 @@ def certify_principal(x: FdModule,
             plan = {"kind": "tower",
                     "core": [[str(c) for c in vec] for vec in vecs],
                     "stages": list(steps)}
-            return PrincipalityVerdict("Certified", root, dims, plan)
+            return root, plan
+    return None
+
+
+def certify_principal(x: FdModule,
+                      partition: WeightPartition,
+                      core_cap: int = 24) -> PrincipalityVerdict:
+    """Certify, refute, or give up on principality of a representation.
+
+    Semisimple modules are certified outright.  Next, a strict gap
+    between the commutator-side dimension and the period space refutes:
+    a principal module realizes every relation through its
+    endomorphisms, so the two dimensions of a principal module agree,
+    and no certificate can exist for a gapped one.  Only when they agree
+    does the certifier search: it spins cores from top-class
+    coordinates, at most core_cap of them, and grows each along the
+    weight filtration, stage by stage: a saturated stage with principal
+    ends stays principal after adding a companion (its far end, or a
+    semisimple class witness), and companions already won are absorbed
+    through the sum rule.  If some assembled sum is isomorphic to the
+    module, that derivation is the certificate; otherwise the verdict is
+    Unknown, never a bluff.
+    """
+    partition.validate_for(x.algebra)
+    dims = _dim_pair(x)
+    if x.is_semisimple_rep():
+        node = DerivationNode(
+            "Semisimple",
+            "every arrow acts by zero, so the module is a sum of simples, "
+            "which is principal",
+            {"dims": list(x.dims)})
+        return PrincipalityVerdict("Certified", node, dims,
+                                   {"kind": "semisimple"})
     if dims["endo_quotient"] > dims["period_space"]:
         node = DerivationNode(
             "DimGap",
@@ -717,7 +735,11 @@ def certify_principal(x: FdModule,
             "realized at the module's own rank",
             dict(dims))
         return PrincipalityVerdict("Refuted", node, dims)
-    return PrincipalityVerdict("Unknown", None, dims)
+    found = _certificate_search(x, partition, core_cap)
+    if found is None:
+        return PrincipalityVerdict("Unknown", None, dims)
+    root, plan = found
+    return PrincipalityVerdict("Certified", root, dims, plan)
 
 
 def replay_derivation(x: FdModule, partition: WeightPartition,

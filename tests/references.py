@@ -17,6 +17,12 @@ instead:
 They share no code with the fixpoints beyond spin, annihilators and the
 module constructions, so agreement between the two is evidence for both.
 
+certify_principal now reads the dimension gap before it searches, and
+spin takes the span of the generators' images under the path basis;
+search_first_certify keeps the old order, with both dimensions read off
+the relation bases of endo_quotient and period_space and every spin made
+by fixpoint_spin, the arrow-by-arrow fixpoint that spin used to be.
+
 matrix_text is the text layout of a relation matrix one entry at a
 time, as the command line wrote it before it formatted each distinct
 value once.
@@ -47,15 +53,23 @@ check the engine against the paper with them:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from qperiods import zoo
-from qperiods.exactlin import ONE, ZERO, DimensionMismatch, Matrix, rref
+from qperiods.exactlin import (
+    ONE,
+    ZERO,
+    DimensionMismatch,
+    Matrix,
+    Subspace,
+    rref,
+)
 from qperiods.onemotive import BModule, RangeError, b_module
-from qperiods.periods import ComparisonPoint, period_space
+from qperiods.periods import ComparisonPoint, endo_quotient, period_space
 from qperiods.quivalg import (
     FdModule,
     ModuleMap,
@@ -74,7 +88,10 @@ from qperiods.quivalg import (
 from qperiods.serialize import rational_str
 from qperiods.yoga import (
     AdmissibleSequence,
+    DerivationNode,
+    PrincipalityVerdict,
     WeightPartition,
+    _certificate_search,
     _search_pool,
     admissible_check,
     slice_by_weight,
@@ -179,6 +196,70 @@ def cokernel_clears(seq_m, seq_n) -> bool:
     coker = t.quotient_module()[0]
     high = seq_m.high_weights | seq_n.high_weights
     return supported_at(coker, seq_m.partition.vertices_at(high)).is_zero()
+
+
+def fixpoint_spin(ambient: FdModule, vectors) -> SubmoduleHandle:
+    """The smallest submodule containing the vectors, as a fixpoint: each
+    vertex space is pushed along every arrow and added to the target's,
+    round after round, until no space grows."""
+    vertices = ambient.algebra.vertices
+    spaces = [Subspace(ambient.vdim(v), [ambient.slice_of(w, v)
+                                         for w in vectors])
+              for v in vertices]
+    changed = True
+    while changed:
+        changed = False
+        for a in ambient.algebra.arrows:
+            si, ti = vertices.index(a.source), vertices.index(a.target)
+            grown = spaces[ti].add(
+                spaces[si].image_under(ambient.maps[a.name]))
+            if grown.dim != spaces[ti].dim:
+                spaces[ti] = grown
+                changed = True
+    return SubmoduleHandle(ambient, spaces, check=False)
+
+
+@contextlib.contextmanager
+def spinning_by_fixpoint():
+    """SubmoduleHandle.spin answered by fixpoint_spin inside the block."""
+    original = SubmoduleHandle.__dict__["spin"]
+    SubmoduleHandle.spin = classmethod(
+        lambda cls, ambient, vectors: fixpoint_spin(ambient, vectors))
+    try:
+        yield
+    finally:
+        SubmoduleHandle.spin = original
+
+
+def search_first_certify(x: FdModule, partition: WeightPartition,
+                         core_cap: int = 24) -> PrincipalityVerdict:
+    """certify_principal in its old order: semisimple, then the core x
+    tower search with fixpoint spins, and only then the dimension gap,
+    read off the relation bases."""
+    partition.validate_for(x.algebra)
+    dims = {"endo_quotient": endo_quotient(x).dim,
+            "period_space": period_space(x).dim}
+    if x.is_semisimple_rep():
+        node = DerivationNode(
+            "Semisimple",
+            "every arrow acts by zero, so the module is a sum of simples, "
+            "which is principal",
+            {"dims": list(x.dims)})
+        return PrincipalityVerdict("Certified", node, dims,
+                                   {"kind": "semisimple"})
+    with spinning_by_fixpoint():
+        found = _certificate_search(x, partition, core_cap)
+    if found is not None:
+        return PrincipalityVerdict("Certified", found[0], dims, found[1])
+    if dims["endo_quotient"] > dims["period_space"]:
+        node = DerivationNode(
+            "DimGap",
+            "the span of relations induced by endomorphisms is strictly "
+            "smaller than the full relation space, so some relation is not "
+            "realized at the module's own rank",
+            dict(dims))
+        return PrincipalityVerdict("Refuted", node, dims)
+    return PrincipalityVerdict("Unknown", None, dims)
 
 
 def corpus_slices() -> list:

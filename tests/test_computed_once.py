@@ -7,8 +7,14 @@ invertible, and every tower stage of certify_principal ran
 saturated_check once per (side, variant).  The package now rejects by the
 Hom/End dimensions before searching and checks each stage once per side;
 these tests require the same results, and count the calls to show the
-work is gone.  That replay_derivation accepts every corpus certificate
-is test_yoga's sweep.
+work is gone.  They drive the certificate search itself, the part of
+certify_principal that runs only on modules without a dimension gap, so
+that gapped modules such as kronecker/big still exercise it.  That
+replay_derivation accepts every corpus certificate is test_yoga's sweep.
+
+certify_principal used to run that search before it read the dimension
+gap, and spin used to be a fixpoint over the arrows;
+references.search_first_certify keeps both, and the verdicts must agree.
 
 endo_quotient used to reduce the k*d^2 commutators [E_ij, E] in one
 system; it now narrows the centraliser of End(M) one endomorphism at a
@@ -28,6 +34,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qperiods import exactlin, periods, yoga, zoo
 from qperiods.exactlin import Matrix, rref
@@ -54,6 +61,7 @@ from qperiods.yoga import (
     replay_derivation,
 )
 
+from references import fixpoint_spin, search_first_certify
 from strategies import ORACLE_INPUTS, linear_projective, rebased_modules
 
 CORPUS = {e.key: e for e in zoo.corpus()}
@@ -107,10 +115,16 @@ def reference_module_iso(m: FdModule, n: FdModule,
     return None
 
 
-def assembled_pairs(key: str) -> list:
-    """The (module, assembled sum) pairs certify_principal asks module_iso
-    about, recorded by a pass-through wrapper."""
+def search(key: str):
+    """The certificate search on a corpus module, gapped or not."""
     entry = CORPUS[key]
+    return lambda: yoga._certificate_search(
+        entry.module, parts(entry.algebra_key), 24)
+
+
+def assembled_pairs(key: str) -> list:
+    """The (module, assembled sum) pairs the certificate search asks
+    module_iso about, recorded by a pass-through wrapper."""
     asked = []
 
     def recording(m, n):
@@ -119,7 +133,7 @@ def assembled_pairs(key: str) -> list:
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(yoga, "module_iso", recording)
-        certify_principal(entry.module, parts(entry.algebra_key))
+        search(key)()
     return asked
 
 
@@ -192,9 +206,7 @@ def count_saturation_checks(run) -> list:
 @pytest.mark.parametrize("key", ["kronecker/big", "square/proj1+s4",
                                  "a3/tower"])
 def test_certify_checks_each_stage_once_per_side(key):
-    entry = CORPUS[key]
-    seen = count_saturation_checks(lambda: certify_principal(
-        entry.module, parts(entry.algebra_key)))
+    seen = count_saturation_checks(search(key))
     assert seen, key
     keys = [(id(seq), side) for seq, side in seen]
     assert len(keys) == len(set(keys)), key
@@ -226,6 +238,110 @@ def test_replay_refuses_a_right_stage_after_a_companion_unchecked():
                             forged))))
     assert result == [False]
     assert len(seen) == 1
+
+
+# -- the gap before the search, and spin from the path basis -------------------
+
+
+def partition_for(m: FdModule) -> WeightPartition:
+    """The standing weights of m's algebra; the linear quiver
+    x0 -> x1 -> ... gets weights descending along its arrows."""
+    for e in CORPUS.values():
+        if e.module.algebra == m.algebra:
+            return parts(e.algebra_key)
+    return WeightPartition.of({-i: (v,) for i, v in
+                               enumerate(m.algebra.vertices)})
+
+
+def derivation_data(node) -> tuple | None:
+    if node is None:
+        return None
+    return (node.rule, node.statement, node.data,
+            tuple(derivation_data(c) for c in node.children))
+
+
+def assert_certify_matches_search_first(m: FdModule, label: str):
+    partition = partition_for(m)
+    new = certify_principal(m, partition)
+    old = search_first_certify(m, partition)
+    assert (new.status, new.dims, new.plan, derivation_data(new.derivation)) \
+        == (old.status, old.dims, old.plan,
+            derivation_data(old.derivation)), label
+    # the search that ran first never certified a gapped module
+    if old.dims["endo_quotient"] > old.dims["period_space"]:
+        assert old.status == "Refuted", label
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_certify_equals_the_search_first_order(key, m):
+    assert_certify_matches_search_first(m, key)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rebased_modules())
+def test_certify_equals_the_search_first_order_on_rebased_modules(m):
+    assert_certify_matches_search_first(m, repr(m))
+
+
+def test_certify_refutes_a_gapped_module_without_searching():
+    entry = CORPUS["kronecker/big"]
+    calls = []
+    original = yoga._certificate_search
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(yoga, "_certificate_search", counting)
+        verdict = certify_principal(entry.module, parts(entry.algebra_key))
+    assert verdict.status == "Refuted"
+    assert calls == []
+    assert search(entry.key)() is None
+
+
+SMALL_MODULES = [m for _, m in ORACLE_INPUTS if m.dim <= 8]
+
+
+@st.composite
+def spin_inputs(draw):
+    """A module of dimension at most 8, plain or re-based, and up to four
+    generators with small integer entries, each supported at some of the
+    vertices, so that a generator at a source alone comes up often."""
+    m = draw(st.one_of(st.sampled_from(SMALL_MODULES),
+                       rebased_modules().filter(lambda x: x.dim <= 8)))
+    vertices = m.algebra.vertices
+    vectors = []
+    for _ in range(draw(st.integers(0, 4))):
+        support = draw(st.one_of(
+            st.sampled_from(vertices).map(lambda v: {v}),
+            st.sets(st.sampled_from(vertices), min_size=1)))
+        entries = draw(st.lists(st.integers(-2, 2), min_size=m.dim,
+                                max_size=m.dim))
+        vectors.append(tuple(
+            Fraction(entries[i]) if v in support else Fraction(0)
+            for v in vertices for i in m.vertex_range(v)))
+    return m, vectors
+
+
+@settings(max_examples=60, deadline=None)
+@given(spin_inputs())
+def test_spin_equals_the_fixpoint(args):
+    m, vectors = args
+    assert (SubmoduleHandle.spin(m, vectors).spaces
+            == fixpoint_spin(m, vectors).spaces)
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_spin_equals_the_fixpoint_on_each_coordinate(key, m):
+    for v in m.algebra.vertices:
+        coords = [m.embed_vertex_vector(v, row)
+                  for row in Matrix.identity(m.vdim(v)).rows]
+        for gens in [coords] + [[c] for c in coords]:
+            assert (SubmoduleHandle.spin(m, gens).spaces
+                    == fixpoint_spin(m, gens).spaces), (key, v)
 
 
 # -- endo_quotient -------------------------------------------------------------

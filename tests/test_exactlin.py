@@ -34,6 +34,7 @@ from qperiods.exactlin import (
     rat,
     rref,
 )
+from qperiods import exactlin
 from references import solve
 
 
@@ -314,6 +315,39 @@ def test_number_field_rejects_non_squarefree():
         NumberField([1, 2, 1])                 # (x+1)^2
     with pytest.raises(ReduciblePolynomial):
         NumberField([0, 2])                    # not monic
+
+
+def test_number_field_squarefree_over_q_but_not_mod_the_prime():
+    p = exactlin._SQUAREFREE_PRIME
+    # x^2 - p and x(x - p) are x^2 mod p, yet squarefree over Q; the
+    # rational gcd decides them
+    for coeffs in ([-p, 0, 1], [0, -p, 1]):
+        assert not exactlin._squarefree_mod_prime(coeffs)
+        assert NumberField(coeffs).degree == 2
+    with pytest.raises(ReduciblePolynomial):
+        NumberField([p * p, -2 * p, 1])        # (x - p)^2
+
+
+def integer_poly(f) -> sympy.Poly:
+    return sympy.Poly(list(reversed(f)), sympy.symbols("x"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+       st.lists(st.integers(-3, 3), max_size=3), st.booleans())
+def test_number_field_squarefree_check_matches_sympy(g, h, square):
+    # monic g^2 h or g h, so that square factors come up as often as not
+    g, h = integer_poly(g + [1]), integer_poly(h + [1])
+    f = g * g * h if square else g * h
+    coeffs = [int(c) for c in reversed(f.all_coeffs())]
+    if exactlin._squarefree_mod_prime(coeffs):
+        assert f.is_sqf
+    try:
+        NumberField(coeffs)
+        accepted = True
+    except ReduciblePolynomial:
+        accepted = False
+    assert accepted == f.is_sqf
 
 
 def test_number_field_arithmetic():
