@@ -30,10 +30,10 @@ to FdModule or ModuleMap go through them.  Whatever the engine computes from ent
 that are already exact is wrapped as it is: Matrix._wrap builds the
 results of identity, zero, +, -, negation, *, transpose, hstack,
 block_diagonal, rref and the intertwiner systems, and the matrices the
-other layers assemble from exact rows (the action of a basis path, the
-blocks of a hom basis, outer products); Subspace._from_rows spans the
-sums, intersections, images and kernels here and the relation spans the
-other layers build.
+other layers assemble from exact rows (the pairing rows of the placed
+path blocks, the blocks of a hom basis, outer products);
+Subspace._from_rows spans the sums, intersections, images and kernels
+here and the relation spans the other layers build.
 Neither walks the entries, so they must only ever see Fractions, or
 field elements for matrices over a number field.
 """
@@ -154,16 +154,6 @@ class Matrix:
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def trace(self):
-        if not self.is_square():
-            raise DimensionMismatch("trace of a non-square matrix")
-        if self.nrows == 0:
-            return ZERO
-        total = self.rows[0][0]
-        for i in range(1, self.nrows):
-            total = total + self.rows[i][i]
-        return total
 
     def nonzero_entries(self) -> list:
         """(i, j, entry) for each nonzero entry, row by row."""

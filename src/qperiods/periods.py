@@ -27,7 +27,6 @@ from .exactlin import (
     Matrix,
     NumberField,
     NumberFieldElem,
-    QuotientPresentation,
     Subspace,
     ZERO,
     ONE,
@@ -35,7 +34,6 @@ from .exactlin import (
     intertwiners,
     k_linear_kernel,
     kernel_subspace,
-    rat,
     rref,
 )
 from .quivalg import (
@@ -97,12 +95,25 @@ class PeriodSpace:
                 f"{self.provenance!r})")
 
 
+def _trace_row(entries, d: int) -> tuple:
+    """The functional C -> tr(X C) on Q^(d*d), for the d x d matrix X with
+    these nonzero (i, j, entry) triples: tr(X C) = sum X_ij C_ji, so X_ij
+    sits at C's flat position j*d + i."""
+    row = [ZERO] * (d * d)
+    for i, j, x in entries:
+        row[j * d + i] = x
+    return tuple(row)
+
+
 def pairing_matrix(m: FdModule) -> Matrix:
-    """Rows: the functional C -> tr(rho(b) C) for each basis path b."""
-    return Matrix(
-        tuple(m.act_basis(i).transpose().vec()
-              for i in range(m.algebra.dim)),
-        ncols=m.dim ** 2)
+    """Rows: the functional C -> tr(rho(b) C) for each basis path b, whose
+    action is its path map placed from its source's coordinates to its
+    target's."""
+    algebra = m.algebra
+    return Matrix._wrap(tuple(
+        _trace_row(m.placed(m.path_map(src, arrows),
+                            algebra.path_target((src, arrows)), src), m.dim)
+        for src, arrows in algebra.basis), m.dim ** 2)
 
 
 def period_space(m: FdModule) -> PeriodSpace:
@@ -174,11 +185,13 @@ def _centraliser(m: FdModule) -> list | None:
     scalars, so once it is down to one element no later E can narrow it.
     """
     d = m.dim
+    vertices = m.algebra.vertices
     cent = None
     for f in hom_space(m, m):
         if cent is not None and len(cent) == 1:
             break
-        entries = f.flattened().nonzero_entries()
+        entries = [e for v, b in zip(vertices, f.blocks)
+                   for e in m.placed(b, v, v)]
         if _is_scalar(entries, d):
             continue
         if cent is None:
@@ -201,22 +214,17 @@ def endo_quotient(m: FdModule) -> PeriodSpace:
 
     So C is computed instead of the k*d^2 commutators (_centraliser),
     and the quotient's dimension is dim C.  The relations are the kernel
-    of the pairing against C's basis: tr(XY) = sum_pq X_pq Y_qp, so X's
-    row holds X_pq at Y's flat position q*d + p.
+    of the trace pairing against C's basis, whose rows are built like
+    those of pairing_matrix.
     """
     d = m.dim
     cent = _centraliser(m)
     if cent is None:
         return PeriodSpace(m, Subspace._from_rows(d * d, (), ()),
                            "endo-quotient")
-    pairing = []
-    for x in cent:
-        row = [ZERO] * (d * d)
-        for pos, v in x.items():
-            p, q = divmod(pos, d)
-            row[q * d + p] = v
-        pairing.append(tuple(row))
-    return PeriodSpace(m, kernel_subspace(Matrix._wrap(tuple(pairing), d * d)),
+    pairing = tuple(_trace_row(((*divmod(pos, d), x) for pos, x in y.items()),
+                               d) for y in cent)
+    return PeriodSpace(m, kernel_subspace(Matrix._wrap(pairing, d * d)),
                        "endo-quotient")
 
 
@@ -474,21 +482,6 @@ class EvalReport:
         return "holds" if self.holds else "fails"
 
 
-def _rho_of_unit(m: FdModule, point: ComparisonPoint) -> Matrix:
-    lf = point.value_field
-    d = m.dim
-    rows = [[lf.zero() for _ in range(d)] for _ in range(d)]
-    for b, coeff in enumerate(point.u_coords):
-        if not coeff:
-            continue
-        mat = m.act_basis(b)
-        for i in range(d):
-            for jj in range(d):
-                if mat.rows[i][jj]:
-                    rows[i][jj] = rows[i][jj] + coeff * rat(mat.rows[i][jj])
-    return Matrix._wrap(tuple(map(tuple, rows)), d)
-
-
 def _check_unit(m: FdModule, point: ComparisonPoint):
     """u must be invertible in the scalar-extended algebra itself.
 
@@ -537,17 +530,20 @@ def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
     space = period_space(m)
     lf = point.value_field
     emb = point.embedding()
-    rho_u = _rho_of_unit(m, point)
     d = m.dim
-    # ambient values: tr(rho(u) E_{ij}) is just the (j, i) entry
-    ambient_values = []
-    for i in range(d):
-        for jj in range(d):
-            ambient_values.append(rho_u.rows[jj][i])
-    # period class k is the class of the unit matrix at free column k,
-    # whose value is read off directly
-    free = QuotientPresentation(space.relations).free
-    values = tuple(ambient_values[j] for j in free)
+    # the value of the coefficient unit E_ij is tr(rho(u) E_ij), the
+    # u-combination of the pairings tr(rho(b) E_ij) of the basis paths
+    ambient_values = [lf.zero()] * (d * d)
+    for coeff, row in zip(point.u_coords, pairing_matrix(m).rows):
+        if coeff:
+            for p, x in enumerate(row):
+                if x:
+                    ambient_values[p] = ambient_values[p] + coeff * x
+    # period class k is the class of the unit matrix at the k-th column
+    # that is not a pivot of the relations, whose value is read off
+    # directly
+    pivots = set(space.relations.pivots)
+    values = tuple(x for j, x in enumerate(ambient_values) if j not in pivots)
     quotient_kernel = k_linear_kernel(emb, values)
     ambient_kernel = k_linear_kernel(emb, tuple(ambient_values))
     # relation bases are almost all zeros, nearly every one of them the

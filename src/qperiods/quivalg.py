@@ -456,7 +456,6 @@ class FdModule:
         if maps:
             raise ValueError(f"maps given for unknown arrows: {sorted(maps)}")
         self.validate()
-        self._act_cache: dict[int, Matrix] = {}
 
     # -- structure checks -----------------------------------------------------
 
@@ -472,10 +471,7 @@ class FdModule:
         for rel in self.algebra.relations:
             acc = None
             for coeff, (src, arrows) in rel:
-                term = Matrix.identity(self.vdim(src))
-                for a in arrows:
-                    term = self.maps[a] * term
-                term = term.scale(coeff)
+                term = self.path_map(src, arrows).scale(coeff)
                 acc = term if acc is None else acc + term
             if acc is not None and not acc.is_zero():
                 raise ValueError("a relation does not act by zero")
@@ -501,23 +497,19 @@ class FdModule:
 
     # -- algebra action -----------------------------------------------------------
 
-    def act_basis(self, i: int) -> Matrix:
-        """The i-th basis path as a dim x dim matrix on the flattened space."""
-        hit = self._act_cache.get(i)
-        if hit is not None:
-            return hit
-        src, arrows = self.algebra.basis[i]
-        tgt = self.algebra.path_target((src, arrows))
-        block = Matrix.identity(self.vdim(src))
+    def path_map(self, source: str, arrows: Sequence[str]) -> Matrix:
+        """The path from source along the arrows, in traversal order, as
+        the product of their maps: vdim(target) x vdim(source)."""
+        block = Matrix.identity(self.vdim(source))
         for a in arrows:
             block = self.maps[a] * block
-        rows = [[ZERO] * self.dim for _ in range(self.dim)]
-        for bi, gi in enumerate(self.vertex_range(tgt)):
-            for bj, gj in enumerate(self.vertex_range(src)):
-                rows[gi][gj] = block.rows[bi][bj]
-        out = Matrix._wrap(tuple(map(tuple, rows)), self.dim)
-        self._act_cache[i] = out
-        return out
+        return block
+
+    def placed(self, block: Matrix, target: str, source: str) -> list:
+        """A block from the source vertex's space to the target's, as its
+        nonzero (row, column, entry) triples on the flattened coordinates."""
+        t, s = self.offsets[target], self.offsets[source]
+        return [(t + i, s + j, x) for i, j, x in block.nonzero_entries()]
 
     # -- predicates ------------------------------------------------------------
 
@@ -689,12 +681,6 @@ class ModuleMap:
     def block(self, v: str) -> Matrix:
         return self.blocks[self.source.algebra.vertices.index(v)]
 
-    def flattened(self) -> Matrix:
-        return block_diagonal(self.blocks)
-
-    def apply(self, flat: Sequence) -> tuple:
-        return self.flattened().apply(flat)
-
     def vec(self) -> tuple:
         """The blocks' entries vertex by vertex, each block row-major."""
         return tuple(x for b in self.blocks for x in b.vec())
@@ -767,13 +753,9 @@ def hom_space(m: FdModule, n: FdModule) -> tuple[ModuleMap, ...]:
     if not units:
         return ()
 
-    def arrow(mod: FdModule, a: Arrow) -> list:
-        """Arrow a's nonzero entries on mod's flattened coordinates."""
-        t, s = mod.offsets[a.target], mod.offsets[a.source]
-        return [(t + i, s + j, x)
-                for i, j, x in mod.maps[a.name].nonzero_entries()]
-
-    pairs = [(arrow(n, a), arrow(m, a)) for a in m.algebra.arrows]
+    pairs = [(n.placed(n.maps[a.name], a.target, a.source),
+              m.placed(m.maps[a.name], a.target, a.source))
+             for a in m.algebra.arrows]
     out = []
     for x in intertwiners(units, d, pairs):
         blocks = [Matrix._wrap(tuple(tuple(x.get(i * d + k, ZERO)

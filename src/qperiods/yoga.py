@@ -15,7 +15,10 @@ quotient.  Around that notion this module provides:
   * a saturatedness test per side (the endomorphism restriction onto
     the relevant end must be onto a semisimple target and the outward
     hom spaces must vanish), plus the sum rule that lets a saturated
-    sequence absorb extra summands inside its sub;
+    sequence absorb a summand lying at or below its cut inside its sub:
+    the enlarged sequence is the slice of the enlarged middle at that
+    cut, so slice_by_weight is the one constructor of admissible
+    sequences;
   * a certifier that certifies a semisimple module outright, then
     refutes principality by a dimension gap against the period space
     (a principal module realizes every relation through its
@@ -41,7 +44,6 @@ from .quivalg import (
     FdModule,
     ModuleMap,
     SubmoduleHandle,
-    block_map,
     direct_sum,
     end_algebra,
     factor_through_quotient,
@@ -49,7 +51,6 @@ from .quivalg import (
     hom_space,
     image_submodule,
     module_iso,
-    module_power,
     preimage_submodule,
     simple_module,
     spin_pool,
@@ -148,8 +149,7 @@ class AdmissibleSequence:
 
     The sub is supported in the low classes, the quotient in the high
     classes, and every low weight is strictly below every high weight.
-    Either side may be empty; such trivial sequences are what lets a
-    saturated sequence absorb an extra summand.
+    Either side may be empty.
     """
 
     inclusion: ModuleMap
@@ -240,30 +240,6 @@ def slice_by_weight(m: FdModule, partition: WeightPartition,
     _, incl = handle.sub_module()
     _, proj = handle.quotient_module()
     return admissible_check(incl, proj, partition)
-
-
-def trivial_sub_sequence(c: FdModule,
-                         partition: WeightPartition) -> AdmissibleSequence:
-    """The sequence with sub C, middle C and zero quotient."""
-    zero = module_power(c, 0)
-    return admissible_check(ModuleMap.identity(c), ModuleMap.zero(c, zero),
-                            partition)
-
-
-def sum_sequence(seq_m: AdmissibleSequence,
-                 seq_n: AdmissibleSequence) -> AdmissibleSequence:
-    """The direct sum of two admissible sequences over the same partition."""
-    if seq_m.partition != seq_n.partition:
-        raise ValueError("summands must share the weight partition")
-    subs = [seq_m.sub, seq_n.sub]
-    mids = [seq_m.module, seq_n.module]
-    quots = [seq_m.quot, seq_n.quot]
-    mid = direct_sum(mids)
-    inclusion = block_map(direct_sum(subs), subs, mid, mids,
-                          {(0, 0): seq_m.inclusion, (1, 1): seq_n.inclusion})
-    projection = block_map(mid, mids, direct_sum(quots), quots,
-                           {(0, 0): seq_m.projection, (1, 1): seq_n.projection})
-    return admissible_check(inclusion, projection, seq_m.partition)
 
 
 # ---------------------------------------------------------------------------
@@ -438,37 +414,33 @@ def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
                             conditions, splitness)
 
 
-def _sum_conditions(seq_m: AdmissibleSequence,
-                    seq_n: AdmissibleSequence) -> tuple[bool, dict]:
-    """The mixed hom conditions under which the sum of two left saturated
-    sequences stays left saturated.
+def _sum_conditions(seq: AdmissibleSequence,
+                    extra: FdModule) -> tuple[bool, dict]:
+    """The mixed hom conditions under which a left saturated sequence
+    stays left saturated once the sub absorbs the extra summand C.
 
-    No maps from the first sub to the second sub, restriction of maps
-    from the second middle onto its sub, and the cokernel of the second
-    sub's trace in the first middle clears the high classes.
+    C lies at or below the cut, so the enlarged sequence is the slice of
+    M + C at that cut, with sub S + C and the same quotient.  No maps
+    from S to C, and the cokernel of C's trace in M clears the high
+    classes.
     """
-    vertices = seq_m.module.algebra.vertices
-    partition = seq_m.partition
-    no_homs = len(hom_space(seq_m.sub, seq_n.sub)) == 0
-    whole = hom_space(seq_n.module, seq_m.sub)
-    restricted = [f.compose(seq_n.inclusion) for f in whole]
-    target_dim = len(hom_space(seq_n.sub, seq_m.sub))
-    length = sum(seq_m.sub.vdim(v) * seq_n.sub.vdim(v) for v in vertices)
-    onto = Subspace(length,
-                    [f.vec() for f in restricted]).dim == target_dim
-    trace = SubmoduleHandle.zero(seq_m.module)
-    for f in hom_space(seq_n.sub, seq_m.module):
+    m = seq.module
+    vertices = m.algebra.vertices
+    no_homs = len(hom_space(seq.sub, extra)) == 0
+    trace = SubmoduleHandle.zero(m)
+    for f in hom_space(extra, m):
         trace = trace.add(f.image())
     # a submodule of M / trace at the high vertices alone is one of M
     # between the trace and the trace plus everything at those vertices
-    high = seq_m.high_weights | seq_n.high_weights
     clears = SubmoduleHandle.largest_inside(
-        seq_m.module,
-        [Subspace.full_space(s.ambient) if partition.weight_of(v) in high
-         else s for v, s in zip(vertices, trace.spaces)]) == trace
+        m, [Subspace.full_space(s.ambient)
+            if seq.partition.weight_of(v) in seq.high_weights
+            else s for v, s in zip(vertices, trace.spaces)]) == trace
     conditions = {
         "sub_homs_vanish": no_homs,
-        "restriction_to_sub_onto": onto,
+        # C's own sequence has sub C, included by its identity, so every
+        # map from C into S restricts to itself: restriction is onto
+        "restriction_to_sub_onto": True,
         "cokernel_clears_high_classes": clears,
     }
     return all(conditions.values()), conditions
@@ -583,20 +555,24 @@ def _apply_stage(partition: WeightPartition, seq: AdmissibleSequence,
 
     sat is saturated_check(seq, side), the verdict on the bare stage;
     side is one of _stage_sides(acc).  The companions certified so far
-    are absorbed one at a time through the sum rule.  Then the stage
-    quotient must be semisimple and the outward hom spaces of the
-    enlarged middle must vanish.
+    were won at lower stages, so each lies at or below the weight the
+    bare stage was cut at; the sum rule absorbs them one at a time into
+    the sub, each by slicing the enlarged middle M + C at that cut.
+    Then the stage quotient must be semisimple and the outward hom
+    spaces of the enlarged middle must vanish.
     """
     if sat.status != "certified":
         return None
     children = [prev_node]
     cur = seq
     for extra in acc:
-        trivial = trivial_sub_sequence(extra, partition)
-        ok, joint = _sum_conditions(cur, trivial)
+        cut = max(seq.low_weights)
+        assert all(w <= cut for w in partition.support_weights(extra)), \
+            "a companion reaches above the stage's cut"
+        ok, joint = _sum_conditions(cur, extra)
         if not ok:
             return None
-        cur = sum_sequence(cur, trivial)
+        cur = slice_by_weight(direct_sum([cur.module, extra]), partition, cut)
         children.append(DerivationNode(
             "SumLemma",
             "a principal summand added inside the sub keeps the enlarged "

@@ -27,6 +27,21 @@ matrix_text is the text layout of a relation matrix one entry at a
 time, as the command line wrote it before it formatted each distinct
 value once.
 
+The package builds every admissible sequence by slice_by_weight, and
+the sum rule absorbs a companion C lying at or below the cut by slicing
+M + C there.  trivial_sub_sequence and sum_sequence are the general
+constructions that replaced: the sequence C -> C -> 0, and the direct
+sum of two sequences with block-diagonal maps.  sum_conditions is the
+sum rule's test for two arbitrary sequences, as it read before it took
+the companion module alone.
+
+The package reads the action of a path as its path map placed on M's
+coordinates, one block from its source to its target.  act_basis is
+the dense d x d matrix that the package used to build for it, and
+pairing_matrix and centraliser are the coefficient pairing and the
+End-side centraliser read off those dense matrices and off each
+endomorphism written out as one block-diagonal matrix (flattened).
+
 The rest are oracles that no command needs, kept beside the tests that
 check the engine against the paper with them:
 
@@ -42,8 +57,9 @@ check the engine against the paper with them:
   by direct sum (check_absorb_identity), additivity over Hom-orthogonal
   summands (check_orthogonal_additivity) and the pushout reduction of
   a two-sided power sequence (pushout_reduction);
-- evaluate_coefficient, tr(rho(u) C) with rho(u) summed from the basis
-  actions, so that it shares no code with eval's own evaluation;
+- evaluate_coefficient, tr(rho(u) C) with rho(u) summed from the dense
+  basis actions of act_basis, so that it shares no code with eval's own
+  evaluation;
 - bounded_extension_search, the brute-force pool that the universal
   extension is extremal against;
 - class_c_explore, the breadth-first exploration of the submodules
@@ -66,10 +82,17 @@ from qperiods.exactlin import (
     DimensionMismatch,
     Matrix,
     Subspace,
+    block_diagonal,
+    intertwiners,
     rref,
 )
 from qperiods.onemotive import BModule, RangeError, b_module
-from qperiods.periods import ComparisonPoint, endo_quotient, period_space
+from qperiods.periods import (
+    ComparisonPoint,
+    _is_scalar,
+    endo_quotient,
+    period_space,
+)
 from qperiods.quivalg import (
     FdModule,
     ModuleMap,
@@ -263,14 +286,14 @@ def search_first_certify(x: FdModule, partition: WeightPartition,
 
 
 def corpus_slices() -> list:
-    """(label, algebra key, sequence) for every corpus module cut at
+    """(label, algebra key, cut, sequence) for every corpus module cut at
     every class weight of its algebra, the top one included."""
     out = []
     for entry in zoo.corpus():
         partition = WeightPartition.of(
             dict(zoo.weight_classes(entry.algebra_key)))
         for w, _ in partition.classes:
-            out.append((f"{entry.key}@{w}", entry.algebra_key,
+            out.append((f"{entry.key}@{w}", entry.algebra_key, w,
                         slice_by_weight(entry.module, partition, w)))
     return out
 
@@ -287,6 +310,113 @@ def targets(m: FdModule, count: int) -> list:
             seen.add(h.spaces)
             out.append(h)
     return out
+
+
+# -- admissible sequences and path actions, built the general way ------------
+
+
+def trivial_sub_sequence(c: FdModule,
+                         partition: WeightPartition) -> AdmissibleSequence:
+    """The sequence with sub C, middle C and zero quotient."""
+    zero = module_power(c, 0)
+    return admissible_check(ModuleMap.identity(c), ModuleMap.zero(c, zero),
+                            partition)
+
+
+def sum_sequence(seq_m: AdmissibleSequence,
+                 seq_n: AdmissibleSequence) -> AdmissibleSequence:
+    """The direct sum of two admissible sequences over the same partition."""
+    if seq_m.partition != seq_n.partition:
+        raise ValueError("summands must share the weight partition")
+    subs = [seq_m.sub, seq_n.sub]
+    mids = [seq_m.module, seq_n.module]
+    quots = [seq_m.quot, seq_n.quot]
+    mid = direct_sum(mids)
+    inclusion = block_map(direct_sum(subs), subs, mid, mids,
+                          {(0, 0): seq_m.inclusion, (1, 1): seq_n.inclusion})
+    projection = block_map(mid, mids, direct_sum(quots), quots,
+                           {(0, 0): seq_m.projection, (1, 1): seq_n.projection})
+    return admissible_check(inclusion, projection, seq_m.partition)
+
+
+def sum_conditions(seq_m: AdmissibleSequence,
+                   seq_n: AdmissibleSequence) -> tuple[bool, dict]:
+    """The mixed hom conditions under which the sum of two left saturated
+    sequences stays left saturated.
+
+    No maps from the first sub to the second sub, restriction of maps
+    from the second middle onto its sub, and the cokernel of the second
+    sub's trace in the first middle clears the high classes.
+    """
+    vertices = seq_m.module.algebra.vertices
+    partition = seq_m.partition
+    no_homs = len(hom_space(seq_m.sub, seq_n.sub)) == 0
+    whole = hom_space(seq_n.module, seq_m.sub)
+    restricted = [f.compose(seq_n.inclusion) for f in whole]
+    target_dim = len(hom_space(seq_n.sub, seq_m.sub))
+    length = sum(seq_m.sub.vdim(v) * seq_n.sub.vdim(v) for v in vertices)
+    onto = Subspace(length,
+                    [f.vec() for f in restricted]).dim == target_dim
+    trace = SubmoduleHandle.zero(seq_m.module)
+    for f in hom_space(seq_n.sub, seq_m.module):
+        trace = trace.add(f.image())
+    high = seq_m.high_weights | seq_n.high_weights
+    clears = SubmoduleHandle.largest_inside(
+        seq_m.module,
+        [Subspace.full_space(s.ambient) if partition.weight_of(v) in high
+         else s for v, s in zip(vertices, trace.spaces)]) == trace
+    conditions = {
+        "sub_homs_vanish": no_homs,
+        "restriction_to_sub_onto": onto,
+        "cokernel_clears_high_classes": clears,
+    }
+    return all(conditions.values()), conditions
+
+
+def flattened(f: ModuleMap) -> Matrix:
+    """A module map as one block-diagonal matrix on the flattened
+    coordinates."""
+    return block_diagonal(f.blocks)
+
+
+def act_basis(m: FdModule, i: int) -> Matrix:
+    """The i-th basis path as a dense d x d matrix on the flattened space."""
+    src, arrows = m.algebra.basis[i]
+    tgt = m.algebra.path_target((src, arrows))
+    block = Matrix.identity(m.vdim(src))
+    for a in arrows:
+        block = m.maps[a] * block
+    rows = [[ZERO] * m.dim for _ in range(m.dim)]
+    for bi, gi in enumerate(m.vertex_range(tgt)):
+        for bj, gj in enumerate(m.vertex_range(src)):
+            rows[gi][gj] = block.rows[bi][bj]
+    return Matrix(rows, ncols=m.dim)
+
+
+def pairing_matrix(m: FdModule) -> Matrix:
+    """Rows: the functional C -> tr(rho(b) C) for each basis path b, as
+    the dense action's transpose read row by row."""
+    return Matrix(
+        tuple(act_basis(m, i).transpose().vec()
+              for i in range(m.algebra.dim)),
+        ncols=m.dim ** 2)
+
+
+def centraliser(m: FdModule) -> list | None:
+    """periods._centraliser with every basis endomorphism written out as
+    one dense matrix, whose nonzero entries are read back from it."""
+    d = m.dim
+    cent = None
+    for f in hom_space(m, m):
+        if cent is not None and len(cent) == 1:
+            break
+        entries = flattened(f).nonzero_entries()
+        if _is_scalar(entries, d):
+            continue
+        if cent is None:
+            cent = [{pos: ONE} for pos in range(d * d)]
+        cent = intertwiners(cent, d, [(entries, entries)])
+    return cent
 
 
 def matrix_text(rows: list) -> list:
@@ -498,7 +628,7 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
     pi = factor_through_quotient(right_power, k_in_mx)
     if not pi.is_surjective():
         raise AssertionError("reduced sequence lost surjectivity")
-    if not pi.compose(mu).flattened().is_zero():
+    if not flattened(pi.compose(mu)).is_zero():
         raise AssertionError("reduced sequence is not a complex")
     if mu.image().spaces != pi.kernel().spaces:
         raise AssertionError("reduced sequence is not exact in the middle")
@@ -513,10 +643,12 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
 
 def evaluate_coefficient(m: FdModule, point: ComparisonPoint, c: Matrix):
     """tr(rho(u) C) inside the value field, as the sum over the path
-    basis of u_b tr(rho(b) C) with rho(b) = m.act_basis(b)."""
+    basis of u_b tr(rho(b) C) with rho(b) = act_basis(m, b)."""
     total = point.value_field.zero()
     for b, coeff in enumerate(point.u_coords):
-        total = total + coeff * (m.act_basis(b) * c).trace()
+        prod = act_basis(m, b) * c
+        for i in range(prod.nrows):
+            total = total + coeff * prod.rows[i][i]
     return total
 
 

@@ -51,6 +51,7 @@ from references import (
     class_c_explore,
     direct_sum_with_maps,
     evaluate_coefficient,
+    flattened,
     pushout_reduction,
 )
 
@@ -237,7 +238,7 @@ def test_sum_power_absorb_and_pushout_identities_hold():
             omega = [Fraction(rng.randint(-3, 3)) for _ in range(m.dim)]
             c = Matrix([[si * oj for oj in omega] for si in sigma])
             lhs = lhs + evaluate_coefficient(m, point, c)
-            c_sum = c_sum + incl.flattened() * c * proj.flattened()
+            c_sum = c_sum + flattened(incl) * c * flattened(proj)
         assert lhs == evaluate_coefficient(total, point, c_sum), trial
 
 

@@ -22,10 +22,12 @@ tests pass are listed in PASSED_BY_TESTS with the test file that passes
 them, and a stale entry fails the guard as above.
 
 Names are matched syntactically.  A bare name or an attribute of that
-name counts as a reference to a top-level function or class, but only
-an attribute counts for a method, so that a local variable does not
-keep alive the method it shadows.  A call counts for every function or
-method of its name.
+name counts as a reference to a top-level function or class.  A method
+counts as referenced only by an attribute that is called or passed on
+as an argument, so that neither a local variable nor a bare read of an
+attribute, such as a parsed option args.trace, keeps alive the method
+of its name; a property counts on any read of its attribute.  A call
+counts for every function or method of its name.
 """
 
 import ast
@@ -70,26 +72,46 @@ def _definitions(tree: ast.Module, keep):
 
 
 def _references(tree: ast.Module):
-    """(name, line, whether it is an attribute) of each name in tree."""
+    """(name, line, how) of each name in tree: how is "name" for a bare
+    name, "use" for an attribute that is called or passed on as an
+    argument, and "read" for any other attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            used.add(id(node.func))
+            used.update(id(a.value if isinstance(a, ast.Starred) else a)
+                        for a in node.args)
+            used.update(id(k.value) for k in node.keywords)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno, False
+            yield node.id, node.lineno, "name"
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno, True
+            yield node.attr, node.lineno, "use" if id(node) in used else "read"
 
 
 def _reference_list(trees: dict) -> list:
-    return [(name, fname, line, attr) for fname, tree in trees.items()
-            for name, line, attr in _references(tree)]
+    return [(name, fname, line, how) for fname, tree in trees.items()
+            for name, line, how in _references(tree)]
+
+
+def _is_property(node) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in node.decorator_list)
 
 
 def _referenced(label: str, node, fname: str, refs: list) -> bool:
-    """Whether refs name node anywhere outside node's own body; a method
-    (label Class.method) only by an attribute."""
-    method = "." in label
-    return any(name == node.name and (attr or not method) and not (
+    """Whether refs name node anywhere outside node's own body: a method
+    (label Class.method) only by an attribute that is used, or by any
+    attribute if it is a property."""
+    if "." not in label:
+        counts = {"name", "use", "read"}
+    elif _is_property(node):
+        counts = {"use", "read"}
+    else:
+        counts = {"use"}
+    return any(name == node.name and how in counts and not (
         ref_file == fname and node.lineno <= line <= node.end_lineno)
-        for name, ref_file, line, attr in refs)
+        for name, ref_file, line, how in refs)
 
 
 def dead_definitions(trees: dict) -> list:
@@ -304,6 +326,25 @@ def test_a_local_variable_does_not_use_the_method_it_shadows():
         "from qperiods.a import rows\nrow = rows(0)\nrow.column()\n")}
     assert dead_definitions(package) == ["a.py:5 _cell"]
     assert unused_public(package, users, {}, {}) == ["a.py:2 M.row is unused"]
+
+
+def test_a_bare_read_does_not_use_the_method_of_its_name():
+    source = ("class M:\n    def trace(self):\n        return 1\n\n"
+              "    def apply(self, f):\n        return f\n\n"
+              "    def _cell(self):\n        return 2\n\n"
+              "    @property\n    def size(self):\n        return 3\n\n"
+              "    def rows(self):\n        return 4\n\n"
+              "def use(m, args):\n"
+              "    if args.trace and m._cell:\n        return m.size\n"
+              "    return M().apply(m.rows)\n")
+    package = {"a.py": ast.parse(source)}
+    users = {"perfbench/run.py": ast.parse(
+        "from qperiods.a import use\nuse(0, 0)\n")}
+    # the reads of trace and _cell do not count, the read of the
+    # property size does, and rows is passed on as an argument
+    assert dead_definitions(package) == ["a.py:8 _cell"]
+    assert unused_public(package, users, {}, {}) == [
+        "a.py:2 M.trace is unused"]
 
 
 def test_the_guard_sees_unpassed_parameters():

@@ -17,12 +17,14 @@ from qperiods import periods, zoo
 from qperiods.exactlin import Matrix, NumberField, Subspace, ZeroDivisor
 from qperiods.periods import (
     ComparisonPoint,
+    _centraliser,
     _is_scalar,
     NotAField,
     Realization,
     depth_space,
     endo_quotient,
     eval_and_conjecture,
+    pairing_matrix,
     period_space,
     realize_relation,
     verify_realization,
@@ -35,10 +37,12 @@ from qperiods.quivalg import (
     module_power,
 )
 from qperiods.yoga import WeightPartition, slice_by_weight
+import references
 from references import (
     check_absorb_identity,
     check_orthogonal_additivity,
     check_power_identity,
+    flattened,
     pushout_reduction,
 )
 
@@ -98,6 +102,25 @@ FROZEN_DIMS = {
 }
 
 
+def assert_placed_blocks_match_the_dense_actions(m, label):
+    """The pairing and the centraliser read off placed blocks equal the
+    ones read off dense d x d path actions and flattened endomorphisms."""
+    assert pairing_matrix(m) == references.pairing_matrix(m), label
+    assert _centraliser(m) == references.centraliser(m), label
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_placed_blocks_equal_the_dense_actions(key, m):
+    assert_placed_blocks_match_the_dense_actions(m, key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_modules())
+def test_placed_blocks_equal_the_dense_actions_on_rebased_modules(m):
+    assert_placed_blocks_match_the_dense_actions(m, repr(m))
+
+
 def test_frozen_period_and_endo_dims():
     for key, (p, e) in FROZEN_DIMS.items():
         m = zoo.get_module(key)
@@ -120,7 +143,7 @@ def elementary_commutator_relations(m) -> Subspace:
     _, basis_maps = end_algebra(m)
     vecs = []
     for f in basis_maps:
-        e = f.flattened()
+        e = flattened(f)
         for i in range(d):
             for j in range(d):
                 unit = Matrix.unvec([1 if t == i * d + j else 0
@@ -142,7 +165,7 @@ def written_commutator_relations(m) -> Subspace:
     d = m.dim
     vecs = []
     for f in hom_space(m, m):
-        e = f.flattened().rows
+        e = flattened(f).rows
         for i in range(d):
             for j in range(d):
                 vec = [0] * (d * d)
@@ -254,7 +277,7 @@ def test_endo_relations_of_the_zero_module_are_the_zero_space():
 @pytest.mark.parametrize("n", [2, 5, 10])
 def test_endo_relations_are_zero_when_end_is_the_scalars(n):
     m = linear_projective(n)
-    assert [f.flattened() for f in hom_space(m, m)] == \
+    assert [flattened(f) for f in hom_space(m, m)] == \
         [Matrix.identity(n)]
     assert endo_quotient(m).relations == Subspace.zero_space(n * n)
 

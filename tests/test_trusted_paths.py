@@ -14,7 +14,10 @@ corpus question, the ladder and dense rungs of dimension at most 8 and
 the modules of strategies.py, and require every entry the trusted paths
 receive to be a Fraction, or a NumberFieldElem throughout for matrices
 over a number field, and every trusted map and handle to pass the
-public constructor's check.  The public constructors keep refusing bad
+public constructor's check.  At a point whose coefficient field K is Q,
+eval wraps no matrix over a number field, so the corpus and the rungs
+also ask one eval at a point with K = Q(sqrt 2) inside Q[x]/(x^4 - 2),
+whose kernel is reduced over K.  The public constructors keep refusing bad
 input.
 """
 
@@ -65,6 +68,8 @@ from strategies import ORACLE_INPUTS, linear_projective, rebase, rebased_modules
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CUBIC = NumberField([-2, 0, 0, 1])
+QUARTIC = NumberField([-2, 0, 0, 0, 1])
+SQRT2 = NumberField([-2, 0, 1])
 
 
 class TrustedPathCheck:
@@ -165,6 +170,23 @@ def unit_point(algebra, rng: random.Random) -> ComparisonPoint:
     return ComparisonPoint(CUBIC, tuple(coords))
 
 
+def eval_over_a_subfield(m, rng: random.Random) -> None:
+    """eval at a unit over Q[x]/(x^4 - 2) with coefficients in
+    K = Q(sqrt 2), embedded through x^2.  L is two-dimensional over K,
+    so the d^2 >= 4 values of a module of dimension d >= 2 have a
+    kernel, and it is reduced over K."""
+    coords = []
+    for _, arrows in m.algebra.basis:
+        while True:
+            c = QUARTIC.elem([rng.randint(-3, 3) for _ in range(4)])
+            if c or arrows:
+                break
+        coords.append(c)
+    point = ComparisonPoint(QUARTIC, tuple(coords), coeff_field=SQRT2,
+                            coeff_image=QUARTIC.elem([0, 0, 1]))
+    assert eval_and_conjecture(m, point).ambient_kernel
+
+
 def relation_combination(m, rng: random.Random, terms: int | None) -> Matrix:
     basis = period_space(m).relations.basis_vectors()
     if terms is not None:
@@ -242,6 +264,7 @@ def test_corpus_questions_pass_only_exact_entries(trusted):
     rng = random.Random(9)
     for e in zoo.corpus():
         ask_everything(e.module, e.algebra_key, rng)
+    eval_over_a_subfield(zoo.get_module("a2/p1"), rng)
     for g in range(1, 6):
         synthesize_model(rational_input(g, 2, 2))
     code = main(["--format", "json", "lift", str(FIXTURES / "a3_seq.json"),
@@ -269,8 +292,10 @@ def test_onemotive_models_over_larger_algebras_pass_only_exact_entries(
 @pytest.mark.parametrize("rebased", [False, True], ids=["ladder", "dense"])
 def test_ladder_and_dense_rungs_pass_only_exact_entries(trusted, rebased):
     rng = random.Random(10)
-    ask_the_rungs((lambda m: random_rebase(m, rng)) if rebased
-                  else (lambda m: m), rng)
+    transform = (lambda m: random_rebase(m, rng)) if rebased else (lambda m: m)
+    ask_the_rungs(transform, rng)
+    eval_over_a_subfield(
+        transform(module_power(zoo.get_module("a2/p1"), 2)), rng)
     assert trusted.matrices and trusted.subspaces and trusted.over_l
     assert trusted.maps and trusted.handles
 

@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings
 
 from qperiods import zoo
-from qperiods.quivalg import ModuleMap, SubmoduleHandle, module_power
+from qperiods.quivalg import (
+    ModuleMap,
+    SubmoduleHandle,
+    direct_sum,
+    module_power,
+)
 from qperiods.yoga import (
     HypothesisFailed,
     NotExact,
@@ -23,12 +28,11 @@ from qperiods.yoga import (
     bounded_lift_search,
     certify_principal,
     replay_derivation,
+    _apply_stage,
     _outward_homs_vanish,
     _sum_conditions,
     saturated_check,
     slice_by_weight,
-    sum_sequence,
-    trivial_sub_sequence,
     universal_extension,
     universal_lift,
 )
@@ -123,7 +127,7 @@ CORPUS_SLICES = references.corpus_slices()
 
 def test_saturation_mirrors_through_duality():
     assert len(CORPUS_SLICES) == 96
-    for label, _, seq in CORPUS_SLICES:
+    for label, _, _, seq in CORPUS_SLICES:
         dual = references.dual_sequence(seq)
         assert (saturated_check(seq, "right").status
                 == saturated_check(dual, "left").status), label
@@ -134,19 +138,24 @@ def test_saturation_mirrors_through_duality():
 def test_saturated_sum_check():
     """The left sum rule certify absorbs companions with."""
     proj = zoo.get_module("a3/proj")
+    extra = zoo.get_module("a3/s_wm2")
     seq = slice_by_weight(proj, A3, -1)
-    extra = trivial_sub_sequence(zoo.get_module("a3/s_wm2"), A3)
     assert saturated_check(seq, "left").status == "certified"
     ok, conditions = _sum_conditions(seq, extra)
     assert ok and all(conditions.values())
-    summed = sum_sequence(seq, extra)
+    # the extra summand lies below the cut, so the sub absorbs it when
+    # the enlarged middle is sliced there; the quotient stays
+    summed = slice_by_weight(direct_sum([proj, extra]), A3, -1)
     assert summed.module.dims == (1, 1, 2)
+    assert summed.sub.dims == (0, 1, 2) and summed.quot == seq.quot
     # an extra summand that admits maps into the sub breaks the rule
-    ok, conditions = _sum_conditions(
-        slice_by_weight(proj, A3, -2),
-        trivial_sub_sequence(zoo.get_module("a3/s_wm2"), A3))
+    ok, conditions = _sum_conditions(slice_by_weight(proj, A3, -2), extra)
     assert not ok
     assert not conditions["sub_homs_vanish"]
+    # slicing cannot absorb a companion that reaches above the cut
+    with pytest.raises(AssertionError, match="above the stage's cut"):
+        _apply_stage(A3, seq, "left", "plain", (proj,), None,
+                     saturated_check(seq, "left"))
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +223,45 @@ def assert_fixpoints_match_references(seq, label, count):
 
 
 def assert_clears_matches_reference(seq_m, seq_n, label):
-    _, conditions = _sum_conditions(seq_m, seq_n)
+    _, conditions = references.sum_conditions(seq_m, seq_n)
     assert (conditions["cokernel_clears_high_classes"]
             == references.cokernel_clears(seq_m, seq_n)), label
 
 
+def assert_absorbs_like_the_sum(seq, cut, c, label):
+    """The sum rule on seq, cut at cut, and the summand C, against the
+    general sum of seq and C -> C -> 0: the same conditions, and when C
+    lies at or below the cut, the slice of M + C there is that sum."""
+    trivial = references.trivial_sub_sequence(c, seq.partition)
+    assert_clears_matches_reference(seq, trivial, label)
+    assert (_sum_conditions(seq, c)
+            == references.sum_conditions(seq, trivial)), label
+    if any(w > cut for w in seq.partition.support_weights(c)):
+        return False
+    sliced = slice_by_weight(direct_sum([seq.module, c]), seq.partition, cut)
+    summed = references.sum_sequence(seq, trivial)
+    assert sliced.module == summed.module, label
+    assert sliced.sub == summed.sub and sliced.quot == summed.quot, label
+    assert sliced.inclusion.blocks == summed.inclusion.blocks, label
+    assert sliced.projection.blocks == summed.projection.blocks, label
+    assert sliced.low_weights == summed.low_weights, label
+    assert sliced.high_weights == summed.high_weights, label
+    assert sliced.sub_handle == summed.sub_handle, label
+    return True
+
+
 def test_fixpoints_equal_the_reference_constructions():
     slices_by_algebra = {}
-    for label, key, seq in CORPUS_SLICES:
+    for label, key, cut, seq in CORPUS_SLICES:
         assert_fixpoints_match_references(seq, label, 12)
-        slices_by_algebra.setdefault(key, []).append(seq)
-    clears = 0
+        slices_by_algebra.setdefault(key, []).append((cut, seq))
+    pairs = absorbed = 0
     for entry in zoo.corpus():
-        for seq in slices_by_algebra[entry.algebra_key]:
-            trivial = trivial_sub_sequence(entry.module, seq.partition)
-            assert_clears_matches_reference(seq, trivial, entry.key)
-            clears += 1
-    assert clears == 632
+        for cut, seq in slices_by_algebra[entry.algebra_key]:
+            absorbed += assert_absorbs_like_the_sum(seq, cut, entry.module,
+                                                    entry.key)
+            pairs += 1
+    assert pairs == 632 and absorbed > 0
 
 
 @settings(max_examples=20, deadline=None)
@@ -239,13 +270,13 @@ def test_fixpoints_equal_the_references_on_rebased_modules(m):
     key = next(e.algebra_key for e in zoo.corpus()
                if e.module.algebra == m.algebra)
     partition = parts(key)
-    seqs = [slice_by_weight(m, partition, w) for w, _ in partition.classes]
-    for seq in seqs:
+    cuts = [w for w, _ in partition.classes]
+    seqs = [slice_by_weight(m, partition, w) for w in cuts]
+    for cut, seq in zip(cuts, seqs):
         assert_fixpoints_match_references(seq, seq, 4)
         for other in seqs:
             assert_clears_matches_reference(seq, other, (seq, other))
-        assert_clears_matches_reference(
-            seq, trivial_sub_sequence(m, partition), seq)
+        assert_absorbs_like_the_sum(seq, cut, m, seq)
 
 
 # ---------------------------------------------------------------------------
