@@ -22,6 +22,14 @@ equal:
 The inputs are written under a temporary directory and named by a
 relative path that is the same on every run, so that file names quoted
 in error lines match between checkouts; none are written under ROOT.
+
+``tests/test_output_digest.py`` holds every checkout to the seed-7 file
+committed as ``tests/fixtures/output_digest_seed7.json``.  A change
+that means to alter an output regenerates that file:
+
+    python3 scripts/output_digest.py . tests/fixtures/output_digest_seed7.json --seed 7
+
+and CHANGES.md then lists the entries that changed and why.
 """
 
 from __future__ import annotations
