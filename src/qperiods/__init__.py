@@ -31,7 +31,6 @@ from .exactlin import (
     FieldMismatch,
     Matrix,
     NumberField,
-    QuotientPresentation,
     ReduciblePolynomial,
     Subspace,
 )
@@ -71,12 +70,10 @@ from .periods import (
 from .yoga import (
     AdmissibleSequence,
     HypothesisFailed,
-    NotExact,
     OrthogonalityFailure,
     PrincipalityVerdict,
     SupportViolation,
     WeightPartition,
-    admissible_check,
     bounded_lift_search,
     certify_principal,
     replay_derivation,

@@ -28,7 +28,6 @@ from .periods import (
 )
 from .yoga import (
     HypothesisFailed,
-    NotExact,
     OrthogonalityFailure,
     SupportViolation,
     certify_principal,
@@ -63,7 +62,6 @@ INPUT_ERRORS = (
     ValidationError,
     NotAdmissible,
     NotFiniteDimensional,
-    NotExact,
     SupportViolation,
     OrthogonalityFailure,
     HypothesisFailed,

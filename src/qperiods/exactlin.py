@@ -146,9 +146,6 @@ class Matrix:
         i, j = ij
         return self.rows[i][j]
 
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
     def is_zero(self) -> bool:
         return all(not x for r in self.rows for x in r)
 
@@ -328,7 +325,9 @@ def _kernel_by_free_column(m: Matrix) -> list:
         vec = [ZERO] * m.ncols
         vec[f] = ONE
         for r, p in enumerate(pivots):
-            vec[p] = -red.rows[r][f]
+            x = red.rows[r][f]
+            if x:
+                vec[p] = -x
         out.append((f, tuple(vec)))
     return out
 
@@ -558,35 +557,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient})"
-
-
-class QuotientPresentation:
-    """Coordinates on Q^n / R for a subspace R, via the free coordinates.
-
-    free lists the columns that are not pivots of R's canonical RREF
-    basis.  projection, a dim x n matrix, sends a vector to the tuple of
-    its class's coordinates, and is read off that basis column by column:
-    the unit vector at a free column f goes to the unit at f's place, and
-    the one at the pivot p of basis row r goes to minus row r at the free
-    columns, since e_p minus row r lies in the same class and is
-    supported on the free columns.  So projection kills R and is the
-    identity on the free coordinates.
-    """
-
-    __slots__ = ("relations", "free", "dim", "projection")
-
-    def __init__(self, relations: Subspace):
-        self.relations = relations
-        pivot_set = set(relations.pivots)
-        self.free = tuple(j for j in range(relations.ambient)
-                          if j not in pivot_set)
-        self.dim = len(self.free)
-        cols = [None] * relations.ambient
-        for k, f in enumerate(self.free):
-            cols[f] = tuple(ONE if t == k else ZERO for t in range(self.dim))
-        for row, p in zip(relations.basis.rows, relations.pivots):
-            cols[p] = tuple(-row[f] for f in self.free)
-        self.projection = Matrix._wrap(tuple(cols), self.dim).transpose()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from typing import Iterator, Sequence
 
 from .exactlin import (
     Matrix,
-    QuotientPresentation,
     Subspace,
     ZERO,
     ONE,
@@ -719,13 +718,6 @@ class ModuleMap:
                   for b in self.blocks]
         return SubmoduleHandle(self.target, spaces, check=False)
 
-    def is_injective(self) -> bool:
-        return all(s.dim == 0 for s in self.kernel().spaces)
-
-    def is_surjective(self) -> bool:
-        return all(s.dim == b.nrows
-                   for s, b in zip(self.image().spaces, self.blocks))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ModuleMap) and self.source == other.source
                 and self.target == other.target and self.blocks == other.blocks)
@@ -830,8 +822,6 @@ class SubmoduleHandle:
                 if not tgt.contains(src.image_under(ambient.maps[a.name])):
                     raise NotASubmodule(
                         f"subspace is not stable under arrow {a.name}")
-        self._sub = None
-        self._quot = None
 
     # -- constructors -----------------------------------------------------------
 
@@ -955,15 +945,13 @@ class SubmoduleHandle:
 
     # -- derived modules --------------------------------------------------------
 
-    def sub_module(self) -> tuple[FdModule, ModuleMap]:
-        """The submodule as a module of its own, with the inclusion.
+    def sub_module(self) -> FdModule:
+        """The submodule as a module of its own.
 
         A vector of a canonical subspace has its coordinates at the
         pivots, so each arrow's matrix is read off the images of the
         source basis there.
         """
-        if self._sub is not None:
-            return self._sub
         algebra = self.ambient.algebra
         dims = {v: s.dim for v, s in zip(algebra.vertices, self.spaces)}
         maps = {}
@@ -978,42 +966,7 @@ class SubmoduleHandle:
                 cols.append(tuple(img[p] for p in tgt.pivots))
             maps[a.name] = (Matrix.from_columns(cols) if cols
                             else Matrix.zero(tgt.dim, 0))
-        sub = FdModule(algebra, dims, maps)
-        incl = ModuleMap(sub, self.ambient,
-                         [s.basis.transpose() for s in self.spaces],
-                         check=False)
-        self._sub = (sub, incl)
-        return self._sub
-
-    def quotient_module(self) -> tuple[FdModule, ModuleMap]:
-        """The quotient by this submodule, with the projection.
-
-        The quotient's basis at a vertex is the classes of the unit
-        vectors at the free columns, so an arrow's matrix is the
-        projection applied to the ambient arrow's free columns.
-        """
-        if self._quot is not None:
-            return self._quot
-        algebra = self.ambient.algebra
-        pres = [QuotientPresentation(s) for s in self.spaces]
-        dims = {v: p.dim for v, p in zip(algebra.vertices, pres)}
-        maps = {}
-        for a in algebra.arrows:
-            si = algebra.vertices.index(a.source)
-            ti = algebra.vertices.index(a.target)
-            maps[a.name] = pres[ti].projection * _columns(
-                self.ambient.maps[a.name], pres[si].free)
-        quot = FdModule(algebra, dims, maps)
-        proj = ModuleMap(self.ambient, quot,
-                         [p.projection for p in pres], check=False)
-        self._quot = (quot, proj)
-        return self._quot
-
-
-def _columns(mat: Matrix, cols: Sequence[int]) -> Matrix:
-    """The columns of mat at the given positions, in that order."""
-    return Matrix._wrap(tuple(tuple(r[c] for c in cols) for r in mat.rows),
-                        len(cols))
+        return FdModule(algebra, dims, maps)
 
 
 def spin_pool(m: FdModule, bound: int) -> Iterator[SubmoduleHandle]:
@@ -1033,50 +986,6 @@ def spin_pool(m: FdModule, bound: int) -> Iterator[SubmoduleHandle]:
                 vec[i] = ONE
                 vec[j] = Fraction(s)
                 yield SubmoduleHandle.spin(m, [tuple(vec)])
-
-
-def preimage_submodule(f: ModuleMap, handle: SubmoduleHandle) -> SubmoduleHandle:
-    """f^{-1}(H) for H a submodule of f's target."""
-    if handle.ambient != f.target:
-        raise NotASubmodule("handle does not live in the map's target")
-    spaces = [s.preimage_under(b) for s, b in zip(handle.spaces, f.blocks)]
-    return SubmoduleHandle(f.source, spaces, check=False)
-
-
-def image_submodule(f: ModuleMap, handle: SubmoduleHandle) -> SubmoduleHandle:
-    """f(H) for H a submodule of f's source."""
-    if handle.ambient != f.source:
-        raise NotASubmodule("handle does not live in the map's source")
-    spaces = [s.image_under(b) for s, b in zip(handle.spaces, f.blocks)]
-    return SubmoduleHandle(f.target, spaces, check=False)
-
-
-def factor_through_sub(f: ModuleMap, handle: SubmoduleHandle) -> ModuleMap:
-    """Rewrite f: X -> ambient, with image inside the handle, as X -> sub."""
-    sub, incl = handle.sub_module()
-    blocks = []
-    for v, b, s in zip(f.source.algebra.vertices, f.blocks, handle.spaces):
-        cols = []
-        for j in range(b.ncols):
-            col = b.column(j)
-            if not s.contains_vector(col):
-                raise NotAModuleMap("image is not inside the submodule")
-            cols.append(tuple(col[p] for p in s.pivots))
-        blocks.append(Matrix.from_columns(cols) if cols
-                      else Matrix.zero(s.dim, 0))
-    return ModuleMap(f.source, sub, blocks, check=False)
-
-
-def factor_through_quotient(f: ModuleMap, handle: SubmoduleHandle) -> ModuleMap:
-    """Descend f: ambient -> Y along the projection, when f kills the handle."""
-    quot, proj = handle.quotient_module()
-    for v, b, s in zip(f.source.algebra.vertices, f.blocks, handle.spaces):
-        for vec in s.basis_vectors():
-            if any(b.apply(vec)):
-                raise NotAModuleMap("map does not kill the submodule")
-    blocks = [_columns(b, QuotientPresentation(s).free)
-              for b, s in zip(f.blocks, handle.spaces)]
-    return ModuleMap(quot, f.target, blocks, check=False)
 
 
 # ---------------------------------------------------------------------------

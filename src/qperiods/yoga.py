@@ -4,21 +4,28 @@ A weight partition splits the vertices of a bound quiver algebra into
 classes carrying distinct integer weights, with every arrow pointing
 weakly downward.  An admissible sequence is a short exact sequence of
 representations whose sub lives in strictly lower classes than its
-quotient.  Around that notion this module provides:
+quotient.  At a low vertex the quotient is zero, so the sub is all of
+the middle there, and at a high vertex the sub is zero: up to
+isomorphism of its ends, every admissible sequence is the slice of its
+middle at a weight cut, with sub the middle at the vertices of weight at
+most the cut and quotient the middle at the others.  So a sequence is
+held as that slice, and sub, middle and quotient share the middle's
+coordinates wherever they are nonzero.  Around that notion this module
+provides:
 
   * universal lifts and universal extensions of prescribed end data
     across an admissible sequence, each a fixpoint on the middle
-    module: the lift is the submodule spun from the target's preimage
+    module: the lift is the submodule spun from the target's spaces
     at the high vertices, the extension the largest submodule inside
     the prescribed intersection at the low vertices; a bounded search
     compares against the lift;
   * a saturatedness test per side (the endomorphism restriction onto
-    the relevant end must be onto a semisimple target and the outward
+    the relevant end, which keeps an endomorphism's blocks at that
+    end's vertices, must be onto a semisimple target and the outward
     hom spaces must vanish), plus the sum rule that lets a saturated
     sequence absorb a summand lying at or below its cut inside its sub:
     the enlarged sequence is the slice of the enlarged middle at that
-    cut, so slice_by_weight is the one constructor of admissible
-    sequences;
+    cut;
   * a certifier that certifies a semisimple module outright, then
     refutes principality by a dimension gap against the period space
     (a principal module realizes every relation through its
@@ -42,27 +49,18 @@ from .exactlin import Matrix, Subspace, rank
 from .periods import _centraliser, pairing_matrix
 from .quivalg import (
     FdModule,
-    ModuleMap,
     SubmoduleHandle,
     direct_sum,
     end_algebra,
-    factor_through_quotient,
-    factor_through_sub,
     hom_space,
-    image_submodule,
     module_iso,
-    preimage_submodule,
     simple_module,
     spin_pool,
 )
 
 
-class NotExact(ValueError):
-    """The pair of maps is not a short exact sequence."""
-
-
 class SupportViolation(ValueError):
-    """Sub or quotient is supported in the wrong weight classes."""
+    """The partition does not cover the algebra's vertices exactly."""
 
 
 class OrthogonalityFailure(ValueError):
@@ -145,31 +143,25 @@ class WeightPartition:
 
 @dataclass(frozen=True, eq=False)
 class AdmissibleSequence:
-    """A short exact sequence split by the weight partition.
+    """The slice of a middle module at a cut of the weight filtration.
 
-    The sub is supported in the low classes, the quotient in the high
-    classes, and every low weight is strictly below every high weight.
-    Either side may be empty.
+    sub is the middle at the vertices of weight at most the cut and zero
+    at the others; quot is the middle at the others and zero at those.
+    Arrows only descend, so sub is a submodule and quot the quotient by
+    it, and both keep the middle's coordinates and arrow maps where they
+    are nonzero.  low_weights and high_weights are the weights where sub
+    and quot are nonzero, every low weight below every high one.  Either
+    side may be empty.  Every admissible sequence is one of these up to
+    isomorphism of its ends: its sub is all of the middle at the low
+    vertices and zero at the high ones.
     """
 
-    inclusion: ModuleMap
-    projection: ModuleMap
+    module: FdModule
     partition: WeightPartition
-    sub_handle: SubmoduleHandle
+    sub: FdModule
+    quot: FdModule
     low_weights: frozenset
     high_weights: frozenset
-
-    @property
-    def module(self) -> FdModule:
-        return self.inclusion.target
-
-    @property
-    def sub(self) -> FdModule:
-        return self.inclusion.source
-
-    @property
-    def quot(self) -> FdModule:
-        return self.projection.target
 
     def low_vertices(self) -> tuple[str, ...]:
         return self.partition.vertices_at(self.low_weights)
@@ -182,49 +174,18 @@ class AdmissibleSequence:
                 f"{list(self.module.dims)} -> {list(self.quot.dims)})")
 
 
-def admissible_check(inclusion: ModuleMap, projection: ModuleMap,
-                     partition: WeightPartition) -> AdmissibleSequence:
-    """Validate a short exact sequence against the weight partition.
-
-    Checks exactness of the pair, and that the sub and quotient are
-    supported in disjoint weight ranges with the sub strictly below.
-    The two ranges then share no vertex, so the simples of one admit no
-    maps to or from those of the other.  The partition's validate_for
-    refuses an arrow that climbs to a higher weight, as an
-    OrthogonalityFailure.
-    """
-    if inclusion.target != projection.source:
-        raise NotExact("the maps do not share a middle module")
-    partition.validate_for(inclusion.target.algebra)
-    if not inclusion.is_injective():
-        raise NotExact("the inclusion is not injective")
-    if not projection.is_surjective():
-        raise NotExact("the projection is not surjective")
-    image = inclusion.image()
-    if image != projection.kernel():
-        raise NotExact("the image of the inclusion is not the kernel "
-                       "of the projection")
-    low = set(partition.support_weights(inclusion.source))
-    high = set(partition.support_weights(projection.target))
-    if low & high:
-        raise SupportViolation(
-            f"sub and quotient share the weights {sorted(low & high)}")
-    if low and high and max(low) >= min(high):
-        raise SupportViolation(
-            f"sub reaches weight {max(low)} but the quotient starts "
-            f"at weight {min(high)}; the sub must sit strictly below")
-    return AdmissibleSequence(inclusion, projection, partition, image,
-                              frozenset(low), frozenset(high))
-
-
-def _slice_handle(m: FdModule, partition: WeightPartition,
-                  cut: int) -> SubmoduleHandle:
-    spaces = []
-    for v in m.algebra.vertices:
-        d = m.vdim(v)
-        rows = Matrix.identity(d).rows if partition.weight_of(v) <= cut else []
-        spaces.append(Subspace(d, rows))
-    return SubmoduleHandle(m, spaces)
+def _weight_side(m: FdModule, partition: WeightPartition, cut: int,
+                 low: bool) -> FdModule:
+    """M at the vertices of weight at most the cut (low) or above it (not
+    low), zero at the others, each arrow between kept vertices acting by
+    M's map."""
+    algebra = m.algebra
+    keep = {v for v in algebra.vertices
+            if (partition.weight_of(v) <= cut) == low}
+    return FdModule(
+        algebra, {v: m.vdim(v) if v in keep else 0 for v in algebra.vertices},
+        {a.name: m.maps[a.name] for a in algebra.arrows
+         if a.source in keep and a.target in keep})
 
 
 def slice_by_weight(m: FdModule, partition: WeightPartition,
@@ -233,13 +194,25 @@ def slice_by_weight(m: FdModule, partition: WeightPartition,
 
     Arrows only descend, so the low-weight coordinates always form a
     submodule; this is the canonical admissible sequence at each step
-    of the weight filtration.
+    of the weight filtration, and the one constructor of admissible
+    sequences.  The partition must cover the vertices exactly
+    (SupportViolation) and no arrow may climb (OrthogonalityFailure).
     """
     partition.validate_for(m.algebra)
-    handle = _slice_handle(m, partition, cut)
-    _, incl = handle.sub_module()
-    _, proj = handle.quotient_module()
-    return admissible_check(incl, proj, partition)
+    sub = _weight_side(m, partition, cut, True)
+    quot = _weight_side(m, partition, cut, False)
+    return AdmissibleSequence(m, partition, sub, quot,
+                              frozenset(partition.support_weights(sub)),
+                              frozenset(partition.support_weights(quot)))
+
+
+def _read_in(handle: SubmoduleHandle, end: FdModule) -> SubmoduleHandle:
+    """A submodule of the middle read in the sub (its intersection with
+    the sub) or in the quotient (its image there): its spaces where the
+    end keeps the middle's coordinates, zero elsewhere."""
+    return SubmoduleHandle(
+        end, [s if s.ambient == d else Subspace.zero_space(d)
+              for s, d in zip(handle.spaces, end.dims)], check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +224,19 @@ def universal_lift(seq: AdmissibleSequence,
                    n1: SubmoduleHandle) -> SubmoduleHandle:
     """The smallest submodule of the middle projecting onto the given one.
 
-    The sub is zero at the high vertices, so every submodule that
-    projects onto the target agrees there with the target's preimage,
-    and the submodule spun from the preimage's vectors at those vertices
-    is contained in all of them; it is the universal lift.
+    The sub is zero at the high vertices, where the middle and the
+    quotient agree, so every submodule that projects onto the target
+    has the target's spaces there, and the submodule spun from their
+    vectors is contained in all of them; it is the universal lift.
     HypothesisFailed guards the defining property.
     """
     if n1.ambient != seq.quot:
         raise ValueError("the target must be a submodule of the quotient")
     m = seq.module
-    pre = preimage_submodule(seq.projection, n1)
     lifted = SubmoduleHandle.spin(
         m, [m.embed_vertex_vector(v, b) for v in seq.high_vertices()
-            for b in pre.space(v).basis_vectors()])
-    if image_submodule(seq.projection, lifted) != n1:
+            for b in n1.space(v).basis_vectors()])
+    if _read_in(lifted, seq.quot) != n1:
         raise HypothesisFailed(
             "the minimal candidate does not project onto the target")
     return lifted
@@ -285,12 +257,11 @@ def universal_extension(seq: AdmissibleSequence,
         raise ValueError("the prescribed intersection must be a submodule "
                          "of the sub")
     m = seq.module
-    n0_in_m = image_submodule(seq.inclusion, n0)
     low = seq.low_vertices()
     extended = SubmoduleHandle.largest_inside(
-        m, [s if v in low else Subspace.full_space(s.ambient)
-            for v, s in zip(m.algebra.vertices, n0_in_m.spaces)])
-    if extended.intersect(seq.sub_handle) != n0_in_m:
+        m, [n0.space(v) if v in low else Subspace.full_space(m.vdim(v))
+            for v in m.algebra.vertices])
+    if _read_in(extended, seq.sub) != n0:
         raise HypothesisFailed(
             "the maximal candidate does not meet the sub in the target")
     return extended
@@ -332,7 +303,7 @@ def bounded_lift_search(seq: AdmissibleSequence,
     if n1.ambient != seq.quot:
         raise ValueError("the target must be a submodule of the quotient")
     return tuple(h for h in _search_pool(seq.module, 1, 512)
-                 if image_submodule(seq.projection, h) == n1)
+                 if _read_in(h, seq.quot) == n1)
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +352,23 @@ def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     m = seq.module
-    algebra = m.algebra
-    endos = hom_space(m, m)
     if side == "right":
-        stage, stage_map = seq.sub_handle.quotient_module()
-        induced = [factor_through_quotient(stage_map.compose(f), seq.sub_handle)
-                   for f in endos]
+        stage = seq.quot
         outward_name = "maps_into_low_classes_vanish"
     else:
-        stage, stage_map = seq.sub_handle.sub_module()
-        induced = [factor_through_sub(f.compose(stage_map), seq.sub_handle)
-                   for f in endos]
+        stage = seq.sub
         outward_name = "maps_from_high_classes_vanish"
+    # an endomorphism of M acts vertex by vertex, so it keeps the slice,
+    # and the map it induces on the stage is its blocks at the stage's
+    # vertices
+    induced = [tuple(x for b, d in zip(f.blocks, stage.dims) if d
+                     for x in b.vec())
+               for f in hom_space(m, m)]
     outward = _outward_homs_vanish(seq, side)
     end_stage, stage_endos = end_algebra(stage)
     target_dim = len(stage_endos)
-    length = sum(stage.vdim(v) ** 2 for v in algebra.vertices)
-    rank = Subspace(length, [f.vec() for f in induced]).dim
+    length = sum(d * d for d in stage.dims)
+    rank = Subspace(length, induced).dim
     surjective = rank == target_dim
     semisimple = stage.dim == 0 or end_stage.is_semisimple()
     conditions = {
@@ -511,7 +482,7 @@ def _core_candidates(x: FdModule, partition: WeightPartition, cap: int = 24):
         if handle.is_full() or handle.spaces in seen:
             continue
         seen.add(handle.spaces)
-        core = handle.sub_module()[0]
+        core = handle.sub_module()
         if len(partition.support_weights(core)) < 2:
             continue
         yield vecs, core
@@ -524,7 +495,7 @@ def _truncations(core: FdModule, partition: WeightPartition,
                  support: tuple[int, ...]) -> list[FdModule]:
     truncs = []
     for w in support[:-1]:
-        truncs.append(_slice_handle(core, partition, w).sub_module()[0])
+        truncs.append(_weight_side(core, partition, w, True))
     truncs.append(core)
     return truncs
 
@@ -728,7 +699,7 @@ def replay_derivation(x: FdModule, partition: WeightPartition,
     if plan["kind"] == "semisimple":
         return x.is_semisimple_rep()
     vecs = [tuple(Fraction(c) for c in vec) for vec in plan["core"]]
-    core = SubmoduleHandle.spin(x, vecs).sub_module()[0]
+    core = SubmoduleHandle.spin(x, vecs).sub_module()
     support = tuple(sorted(partition.support_weights(core)))
     if len(support) < 2 or len(plan["stages"]) != len(support) - 1:
         return False

@@ -35,6 +35,22 @@ sum of two sequences with block-diagonal maps.  sum_conditions is the
 sum rule's test for two arbitrary sequences, as it read before it took
 the companion module alone.
 
+The package holds an admissible sequence as the slice of its middle:
+its sub and its quotient are the middle at the low and at the high
+vertices, and no map between them is built.  GeneralSequence is the
+record it used to carry instead, an inclusion and a projection with the
+sub's handle, validated by admissible_check (NotExact for a pair that
+is not exact, SupportViolation for ends in the wrong classes).
+general_slice(m, partition, cut) builds a slice that way: a handle of
+coordinate subspaces, its sub module with its inclusion, its
+quotient_module with the projection of QuotientPresentation, and
+admissible_check.  general(seq) rebuilds a slice so, and as_slice reads
+a general sequence whose sub is a coordinate slice back as the
+package's slice.  The helpers only that route used moved here with it:
+factor_through_sub and factor_through_quotient, image_submodule and
+preimage_submodule, is_injective and is_surjective of a module map, and
+a matrix's column and columns.
+
 The package reads the action of a path as its path map placed on M's
 coordinates, one block from its source to its target.  act_basis is
 the dense d x d matrix that the package used to build for it, and
@@ -96,16 +112,15 @@ from qperiods.periods import (
 from qperiods.quivalg import (
     FdModule,
     ModuleMap,
+    NotAModuleMap,
+    NotASubmodule,
     StructureAlgebra,
     SubmoduleHandle,
     block_map,
     build_algebra,
     direct_sum,
-    factor_through_quotient,
     hom_space,
-    image_submodule,
     module_power,
-    preimage_submodule,
     spin_pool,
 )
 from qperiods.serialize import rational_str
@@ -113,10 +128,10 @@ from qperiods.yoga import (
     AdmissibleSequence,
     DerivationNode,
     PrincipalityVerdict,
+    SupportViolation,
     WeightPartition,
     _certificate_search,
     _search_pool,
-    admissible_check,
     slice_by_weight,
 )
 
@@ -149,17 +164,18 @@ def negate(partition: WeightPartition) -> WeightPartition:
     return WeightPartition.of([(-w, vs) for w, vs in partition.classes])
 
 
-def dual_sequence(seq):
+def dual_sequence(seq: AdmissibleSequence) -> AdmissibleSequence:
     """The annihilator sequence in the dual module, with negated weights.
 
     The annihilator of the sub becomes the new sub, so left-side
-    questions about the dual are right-side questions about seq.
+    questions about the dual are right-side questions about seq.  It is
+    built and checked the general way, then read as the slice of the
+    dual that it is.
     """
     m = seq.module
-    ann = dual_submodule(m, dual_module(m), seq.sub_handle)
-    _, dincl = ann.sub_module()
-    _, dproj = ann.quotient_module()
-    return admissible_check(dincl, dproj, negate(seq.partition))
+    ann = dual_submodule(m, dual_module(m), general(seq).sub_handle)
+    return as_slice(admissible_check(inclusion(ann), quotient_module(ann)[1],
+                                     negate(seq.partition)))
 
 
 def trace(m: FdModule, vertices) -> SubmoduleHandle:
@@ -181,8 +197,9 @@ def supported_at(m: FdModule, vertices) -> SubmoduleHandle:
 def lift(seq, n1: SubmoduleHandle) -> SubmoduleHandle:
     """The universal lift as the trace of the high vertices inside the
     preimage, taken as a module of its own and mapped back."""
-    pmod, pincl = preimage_submodule(seq.projection, n1).sub_module()
-    return image_submodule(pincl, trace(pmod, seq.high_vertices()))
+    pre = preimage_submodule(general(seq).projection, n1)
+    return image_submodule(inclusion(pre),
+                           trace(pre.sub_module(), seq.high_vertices()))
 
 
 def extension(seq, n0: SubmoduleHandle) -> SubmoduleHandle:
@@ -191,8 +208,8 @@ def extension(seq, n0: SubmoduleHandle) -> SubmoduleHandle:
     m = seq.module
     dm = dual_module(m)
     dseq = dual_sequence(seq)
-    ann = dual_submodule(m, dm, image_submodule(seq.inclusion, n0))
-    lifted = lift(dseq, image_submodule(dseq.projection, ann))
+    ann = dual_submodule(m, dm, image_submodule(general(seq).inclusion, n0))
+    lifted = lift(dseq, image_submodule(general(dseq).projection, ann))
     return SubmoduleHandle(m, [s.annihilator() for s in lifted.spaces])
 
 
@@ -204,7 +221,7 @@ def outward_homs_vanish(seq, side: str) -> bool:
     if side == "right":
         low = seq.partition.vertices_at(seq.low_weights)
         generated = trace(m, [v for v in m.algebra.vertices if v not in low])
-        return generated.quotient_module()[0].is_zero()
+        return quotient_module(generated)[0].is_zero()
     high = seq.high_vertices()
     return trace(dual_module(m),
                  [v for v in m.algebra.vertices if v not in high]).is_full()
@@ -216,7 +233,7 @@ def cokernel_clears(seq_m, seq_n) -> bool:
     t = SubmoduleHandle.zero(seq_m.module)
     for f in hom_space(seq_n.sub, seq_m.module):
         t = t.add(f.image())
-    coker = t.quotient_module()[0]
+    coker = quotient_module(t)[0]
     high = seq_m.high_weights | seq_n.high_weights
     return supported_at(coker, seq_m.partition.vertices_at(high)).is_zero()
 
@@ -315,16 +332,247 @@ def targets(m: FdModule, count: int) -> list:
 # -- admissible sequences and path actions, built the general way ------------
 
 
+class NotExact(ValueError):
+    """The pair of maps is not a short exact sequence."""
+
+
+class QuotientPresentation:
+    """Coordinates on Q^n / R for a subspace R, via the free coordinates.
+
+    free lists the columns that are not pivots of R's canonical RREF
+    basis.  projection, a dim x n matrix, sends a vector to the tuple of
+    its class's coordinates, and is read off that basis column by column:
+    the unit vector at a free column f goes to the unit at f's place, and
+    the one at the pivot p of basis row r goes to minus row r at the free
+    columns, since e_p minus row r lies in the same class and is
+    supported on the free columns.  So projection kills R and is the
+    identity on the free coordinates.
+    """
+
+    __slots__ = ("relations", "free", "dim", "projection")
+
+    def __init__(self, relations: Subspace):
+        self.relations = relations
+        pivot_set = set(relations.pivots)
+        self.free = tuple(j for j in range(relations.ambient)
+                          if j not in pivot_set)
+        self.dim = len(self.free)
+        cols = [None] * relations.ambient
+        for k, f in enumerate(self.free):
+            cols[f] = tuple(ONE if t == k else ZERO for t in range(self.dim))
+        for row, p in zip(relations.basis.rows, relations.pivots):
+            cols[p] = tuple(-row[f] for f in self.free)
+        self.projection = Matrix._wrap(tuple(cols), self.dim).transpose()
+
+
+def column(mat: Matrix, j: int) -> tuple:
+    return tuple(r[j] for r in mat.rows)
+
+
+def columns(mat: Matrix, cols: Sequence[int]) -> Matrix:
+    """The columns of mat at the given positions, in that order."""
+    return Matrix._wrap(tuple(tuple(r[c] for c in cols) for r in mat.rows),
+                        len(cols))
+
+
+def is_injective(f: ModuleMap) -> bool:
+    return all(s.dim == 0 for s in f.kernel().spaces)
+
+
+def is_surjective(f: ModuleMap) -> bool:
+    return all(s.dim == b.nrows for s, b in zip(f.image().spaces, f.blocks))
+
+
+def inclusion(handle: SubmoduleHandle) -> ModuleMap:
+    """The inclusion of the submodule, as a module of its own, into its
+    ambient: each vertex block is the transposed canonical basis."""
+    return ModuleMap(handle.sub_module(), handle.ambient,
+                     [s.basis.transpose() for s in handle.spaces],
+                     check=False)
+
+
+def quotient_module(handle: SubmoduleHandle) -> tuple[FdModule, ModuleMap]:
+    """The quotient by the submodule, with the projection.
+
+    The quotient's basis at a vertex is the classes of the unit vectors
+    at the free columns, so an arrow's matrix is the projection applied
+    to the ambient arrow's free columns.
+    """
+    ambient = handle.ambient
+    algebra = ambient.algebra
+    pres = [QuotientPresentation(s) for s in handle.spaces]
+    dims = {v: p.dim for v, p in zip(algebra.vertices, pres)}
+    maps = {}
+    for a in algebra.arrows:
+        si = algebra.vertices.index(a.source)
+        ti = algebra.vertices.index(a.target)
+        maps[a.name] = pres[ti].projection * columns(
+            ambient.maps[a.name], pres[si].free)
+    quot = FdModule(algebra, dims, maps)
+    proj = ModuleMap(ambient, quot, [p.projection for p in pres],
+                     check=False)
+    return quot, proj
+
+
+def preimage_submodule(f: ModuleMap,
+                       handle: SubmoduleHandle) -> SubmoduleHandle:
+    """f^{-1}(H) for H a submodule of f's target."""
+    if handle.ambient != f.target:
+        raise NotASubmodule("handle does not live in the map's target")
+    spaces = [s.preimage_under(b) for s, b in zip(handle.spaces, f.blocks)]
+    return SubmoduleHandle(f.source, spaces, check=False)
+
+
+def image_submodule(f: ModuleMap, handle: SubmoduleHandle) -> SubmoduleHandle:
+    """f(H) for H a submodule of f's source."""
+    if handle.ambient != f.source:
+        raise NotASubmodule("handle does not live in the map's source")
+    spaces = [s.image_under(b) for s, b in zip(handle.spaces, f.blocks)]
+    return SubmoduleHandle(f.target, spaces, check=False)
+
+
+def factor_through_sub(f: ModuleMap, handle: SubmoduleHandle) -> ModuleMap:
+    """Rewrite f: X -> ambient, with image inside the handle, as X -> sub."""
+    sub = handle.sub_module()
+    blocks = []
+    for b, s in zip(f.blocks, handle.spaces):
+        cols = []
+        for j in range(b.ncols):
+            col = column(b, j)
+            if not s.contains_vector(col):
+                raise NotAModuleMap("image is not inside the submodule")
+            cols.append(tuple(col[p] for p in s.pivots))
+        blocks.append(Matrix.from_columns(cols) if cols
+                      else Matrix.zero(s.dim, 0))
+    return ModuleMap(f.source, sub, blocks, check=False)
+
+
+def factor_through_quotient(f: ModuleMap,
+                            handle: SubmoduleHandle) -> ModuleMap:
+    """Descend f: ambient -> Y along the projection, when f kills the
+    handle."""
+    quot, _ = quotient_module(handle)
+    for b, s in zip(f.blocks, handle.spaces):
+        for vec in s.basis_vectors():
+            if any(b.apply(vec)):
+                raise NotAModuleMap("map does not kill the submodule")
+    blocks = [columns(b, QuotientPresentation(s).free)
+              for b, s in zip(f.blocks, handle.spaces)]
+    return ModuleMap(quot, f.target, blocks, check=False)
+
+
+@dataclass(frozen=True, eq=False)
+class GeneralSequence:
+    """A short exact sequence given by its inclusion and projection, split
+    by the weight partition, as admissible_check validated it."""
+
+    inclusion: ModuleMap
+    projection: ModuleMap
+    partition: WeightPartition
+    sub_handle: SubmoduleHandle
+    low_weights: frozenset
+    high_weights: frozenset
+
+    @property
+    def module(self) -> FdModule:
+        return self.inclusion.target
+
+    @property
+    def sub(self) -> FdModule:
+        return self.inclusion.source
+
+    @property
+    def quot(self) -> FdModule:
+        return self.projection.target
+
+    def low_vertices(self) -> tuple[str, ...]:
+        return self.partition.vertices_at(self.low_weights)
+
+    def high_vertices(self) -> tuple[str, ...]:
+        return self.partition.vertices_at(self.high_weights)
+
+
+def admissible_check(inclusion: ModuleMap, projection: ModuleMap,
+                     partition: WeightPartition) -> GeneralSequence:
+    """Validate a short exact sequence against the weight partition.
+
+    Checks exactness of the pair, and that the sub and quotient are
+    supported in disjoint weight ranges with the sub strictly below
+    (SupportViolation).  The partition's validate_for refuses an arrow
+    that climbs to a higher weight, as an OrthogonalityFailure.
+    """
+    if inclusion.target != projection.source:
+        raise NotExact("the maps do not share a middle module")
+    partition.validate_for(inclusion.target.algebra)
+    if not is_injective(inclusion):
+        raise NotExact("the inclusion is not injective")
+    if not is_surjective(projection):
+        raise NotExact("the projection is not surjective")
+    image = inclusion.image()
+    if image != projection.kernel():
+        raise NotExact("the image of the inclusion is not the kernel "
+                       "of the projection")
+    low = set(partition.support_weights(inclusion.source))
+    high = set(partition.support_weights(projection.target))
+    if low & high:
+        raise SupportViolation(
+            f"sub and quotient share the weights {sorted(low & high)}")
+    if low and high and max(low) >= min(high):
+        raise SupportViolation(
+            f"sub reaches weight {max(low)} but the quotient starts "
+            f"at weight {min(high)}; the sub must sit strictly below")
+    return GeneralSequence(inclusion, projection, partition, image,
+                           frozenset(low), frozenset(high))
+
+
+def general_slice(m: FdModule, partition: WeightPartition,
+                  cut: int) -> GeneralSequence:
+    """slice_by_weight the general way: everything of weight at most the
+    cut as a handle of coordinate subspaces, the inclusion of its sub
+    module and the projection onto its quotient, and the checks."""
+    spaces = []
+    for v in m.algebra.vertices:
+        d = m.vdim(v)
+        rows = Matrix.identity(d).rows if partition.weight_of(v) <= cut else []
+        spaces.append(Subspace(d, rows))
+    handle = SubmoduleHandle(m, spaces)
+    return admissible_check(inclusion(handle), quotient_module(handle)[1],
+                            partition)
+
+
+def _cut(seq) -> int:
+    """A cut at which the middle's slice has seq's sub: the top of its
+    weights, or below every class when it is zero."""
+    return max(seq.low_weights,
+               default=min(w for w, _ in seq.partition.classes) - 1)
+
+
+def general(seq: AdmissibleSequence) -> GeneralSequence:
+    """A slice rebuilt the general way, with its inclusion, projection
+    and sub handle."""
+    return general_slice(seq.module, seq.partition, _cut(seq))
+
+
+def as_slice(seq: GeneralSequence) -> AdmissibleSequence:
+    """The slice of a general sequence's middle whose ends are its ends,
+    for a sequence whose sub is a coordinate slice."""
+    sliced = slice_by_weight(seq.module, seq.partition, _cut(seq))
+    assert sliced.sub == seq.sub and sliced.quot == seq.quot, \
+        "the sequence is not a coordinate slice"
+    return sliced
+
+
+
 def trivial_sub_sequence(c: FdModule,
-                         partition: WeightPartition) -> AdmissibleSequence:
+                         partition: WeightPartition) -> GeneralSequence:
     """The sequence with sub C, middle C and zero quotient."""
     zero = module_power(c, 0)
     return admissible_check(ModuleMap.identity(c), ModuleMap.zero(c, zero),
                             partition)
 
 
-def sum_sequence(seq_m: AdmissibleSequence,
-                 seq_n: AdmissibleSequence) -> AdmissibleSequence:
+def sum_sequence(seq_m: GeneralSequence,
+                 seq_n: GeneralSequence) -> GeneralSequence:
     """The direct sum of two admissible sequences over the same partition."""
     if seq_m.partition != seq_n.partition:
         raise ValueError("summands must share the weight partition")
@@ -340,7 +588,7 @@ def sum_sequence(seq_m: AdmissibleSequence,
 
 
 def sum_conditions(seq_m: AdmissibleSequence,
-                   seq_n: AdmissibleSequence) -> tuple[bool, dict]:
+                   seq_n: GeneralSequence) -> tuple[bool, dict]:
     """The mixed hom conditions under which the sum of two left saturated
     sequences stays left saturated.
 
@@ -534,9 +782,9 @@ def check_absorb_identity(m: FdModule, witness: ModuleMap) -> IdentityReport:
 
     witness must be a mono N -> M or an epi M -> N.
     """
-    if witness.target == m and witness.is_injective():
+    if witness.target == m and is_injective(witness):
         other = witness.source
-    elif witness.source == m and witness.is_surjective():
+    elif witness.source == m and is_surjective(witness):
         other = witness.target
     else:
         return IdentityReport("absorb", False, False, {})
@@ -597,9 +845,9 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
         raise ValueError("the mono's source is not the declared power of M0")
     if right.target != module_power(m1, l):
         raise ValueError("the epi's target is not the declared power of M1")
-    if not left.is_injective():
+    if not is_injective(left):
         raise ValueError("left map must be injective")
-    if not right.is_surjective():
+    if not is_surjective(right):
         raise ValueError("right map must be surjective")
     if left.image().spaces != right.kernel().spaces:
         raise ValueError("image of the mono must equal the kernel of the epi")
@@ -613,20 +861,20 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
     lifted = block_map(big, [inner] * x, mx, [m] * x,
                        {(j, j): left for j in range(x)})
     k_in_mx = image_submodule(lifted, kh)
-    reduced, proj = k_in_mx.quotient_module()
+    reduced, proj = quotient_module(k_in_mx)
     # mono from M0: embed into slot 1 of the inner power, then slot 1 of M^x
     into_inner = block_map(m0, [m0], inner, [m0] * x,
                            {(0, 0): ModuleMap.identity(m0)})
     into_mx = block_map(m, [m], mx, [m] * x, {(0, 0): ModuleMap.identity(m)})
     mu = proj.compose(into_mx).compose(left).compose(into_inner)
-    if not mu.is_injective():
+    if not is_injective(mu):
         raise AssertionError("reduced sequence lost injectivity")
     # epi onto M1^(x*l) = (M1^l)^x
     right_power = block_map(mx, [m] * x, module_power(m1, x * l),
                             [right.target] * x,
                             {(j, j): right for j in range(x)})
     pi = factor_through_quotient(right_power, k_in_mx)
-    if not pi.is_surjective():
+    if not is_surjective(pi):
         raise AssertionError("reduced sequence lost surjectivity")
     if not flattened(pi.compose(mu)).is_zero():
         raise AssertionError("reduced sequence is not a complex")
@@ -662,9 +910,10 @@ def bounded_extension_search(
     if n0.ambient != seq.sub:
         raise ValueError("the prescribed intersection must be a submodule "
                          "of the sub")
-    n0_in_m = image_submodule(seq.inclusion, n0)
+    whole = general(seq)
+    n0_in_m = image_submodule(whole.inclusion, n0)
     return tuple(h for h in _search_pool(seq.module, 1, 512)
-                 if h.intersect(seq.sub_handle) == n0_in_m)
+                 if h.intersect(whole.sub_handle) == n0_in_m)
 
 
 class BudgetExceeded(RuntimeError):

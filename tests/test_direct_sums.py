@@ -37,9 +37,17 @@ from qperiods.quivalg import (
     tuple_embed,
 )
 
-from qperiods.yoga import WeightPartition, admissible_check, slice_by_weight
+from qperiods.yoga import WeightPartition, slice_by_weight
 
-from references import direct_sum_with_maps, flattened, sum_sequence
+from references import (
+    admissible_check,
+    direct_sum_with_maps,
+    flattened,
+    general,
+    inclusion,
+    quotient_module,
+    sum_sequence,
+)
 from strategies import ORACLE_INPUTS, rebased_modules
 
 
@@ -186,8 +194,8 @@ def _maps_out_of_submodules(m):
     out = []
     for e in Matrix.identity(m.dim).rows:
         handle = SubmoduleHandle.spin(m, [e])
-        out.append(handle.sub_module()[1])
-        out.append(handle.quotient_module()[1])
+        out.append(inclusion(handle))
+        out.append(quotient_module(handle)[1])
     return out
 
 
@@ -282,8 +290,8 @@ SLICE_PAIRS = _slice_pairs()
 def test_sum_sequence_equals_the_composite_sums(key, partition, m, n):
     for cut_m, cut_n in itertools.product(
             [w for w, _ in partition.classes], repeat=2):
-        seq_m = slice_by_weight(m, partition, cut_m)
-        seq_n = slice_by_weight(n, partition, cut_n)
+        seq_m = general(slice_by_weight(m, partition, cut_m))
+        seq_n = general(slice_by_weight(n, partition, cut_n))
         ref_inc, ref_proj = reference_sum_sequence(seq_m, seq_n)
         try:
             total = sum_sequence(seq_m, seq_n)

@@ -20,7 +20,6 @@ from qperiods.exactlin import (
     FieldEmbedding,
     Matrix,
     NumberField,
-    QuotientPresentation,
     ReduciblePolynomial,
     Subspace,
     block_diagonal,
@@ -35,7 +34,7 @@ from qperiods.exactlin import (
     rref,
 )
 from qperiods import exactlin
-from references import solve
+from references import QuotientPresentation, column, solve
 
 
 def random_matrix(rng, nrows, ncols, span=6):
@@ -265,7 +264,7 @@ def assert_projection_is_the_quotient_map(relations: Subspace):
     for v in relations.basis_vectors():
         assert not any(proj.apply(v))
     for k, f in enumerate(q.free):
-        assert proj.column(f) == tuple(int(t == k) for t in range(q.dim))
+        assert column(proj, f) == tuple(int(t == k) for t in range(q.dim))
     assert proj == reduced_projection(relations)
 
 

@@ -5,26 +5,28 @@ bundled corpus; certificates are replayed from their recorded plans,
 universal lifts and extensions are checked extremal against the
 bounded brute-force search, and they and the outward hom tests are
 checked equal to the duality and trace-quotient constructions of
-tests/references.py.
+tests/references.py.  Each slice is checked equal to the general
+construction it replaced: a coordinate handle's sub and quotient
+modules, their inclusion and projection, and the exactness check.
 """
 
 import pytest
 from hypothesis import given, settings
 
 from qperiods import zoo
+from qperiods.exactlin import Subspace
 from qperiods.quivalg import (
     ModuleMap,
     SubmoduleHandle,
     direct_sum,
+    hom_space,
     module_power,
 )
 from qperiods.yoga import (
     HypothesisFailed,
-    NotExact,
     OrthogonalityFailure,
     SupportViolation,
     WeightPartition,
-    admissible_check,
     bounded_lift_search,
     certify_principal,
     replay_derivation,
@@ -82,10 +84,10 @@ def test_slice_by_weight_p1():
 
 def test_admissible_check_rejects_non_exact():
     m = zoo.get_module("a2/p1")
-    seq = slice_by_weight(m, A2, -1)
+    seq = references.general(slice_by_weight(m, A2, -1))
     # the identity is surjective but its kernel misses the included socle
-    with pytest.raises(NotExact):
-        admissible_check(seq.inclusion, ModuleMap.identity(m), A2)
+    with pytest.raises(references.NotExact):
+        references.admissible_check(seq.inclusion, ModuleMap.identity(m), A2)
 
 
 def test_support_violation():
@@ -93,12 +95,50 @@ def test_support_violation():
     # cutting at weight 0 puts everything in the sub and nothing above
     seq = slice_by_weight(m, A2, 0)
     assert seq.quot.is_zero()
-    # a sub that reaches weight 0 under a quotient also at weight 0 fails
+    # a partition that misses a vertex is refused
+    with pytest.raises(SupportViolation):
+        slice_by_weight(m, WeightPartition.of({0: ("v1",)}), 0)
+    # a general sub that reaches weight 0 under a quotient also at
+    # weight 0 fails
     with pytest.raises(SupportViolation):
         full = SubmoduleHandle.spin(m, [(1, 0, 0)])
-        sub, incl = full.sub_module()
-        quot, proj = full.quotient_module()
-        admissible_check(incl, proj, A2)
+        references.admissible_check(references.inclusion(full),
+                                    references.quotient_module(full)[1], A2)
+
+
+def reference_restriction_rank(whole, side):
+    """The rank of the maps that the endomorphisms of the middle induce
+    on the quotient (right) or the sub (left) of a general sequence,
+    descended along its projection or factored through its inclusion."""
+    endos = hom_space(whole.module, whole.module)
+    if side == "right":
+        stage = whole.quot
+        induced = [references.factor_through_quotient(
+            whole.projection.compose(f), whole.sub_handle) for f in endos]
+    else:
+        stage = whole.sub
+        induced = [references.factor_through_sub(
+            f.compose(whole.inclusion), whole.sub_handle) for f in endos]
+    return Subspace(sum(d * d for d in stage.dims),
+                    [f.vec() for f in induced]).dim
+
+
+def assert_slice_matches_the_general_construction(seq, cut, label):
+    """The slice's ends and weights equal those of the coordinate handle
+    cut at the same weight, general(seq) passes admissible_check with the
+    same weights and handle, and saturated_check's restriction ranks
+    equal those of the maps induced through the inclusion and projection."""
+    old = references.general_slice(seq.module, seq.partition, cut)
+    assert seq.sub == old.sub and seq.quot == old.quot, label
+    assert seq.low_weights == old.low_weights, label
+    assert seq.high_weights == old.high_weights, label
+    rebuilt = references.general(seq)
+    assert rebuilt.low_weights == seq.low_weights, label
+    assert rebuilt.high_weights == seq.high_weights, label
+    assert rebuilt.sub_handle == old.sub_handle, label
+    for side in ("left", "right"):
+        assert (saturated_check(seq, side).conditions["restriction_rank"]
+                == reference_restriction_rank(old, side)), (label, side)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +163,23 @@ def test_p1_socle_sequence_right_saturated():
 
 
 CORPUS_SLICES = references.corpus_slices()
+
+
+def test_slices_equal_the_general_construction():
+    assert len(CORPUS_SLICES) == 96
+    for label, _, cut, seq in CORPUS_SLICES:
+        assert_slice_matches_the_general_construction(seq, cut, label)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rebased_modules())
+def test_slices_equal_the_general_construction_on_rebased_modules(m):
+    key = next(e.algebra_key for e in zoo.corpus()
+               if e.module.algebra == m.algebra)
+    partition = parts(key)
+    for w, _ in partition.classes:
+        assert_slice_matches_the_general_construction(
+            slice_by_weight(m, partition, w), w, (key, w))
 
 
 def test_saturation_mirrors_through_duality():
@@ -239,14 +296,15 @@ def assert_absorbs_like_the_sum(seq, cut, c, label):
     if any(w > cut for w in seq.partition.support_weights(c)):
         return False
     sliced = slice_by_weight(direct_sum([seq.module, c]), seq.partition, cut)
-    summed = references.sum_sequence(seq, trivial)
+    summed = references.sum_sequence(references.general(seq), trivial)
     assert sliced.module == summed.module, label
     assert sliced.sub == summed.sub and sliced.quot == summed.quot, label
-    assert sliced.inclusion.blocks == summed.inclusion.blocks, label
-    assert sliced.projection.blocks == summed.projection.blocks, label
     assert sliced.low_weights == summed.low_weights, label
     assert sliced.high_weights == summed.high_weights, label
-    assert sliced.sub_handle == summed.sub_handle, label
+    whole = references.general(sliced)
+    assert whole.inclusion.blocks == summed.inclusion.blocks, label
+    assert whole.projection.blocks == summed.projection.blocks, label
+    assert whole.sub_handle == summed.sub_handle, label
     return True
 
 
@@ -275,7 +333,8 @@ def test_fixpoints_equal_the_references_on_rebased_modules(m):
     for cut, seq in zip(cuts, seqs):
         assert_fixpoints_match_references(seq, seq, 4)
         for other in seqs:
-            assert_clears_matches_reference(seq, other, (seq, other))
+            assert_clears_matches_reference(seq, references.general(other),
+                                            (seq, other))
         assert_absorbs_like_the_sum(seq, cut, m, seq)
 
 
