@@ -13,7 +13,10 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
   a3/proj^2 with ``--k 2`` and on a3/proj^3 with ``--k 9``;
 - ``period`` on a2/p1^16, a2/p1^24 and a2/p1^32 (d = 32, 48 and 64);
 - ``certify`` with the a2 standing weights on a2/p1^16, a2/p1^32 and
-  S1^32, the a2 module with dims ``{v1: 32, v2: 0}``;
+  S1^32, the a2 module with dims ``{v1: 32, v2: 0}``, and on
+  a2/p1^3+s2^3 and a2/p1^4+s2^4 (d = 9 and 12), which have no
+  dimension gap, so that certify runs its tower search, saturated_check
+  and module_iso;
 - ``onemotive --g 0 --l 1 --m 29``, the slowest matrix model that
   onemotive.MODEL_DIM_BUDGET admits (ambient dimension d = 32);
 - ``eval`` on a2/p1^8, a2/p1^12 and a2/p1^16 (d = 16, 24 and 32) at
@@ -81,7 +84,7 @@ def rows() -> list:
     extra argument that is a dict is written to a JSON file whose path
     takes its place."""
     from qperiods import zoo
-    from qperiods.quivalg import FdModule, module_power
+    from qperiods.quivalg import FdModule, direct_sum, module_power
     from qperiods.serialize import partition_to_data
     from qperiods.yoga import WeightPartition
     p1 = zoo.get_module("a2/p1")
@@ -105,6 +108,10 @@ def rows() -> list:
              ["--weights", weights]) for k in (16, 32)]
     out.append(("S1^32", FdModule(p1.algebra, {"v1": 32, "v2": 0}),
                 "certify", ["--weights", weights]))
+    s2 = zoo.get_module("a2/s2")
+    out += [(f"a2/p1^{k}+s2^{k}",
+             direct_sum([module_power(p1, k), module_power(s2, k)]),
+             "certify", ["--weights", weights]) for k in (3, 4)]
     out.append(("rational g=0 l=1 m=29", None, "onemotive",
                 ["--g", "0", "--l", "1", "--m", "29"]))
     out += [(f"a2/p1^{k}", module_power(p1, k), "eval",

@@ -405,14 +405,13 @@ def intertwiners(basis: Sequence[dict], ncols: int,
     touched = sorted({p for s in active for p, v in diffs[s].items() if v})
     system = Matrix._wrap(tuple(tuple(diffs[s].get(p, ZERO) for s in active)
                                 for p in touched), len(active))
-    for y in kernel_basis(system):
+    for f, y in _kernel_by_free_column(system):
         acc = {}
         for ys, s in zip(y, active):
             if ys:
                 for pos, v in basis[s].items():
                     acc[pos] = acc.get(pos, ZERO) + ys * v
-        free = active[max(j for j, ys in enumerate(y) if ys)]
-        out[free] = {pos: v for pos, v in acc.items() if v}
+        out[active[f]] = {pos: v for pos, v in acc.items() if v}
     return [out[s] for s in sorted(out)]
 
 

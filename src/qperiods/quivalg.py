@@ -28,6 +28,7 @@ from .exactlin import (
     block_diagonal,
     intertwiners,
     kernel_subspace,
+    rank,
     rat,
     rref,
 )
@@ -322,8 +323,8 @@ def build_algebra(vertices: Sequence[str],
 class StructureAlgebra:
     """A finite-dimensional unital Q-algebra given by structure constants.
 
-    table[i][j] holds the coordinates of b_i * b_j.  Used for endomorphism
-    algebras and for coefficient algebras that are not quiver-presented.
+    table[i][j] holds the coordinates of b_i * b_j.  Used for coefficient
+    algebras that are not quiver-presented.
     """
 
     def __init__(self, dim: int, unit: Sequence, table):
@@ -684,14 +685,6 @@ class ModuleMap:
         """The blocks' entries vertex by vertex, each block row-major."""
         return tuple(x for b in self.blocks for x in b.vec())
 
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise NotAModuleMap("composition of non-matching maps")
-        return ModuleMap(other.source, self.target,
-                         [a * b for a, b in zip(self.blocks, other.blocks)],
-                         check=False)
-
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         return ModuleMap(self.source, self.target,
                          [a + b for a, b in zip(self.blocks, other.blocks)],
@@ -758,44 +751,39 @@ def hom_space(m: FdModule, n: FdModule) -> tuple[ModuleMap, ...]:
     return tuple(out)
 
 
-def end_algebra(m: FdModule) -> tuple[StructureAlgebra, tuple[ModuleMap, ...]]:
-    """End(M) as a structure-constant algebra on the canonical hom basis.
+def end_algebra(m: FdModule) -> tuple[int, tuple[ModuleMap, ...]]:
+    """The dimension of the Jacobson radical of End(M), and hom_space(m, m).
 
-    hom_space returns the echelon kernel basis of the intertwiner system
-    in the vertex-block unknowns, which is the identity at its free
-    unknowns: each basis map is one at its own free unknown, its last
-    nonzero entry, and zero at the others'.
-    The coordinates of an endomorphism are read at those unknowns and
-    checked by rebuilding the endomorphism from them.  Callers that only
-    need the basis should call hom_space(m, m) itself: the table costs
-    k^2 compositions.
+    End(M) acts faithfully on M, so over Q its radical J is the radical
+    I of the trace form (f, g) -> tr_M(f g) (Dickson's criterion).  J
+    lies in I: for f in J every f g is in J, hence nilpotent, with trace
+    zero.  I is a two-sided ideal, since tr(h f g) = tr(f (g h)) and
+    tr(f h g) = tr(f (h g)), and for f in I every tr(f^n) is zero (take
+    g = f^(n-1), or the identity when n = 1); in characteristic zero f is
+    then nilpotent, and an ideal of nilpotent elements lies in J.  So
+    the radical's dimension is k minus the rank of the k x k Gram matrix
+    G[a][b] = sum over vertices v and (i, j) of f_a,v[i][j] f_b,v[j][i],
+    read off the basis maps' nonzero block entries without multiplying
+    any two maps.  End(M) is semisimple exactly when that dimension is
+    zero.
     """
     basis = hom_space(m, m)
     k = len(basis)
-    if k == 0:
-        return StructureAlgebra(0, (), ()), ()
-
-    vecs = [b.vec() for b in basis]
-    free = [max(p for p, x in enumerate(v) if x) for v in vecs]
-    assert all(v[p] == (ONE if i == j else ZERO)
-               for i, v in enumerate(vecs) for j, p in enumerate(free)), \
-        "the hom basis is not the identity at its free unknowns"
-    support = [[(p, x) for p, x in enumerate(v) if x] for v in vecs]
-
-    def coords(f: ModuleMap) -> tuple:
-        target = f.vec()
-        sol = tuple(target[p] for p in free)
-        rebuilt = [ZERO] * len(target)
-        for c, terms in zip(sol, support):
-            if c:
-                for p, x in terms:
-                    rebuilt[p] += c * x
-        assert tuple(rebuilt) == target, "endomorphism outside its own basis"
-        return sol
-    table = tuple(tuple(coords(basis[i].compose(basis[j])) for j in range(k))
-                  for i in range(k))
-    unit = coords(ModuleMap.identity(m))
-    return StructureAlgebra(k, unit, table), basis
+    entries = [[((v, i, j), x) for v, b in enumerate(f.blocks)
+                for i, j, x in b.nonzero_entries()] for f in basis]
+    # (v, j, i) -> the maps nonzero at (v, i, j), with their entries
+    at_transpose: dict[tuple, list] = {}
+    for b, terms in enumerate(entries):
+        for (v, i, j), x in terms:
+            at_transpose.setdefault((v, j, i), []).append((b, x))
+    gram = []
+    for terms in entries:
+        row = [ZERO] * k
+        for p, x in terms:
+            for b, y in at_transpose.get(p, ()):
+                row[b] += x * y
+        gram.append(tuple(row))
+    return k - rank(Matrix._wrap(tuple(gram), k)), basis
 
 
 # ---------------------------------------------------------------------------
@@ -996,6 +984,9 @@ def spin_pool(m: FdModule, bound: int) -> Iterator[SubmoduleHandle]:
 def module_iso(m: FdModule, n: FdModule) -> ModuleMap | None:
     """An isomorphism M -> N, or None if none is found.
 
+    Equal modules are isomorphic by the identity, which is returned
+    without solving for any hom space; this covers two semisimple
+    modules with equal vertex dimensions, whose arrow maps are all zero.
     Isomorphic modules have equal vertex dimensions and equal dim
     Hom(M, N), dim End(M) and dim End(N).  The function checks the
     vertex dimensions first and the hom dimensions once no single hom
@@ -1005,8 +996,8 @@ def module_iso(m: FdModule, n: FdModule) -> ModuleMap | None:
     """
     if m.algebra != n.algebra or m.dims != n.dims:
         return None
-    if m.is_semisimple_rep() and n.is_semisimple_rep():
-        return ModuleMap(m, n, [Matrix.identity(d) for d in m.dims])
+    if m == n:
+        return ModuleMap.identity(m)
     homs = hom_space(m, n)
     if not homs:
         return None

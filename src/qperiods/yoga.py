@@ -21,11 +21,11 @@ provides:
     compares against the lift;
   * a saturatedness test per side (the endomorphism restriction onto
     the relevant end, which keeps an endomorphism's blocks at that
-    end's vertices, must be onto a semisimple target and the outward
-    hom spaces must vanish), plus the sum rule that lets a saturated
-    sequence absorb a summand lying at or below its cut inside its sub:
-    the enlarged sequence is the slice of the enlarged middle at that
-    cut;
+    end's vertices, must be onto a semisimple target, read off the
+    radical of the trace form on the end, and the outward hom spaces
+    must vanish), plus the sum rule that lets a saturated sequence
+    absorb a summand lying at or below its cut inside its sub: the
+    enlarged sequence is the slice of the enlarged middle at that cut;
   * a certifier that certifies a semisimple module outright, then
     refutes principality by a dimension gap against the period space
     (a principal module realizes every relation through its
@@ -319,6 +319,19 @@ class SaturatedVerdict:
     splitness: str
 
 
+def _clears_high_vertices(seq: AdmissibleSequence,
+                          base: SubmoduleHandle) -> bool:
+    """No nonzero submodule of M / base lives at the high vertices alone:
+    a submodule of it there is one of M between base and base plus
+    everything at those vertices, so the largest submodule of M inside
+    the latter must be base itself."""
+    m = seq.module
+    high = seq.high_vertices()
+    return SubmoduleHandle.largest_inside(
+        m, [Subspace.full_space(s.ambient) if v in high else s
+            for v, s in zip(m.algebra.vertices, base.spaces)]) == base
+
+
 def _outward_homs_vanish(seq: AdmissibleSequence, side: str) -> bool:
     """Right side: no nonzero map from the middle into the low classes,
     that is, the coordinates outside them spin all of the middle.
@@ -330,10 +343,7 @@ def _outward_homs_vanish(seq: AdmissibleSequence, side: str) -> bool:
         gens = [m.embed_vertex_vector(v, row) for v in m.algebra.vertices
                 if v not in low for row in Matrix.identity(m.vdim(v)).rows]
         return SubmoduleHandle.spin(m, gens).is_full()
-    high = seq.high_vertices()
-    return SubmoduleHandle.largest_inside(
-        m, [Subspace.full_space(d) if v in high else Subspace.zero_space(d)
-            for v, d in zip(m.algebra.vertices, m.dims)]).is_zero()
+    return _clears_high_vertices(seq, SubmoduleHandle.zero(m))
 
 
 def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
@@ -341,13 +351,14 @@ def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
 
     Right side: restricting endomorphisms of the middle to the quotient
     must hit all of its endomorphisms, that endomorphism algebra must
-    be semisimple, and no nonzero map from the middle into the low
-    classes may exist.  Left side mirrors this with the sub and maps
-    from the high classes.  A certificate means every matrix of maps
-    between powers of the end module lifts compatibly, with kernels
-    (resp. images) given by universal lifts (resp. extensions); the
-    test is sufficient, so the negative outcome is 'unknown', not a
-    refutation.
+    be semisimple, which end_algebra reads off the radical of the trace
+    form (f, g) -> tr(f g) on the quotient, and no nonzero map from the
+    middle into the low classes may exist.  Left side mirrors this with
+    the sub and maps from the high classes.  A certificate means every
+    matrix of maps between powers of the end module lifts compatibly,
+    with kernels (resp. images) given by universal lifts (resp.
+    extensions); the test is sufficient, so the negative outcome is
+    'unknown', not a refutation.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -365,12 +376,12 @@ def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
                      for x in b.vec())
                for f in hom_space(m, m)]
     outward = _outward_homs_vanish(seq, side)
-    end_stage, stage_endos = end_algebra(stage)
+    radical_dim, stage_endos = end_algebra(stage)
     target_dim = len(stage_endos)
     length = sum(d * d for d in stage.dims)
     rank = Subspace(length, induced).dim
     surjective = rank == target_dim
-    semisimple = stage.dim == 0 or end_stage.is_semisimple()
+    semisimple = radical_dim == 0
     conditions = {
         "restriction_surjective": surjective,
         "restriction_rank": rank,
@@ -396,17 +407,11 @@ def _sum_conditions(seq: AdmissibleSequence,
     classes.
     """
     m = seq.module
-    vertices = m.algebra.vertices
     no_homs = len(hom_space(seq.sub, extra)) == 0
     trace = SubmoduleHandle.zero(m)
     for f in hom_space(extra, m):
         trace = trace.add(f.image())
-    # a submodule of M / trace at the high vertices alone is one of M
-    # between the trace and the trace plus everything at those vertices
-    clears = SubmoduleHandle.largest_inside(
-        m, [Subspace.full_space(s.ambient)
-            if seq.partition.weight_of(v) in seq.high_weights
-            else s for v, s in zip(vertices, trace.spaces)]) == trace
+    clears = _clears_high_vertices(seq, trace)
     conditions = {
         "sub_homs_vanish": no_homs,
         # C's own sequence has sub C, included by its identity, so every

@@ -58,11 +58,18 @@ pairing_matrix and centraliser are the coefficient pairing and the
 End-side centraliser read off those dense matrices and off each
 endomorphism written out as one block-diagonal matrix (flattened).
 
+The package reads End(M)'s radical off the trace form on M and builds
+no product of endomorphisms.  compose(f, g) is the composite of two
+module maps, block by block, and end_structure(m) is End(M) as the
+structure-constant algebra it used to build on the canonical hom
+basis: k^2 compositions, each read back at the basis' free unknowns.
+Its radical is the oracle for end_algebra's radical dimension.
+
 The rest are oracles that no command needs, kept beside the tests that
 check the engine against the paper with them:
 
-- solve, one solution of a linear system, which rebuilds end_algebra's
-  structure constants one product at a time;
+- solve, one solution of a linear system, which rebuilds
+  end_structure's structure constants one product at a time;
 - direct_sum_with_maps, a direct sum with its inclusions and
   projections checked against the arrows;
 - matrix_algebra_structure and matrix_column_module, the n x n matrix
@@ -600,7 +607,7 @@ def sum_conditions(seq_m: AdmissibleSequence,
     partition = seq_m.partition
     no_homs = len(hom_space(seq_m.sub, seq_n.sub)) == 0
     whole = hom_space(seq_n.module, seq_m.sub)
-    restricted = [f.compose(seq_n.inclusion) for f in whole]
+    restricted = [compose(f, seq_n.inclusion) for f in whole]
     target_dim = len(hom_space(seq_n.sub, seq_m.sub))
     length = sum(seq_m.sub.vdim(v) * seq_n.sub.vdim(v) for v in vertices)
     onto = Subspace(length,
@@ -619,6 +626,54 @@ def sum_conditions(seq_m: AdmissibleSequence,
         "cokernel_clears_high_classes": clears,
     }
     return all(conditions.values()), conditions
+
+
+def compose(f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    """f after g."""
+    if g.target is not f.source and g.target != f.source:
+        raise NotAModuleMap("composition of non-matching maps")
+    return ModuleMap(g.source, f.target,
+                     [a * b for a, b in zip(f.blocks, g.blocks)],
+                     check=False)
+
+
+def end_structure(m: FdModule) -> tuple[StructureAlgebra,
+                                        tuple[ModuleMap, ...]]:
+    """End(M) as a structure-constant algebra on the canonical hom basis.
+
+    hom_space returns the echelon kernel basis of the intertwiner system
+    in the vertex-block unknowns, which is the identity at its free
+    unknowns: each basis map is one at its own free unknown, its last
+    nonzero entry, and zero at the others'.  The coordinates of an
+    endomorphism are read at those unknowns and checked by rebuilding
+    the endomorphism from them.
+    """
+    basis = hom_space(m, m)
+    k = len(basis)
+    if k == 0:
+        return StructureAlgebra(0, (), ()), ()
+
+    vecs = [b.vec() for b in basis]
+    free = [max(p for p, x in enumerate(v) if x) for v in vecs]
+    assert all(v[p] == (ONE if i == j else ZERO)
+               for i, v in enumerate(vecs) for j, p in enumerate(free)), \
+        "the hom basis is not the identity at its free unknowns"
+    support = [[(p, x) for p, x in enumerate(v) if x] for v in vecs]
+
+    def coords(f: ModuleMap) -> tuple:
+        target = f.vec()
+        sol = tuple(target[p] for p in free)
+        rebuilt = [ZERO] * len(target)
+        for c, terms in zip(sol, support):
+            if c:
+                for p, x in terms:
+                    rebuilt[p] += c * x
+        assert tuple(rebuilt) == target, "endomorphism outside its own basis"
+        return sol
+    table = tuple(tuple(coords(compose(basis[i], basis[j])) for j in range(k))
+                  for i in range(k))
+    unit = coords(ModuleMap.identity(m))
+    return StructureAlgebra(k, unit, table), basis
 
 
 def flattened(f: ModuleMap) -> Matrix:
@@ -866,7 +921,7 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
     into_inner = block_map(m0, [m0], inner, [m0] * x,
                            {(0, 0): ModuleMap.identity(m0)})
     into_mx = block_map(m, [m], mx, [m] * x, {(0, 0): ModuleMap.identity(m)})
-    mu = proj.compose(into_mx).compose(left).compose(into_inner)
+    mu = compose(compose(compose(proj, into_mx), left), into_inner)
     if not is_injective(mu):
         raise AssertionError("reduced sequence lost injectivity")
     # epi onto M1^(x*l) = (M1^l)^x
@@ -876,7 +931,7 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
     pi = factor_through_quotient(right_power, k_in_mx)
     if not is_surjective(pi):
         raise AssertionError("reduced sequence lost surjectivity")
-    if not flattened(pi.compose(mu)).is_zero():
+    if not flattened(compose(pi, mu)).is_zero():
         raise AssertionError("reduced sequence is not a complex")
     if mu.image().spaces != pi.kernel().spaces:
         raise AssertionError("reduced sequence is not exact in the middle")

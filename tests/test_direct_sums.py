@@ -41,6 +41,7 @@ from qperiods.yoga import WeightPartition, slice_by_weight
 
 from references import (
     admissible_check,
+    compose,
     direct_sum_with_maps,
     flattened,
     general,
@@ -117,10 +118,11 @@ def reference_sum_sequence(seq_m, seq_n):
         [seq_m.module, seq_n.module])
     _, _, sub_proj = reference_direct_sum_with_maps([seq_m.sub, seq_n.sub])
     _, quot_inc, _ = reference_direct_sum_with_maps([seq_m.quot, seq_n.quot])
-    inclusion = (mid_inc[0].compose(seq_m.inclusion).compose(sub_proj[0])
-                 + mid_inc[1].compose(seq_n.inclusion).compose(sub_proj[1]))
-    projection = (quot_inc[0].compose(seq_m.projection).compose(mid_proj[0])
-                  + quot_inc[1].compose(seq_n.projection).compose(mid_proj[1]))
+    inclusion = (compose(compose(mid_inc[0], seq_m.inclusion), sub_proj[0])
+                 + compose(compose(mid_inc[1], seq_n.inclusion), sub_proj[1]))
+    projection = (
+        compose(compose(quot_inc[0], seq_m.projection), mid_proj[0])
+        + compose(compose(quot_inc[1], seq_n.projection), mid_proj[1]))
     return inclusion, projection
 
 

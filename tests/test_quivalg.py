@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperiods import zoo
+from qperiods import quivalg, zoo
 from qperiods.exactlin import Matrix, Subspace
 from qperiods.quivalg import (
     FdModule,
@@ -39,8 +39,11 @@ from qperiods.quivalg import (
 from qperiods.yoga import _search_pool
 
 from references import (
+    compose,
+    corpus_slices,
     direct_sum_with_maps,
     dual_module,
+    end_structure,
     factor_through_sub,
     flattened,
     inclusion,
@@ -118,26 +121,26 @@ def test_simple_modules_are_orthogonal():
 def test_end_algebra_structure():
     for key in ("a2/p1", "a2/s1+s2", "a3/tower", "kronecker/proj1"):
         m = zoo.get_module(key)
-        algebra, basis = end_algebra(m)
+        algebra, basis = end_structure(m)
         assert algebra.check_associative(), key
         assert algebra.check_unit(), key
         assert algebra.dim == len(basis) == len(hom_space(m, m))
     # a simple module has scalar endomorphisms only
     s = zoo.get_module("a2/s1")
-    algebra, _ = end_algebra(s)
+    algebra, _ = end_structure(s)
     assert algebra.dim == 1 and algebra.is_semisimple()
 
 
 def assert_end_algebra_matches_solve(m, key):
     """Each product's coordinates and the unit's, by one solve apiece."""
-    algebra, basis = end_algebra(m)
+    algebra, basis = end_structure(m)
     k = len(basis)
     if k == 0:
         assert algebra.dim == 0, key
         return
     stacked = Matrix.from_columns([flattened(b).vec() for b in basis])
     table = tuple(
-        tuple(solve(stacked, flattened(basis[i].compose(basis[j])).vec())
+        tuple(solve(stacked, flattened(compose(basis[i], basis[j])).vec())
               for j in range(k))
         for i in range(k))
     unit = solve(stacked, flattened(ModuleMap.identity(m)).vec())
@@ -172,7 +175,7 @@ def test_trace_form_equals_the_traces_of_left_multiplications():
     products of left_mult's matrices give the same Gram matrix."""
     dual_numbers = StructureAlgebra(2, (1, 0),
                                     (((1, 0), (0, 1)), ((0, 1), (0, 0))))
-    s1_4, _ = end_algebra(module_power(zoo.get_module("a2/s1"), 4))
+    s1_4, _ = end_structure(module_power(zoo.get_module("a2/s1"), 4))
     assert s1_4.dim == 16
     for label, algebra in [("M_3", matrix_algebra_structure(3)),
                            ("dual numbers", dual_numbers),
@@ -187,6 +190,38 @@ def test_trace_form_equals_the_traces_of_left_multiplications():
         assert algebra.trace_form() == gram, label
     assert dual_numbers.radical().dim == 1
     assert s1_4.is_semisimple()
+
+
+def assert_radical_equals_the_structure_table(m, label):
+    """The radical of end_algebra's trace form on M and that of the
+    structure table's trace form have equal dimensions, and both sit on
+    the same hom basis."""
+    radical_dim, basis = end_algebra(m)
+    algebra, table_basis = end_structure(m)
+    assert basis == table_basis, label
+    assert radical_dim == algebra.radical().dim, label
+
+
+@pytest.mark.parametrize("entry", zoo.corpus(), ids=lambda e: e.key)
+def test_end_radical_equals_the_structure_table_on_corpus(entry):
+    assert_radical_equals_the_structure_table(entry.module, entry.key)
+
+
+def test_end_radical_equals_the_structure_table_on_slice_ends():
+    for label, _, _, seq in corpus_slices():
+        assert_radical_equals_the_structure_table(seq.sub, f"{label} sub")
+        assert_radical_equals_the_structure_table(seq.quot, f"{label} quot")
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_modules())
+def test_end_radical_equals_the_structure_table_on_rebased_modules(m):
+    assert_radical_equals_the_structure_table(m, repr(m))
+
+
+def test_end_radical_of_the_tower_is_two():
+    m = zoo.get_module("a3/tower")
+    assert end_algebra(m)[0] == 2 == end_structure(m)[0].radical().dim
 
 
 def test_module_iso_finds_permuted_sums():
@@ -216,6 +251,16 @@ def test_module_iso_deterministic():
     assert flattened(first) == flattened(second)
 
 
+def test_module_iso_of_equal_modules_is_the_identity(monkeypatch):
+    def refuse(m, n):
+        raise AssertionError("module_iso solved for a hom space")
+
+    monkeypatch.setattr(quivalg, "hom_space", refuse)
+    for key in ("a2/s1+s2", "a3/tower", "kronecker/proj1+s2", "loop2/reg"):
+        m = zoo.get_module(key)
+        assert module_iso(m, direct_sum([m])) == ModuleMap.identity(m), key
+
+
 def test_rank_nullity_for_module_maps():
     m = zoo.get_module("a3/proj")
     for f in hom_space(m, m):
@@ -229,7 +274,7 @@ def test_sub_and_quotient_dimensions():
     quot, proj = quotient_module(socle)
     assert sub.dim + quot.dim == m.dim
     assert is_injective(incl) and is_surjective(proj)
-    assert flattened(proj.compose(incl)).is_zero()
+    assert flattened(compose(proj, incl)).is_zero()
 
 
 def test_factor_through_sub_reads_coordinates_and_refuses_escapes():
@@ -312,7 +357,7 @@ def test_direct_sum_with_maps_orthogonality():
     assert total.dim == sum(x.dim for x in mods)
     for i, pi in enumerate(projs):
         for j, kj in enumerate(incls):
-            comp = flattened(pi.compose(kj))
+            comp = flattened(compose(pi, kj))
             if i == j:
                 assert comp == Matrix.identity(mods[i].dim)
             else:

@@ -114,11 +114,13 @@ def reference_restriction_rank(whole, side):
     if side == "right":
         stage = whole.quot
         induced = [references.factor_through_quotient(
-            whole.projection.compose(f), whole.sub_handle) for f in endos]
+            references.compose(whole.projection, f), whole.sub_handle)
+            for f in endos]
     else:
         stage = whole.sub
         induced = [references.factor_through_sub(
-            f.compose(whole.inclusion), whole.sub_handle) for f in endos]
+            references.compose(f, whole.inclusion), whole.sub_handle)
+            for f in endos]
     return Subspace(sum(d * d for d in stage.dims),
                     [f.vec() for f in induced]).dim
 
