@@ -34,6 +34,7 @@ from .exactlin import (
     intertwiners,
     k_linear_kernel,
     kernel_subspace,
+    rank,
     rref,
 )
 from .quivalg import (
@@ -41,10 +42,8 @@ from .quivalg import (
     ModuleMap,
     NotASubmodule,
     SubmoduleHandle,
-    block_map,
     hom_space,
     module_power,
-    slot_layout,
     spin_pool,
     tuple_embed,
 )
@@ -127,29 +126,32 @@ def period_space(m: FdModule) -> PeriodSpace:
 # ---------------------------------------------------------------------------
 
 
-def relation_from_submodule(m: FdModule, power: int, ambient: FdModule,
+def relation_from_submodule(m: FdModule,
                             handle: SubmoduleHandle) -> Subspace:
-    """All coefficient relations contracted out of one submodule of M^power.
+    """All coefficient relations contracted out of one submodule of M^n.
 
-    For a submodule N' of M^power, every pair of a vector tuple inside N'
-    and a functional tuple annihilating N' contracts to the coefficient
-    matrix sum_k outer(sigma_k, omega_k), which pairs to zero against the
-    whole algebra.  The function returns the span of these contractions
-    over a basis of N' and a basis of its annihilator.  ambient is
-    M^power as module_power builds it.
+    For a submodule N' of M^n, every pair of a vector tuple sigma inside
+    N' and a functional tuple omega annihilating N' contracts to the
+    coefficient matrix sum_k outer(sigma_k, omega_k), which pairs to zero
+    against the whole algebra.  N' is vertex-graded, so it is spanned by
+    its vertex spaces' bases, and the functionals vanishing on it by the
+    annihilators of its vertex spaces.  At vertex v slot k of a vector is
+    its k-th run of d_v entries, so a sigma at v and an omega at w
+    contract into the (v, w) block of C.  The function returns the span
+    of these contractions, which is the span over any bases of N' and of
+    its annihilator.
     """
-    if handle.ambient != ambient:
-        raise ValueError("handle does not live in the expected power of M")
     d = m.dim
-    layout = slot_layout(m, power)
+    sigmas, omegas = [], []
+    for v, space in zip(m.algebra.vertices, handle.spaces):
+        dv, off = m.vdim(v), m.offsets[v]
 
-    def slot_terms(flat_vec):
-        return [[(g, flat_vec[p]) for g, p in enumerate(slot) if flat_vec[p]]
-                for slot in layout]
+        def slot_terms(vec):
+            return [[(off + g, x) for g, x in enumerate(vec[k:k + dv]) if x]
+                    for k in range(0, len(vec), dv)]
 
-    flat = handle.flat()
-    sigmas = [slot_terms(s) for s in flat.basis_vectors()]
-    omegas = [slot_terms(w) for w in flat.annihilator().basis_vectors()]
+        sigmas += map(slot_terms, space.basis_vectors())
+        omegas += map(slot_terms, space.annihilator().basis_vectors())
     vecs = []
     for sigma in sigmas:
         for omega in omegas:
@@ -250,8 +252,12 @@ def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
                        ) -> Iterator[SubmoduleHandle]:
     """The hom-closure family, then the spin-box family at powers 1 and 2.
 
-    The hom-closure family takes the image of each column M -> M^power
-    and the kernel of each row M^power -> M over {id} + End basis.
+    The hom-closure family takes the image of each column
+    (f_1, ..., f_power): M -> M^power and the kernel of each row
+    (f_1 ... f_power): M^power -> M over {id} + End basis, vertex by
+    vertex: at v the column's image is spanned by the rows of the blocks'
+    transposes set side by side, and the row's kernel is the kernel of
+    the blocks set side by side.  Both are submodules by construction.
     Tuples keep at most two slots away from the identity entry, which is
     enough to reach every relation the corpus and the certificates need
     while keeping the candidate count polynomial in the power.  Each
@@ -259,22 +265,28 @@ def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
     yielded before; the caller drops the repeats.
     """
     alphabet = [ModuleMap.identity(m)] + list(endos)
+    rows = [[b.rows for b in f.blocks] for f in alphabet]
+    cols = [[b.transpose().rows for b in f.blocks] for f in alphabet]
+    widths = [power * d for d in m.dims]
     letters = range(1, len(alphabet))
     combos = itertools.chain(
         [{}],
         ({j: a} for j in range(power) for a in letters),
         ({j: a, k: b} for j, k in itertools.combinations(range(power), 2)
          for a in letters for b in letters))
+
+    def side_by_side(blocks, word, v):
+        return tuple(tuple(itertools.chain.from_iterable(
+            blocks[a][v][r] for a in word)) for r in range(m.dims[v]))
+
     for combo in combos:
-        entries = [alphabet[combo.get(j, 0)] for j in range(power)]
-        # the column (f_1, ..., f_power): M -> M^power and the row
-        # (f_1 ... f_power): M^power -> M
-        col = block_map(m, [m], ambient, [m] * power,
-                        {(j, 0): f for j, f in enumerate(entries)})
-        yield col.image()
-        row = block_map(ambient, [m] * power, m, [m],
-                        {(0, j): f for j, f in enumerate(entries)})
-        yield row.kernel()
+        word = [combo.get(j, 0) for j in range(power)]
+        yield SubmoduleHandle(ambient, [
+            Subspace._from_rows(n, side_by_side(cols, word, v))
+            for v, n in enumerate(widths)], check=False)
+        yield SubmoduleHandle(ambient, [
+            kernel_subspace(Matrix._wrap(side_by_side(rows, word, v), n))
+            for v, n in enumerate(widths)], check=False)
     # at power 1 the column and row (e) above already gave the image and
     # kernel of each single endomorphism; add those of e + f, e - f
     if power == 1:
@@ -291,20 +303,24 @@ def depth_space(m: FdModule, k: int, spin_bound: int = 1) -> DepthResult:
     """Accumulated relation space over submodules of M^1, ..., M^k.
 
     Each stage contracts the hom-closure and spin-box candidate families
-    and stops as soon as the accumulated relations reach the dimension
-    of the pairing kernel P.  Everything contracted is checked to sit
-    inside P, so reaching its dimension is reaching P itself, and the
+    and stops as soon as the accumulated relations reach the dimension r
+    of the pairing kernel P, which is d^2 minus the rank of the pairing.
+    Every accumulated relation is checked to pair to zero with every
+    path, so it lies in P, reaching r is reaching P itself, and the
     stages after that repeat the dimension without work.  Each stage's
     relation dimension is recorded; the chain is monotone by
     construction.
     """
-    relations = period_space(m).relations
     d = m.dim
+    pairing = pairing_matrix(m)
+    r = d * d - rank(pairing)
+    paths = [[(p, x) for p, x in enumerate(row) if x] for row in pairing.rows]
+    paths = [terms for terms in paths if terms]
     endos = hom_space(m, m)
     acc = Subspace.zero_space(d * d)
     per_stage = []
     for power in range(1, k + 1):
-        if acc.dim < relations.dim:
+        if acc.dim < r:
             ambient = module_power(m, power)
             seen = set()
             for handle in _candidate_handles(m, power, ambient, spin_bound,
@@ -312,17 +328,19 @@ def depth_space(m: FdModule, k: int, spin_bound: int = 1) -> DepthResult:
                 if handle.spaces in seen:
                     continue
                 seen.add(handle.spaces)
-                rel = relation_from_submodule(m, power, ambient, handle)
+                rel = relation_from_submodule(m, handle)
                 if rel.dim == 0:
                     continue
                 acc = acc.add(rel)
-                if acc.dim == relations.dim:
+                if acc.dim == r:
                     break
-            assert relations.contains(acc), \
+            assert not any(sum(vec[p] * x for p, x in terms)
+                           for vec in acc.basis_vectors()
+                           for terms in paths), \
                 "a contracted relation escaped the pairing kernel"
         per_stage.append(acc.dim)
     space = PeriodSpace(m, acc, "depth")
-    return DepthResult(space, tuple(per_stage), acc.dim == relations.dim)
+    return DepthResult(space, tuple(per_stage), acc.dim == r)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +391,12 @@ def realize_relation(m: FdModule, c: Matrix,
     rather than silently widened.
 
     The witness depends on the sigma tuple alone.  witnesses maps each
-    sigma tuple spun so far to its witness and that witness's
-    annihilator; a caller realizing many matrices of the same module
-    passes one dict to all of those calls, so that each distinct tuple is
-    spun once.  Without it the call spins for itself.
+    sigma tuple spun so far to its witness handle; a caller realizing
+    many matrices of the same module passes one dict to all of those
+    calls, so that each distinct tuple is spun once.  Without it the call
+    spins for itself.  The omega tuple annihilates the witness when its
+    slice at each vertex vanishes on that vertex's basis, so no
+    annihilator is eliminated.
     """
     d = m.dim
     if (c.nrows, c.ncols) != (d, d):
@@ -408,13 +428,11 @@ def realize_relation(m: FdModule, c: Matrix,
         assert rebuilt == list(row), "rank factorization failed"
     if witnesses is None:
         witnesses = {}
-    spun = witnesses.get(sigma)
-    if spun is None:
-        witness = SubmoduleHandle.spin(module_power(m, r),
-                                       [tuple_embed(m, r, sigma)])
-        spun = witnesses[sigma] = (witness, witness.flat().annihilator())
-    witness, annihilator = spun
-    if annihilator.contains_vector(tuple_embed(m, r, omega)):
+    witness = witnesses.get(sigma)
+    if witness is None:
+        witness = witnesses[sigma] = SubmoduleHandle.spin(
+            module_power(m, r), [tuple_embed(m, r, sigma)])
+    if witness.annihilated_by(tuple_embed(m, r, omega)):
         real = Realization(m, r, sigma, omega, witness)
         return RealizationResult("realized", real)
     return RealizationResult(
@@ -439,7 +457,7 @@ def verify_realization(c: Matrix, real: Realization) -> bool:
     if not real.witness.contains_vector(s_flat):
         return False
     w_flat = tuple_embed(m, real.power, real.omega)
-    if not real.witness.flat().annihilator().contains_vector(w_flat):
+    if not real.witness.annihilated_by(w_flat):
         return False
     return real.contraction() == c
 
@@ -527,14 +545,15 @@ def eval_and_conjecture(m: FdModule, point: ComparisonPoint) -> EvalReport:
 
 def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
     _check_unit(m, point)
-    space = period_space(m)
+    pairing = pairing_matrix(m)
+    space = PeriodSpace(m, kernel_subspace(pairing), "pairing-kernel")
     lf = point.value_field
     emb = point.embedding()
     d = m.dim
     # the value of the coefficient unit E_ij is tr(rho(u) E_ij), the
     # u-combination of the pairings tr(rho(b) E_ij) of the basis paths
     ambient_values = [lf.zero()] * (d * d)
-    for coeff, row in zip(point.u_coords, pairing_matrix(m).rows):
+    for coeff, row in zip(point.u_coords, pairing.rows):
         if coeff:
             for p, x in enumerate(row):
                 if x:

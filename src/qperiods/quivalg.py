@@ -513,9 +513,6 @@ class FdModule:
 
     # -- predicates ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def is_semisimple_rep(self) -> bool:
         # for admissible relations the radical acts through the arrows
         return all(m.is_zero() for m in self.maps.values())
@@ -586,33 +583,6 @@ def module_power(m: FdModule, n: int) -> FdModule:
     return direct_sum([m] * n)
 
 
-def block_map(source: FdModule, sources: Sequence[FdModule],
-              target: FdModule, targets: Sequence[FdModule],
-              grid: dict) -> "ModuleMap":
-    """The map between direct sums given by a grid of maps between summands.
-
-    source is direct_sum(sources) and target is direct_sum(targets); grid
-    maps (row_slot, col_slot) to a map from sources[col_slot] to
-    targets[row_slot], and absent slots are zero.  Slot sizes at each
-    vertex are read from the summands.  The blocks are not rechecked
-    against the arrows.
-    """
-    blocks = []
-    for v in source.algebra.vertices:
-        zeros = [(ZERO,) * s.vdim(v) for s in sources]
-        rows = []
-        for i, t in enumerate(targets):
-            pieces = [grid[i, j].block(v).rows if (i, j) in grid else None
-                      for j in range(len(sources))]
-            for r in range(t.vdim(v)):
-                row = ()
-                for piece, zero in zip(pieces, zeros):
-                    row += zero if piece is None else piece[r]
-                rows.append(row)
-        blocks.append(Matrix(rows, ncols=sum(map(len, zeros))))
-    return ModuleMap(source, target, blocks, check=False)
-
-
 def slot_layout(m: FdModule, n: int) -> list[list[int]]:
     """Entry g of slot k of an n-tuple of vectors of M is coordinate
     layout[k][g] of M^n, which is slot-major inside each vertex space."""
@@ -669,21 +639,11 @@ class ModuleMap:
                         f"blocks do not commute with arrow {a.name}")
 
     @classmethod
-    def zero(cls, source: FdModule, target: FdModule) -> "ModuleMap":
-        return cls(source, target,
-                   [Matrix.zero(target.vdim(v), source.vdim(v))
-                    for v in source.algebra.vertices], check=False)
-
-    @classmethod
     def identity(cls, m: FdModule) -> "ModuleMap":
         return cls(m, m, [Matrix.identity(d) for d in m.dims], check=False)
 
     def block(self, v: str) -> Matrix:
         return self.blocks[self.source.algebra.vertices.index(v)]
-
-    def vec(self) -> tuple:
-        """The blocks' entries vertex by vertex, each block row-major."""
-        return tuple(x for b in self.blocks for x in b.vec())
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
         return ModuleMap(self.source, self.target,
@@ -883,17 +843,6 @@ class SubmoduleHandle:
     def dim(self) -> int:
         return sum(s.dim for s in self.spaces)
 
-    def flat(self) -> Subspace:
-        dim = self.ambient.dim
-        vecs = []
-        for v, s in zip(self.ambient.algebra.vertices, self.spaces):
-            off = self.ambient.offsets[v]
-            for b in s.basis_vectors():
-                vec = [ZERO] * dim
-                vec[off:off + len(b)] = b
-                vecs.append(tuple(vec))
-        return Subspace._from_rows(dim, tuple(vecs))
-
     def contains(self, other: "SubmoduleHandle") -> bool:
         return all(a.contains(b) for a, b in zip(self.spaces, other.spaces))
 
@@ -901,6 +850,18 @@ class SubmoduleHandle:
         return all(
             s.contains_vector(self.ambient.slice_of(flat, v))
             for v, s in zip(self.ambient.algebra.vertices, self.spaces))
+
+    def annihilated_by(self, functional: Sequence) -> bool:
+        """Whether the functional, given on the ambient's flattened
+        coordinates, vanishes on the submodule: its slice at each vertex
+        vanishes on that vertex's basis."""
+        for v, s in zip(self.ambient.algebra.vertices, self.spaces):
+            terms = [(i, x) for i, x in
+                     enumerate(self.ambient.slice_of(functional, v)) if x]
+            if terms and any(sum(b[i] * x for i, x in terms)
+                             for b in s.basis_vectors()):
+                return False
+        return True
 
     def add(self, other: "SubmoduleHandle") -> "SubmoduleHandle":
         return SubmoduleHandle(
@@ -913,9 +874,6 @@ class SubmoduleHandle:
             self.ambient,
             [a.intersect(b) for a, b in zip(self.spaces, other.spaces)],
             check=False)
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
 
     def is_full(self) -> bool:
         return self.dim == self.ambient.dim

@@ -65,6 +65,15 @@ structure-constant algebra it used to build on the canonical hom
 basis: k^2 compositions, each read back at the basis' free unknowns.
 Its radical is the oracle for end_algebra's radical dimension.
 
+Depth reads each submodule of a power M^n as its vertex spaces, and
+realize tests a functional on them vertex by vertex.  block_map is the
+map between direct sums given by a grid of maps between summands, whose
+images and kernels depth's candidates used to be; flat(handle) is a
+submodule as one subspace of the ambient's flattened coordinates, and
+flat_relations the relations depth used to contract from it, with the
+annihilator eliminated on all n * d coordinates.  zero_map and map_vec
+are the zero module map and a map's block entries in one vector.
+
 The rest are oracles that no command needs, kept beside the tests that
 check the engine against the paper with them:
 
@@ -123,11 +132,11 @@ from qperiods.quivalg import (
     NotASubmodule,
     StructureAlgebra,
     SubmoduleHandle,
-    block_map,
     build_algebra,
     direct_sum,
     hom_space,
     module_power,
+    slot_layout,
     spin_pool,
 )
 from qperiods.serialize import rational_str
@@ -228,7 +237,7 @@ def outward_homs_vanish(seq, side: str) -> bool:
     if side == "right":
         low = seq.partition.vertices_at(seq.low_weights)
         generated = trace(m, [v for v in m.algebra.vertices if v not in low])
-        return quotient_module(generated)[0].is_zero()
+        return quotient_module(generated)[0].dim == 0
     high = seq.high_vertices()
     return trace(dual_module(m),
                  [v for v in m.algebra.vertices if v not in high]).is_full()
@@ -242,7 +251,7 @@ def cokernel_clears(seq_m, seq_n) -> bool:
         t = t.add(f.image())
     coker = quotient_module(t)[0]
     high = seq_m.high_weights | seq_n.high_weights
-    return supported_at(coker, seq_m.partition.vertices_at(high)).is_zero()
+    return supported_at(coker, seq_m.partition.vertices_at(high)).dim == 0
 
 
 def fixpoint_spin(ambient: FdModule, vectors) -> SubmoduleHandle:
@@ -574,7 +583,7 @@ def trivial_sub_sequence(c: FdModule,
                          partition: WeightPartition) -> GeneralSequence:
     """The sequence with sub C, middle C and zero quotient."""
     zero = module_power(c, 0)
-    return admissible_check(ModuleMap.identity(c), ModuleMap.zero(c, zero),
+    return admissible_check(ModuleMap.identity(c), zero_map(c, zero),
                             partition)
 
 
@@ -611,7 +620,7 @@ def sum_conditions(seq_m: AdmissibleSequence,
     target_dim = len(hom_space(seq_n.sub, seq_m.sub))
     length = sum(seq_m.sub.vdim(v) * seq_n.sub.vdim(v) for v in vertices)
     onto = Subspace(length,
-                    [f.vec() for f in restricted]).dim == target_dim
+                    [map_vec(f) for f in restricted]).dim == target_dim
     trace = SubmoduleHandle.zero(seq_m.module)
     for f in hom_space(seq_n.sub, seq_m.module):
         trace = trace.add(f.image())
@@ -653,7 +662,7 @@ def end_structure(m: FdModule) -> tuple[StructureAlgebra,
     if k == 0:
         return StructureAlgebra(0, (), ()), ()
 
-    vecs = [b.vec() for b in basis]
+    vecs = [map_vec(b) for b in basis]
     free = [max(p for p, x in enumerate(v) if x) for v in vecs]
     assert all(v[p] == (ONE if i == j else ZERO)
                for i, v in enumerate(vecs) for j, p in enumerate(free)), \
@@ -661,7 +670,7 @@ def end_structure(m: FdModule) -> tuple[StructureAlgebra,
     support = [[(p, x) for p, x in enumerate(v) if x] for v in vecs]
 
     def coords(f: ModuleMap) -> tuple:
-        target = f.vec()
+        target = map_vec(f)
         sol = tuple(target[p] for p in free)
         rebuilt = [ZERO] * len(target)
         for c, terms in zip(sol, support):
@@ -729,6 +738,91 @@ def matrix_text(rows: list) -> list:
     widths = [max(map(len, col)) for col in zip(*strs)]
     return ["    " + "  ".join(x.rjust(w) for x, w in zip(row, widths))
             for row in strs]
+
+
+# -- maps between sums and flat submodules ------------------------------------
+
+
+def zero_map(source: FdModule, target: FdModule) -> ModuleMap:
+    return ModuleMap(source, target,
+                     [Matrix.zero(target.vdim(v), source.vdim(v))
+                      for v in source.algebra.vertices], check=False)
+
+
+def map_vec(f: ModuleMap) -> tuple:
+    """The blocks' entries vertex by vertex, each block row-major."""
+    return tuple(x for b in f.blocks for x in b.vec())
+
+
+def block_map(source: FdModule, sources: Sequence[FdModule],
+              target: FdModule, targets: Sequence[FdModule],
+              grid: dict) -> ModuleMap:
+    """The map between direct sums given by a grid of maps between summands.
+
+    source is direct_sum(sources) and target is direct_sum(targets); grid
+    maps (row_slot, col_slot) to a map from sources[col_slot] to
+    targets[row_slot], and absent slots are zero.  Slot sizes at each
+    vertex are read from the summands.  The blocks are not rechecked
+    against the arrows.
+    """
+    blocks = []
+    for v in source.algebra.vertices:
+        zeros = [(ZERO,) * s.vdim(v) for s in sources]
+        rows = []
+        for i, t in enumerate(targets):
+            pieces = [grid[i, j].block(v).rows if (i, j) in grid else None
+                      for j in range(len(sources))]
+            for r in range(t.vdim(v)):
+                row = ()
+                for piece, zero in zip(pieces, zeros):
+                    row += zero if piece is None else piece[r]
+                rows.append(row)
+        blocks.append(Matrix(rows, ncols=sum(map(len, zeros))))
+    return ModuleMap(source, target, blocks, check=False)
+
+
+def flat(handle: SubmoduleHandle) -> Subspace:
+    """The submodule as one subspace of the ambient's flattened
+    coordinates."""
+    ambient = handle.ambient
+    vecs = []
+    for v, s in zip(ambient.algebra.vertices, handle.spaces):
+        off = ambient.offsets[v]
+        for b in s.basis_vectors():
+            vec = [ZERO] * ambient.dim
+            vec[off:off + len(b)] = b
+            vecs.append(tuple(vec))
+    return Subspace(ambient.dim, vecs)
+
+
+def flat_relations(m: FdModule, power: int, ambient: FdModule,
+                   handle: SubmoduleHandle) -> Subspace:
+    """relation_from_submodule as it read on the flat submodule: every
+    basis vector of N' inside M^power contracted with every basis
+    functional of its annihilator on all power * d coordinates, the
+    slots read through slot_layout."""
+    if handle.ambient != ambient:
+        raise ValueError("handle does not live in the expected power of M")
+    d = m.dim
+    layout = slot_layout(m, power)
+
+    def slot_terms(flat_vec):
+        return [[(g, flat_vec[p]) for g, p in enumerate(slot) if flat_vec[p]]
+                for slot in layout]
+
+    space = flat(handle)
+    sigmas = [slot_terms(s) for s in space.basis_vectors()]
+    omegas = [slot_terms(w) for w in space.annihilator().basis_vectors()]
+    vecs = []
+    for sigma in sigmas:
+        for omega in omegas:
+            vec = [ZERO] * (d * d)
+            for sg, om in zip(sigma, omega):
+                for r, a in sg:
+                    for c, b in om:
+                        vec[r * d + c] += a * b
+            vecs.append(tuple(vec))
+    return Subspace(d * d, vecs)
 
 
 # -- linear algebra and the matrix algebra ------------------------------------

@@ -25,7 +25,12 @@ depth_space used to build each stage's whole candidate family before it
 contracted the first one, and compared the accumulated relations with
 the pairing kernel's basis to certify.  It now builds candidates on
 demand and certifies by dimension; the eager construction is kept here
-as the reference, and the spins it no longer makes are counted.
+as the reference, and the spins it no longer makes are counted.  The
+reference also builds its candidates the way depth used to, as images
+and kernels of block_map grids, and contracts them on the flat
+submodule (references.flat_relations); depth now reads each candidate
+vertex by vertex, and the tests at the end require the same handles and
+the same relations candidate by candidate.
 """
 
 import itertools
@@ -42,13 +47,11 @@ from qperiods.periods import (
     depth_space,
     endo_quotient,
     period_space,
-    relation_from_submodule,
 )
 from qperiods.quivalg import (
     FdModule,
     ModuleMap,
     SubmoduleHandle,
-    block_map,
     hom_space,
     module_iso,
     module_power,
@@ -61,7 +64,12 @@ from qperiods.yoga import (
     replay_derivation,
 )
 
-from references import fixpoint_spin, search_first_certify
+from references import (
+    block_map,
+    fixpoint_spin,
+    flat_relations,
+    search_first_certify,
+)
 from strategies import ORACLE_INPUTS, linear_projective, rebased_modules
 
 CORPUS = {e.key: e for e in zoo.corpus()}
@@ -439,7 +447,7 @@ def reference_depth_space(m: FdModule, k: int, spin_bound: int) -> tuple:
         ambient = module_power(m, power)
         for handle in reference_candidate_handles(m, power, ambient,
                                                   spin_bound, endos):
-            rel = relation_from_submodule(m, power, ambient, handle)
+            rel = flat_relations(m, power, ambient, handle)
             if rel.dim == 0:
                 continue
             grown = acc.add(rel)
@@ -495,3 +503,82 @@ def test_depth_spins_no_more_at_a_wider_spin_box_once_certified():
     assert depth_space(m, 2, spin_bound=64).certified
     assert (count_spins(lambda: depth_space(m, 2, spin_bound=64))
             == count_spins(lambda: depth_space(m, 2, spin_bound=1)))
+
+
+# -- depth's candidates, read vertex by vertex -------------------------------
+
+
+def block_map_hom_closure(m: FdModule, power: int, ambient: FdModule,
+                          endos) -> list:
+    """The hom-closure family in _candidate_handles' order, each column
+    image and row kernel taken of a block_map between direct sums."""
+    out = []
+    alphabet = [ModuleMap.identity(m)] + list(endos)
+    letters = range(1, len(alphabet))
+    combos = ([{}] + [{j: a} for j in range(power) for a in letters]
+              + [{j: a, k: b}
+                 for j, k in itertools.combinations(range(power), 2)
+                 for a in letters for b in letters])
+    for combo in combos:
+        entries = [alphabet[combo.get(j, 0)] for j in range(power)]
+        out.append(block_map(m, [m], ambient, [m] * power,
+                             {(j, 0): f for j, f in enumerate(entries)}
+                             ).image())
+        out.append(block_map(ambient, [m] * power, m, [m],
+                             {(0, j): f for j, f in enumerate(entries)}
+                             ).kernel())
+    return out
+
+
+def assert_candidates_match_block_maps(m: FdModule, label: str):
+    endos = hom_space(m, m)
+    for power in (1, 2, 3):
+        ambient = module_power(m, power)
+        expected = block_map_hom_closure(m, power, ambient, endos)
+        got = list(itertools.islice(periods._candidate_handles(
+            m, power, ambient, 1, endos), len(expected)))
+        assert got == expected, (label, power)
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_candidates_equal_the_block_map_images_and_kernels(key, m):
+    assert_candidates_match_block_maps(m, key)
+
+
+@settings(max_examples=15, deadline=None)
+@given(rebased_modules())
+def test_candidates_equal_the_block_map_images_and_kernels_on_rebased(m):
+    assert_candidates_match_block_maps(m, repr(m))
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_vertex_relations_equal_the_flat_construction(key, m):
+    endos = hom_space(m, m)
+    for power in (1, 2):
+        ambient = module_power(m, power)
+        seen = set()
+        for handle in periods._candidate_handles(m, power, ambient, 1,
+                                                 endos):
+            if handle.spaces in seen:
+                continue
+            seen.add(handle.spaces)
+            assert periods.relation_from_submodule(m, handle) == \
+                flat_relations(m, power, ambient, handle), (key, power)
+
+
+def test_a_candidate_that_is_not_a_submodule_escapes_the_pairing_kernel(
+        monkeypatch):
+    # on a2/p1 = (Q -> Q), all of v1 and nothing of v2 is not kept by
+    # the arrow; e_v1 contracted with the dual vector at v2 pairs to one
+    # with the arrow
+    m = CORPUS["a2/p1"].module
+    not_a_sub = SubmoduleHandle(
+        m, [exactlin.Subspace.full_space(1), exactlin.Subspace.zero_space(1)],
+        check=False)
+    assert depth_space(m, 1).certified
+    monkeypatch.setattr(periods, "_candidate_handles",
+                        lambda *args: iter([not_a_sub]))
+    with pytest.raises(AssertionError, match="escaped the pairing kernel"):
+        depth_space(m, 1)

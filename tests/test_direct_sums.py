@@ -6,13 +6,16 @@ module_power_with_maps, periods._map_power, tuple_embed,
 relation_from_submodule and sum_sequence each used to carry: identity
 blocks placed by running offsets, per-vertex block_diagonal of one map, a
 where[k][g] table filled slot by slot, and sums of inclusion-map-projection
-composites.  The package now lays out a sum in direct_sum,
-builds every map between sums with block_map and every power's layout
-with slot_layout; these tests require the results to be equal.
-direct_sum_with_maps and sum_sequence themselves now live in
-references.py, built from direct_sum and block_map; the package absorbs
-a summand into an admissible sequence by slicing the enlarged middle
-instead, which test_yoga.py checks against sum_sequence.
+composites.  The package now lays out a sum in direct_sum and every
+power's layout with slot_layout; these tests require the results to be
+equal.  It builds no map between sums: block_map, the map given by a
+grid of maps between summands, lives in references.py with
+direct_sum_with_maps and sum_sequence, which are built from it.  Depth
+reads the submodules of a power vertex by vertex instead, which
+test_computed_once.py checks against block_map's images and kernels,
+and the package absorbs a summand into an admissible sequence by
+slicing the enlarged middle, which test_yoga.py checks against
+sum_sequence.
 """
 
 import itertools
@@ -29,7 +32,6 @@ from qperiods.quivalg import (
     FdModule,
     ModuleMap,
     SubmoduleHandle,
-    block_map,
     direct_sum,
     end_algebra,
     module_power,
@@ -41,6 +43,7 @@ from qperiods.yoga import WeightPartition, slice_by_weight
 
 from references import (
     admissible_check,
+    block_map,
     compose,
     direct_sum_with_maps,
     flattened,

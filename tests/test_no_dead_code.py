@@ -26,8 +26,11 @@ name counts as a reference to a top-level function or class.  A method
 counts as referenced only by an attribute that is called or passed on
 as an argument, so that neither a local variable nor a bare read of an
 attribute, such as a parsed option args.trace, keeps alive the method
-of its name; a property counts on any read of its attribute.  A call
-counts for every function or method of its name.
+of its name; a property counts on any read of its attribute.  A
+classmethod or staticmethod counts only where it is called or passed on
+through its own class name or cls, so that Matrix.zero(...) does not
+keep alive another class's zero.  A call counts for every function or
+method of its name.
 """
 
 import ast
@@ -72,9 +75,10 @@ def _definitions(tree: ast.Module, keep):
 
 
 def _references(tree: ast.Module):
-    """(name, line, how) of each name in tree: how is "name" for a bare
-    name, "use" for an attribute that is called or passed on as an
-    argument, and "read" for any other attribute."""
+    """(name, line, how, owner) of each name in tree: how is "name" for a
+    bare name, "use" for an attribute that is called or passed on as an
+    argument, and "read" for any other attribute; owner is the bare name
+    an attribute is read from, and None otherwise."""
     used = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -84,34 +88,43 @@ def _references(tree: ast.Module):
             used.update(id(k.value) for k in node.keywords)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno, "name"
+            yield node.id, node.lineno, "name", None
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno, "use" if id(node) in used else "read"
+            owner = (node.value.id if isinstance(node.value, ast.Name)
+                     else None)
+            yield (node.attr, node.lineno,
+                   "use" if id(node) in used else "read", owner)
 
 
 def _reference_list(trees: dict) -> list:
-    return [(name, fname, line, how) for fname, tree in trees.items()
-            for name, line, how in _references(tree)]
+    return [(name, fname, line, how, owner) for fname, tree in trees.items()
+            for name, line, how, owner in _references(tree)]
 
 
-def _is_property(node) -> bool:
-    return any(isinstance(d, ast.Name) and d.id == "property"
+def _decorated(node, *names: str) -> bool:
+    return any(isinstance(d, ast.Name) and d.id in names
                for d in node.decorator_list)
 
 
 def _referenced(label: str, node, fname: str, refs: list) -> bool:
     """Whether refs name node anywhere outside node's own body: a method
     (label Class.method) only by an attribute that is used, or by any
-    attribute if it is a property."""
+    attribute if it is a property; a classmethod or staticmethod only by
+    an attribute that is used on its class's name or on cls."""
+    owners = None
     if "." not in label:
         counts = {"name", "use", "read"}
-    elif _is_property(node):
+    elif _decorated(node, "property"):
         counts = {"use", "read"}
     else:
         counts = {"use"}
-    return any(name == node.name and how in counts and not (
-        ref_file == fname and node.lineno <= line <= node.end_lineno)
-        for name, ref_file, line, how in refs)
+        if _decorated(node, "classmethod", "staticmethod"):
+            owners = {label.split(".")[0], "cls"}
+    inside = range(node.lineno, node.end_lineno + 1)
+    return any(name == node.name and how in counts
+               and (owners is None or owner in owners)
+               and not (ref_file == fname and line in inside)
+               for name, ref_file, line, how, owner in refs)
 
 
 def dead_definitions(trees: dict) -> list:
@@ -151,7 +164,7 @@ def unused_public(package: dict, users: dict, tests: dict,
         if key not in unused:
             problems.append(f"stale entry {key}: used, or no such name")
         elif test_file not in tests or not any(
-                ref == name for ref, _, _ in _references(tests[test_file])):
+                ref == name for ref, *_ in _references(tests[test_file])):
             problems.append(f"stale entry {key}: {test_file} does not "
                             f"call it")
     return problems
@@ -167,8 +180,7 @@ def _defaulted_parameters(tree: ast.Module):
         if isinstance(node, ast.ClassDef):
             continue
         cls, _, name = label.rpartition(".")
-        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                     for d in node.decorator_list)
+        static = _decorated(node, "staticmethod")
         bound = 1 if cls and not static else 0
         called = cls if name == "__init__" else name
         args = node.args
@@ -345,6 +357,21 @@ def test_a_bare_read_does_not_use_the_method_of_its_name():
     assert dead_definitions(package) == ["a.py:8 _cell"]
     assert unused_public(package, users, {}, {}) == [
         "a.py:2 M.trace is unused"]
+
+
+def test_a_classmethod_counts_only_through_its_own_class():
+    source = ("class M:\n    @classmethod\n    def zero(cls):\n"
+              "        return cls.unit()\n\n"
+              "    @classmethod\n    def unit(cls):\n        return cls()\n\n"
+              "    def vec(self):\n        return 1\n\n"
+              "class N:\n    @staticmethod\n    def zero():\n        return 0\n")
+    package = {"a.py": ast.parse(source)}
+    # N.zero() does not call M.zero, and m.zero() names no class; cls
+    # does, and a plain method counts on any call of its name
+    users = {"demos/d.py": ast.parse(
+        "from qperiods.a import M, N\nN.zero()\nm = M()\nm.zero()\n"
+        "m.vec()\nM.zero.__name__\n")}
+    assert unused_public(package, users, {}, {}) == ["a.py:3 M.zero is unused"]
 
 
 def test_the_guard_sees_unpassed_parameters():

@@ -5,6 +5,7 @@ arrow matrices and takes the nullspace of the trace pairing; the
 package's own kernel code never enters that route.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,11 +31,12 @@ from qperiods.periods import (
     verify_realization,
 )
 from qperiods.quivalg import (
-    ModuleMap,
     SubmoduleHandle,
     end_algebra,
     hom_space,
     module_power,
+    spin_pool,
+    tuple_embed,
 )
 from qperiods.yoga import WeightPartition, slice_by_weight
 import references
@@ -345,6 +347,57 @@ def test_verify_realization_rejects_a_witness_not_stable_under_an_arrow():
         verify_realization(c, Realization(m, 1, ((1, 0),), ((0, 1),), broken))
 
 
+def random_functional(rng: random.Random, space: Subspace) -> tuple:
+    """A random combination of the space's basis, or a zero vector of
+    its ambient when the space is zero."""
+    vec = [Fraction(0)] * space.ambient
+    for b in space.basis_vectors():
+        c = rng.randint(-3, 3)
+        vec = [x + c * y for x, y in zip(vec, b)]
+    return tuple(vec)
+
+
+def test_annihilated_by_agrees_with_the_flat_annihilator():
+    # on the spins of the coordinate vectors of M^2: random functionals,
+    # functionals from the flat annihilator, and those moved off it by
+    # one coordinate
+    rng = random.Random(23)
+    seen = set()
+    for key, m in ORACLE_INPUTS:
+        ambient = module_power(m, 2)
+        for handle in itertools.islice(spin_pool(ambient, 1), ambient.dim):
+            ann = references.flat(handle).annihilator()
+            full = Subspace.full_space(ambient.dim)
+            inside = random_functional(rng, ann)
+            moved = list(inside)
+            moved[rng.randrange(ambient.dim)] += 1
+            for w in (random_functional(rng, full), inside, tuple(moved)):
+                answer = handle.annihilated_by(w)
+                assert answer == ann.contains_vector(w), key
+                seen.add(answer)
+    assert seen == {True, False}
+
+
+def test_annihilated_by_accepts_every_realized_omega_tuple():
+    rng = random.Random(24)
+    powers = set()
+    for key, m in ORACLE_INPUTS:
+        d = m.dim
+        relations = period_space(m).relations
+        for _ in range(3):
+            c = Matrix.unvec(random_functional(rng, relations), d, d)
+            res = realize_relation(m, c)
+            if res.status != "realized" or res.realization.power == 0:
+                continue
+            real = res.realization
+            w = tuple_embed(m, real.power, real.omega)
+            assert real.witness.annihilated_by(w), key
+            assert references.flat(real.witness).annihilator(
+            ).contains_vector(w), key
+            powers.add(real.power)
+    assert len(powers) > 1
+
+
 def test_realize_rejects_non_relations():
     m = zoo.get_module("a2/p1")
     not_relation = Matrix([[1, 0], [0, 0]])    # pairs to 1 against e1
@@ -369,7 +422,7 @@ def test_absorb_identity():
     rep = check_absorb_identity(m, proj)
     assert rep.applicable and rep.holds
     # a map that is neither mono into m nor epi out of m is inapplicable
-    rep = check_absorb_identity(m, ModuleMap.zero(m, m))
+    rep = check_absorb_identity(m, references.zero_map(m, m))
     assert not rep.applicable
 
 
@@ -525,6 +578,21 @@ def test_eval_realizations_equal_fresh_realizations():
                 sigmas.append(a.sigma)
             repeats += len(sigmas) - len(set(sigmas))
     assert rank_two and repeats and unknown, (rank_two, repeats, unknown)
+
+
+def test_one_eval_builds_the_pairing_once(monkeypatch):
+    m = module_power(zoo.get_module("a2/p1"), 2)
+    calls = []
+    built = periods.pairing_matrix
+
+    def counted(x):
+        calls.append(x)
+        return built(x)
+
+    monkeypatch.setattr(periods, "pairing_matrix", counted)
+    rep = eval_and_conjecture(m, _cubic_unit(m, random.Random(5)))
+    assert len(calls) == 1
+    assert rep.space.relations == period_space(m).relations
 
 
 @pytest.mark.parametrize("row", [0, 1])

@@ -6,10 +6,12 @@ check shapes.  Matrices and subspaces the engine computes from entries
 that are already exact go through Matrix._wrap and Subspace._from_rows
 instead, which check nothing.  One layer up, ModuleMap(..., check=True)
 multiplies every commutation square and SubmoduleHandle(..., check=True)
-maps every subspace through its arrows, while hom_space's basis maps
-and the handles of ModuleMap.kernel and ModuleMap.image skip those
-checks, since they hold by construction.
-These tests wrap all five trusted paths with a checking shim, ask every
+maps every subspace through its arrows, while hom_space's basis maps,
+the handles of ModuleMap.kernel and ModuleMap.image and depth's
+candidate handles, the column images and row kernels that
+periods._candidate_handles reads vertex by vertex, skip those checks,
+since they hold by construction.
+These tests wrap all six trusted paths with a checking shim, ask every
 corpus question, the ladder and dense rungs of dimension at most 8 and
 the modules of strategies.py, and require every entry the trusted paths
 receive to be a Fraction, or a NumberFieldElem throughout for matrices
@@ -29,7 +31,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from qperiods import quivalg, zoo
+from qperiods import periods, quivalg, zoo
 from qperiods.cli import main
 from qperiods.exactlin import (
     DimensionMismatch,
@@ -74,8 +76,9 @@ SQRT2 = NumberField([-2, 0, 1])
 
 class TrustedPathCheck:
     """Checking shims around Matrix._wrap and Subspace._from_rows, and
-    around the maps of hom_space and the handles of ModuleMap.kernel and
-    ModuleMap.image, which go back through the public constructors."""
+    around the maps of hom_space, the handles of ModuleMap.kernel and
+    ModuleMap.image and depth's candidate handles, which go back through
+    the public constructors."""
 
     def __init__(self):
         self.matrices = 0
@@ -83,6 +86,7 @@ class TrustedPathCheck:
         self.over_l = 0
         self.maps = 0
         self.handles = 0
+        self.candidates = 0
 
     def install(self, mp: pytest.MonkeyPatch):
         wrap = Matrix._wrap.__func__
@@ -131,6 +135,16 @@ class TrustedPathCheck:
         for method in ("kernel", "image"):
             mp.setattr(ModuleMap, method,
                        checked_handle(getattr(ModuleMap, method)))
+
+        candidate_handles = periods._candidate_handles
+
+        def checked_candidates(*args):
+            for handle in candidate_handles(*args):
+                SubmoduleHandle(handle.ambient, handle.spaces)
+                self.candidates += 1
+                yield handle
+
+        mp.setattr(periods, "_candidate_handles", checked_candidates)
 
     @staticmethod
     def entry_kinds(rows, width) -> set:
@@ -271,7 +285,7 @@ def test_corpus_questions_pass_only_exact_entries(trusted):
                  "--target", str(FIXTURES / "a3_target.json")])
     assert code == 0
     assert trusted.matrices and trusted.subspaces and trusted.over_l
-    assert trusted.maps and trusted.handles
+    assert trusted.maps and trusted.handles and trusted.candidates
 
 
 def test_onemotive_models_over_larger_algebras_pass_only_exact_entries(
@@ -297,7 +311,7 @@ def test_ladder_and_dense_rungs_pass_only_exact_entries(trusted, rebased):
     eval_over_a_subfield(
         transform(module_power(zoo.get_module("a2/p1"), 2)), rng)
     assert trusted.matrices and trusted.subspaces and trusted.over_l
-    assert trusted.maps and trusted.handles
+    assert trusted.maps and trusted.handles and trusted.candidates
 
 
 def test_oracle_inputs_pass_only_exact_entries(trusted):
@@ -306,7 +320,7 @@ def test_oracle_inputs_pass_only_exact_entries(trusted):
         endo_quotient(m)
         depth_space(m, max(1, m.dim))
     assert trusted.matrices and trusted.subspaces
-    assert trusted.maps and trusted.handles
+    assert trusted.maps and trusted.handles and trusted.candidates
 
 
 @settings(max_examples=15, deadline=None)
@@ -343,6 +357,8 @@ def test_the_shim_catches_a_map_or_a_handle_that_is_not_one():
         mp.setattr(quivalg, "hom_space", lambda m, n: (not_a_map,))
         mp.setattr(ModuleMap, "kernel", lambda f: not_a_sub)
         mp.setattr(ModuleMap, "image", lambda f: not_a_sub)
+        mp.setattr(periods, "_candidate_handles",
+                   lambda *args: iter([not_a_sub]))
         check.install(mp)
         with pytest.raises(NotAModuleMap):
             quivalg.hom_space(m, m)
@@ -350,6 +366,8 @@ def test_the_shim_catches_a_map_or_a_handle_that_is_not_one():
             ModuleMap.identity(m).kernel()
         with pytest.raises(NotASubmodule):
             ModuleMap.identity(m).image()
+        with pytest.raises(NotASubmodule):
+            next(periods._candidate_handles(m, 1, m, 1, ()))
 
 
 # -- the public constructors still check and promote ---------------------------
