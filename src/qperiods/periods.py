@@ -58,10 +58,6 @@ class NotAField(ValueError):
     had to divide by one of its zero divisors."""
 
 
-def _outer(u: Sequence, v: Sequence) -> Matrix:
-    return Matrix._wrap(tuple(tuple(a * b for b in v) for a in u), len(v))
-
-
 # ---------------------------------------------------------------------------
 # the coefficient pairing
 # ---------------------------------------------------------------------------
@@ -126,6 +122,23 @@ def period_space(m: FdModule) -> PeriodSpace:
 # ---------------------------------------------------------------------------
 
 
+def _nonzero(vec: Sequence) -> list:
+    """A vector's nonzero (coordinate, entry) pairs."""
+    return [(i, x) for i, x in enumerate(vec) if x]
+
+
+def _contraction(sigma, omega, d: int) -> tuple:
+    """The d*d row-major entries of sum_k outer(sigma_k, omega_k), each
+    sigma_k and omega_k given by its nonzero (coordinate, entry) pairs."""
+    vec = [ZERO] * (d * d)
+    for sg, om in zip(sigma, omega):
+        for r, a in sg:
+            row = r * d
+            for c, b in om:
+                vec[row + c] += a * b
+    return tuple(vec)
+
+
 def relation_from_submodule(m: FdModule,
                             handle: SubmoduleHandle) -> Subspace:
     """All coefficient relations contracted out of one submodule of M^n.
@@ -152,17 +165,8 @@ def relation_from_submodule(m: FdModule,
 
         sigmas += map(slot_terms, space.basis_vectors())
         omegas += map(slot_terms, space.annihilator().basis_vectors())
-    vecs = []
-    for sigma in sigmas:
-        for omega in omegas:
-            vec = [ZERO] * (d * d)
-            for sg, om in zip(sigma, omega):
-                for r, a in sg:
-                    row = r * d
-                    for c, b in om:
-                        vec[row + c] += a * b
-            vecs.append(tuple(vec))
-    return Subspace._from_rows(d * d, tuple(vecs))
+    return Subspace._from_rows(d * d, tuple(
+        _contraction(sigma, omega, d) for sigma in sigmas for omega in omegas))
 
 
 def _is_scalar(entries: list, d: int) -> bool:
@@ -258,13 +262,18 @@ def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
     vertex: at v the column's image is spanned by the rows of the blocks'
     transposes set side by side, and the row's kernel is the kernel of
     the blocks set side by side.  Both are submodules by construction.
-    Tuples keep at most two slots away from the identity entry, which is
-    enough to reach every relation the corpus and the certificates need
-    while keeping the candidate count polynomial in the power.  Each
-    handle is built when it is asked for, and a handle may repeat one
-    yielded before; the caller drops the repeats.
+    At power 1 the alphabet also holds e + f and e - f for each pair of
+    basis endomorphisms, so their images and kernels come last, in the
+    pairs' order.  Tuples keep at most two slots away from the identity
+    entry, which is enough to reach every relation the corpus and the
+    certificates need while keeping the candidate count polynomial in
+    the power.  Each handle is built when it is asked for, and a handle
+    may repeat one yielded before; the caller drops the repeats.
     """
     alphabet = [ModuleMap.identity(m)] + list(endos)
+    if power == 1:
+        alphabet += [g for e, f in itertools.combinations(endos, 2)
+                     for g in (e + f, e - f)]
     rows = [[b.rows for b in f.blocks] for f in alphabet]
     cols = [[b.transpose().rows for b in f.blocks] for f in alphabet]
     widths = [power * d for d in m.dims]
@@ -287,14 +296,6 @@ def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
         yield SubmoduleHandle(ambient, [
             kernel_subspace(Matrix._wrap(side_by_side(rows, word, v), n))
             for v, n in enumerate(widths)], check=False)
-    # at power 1 the column and row (e) above already gave the image and
-    # kernel of each single endomorphism; add those of e + f, e - f
-    if power == 1:
-        for e, f in itertools.combinations(endos, 2):
-            yield (e + f).image()
-            yield (e + f).kernel()
-            yield (e - f).image()
-            yield (e - f).kernel()
     if power <= 2:
         yield from spin_pool(ambient, spin_bound)
 
@@ -314,8 +315,7 @@ def depth_space(m: FdModule, k: int, spin_bound: int = 1) -> DepthResult:
     d = m.dim
     pairing = pairing_matrix(m)
     r = d * d - rank(pairing)
-    paths = [[(p, x) for p, x in enumerate(row) if x] for row in pairing.rows]
-    paths = [terms for terms in paths if terms]
+    paths = [terms for terms in map(_nonzero, pairing.rows) if terms]
     endos = hom_space(m, m)
     acc = Subspace.zero_space(d * d)
     per_stage = []
@@ -366,10 +366,10 @@ class Realization:
 
     def contraction(self) -> Matrix:
         d = self.module.dim
-        c = Matrix.zero(d, d)
-        for sg, om in zip(self.sigma, self.omega):
-            c = c + _outer(sg, om)
-        return c
+        vec = _contraction(map(_nonzero, self.sigma),
+                           map(_nonzero, self.omega), d)
+        return Matrix._wrap(tuple(vec[i * d:(i + 1) * d] for i in range(d)),
+                            d)
 
 
 @dataclass(frozen=True)
@@ -388,7 +388,8 @@ def realize_relation(m: FdModule, c: Matrix,
     spins the sigma tuple inside M^m; by minimality of the spin this is
     the canonical candidate witness, and if the omega tuple fails to
     annihilate it the matrix is reported unrealizable at this power
-    rather than silently widened.
+    rather than silently widened.  The zero matrix has empty tuples,
+    which spin the zero submodule of M^0.
 
     The witness depends on the sigma tuple alone.  witnesses maps each
     sigma tuple spun so far to its witness handle; a caller realizing
@@ -403,10 +404,6 @@ def realize_relation(m: FdModule, c: Matrix,
         raise ValueError("coefficient matrix has the wrong shape")
     red, pivots = rref(c)
     r = len(pivots)
-    if r == 0:
-        zero_power = module_power(m, 0)
-        real = Realization(m, 0, (), (), SubmoduleHandle.zero(zero_power))
-        return RealizationResult("realized", real)
     if power_budget is not None and r > power_budget:
         return RealizationResult(
             "budget", None,
@@ -414,18 +411,10 @@ def realize_relation(m: FdModule, c: Matrix,
     omega = red.rows[:r]
     # the pivots of an rref basis read off coordinates directly, so
     # sigma_k is C's column at pivot k and row i of C is
-    # sum_k C[i][pivot k] * omega_k; that sum is rebuilt over the nonzero
-    # terms and compared row by row
+    # sum_k C[i][pivot k] * omega_k
     sigma = tuple(tuple(row[p] for row in c.rows) for p in pivots)
-    omega_terms = [[(j, b) for j, b in enumerate(w) if b] for w in omega]
-    for row in c.rows:
-        rebuilt = [ZERO] * d
-        for p, terms in zip(pivots, omega_terms):
-            a = row[p]
-            if a:
-                for j, b in terms:
-                    rebuilt[j] += a * b
-        assert rebuilt == list(row), "rank factorization failed"
+    assert _contraction(map(_nonzero, sigma), map(_nonzero, omega),
+                        d) == c.vec(), "rank factorization failed"
     if witnesses is None:
         witnesses = {}
     witness = witnesses.get(sigma)
@@ -442,10 +431,9 @@ def realize_relation(m: FdModule, c: Matrix,
 
 
 def verify_realization(c: Matrix, real: Realization) -> bool:
-    """Recheck a realization from scratch; used by tests and the CLI."""
+    """Recheck a realization from scratch; the benchmark's answer checks
+    and the tests use it."""
     m = real.module
-    if real.power == 0:
-        return c.is_zero()
     ambient = module_power(m, real.power)
     if real.witness.ambient != ambient:
         return False

@@ -73,8 +73,7 @@ class BoundQuiverAlgebra:
     Built through :func:`build_algebra`; do not construct directly.
     """
 
-    def __init__(self, vertices, arrows, relations, basis, reduction,
-                 max_len):
+    def __init__(self, vertices, arrows, relations, basis, reduction):
         self.vertices: tuple[str, ...] = vertices
         self.arrows: tuple[Arrow, ...] = arrows
         self.relations = relations          # normalized: tuple of term tuples
@@ -83,9 +82,6 @@ class BoundQuiverAlgebra:
         self.basis_index = {k: i for i, k in enumerate(basis)}
         self.arrow_by_name = {a.name: a for a in arrows}
         self._reduction = reduction         # PathKey -> tuple[(basis_idx, coeff)]
-        self._max_len = max_len
-        self.unit = self.coords_from_terms(
-            [(ONE, (v, ())) for v in vertices])
 
     # -- paths ---------------------------------------------------------------
 
@@ -111,32 +107,13 @@ class BoundQuiverAlgebra:
     # -- reduction and multiplication ------------------------------------------
 
     def _reduce_key(self, key: PathKey) -> tuple:
-        """Coordinates of a raw path in the quotient basis."""
+        """Coordinates of a raw path in the quotient basis.  Every path
+        enumerated while the basis was built has one, and that covers
+        each basis path extended by one arrow."""
         hit = self._reduction.get(key)
-        if hit is not None:
-            return hit
-        source, arrows = key
-        if len(arrows) <= self._max_len:
-            # enumerated but absent: the raw path never existed (not composable)
-            raise NotAdmissible(f"path {key} is not a path of the quiver")
-        head = (source, arrows[:self._max_len])
-        tail = arrows[self._max_len:]
-        out: dict[int, Fraction] = {}
-        for b_idx, c in self._reduce_key(head):
-            b_src, b_arrows = self.basis[b_idx]
-            for b2_idx, c2 in self._reduce_key((b_src, b_arrows + tail)):
-                out[b2_idx] = out.get(b2_idx, ZERO) + c * c2
-        result = tuple((i, c) for i, c in sorted(out.items()) if c)
-        self._reduction[key] = result
-        return result
-
-    def coords_from_terms(self, terms) -> tuple[Fraction, ...]:
-        """Linear combination of raw paths, reduced to basis coordinates."""
-        out = [ZERO] * self.dim
-        for coeff, key in terms:
-            for i, c in self._reduce_key(key):
-                out[i] += rat(coeff) * c
-        return tuple(out)
+        if hit is None:
+            raise NotAdmissible(f"path {key} has no reduction to the basis")
+        return hit
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BoundQuiverAlgebra)
@@ -312,7 +289,7 @@ def build_algebra(vertices: Sequence[str],
         reduction[col_order[c]] = tuple(sorted(terms))
 
     return BoundQuiverAlgebra(vertices, arrow_objs, norm_relations, basis,
-                              reduction, final_len)
+                              reduction)
 
 
 # ---------------------------------------------------------------------------
@@ -583,28 +560,14 @@ def module_power(m: FdModule, n: int) -> FdModule:
     return direct_sum([m] * n)
 
 
-def slot_layout(m: FdModule, n: int) -> list[list[int]]:
-    """Entry g of slot k of an n-tuple of vectors of M is coordinate
-    layout[k][g] of M^n, which is slot-major inside each vertex space."""
-    layout = [[0] * m.dim for _ in range(n)]
-    pos = 0
-    for v in m.algebra.vertices:
-        for slot in layout:
-            for g in m.vertex_range(v):
-                slot[g] = pos
-                pos += 1
-    return layout
-
-
 def tuple_embed(m: FdModule, n: int, vectors: Sequence[Sequence]) -> tuple:
-    """Flatten an n-tuple of vectors of M into the coordinates of M^n."""
+    """Flatten an n-tuple of vectors of M into the coordinates of M^n: at
+    each vertex v, in vertex order, the vectors' slices at v one after
+    another, so that slot k at v is the k-th run of d_v entries."""
     if len(vectors) != n:
         raise ValueError("tuple length does not match the power")
-    out = [ZERO] * (n * m.dim)
-    for vec, slot in zip(vectors, slot_layout(m, n)):
-        for g, p in enumerate(slot):
-            out[p] = rat(vec[g])
-    return tuple(out)
+    return tuple(rat(x) for v in m.algebra.vertices for vec in vectors
+                 for x in m.slice_of(vec, v))
 
 
 # ---------------------------------------------------------------------------
@@ -660,12 +623,8 @@ class ModuleMap:
         return ModuleMap(self.source, self.target,
                          [b.scale(c) for b in self.blocks], check=False)
 
-    # the kernel and the image of a module map are submodules, so their
-    # handles skip the check that each arrow keeps them
-    def kernel(self) -> "SubmoduleHandle":
-        spaces = [kernel_subspace(b) for b in self.blocks]
-        return SubmoduleHandle(self.source, spaces, check=False)
-
+    # the image of a module map is a submodule, so its handle skips the
+    # check that each arrow keeps it
     def image(self) -> "SubmoduleHandle":
         spaces = [Subspace._from_rows(b.nrows, b.transpose().rows)
                   for b in self.blocks]

@@ -73,6 +73,17 @@ submodule as one subspace of the ambient's flattened coordinates, and
 flat_relations the relations depth used to contract from it, with the
 annihilator eliminated on all n * d coordinates.  zero_map and map_vec
 are the zero module map and a map's block entries in one vector.
+slot_layout is the table of positions of each slot of M^n, which
+tuple_embed used to read; the package now concatenates the tuple's
+slices vertex by vertex.
+
+Depth takes the images and kernels of the sums e + f and e - f of basis
+endomorphisms at power 1 as letters of its column and row alphabet.
+sum_images_and_kernels builds them from the module maps instead, with
+kernel(f), the kernel of a module map that the package no longer needs.
+outer_sum is sum_k outer(sigma_k, omega_k) added up one dense outer
+product at a time, the way a realization's contraction used to be
+built, and the oracle for periods._contraction.
 
 The rest are oracles that no command needs, kept beside the tests that
 check the engine against the paper with them:
@@ -116,6 +127,7 @@ from qperiods.exactlin import (
     Subspace,
     block_diagonal,
     intertwiners,
+    kernel_subspace,
     rref,
 )
 from qperiods.onemotive import BModule, RangeError, b_module
@@ -136,7 +148,6 @@ from qperiods.quivalg import (
     direct_sum,
     hom_space,
     module_power,
-    slot_layout,
     spin_pool,
 )
 from qperiods.serialize import rational_str
@@ -391,8 +402,15 @@ def columns(mat: Matrix, cols: Sequence[int]) -> Matrix:
                         len(cols))
 
 
+def kernel(f: ModuleMap) -> SubmoduleHandle:
+    """The kernel of a module map, a submodule of its source, block by
+    block."""
+    return SubmoduleHandle(f.source, [kernel_subspace(b) for b in f.blocks],
+                           check=False)
+
+
 def is_injective(f: ModuleMap) -> bool:
-    return all(s.dim == 0 for s in f.kernel().spaces)
+    return all(s.dim == 0 for s in kernel(f).spaces)
 
 
 def is_surjective(f: ModuleMap) -> bool:
@@ -525,7 +543,7 @@ def admissible_check(inclusion: ModuleMap, projection: ModuleMap,
     if not is_surjective(projection):
         raise NotExact("the projection is not surjective")
     image = inclusion.image()
-    if image != projection.kernel():
+    if image != kernel(projection):
         raise NotExact("the image of the inclusion is not the kernel "
                        "of the projection")
     low = set(partition.support_weights(inclusion.source))
@@ -781,6 +799,39 @@ def block_map(source: FdModule, sources: Sequence[FdModule],
     return ModuleMap(source, target, blocks, check=False)
 
 
+def slot_layout(m: FdModule, n: int) -> list[list[int]]:
+    """Entry g of slot k of an n-tuple of vectors of M is coordinate
+    layout[k][g] of M^n, which is slot-major inside each vertex space."""
+    layout = [[0] * m.dim for _ in range(n)]
+    pos = 0
+    for v in m.algebra.vertices:
+        for slot in layout:
+            for g in m.vertex_range(v):
+                slot[g] = pos
+                pos += 1
+    return layout
+
+
+def sum_images_and_kernels(endos: Sequence[ModuleMap]) -> list:
+    """The image and the kernel of e + f, then of e - f, for each pair of
+    basis endomorphisms in order, as module maps' handles: the power-1
+    candidates that depth used to add after its hom-closure family."""
+    out = []
+    for e, f in itertools.combinations(endos, 2):
+        for g in (e + f, e - f):
+            out += [g.image(), kernel(g)]
+    return out
+
+
+def outer_sum(sigma: Sequence, omega: Sequence, d: int) -> Matrix:
+    """sum_k outer(sigma_k, omega_k) for dense vectors of length d, one
+    d x d outer product at a time."""
+    c = Matrix.zero(d, d)
+    for sg, om in zip(sigma, omega):
+        c = c + Matrix(tuple(tuple(a * b for b in om) for a in sg), ncols=d)
+    return c
+
+
 def flat(handle: SubmoduleHandle) -> Subspace:
     """The submodule as one subspace of the ambient's flattened
     coordinates."""
@@ -998,7 +1049,7 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
         raise ValueError("left map must be injective")
     if not is_surjective(right):
         raise ValueError("right map must be surjective")
-    if left.image().spaces != right.kernel().spaces:
+    if left.image().spaces != kernel(right).spaces:
         raise ValueError("image of the mono must equal the kernel of the epi")
     mx = module_power(m, x)
     big = module_power(inner, x)
@@ -1006,7 +1057,7 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
     # M0^(x*x), in which slot j of u_j is slot j*x + j
     g = block_map(big, [m0] * (x * x), m0, [m0],
                   {(0, j * x + j): ModuleMap.identity(m0) for j in range(x)})
-    kh = g.kernel()
+    kh = kernel(g)
     lifted = block_map(big, [inner] * x, mx, [m] * x,
                        {(j, j): left for j in range(x)})
     k_in_mx = image_submodule(lifted, kh)
@@ -1027,7 +1078,7 @@ def pushout_reduction(m: FdModule, m0: FdModule, x: int,
         raise AssertionError("reduced sequence lost surjectivity")
     if not flattened(compose(pi, mu)).is_zero():
         raise AssertionError("reduced sequence is not a complex")
-    if mu.image().spaces != pi.kernel().spaces:
+    if mu.image().spaces != kernel(pi).spaces:
         raise AssertionError("reduced sequence is not exact in the middle")
     base = period_space(m)
     red_space = period_space(reduced)

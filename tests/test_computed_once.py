@@ -30,7 +30,10 @@ reference also builds its candidates the way depth used to, as images
 and kernels of block_map grids, and contracts them on the flat
 submodule (references.flat_relations); depth now reads each candidate
 vertex by vertex, and the tests at the end require the same handles and
-the same relations candidate by candidate.
+the same relations candidate by candidate.  At power 1 the sums e + f
+and e - f of basis endomorphisms are letters of the hom-closure
+alphabet; the reference takes their images and kernels as module maps
+(references.sum_images_and_kernels), as depth did in a block of its own.
 """
 
 import itertools
@@ -68,7 +71,9 @@ from references import (
     block_map,
     fixpoint_spin,
     flat_relations,
+    kernel,
     search_first_certify,
+    sum_images_and_kernels,
 )
 from strategies import ORACLE_INPUTS, linear_projective, rebased_modules
 
@@ -418,14 +423,11 @@ def reference_candidate_handles(m: FdModule, power: int, ambient: FdModule,
         entries = [alphabet[combo.get(j, 0)] for j in range(power)]
         push(block_map(m, [m], ambient, [m] * power,
                        {(j, 0): f for j, f in enumerate(entries)}).image())
-        push(block_map(ambient, [m] * power, m, [m],
-                       {(0, j): f for j, f in enumerate(entries)}).kernel())
+        push(kernel(block_map(ambient, [m] * power, m, [m],
+                              {(0, j): f for j, f in enumerate(entries)})))
     if power == 1:
-        for e, f in itertools.combinations(endos, 2):
-            push((e + f).image())
-            push((e + f).kernel())
-            push((e - f).image())
-            push((e - f).kernel())
+        for h in sum_images_and_kernels(endos):
+            push(h)
     if power <= 2:
         for h in spin_pool(ambient, spin_bound):
             push(h)
@@ -524,9 +526,9 @@ def block_map_hom_closure(m: FdModule, power: int, ambient: FdModule,
         out.append(block_map(m, [m], ambient, [m] * power,
                              {(j, 0): f for j, f in enumerate(entries)}
                              ).image())
-        out.append(block_map(ambient, [m] * power, m, [m],
-                             {(0, j): f for j, f in enumerate(entries)}
-                             ).kernel())
+        out.append(kernel(block_map(ambient, [m] * power, m, [m],
+                                    {(0, j): f for j, f in enumerate(entries)}
+                                    )))
     return out
 
 
@@ -550,6 +552,32 @@ def test_candidates_equal_the_block_map_images_and_kernels(key, m):
 @given(rebased_modules())
 def test_candidates_equal_the_block_map_images_and_kernels_on_rebased(m):
     assert_candidates_match_block_maps(m, repr(m))
+
+
+def assert_power_one_sums_match_module_maps(m: FdModule, label: str):
+    """At power 1 the hom-closure family is followed by the images and
+    kernels of e + f and e - f, in the order and as the Subspaces that
+    the module maps' image and kernel give."""
+    endos = hom_space(m, m)
+    ambient = module_power(m, 1)
+    closure = block_map_hom_closure(m, 1, ambient, endos)
+    expected = closure + sum_images_and_kernels(endos)
+    got = list(itertools.islice(periods._candidate_handles(
+        m, 1, ambient, 1, endos), len(expected)))
+    assert got == expected, label
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_power_one_sums_equal_the_module_map_images_and_kernels(key, m):
+    assert_power_one_sums_match_module_maps(m, key)
+
+
+@settings(max_examples=15, deadline=None)
+@given(rebased_modules())
+def test_power_one_sums_equal_the_module_map_images_and_kernels_on_rebased(
+        m):
+    assert_power_one_sums_match_module_maps(m, repr(m))
 
 
 @pytest.mark.parametrize("key,m", ORACLE_INPUTS,

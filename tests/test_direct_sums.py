@@ -6,16 +6,18 @@ module_power_with_maps, periods._map_power, tuple_embed,
 relation_from_submodule and sum_sequence each used to carry: identity
 blocks placed by running offsets, per-vertex block_diagonal of one map, a
 where[k][g] table filled slot by slot, and sums of inclusion-map-projection
-composites.  The package now lays out a sum in direct_sum and every
-power's layout with slot_layout; these tests require the results to be
-equal.  It builds no map between sums: block_map, the map given by a
-grid of maps between summands, lives in references.py with
-direct_sum_with_maps and sum_sequence, which are built from it.  Depth
-reads the submodules of a power vertex by vertex instead, which
-test_computed_once.py checks against block_map's images and kernels,
-and the package absorbs a summand into an admissible sequence by
-slicing the enlarged middle, which test_yoga.py checks against
-sum_sequence.
+composites.  The package now lays out a sum in direct_sum, and
+tuple_embed lays out a tuple in a power by its vectors' slices vertex by
+vertex; references.slot_layout, the slot-major position table that
+tuple_embed used to read, is the oracle for that layout.  These tests
+require the results to be equal.  The package builds no map between
+sums: block_map, the map given by a grid of maps between summands,
+lives in references.py with direct_sum_with_maps and sum_sequence,
+which are built from it.  Depth reads the submodules of a power vertex
+by vertex instead, which test_computed_once.py checks against
+block_map's images and kernels, and the package absorbs a summand into
+an admissible sequence by slicing the enlarged middle, which
+test_yoga.py checks against sum_sequence.
 """
 
 import itertools
@@ -35,7 +37,6 @@ from qperiods.quivalg import (
     direct_sum,
     end_algebra,
     module_power,
-    slot_layout,
     tuple_embed,
 )
 
@@ -50,6 +51,7 @@ from references import (
     general,
     inclusion,
     quotient_module,
+    slot_layout,
     sum_sequence,
 )
 from strategies import ORACLE_INPUTS, rebased_modules

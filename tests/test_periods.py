@@ -315,9 +315,21 @@ def test_realize_relation_frozen_cases():
     c1 = Matrix([[0, 0], [1, 0]])
     r1 = realize_relation(m, c1)
     assert r1.status == "realized" and r1.realization.power == 1
-    # the zero matrix is the empty realization
-    r0 = realize_relation(m, Matrix.zero(d, d))
+    # the zero matrix is the empty realization, witnessed by the zero
+    # submodule of M^0, and it verifies like any other
+    zero = Matrix.zero(d, d)
+    r0 = realize_relation(m, zero)
     assert r0.status == "realized" and r0.realization.power == 0
+    real0 = r0.realization
+    assert (real0.sigma, real0.omega) == ((), ())
+    assert real0.witness == SubmoduleHandle.zero(module_power(m, 0))
+    assert verify_realization(zero, real0)
+    # a power-0 realization witnesses the zero matrix alone, and only by
+    # a submodule of M^0
+    assert not verify_realization(c1, real0)
+    over_m = Realization(m, 0, (), (),
+                         SubmoduleHandle.zero(module_power(m, 1)))
+    assert not verify_realization(zero, over_m)
     # budgets refuse honestly rather than widen
     rb = realize_relation(m, c, power_budget=1)
     assert rb.status == "budget" and rb.realization is None
@@ -396,6 +408,52 @@ def test_annihilated_by_accepts_every_realized_omega_tuple():
             ).contains_vector(w), key
             powers.add(real.power)
     assert len(powers) > 1
+
+
+def contraction(sigma, omega, d: int) -> tuple:
+    return periods._contraction(map(periods._nonzero, sigma),
+                                map(periods._nonzero, omega), d)
+
+
+def test_contraction_equals_the_dense_outer_products_on_the_corpus():
+    rng = random.Random(25)
+    powers = set()
+    for e in zoo.corpus():
+        m, d = e.module, e.module.dim
+        relations = period_space(m).relations
+        for _ in range(3):
+            c = Matrix.unvec(random_functional(rng, relations), d, d)
+            res = realize_relation(m, c)
+            if res.status != "realized":
+                continue
+            real = res.realization
+            dense = references.outer_sum(real.sigma, real.omega, d)
+            assert contraction(real.sigma, real.omega, d) == dense.vec(), \
+                e.key
+            assert real.contraction() == dense == c, e.key
+            powers.add(real.power)
+    assert {0, 1, 2} <= powers, powers
+
+
+def test_contraction_equals_the_dense_outer_products_on_sparse_tuples():
+    rng = random.Random(26)
+    for _ in range(200):
+        d, n = rng.randint(0, 6), rng.randint(0, 4)
+
+        def sparse():
+            return tuple(rng.choice((0, 0, 0, Fraction(rng.randint(-4, 4),
+                                                        rng.randint(1, 3))))
+                         for _ in range(d))
+
+        sigma = tuple(sparse() for _ in range(n))
+        omega = tuple(sparse() for _ in range(n))
+        assert contraction(sigma, omega, d) == references.outer_sum(
+            sigma, omega, d).vec()
+    # the int entries a hand-built realization may carry
+    sigma, omega = ((1, 0),), ((0, 1),)
+    assert contraction(sigma, omega, 2) == references.outer_sum(
+        sigma, omega, 2).vec() == (0, 1, 0, 0)
+    assert all(type(x) is Fraction for x in contraction(sigma, omega, 2))
 
 
 def test_realize_rejects_non_relations():

@@ -49,6 +49,7 @@ from references import (
     inclusion,
     is_injective,
     is_surjective,
+    kernel,
     matrix_algebra_structure,
     opposite,
     quotient_module,
@@ -265,7 +266,7 @@ def test_module_iso_of_equal_modules_is_the_identity(monkeypatch):
 def test_rank_nullity_for_module_maps():
     m = zoo.get_module("a3/proj")
     for f in hom_space(m, m):
-        assert f.kernel().dim + f.image().dim == m.dim
+        assert kernel(f).dim + f.image().dim == m.dim
 
 
 def test_sub_and_quotient_dimensions():

@@ -7,10 +7,11 @@ that are already exact go through Matrix._wrap and Subspace._from_rows
 instead, which check nothing.  One layer up, ModuleMap(..., check=True)
 multiplies every commutation square and SubmoduleHandle(..., check=True)
 maps every subspace through its arrows, while hom_space's basis maps,
-the handles of ModuleMap.kernel and ModuleMap.image and depth's
-candidate handles, the column images and row kernels that
-periods._candidate_handles reads vertex by vertex, skip those checks,
-since they hold by construction.
+the handles of ModuleMap.image and depth's candidate handles, the
+column images and row kernels that periods._candidate_handles reads
+vertex by vertex (at power 1 those of e + f and e - f too), skip those
+checks, since they hold by construction.  The kernel of a module map,
+references.kernel, is built the same way for the oracles.
 These tests wrap all six trusted paths with a checking shim, ask every
 corpus question, the ladder and dense rungs of dimension at most 8 and
 the modules of strategies.py, and require every entry the trusted paths
@@ -65,6 +66,7 @@ from qperiods.quivalg import (
     module_power,
 )
 from qperiods.yoga import WeightPartition, certify_principal
+import references
 from references import matrix_algebra_structure, matrix_column_module
 from strategies import ORACLE_INPUTS, linear_projective, rebase, rebased_modules
 
@@ -76,7 +78,7 @@ SQRT2 = NumberField([-2, 0, 1])
 
 class TrustedPathCheck:
     """Checking shims around Matrix._wrap and Subspace._from_rows, and
-    around the maps of hom_space, the handles of ModuleMap.kernel and
+    around the maps of hom_space, the handles of references.kernel and
     ModuleMap.image and depth's candidate handles, which go back through
     the public constructors."""
 
@@ -132,9 +134,8 @@ class TrustedPathCheck:
                 return handle
             return checked
 
-        for method in ("kernel", "image"):
-            mp.setattr(ModuleMap, method,
-                       checked_handle(getattr(ModuleMap, method)))
+        mp.setattr(references, "kernel", checked_handle(references.kernel))
+        mp.setattr(ModuleMap, "image", checked_handle(ModuleMap.image))
 
         candidate_handles = periods._candidate_handles
 
@@ -311,7 +312,7 @@ def test_ladder_and_dense_rungs_pass_only_exact_entries(trusted, rebased):
     eval_over_a_subfield(
         transform(module_power(zoo.get_module("a2/p1"), 2)), rng)
     assert trusted.matrices and trusted.subspaces and trusted.over_l
-    assert trusted.maps and trusted.handles and trusted.candidates
+    assert trusted.maps and trusted.candidates
 
 
 def test_oracle_inputs_pass_only_exact_entries(trusted):
@@ -320,7 +321,7 @@ def test_oracle_inputs_pass_only_exact_entries(trusted):
         endo_quotient(m)
         depth_space(m, max(1, m.dim))
     assert trusted.matrices and trusted.subspaces
-    assert trusted.maps and trusted.handles and trusted.candidates
+    assert trusted.maps and trusted.candidates
 
 
 @settings(max_examples=15, deadline=None)
@@ -355,7 +356,7 @@ def test_the_shim_catches_a_map_or_a_handle_that_is_not_one():
     check = TrustedPathCheck()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quivalg, "hom_space", lambda m, n: (not_a_map,))
-        mp.setattr(ModuleMap, "kernel", lambda f: not_a_sub)
+        mp.setattr(references, "kernel", lambda f: not_a_sub)
         mp.setattr(ModuleMap, "image", lambda f: not_a_sub)
         mp.setattr(periods, "_candidate_handles",
                    lambda *args: iter([not_a_sub]))
@@ -363,7 +364,7 @@ def test_the_shim_catches_a_map_or_a_handle_that_is_not_one():
         with pytest.raises(NotAModuleMap):
             quivalg.hom_space(m, m)
         with pytest.raises(NotASubmodule):
-            ModuleMap.identity(m).kernel()
+            references.kernel(ModuleMap.identity(m))
         with pytest.raises(NotASubmodule):
             ModuleMap.identity(m).image()
         with pytest.raises(NotASubmodule):
