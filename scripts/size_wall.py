@@ -19,10 +19,10 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
   and module_iso;
 - ``onemotive --g 0 --l 1 --m 29``, the slowest matrix model that
   onemotive.MODEL_DIM_BUDGET admits (ambient dimension d = 32);
-- ``realize`` on a2/p1^8 and a2/p1^16 (d = 16 and 32) of a combination
-  of the whole relation basis with coefficients drawn from [-3, 3]
-  without 0 at seed RELATION_SEED, as cli.MODULE_DIM_BUDGET's comment
-  times it;
+- ``realize`` on a2/p1^8, a2/p1^16 and a2/p1^32 (d = 16, 32 and 64, the
+  last at realize's budget) of a combination of the whole relation
+  basis with coefficients drawn from [-3, 3] without 0 at seed
+  RELATION_SEED, as cli.MODULE_DIM_BUDGET's comment times it;
 - ``eval`` on a2/p1^8, a2/p1^12 and a2/p1^16 (d = 16, 24 and 32) at
   one fixed unit over Q[x]/(x^3 - 2).
 
@@ -77,14 +77,16 @@ def rebase(m, rng: random.Random):
 def relation_combination(m, rng: random.Random) -> dict:
     """A relation file holding the combination of m's whole relation
     basis with coefficients drawn from [-3, 3] without 0."""
-    from qperiods.exactlin import Matrix
+    from qperiods.exactlin import ZERO, Matrix
     from qperiods.periods import period_space
     from qperiods.serialize import relation_to_data
     d = m.dim
     vec = [0] * (d * d)
     for rel in period_space(m).relations.basis_vectors():
         c = rng.choice((-3, -2, -1, 1, 2, 3))
-        vec = [a + c * b for a, b in zip(vec, rel)]
+        for i, x in enumerate(rel):
+            if x is not ZERO and x:
+                vec[i] += c * x
     return relation_to_data(Matrix.unvec(vec, d, d))
 
 
@@ -134,7 +136,7 @@ def rows() -> list:
     out.append(("rational g=0 l=1 m=29", None, "onemotive",
                 ["--g", "0", "--l", "1", "--m", "29"]))
     rng = random.Random(RELATION_SEED)
-    for k in (8, 16):
+    for k in (8, 16, 32):
         m = module_power(p1, k)
         out.append((f"a2/p1^{k}", m, "realize",
                     ["--relation", relation_combination(m, rng)]))

@@ -97,13 +97,15 @@ SPIN_BOUND_BUDGET = 64
 #   (d = 16), and 83 s on a3/proj^8 (d = 24);
 # - certify takes 4.8 s on a2/p1^32 and 3.8 s on S1^64 (170 MB), nearly
 #   all of it hom_space and the centraliser narrowed by its basis;
-# - realize of a combination of the whole relation basis takes 0.10 s on
-#   a2/p1^8 (d = 16) and 1.3 s on a2/p1^16 (d = 32), best of 2 through
-#   scripts/size_wall.py; its budget rests on an older 38 s on a2/p1^32;
-# - eval takes 0.09, 0.30 and 0.80 s on a2/p1^8, ^12 and ^16 (d = 16, 24
-#   and 32) at size_wall.py's unit over Q[x]/(x^3 - 2), best of 2; its
-#   budget was chosen at 30 s on a2/p1^24 (d = 48) and is kept, since
-#   moving a budget changes which inputs are answered;
+# - realize of a combination of the whole relation basis takes 0.03, 0.20
+#   and 1.2 s on a2/p1^8, ^16 and ^32 (d = 16, 32 and 64), best of 2
+#   through scripts/size_wall.py, most of the last in the elimination of
+#   the coefficient matrix itself;
+# - eval takes 0.04, 0.14 and 0.34 s on a2/p1^8, ^12 and ^16 (d = 16, 24
+#   and 32) at size_wall.py's unit over Q[x]/(x^3 - 2), best of 2, and
+#   1.6 s (220 MB) at its budget, on a2/p1^24 (d = 48); the budget was
+#   chosen when that took 30 s and is kept, since moving a budget
+#   changes which inputs are answered;
 # - lift of the a3 sequence fixture's module to the k-th power (d = 5k)
 #   takes 1.4 s at d = 160 and 13 s at d = 320.
 # The benchmark asks at most d = 16 (period on a2/p1^8).

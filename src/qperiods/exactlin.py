@@ -40,6 +40,7 @@ field elements for matrices over a number field.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -159,7 +160,7 @@ class Matrix:
 
     def vec(self) -> tuple:
         """Row-major flattening; the package-wide vectorization convention."""
-        return tuple(x for r in self.rows for x in r)
+        return tuple(itertools.chain.from_iterable(self.rows))
 
     @classmethod
     def unvec(cls, entries: Sequence, nrows: int, ncols: int) -> "Matrix":

@@ -267,34 +267,49 @@ def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
     pairs' order.  Tuples keep at most two slots away from the identity
     entry, which is enough to reach every relation the corpus and the
     certificates need while keeping the candidate count polynomial in
-    the power.  Each handle is built when it is asked for, and a handle
-    may repeat one yielded before; the caller drops the repeats.
+    the power.  Each handle is built when it is asked for, each letter's
+    blocks when a word first uses it, and a handle may repeat one yielded
+    before; the caller drops the repeats.
     """
     alphabet = [ModuleMap.identity(m)] + list(endos)
-    if power == 1:
-        alphabet += [g for e, f in itertools.combinations(endos, 2)
-                     for g in (e + f, e - f)]
-    rows = [[b.rows for b in f.blocks] for f in alphabet]
-    cols = [[b.transpose().rows for b in f.blocks] for f in alphabet]
+    sums = list(itertools.combinations(endos, 2)) if power == 1 else []
     widths = [power * d for d in m.dims]
-    letters = range(1, len(alphabet))
+    letters = range(1, len(alphabet) + 2 * len(sums))
     combos = itertools.chain(
         [{}],
         ({j: a} for j in range(power) for a in letters),
         ({j: a, k: b} for j, k in itertools.combinations(range(power), 2)
          for a in letters for b in letters))
+    # letter a's (rows, transposed rows) per vertex; past the basis,
+    # letters 2i and 2i + 1 of the sums are e + f and e - f for the i-th
+    # pair (e, f)
+    formed = {}
 
-    def side_by_side(blocks, word, v):
+    def letter(a):
+        hit = formed.get(a)
+        if hit is None:
+            if a < len(alphabet):
+                f = alphabet[a]
+            else:
+                i, minus = divmod(a - len(alphabet), 2)
+                e, g = sums[i]
+                f = e - g if minus else e + g
+            hit = formed[a] = ([b.rows for b in f.blocks],
+                               [b.transpose().rows for b in f.blocks])
+        return hit
+
+    def side_by_side(word, v, side):
+        blocks = [letter(a)[side][v] for a in word]
         return tuple(tuple(itertools.chain.from_iterable(
-            blocks[a][v][r] for a in word)) for r in range(m.dims[v]))
+            b[r] for b in blocks)) for r in range(m.dims[v]))
 
     for combo in combos:
         word = [combo.get(j, 0) for j in range(power)]
         yield SubmoduleHandle(ambient, [
-            Subspace._from_rows(n, side_by_side(cols, word, v))
+            Subspace._from_rows(n, side_by_side(word, v, 1))
             for v, n in enumerate(widths)], check=False)
         yield SubmoduleHandle(ambient, [
-            kernel_subspace(Matrix._wrap(side_by_side(rows, word, v), n))
+            kernel_subspace(Matrix._wrap(side_by_side(word, v, 0), n))
             for v, n in enumerate(widths)], check=False)
     if power <= 2:
         yield from spin_pool(ambient, spin_bound)
@@ -385,11 +400,12 @@ def realize_relation(m: FdModule, c: Matrix,
     """Realize a coefficient relation as a submodule of a power of M.
 
     Rank-factors C = sum_k outer(sigma_k, omega_k) with m = rank(C) and
-    spins the sigma tuple inside M^m; by minimality of the spin this is
-    the canonical candidate witness, and if the omega tuple fails to
-    annihilate it the matrix is reported unrealizable at this power
-    rather than silently widened.  The zero matrix has empty tuples,
-    which spin the zero submodule of M^0.
+    spins the sigma tuple inside M^m, slot by slot through M's own arrow
+    blocks, since the arrows of M^m act slot by slot; by minimality of
+    the spin this is the canonical candidate witness, and if the omega
+    tuple fails to annihilate it the matrix is reported unrealizable at
+    this power rather than silently widened.  The zero matrix has empty
+    tuples, which spin the zero submodule of M^0.
 
     The witness depends on the sigma tuple alone.  witnesses maps each
     sigma tuple spun so far to its witness handle; a caller realizing
@@ -402,7 +418,12 @@ def realize_relation(m: FdModule, c: Matrix,
     d = m.dim
     if (c.nrows, c.ncols) != (d, d):
         raise ValueError("coefficient matrix has the wrong shape")
-    red, pivots = rref(c)
+    # zero rows add nothing to the row space, so the reduced basis, and
+    # with it omega, sigma and the pivots, is read off the others; count
+    # tests each entry against ZERO by identity before equality, so the
+    # shared ZERO costs no Fraction call
+    red, pivots = rref(Matrix._wrap(tuple(
+        row for row in c.rows if row.count(ZERO) != d), d))
     r = len(pivots)
     if power_budget is not None and r > power_budget:
         return RealizationResult(
@@ -420,7 +441,7 @@ def realize_relation(m: FdModule, c: Matrix,
     witness = witnesses.get(sigma)
     if witness is None:
         witness = witnesses[sigma] = SubmoduleHandle.spin(
-            module_power(m, r), [tuple_embed(m, r, sigma)])
+            module_power(m, r), [tuple_embed(m, r, sigma)], m)
     if witness.annihilated_by(tuple_embed(m, r, omega)):
         real = Realization(m, r, sigma, omega, witness)
         return RealizationResult("realized", real)

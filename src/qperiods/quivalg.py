@@ -743,27 +743,64 @@ class SubmoduleHandle:
                    check=False)
 
     @classmethod
-    def spin(cls, ambient: FdModule,
-             vectors: Sequence[Sequence]) -> "SubmoduleHandle":
+    def spin(cls, ambient: FdModule, vectors: Sequence[Sequence],
+             base: FdModule | None = None) -> "SubmoduleHandle":
         """Smallest submodule containing the given flattened vectors.
 
         That is A.G, the span of the images of the generators G under the
-        algebra's path basis, since the basis paths span A.  Each path
-        from a vertex carries the generators' parts there to its target
-        vertex, one arrow map at a time, sharing the images of common
-        prefixes; the images landing at each vertex are eliminated once.
+        algebra's path basis, since the basis paths span A.  The ambient
+        is a power base^r of base, which is the ambient itself (r = 1)
+        when not given; a vector of base^r is an r-tuple of vectors of
+        base laid out as tuple_embed does, slot k at vertex v being its
+        k-th run of d_v entries, and each arrow of base^r acts on it slot
+        by slot.  So each path from a vertex carries the generators'
+        slots there to its target vertex through base's own arrow blocks,
+        one arrow at a time, each block applied through its nonzero
+        entries and the images of common prefixes shared; the images
+        landing at each vertex are eliminated once.
         """
         algebra = ambient.algebra
+        if base is None:
+            base = ambient
+        else:
+            r = ambient.dim // base.dim if base.dim else 0
+            if (base.algebra != algebra
+                    or ambient.dims != tuple(r * d for d in base.dims)):
+                raise ValueError(
+                    "the ambient is not a power of the base module")
         images: dict[str, list] = {v: [] for v in algebra.vertices}
         pushed: dict[PathKey, list] = {}
+        # each arrow's block as its rows' nonzero (column, entry) pairs,
+        # with the width of one slot at its source, formed when first used
+        blocks: dict[str, tuple] = {}
+
+        def apply(arrow: str, x: tuple) -> tuple:
+            hit = blocks.get(arrow)
+            if hit is None:
+                hit = blocks[arrow] = (
+                    [[(j, a) for j, a in enumerate(row) if a]
+                     for row in base.maps[arrow].rows],
+                    base.vdim(algebra.arrow_by_name[arrow].source))
+            terms, width = hit
+            out = []
+            for k in range(0, len(x), width):
+                for row in terms:
+                    total = None
+                    for j, a in row:
+                        y = x[k + j]
+                        if y is not ZERO and y:
+                            term = a * y
+                            total = term if total is None else total + term
+                    out.append(ZERO if total is None else total)
+            return tuple(out)
 
         def push(key: PathKey) -> list:
             hit = pushed.get(key)
             if hit is None:
                 source, arrows = key
                 if arrows:
-                    t = ambient.maps[arrows[-1]]
-                    hit = (t.apply(x) for x in push((source, arrows[:-1])))
+                    hit = (apply(arrows[-1], x)
+                           for x in push((source, arrows[:-1])))
                 else:
                     hit = (ambient.slice_of(w, source) for w in vectors)
                 hit = pushed[key] = [x for x in hit if any(x)]

@@ -34,6 +34,8 @@ the same relations candidate by candidate.  At power 1 the sums e + f
 and e - f of basis endomorphisms are letters of the hom-closure
 alphabet; the reference takes their images and kernels as module maps
 (references.sum_images_and_kernels), as depth did in a block of its own.
+Depth used to form every sum before its first candidate; it now forms
+each when a word first uses it, and the sums formed are counted.
 """
 
 import itertools
@@ -578,6 +580,29 @@ def test_power_one_sums_equal_the_module_map_images_and_kernels(key, m):
 def test_power_one_sums_equal_the_module_map_images_and_kernels_on_rebased(
         m):
     assert_power_one_sums_match_module_maps(m, repr(m))
+
+
+def test_sum_letters_are_formed_when_a_word_first_uses_them(monkeypatch):
+    # a3/tower has five basis endomorphisms, so power 1 has twenty sum
+    # letters after the six hom-closure words (image and kernel each)
+    m = CORPUS["a3/tower"].module
+    endos = hom_space(m, m)
+    assert len(endos) == 5
+    formed = []
+    for name in ("__add__", "__sub__"):
+        def counting(f, g, name=name, original=getattr(ModuleMap, name)):
+            formed.append(name)
+            return original(f, g)
+        monkeypatch.setattr(ModuleMap, name, counting)
+    handles = periods._candidate_handles(m, 1, m, 1, endos)
+    list(itertools.islice(handles, 2 * (1 + len(endos))))
+    assert formed == []
+    list(itertools.islice(handles, 2))      # the image and kernel of e + f
+    assert formed == ["__add__"]
+    list(itertools.islice(handles, 2))      # and of e - f
+    assert formed == ["__add__", "__sub__"]
+    list(handles)                           # the other sums, then spins
+    assert formed == ["__add__", "__sub__"] * 10
 
 
 @pytest.mark.parametrize("key,m", ORACLE_INPUTS,

@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperiods import periods, zoo
-from qperiods.exactlin import Matrix, NumberField, Subspace, ZeroDivisor
+from qperiods.exactlin import (
+    Matrix,
+    NumberField,
+    Subspace,
+    ZeroDivisor,
+    rref,
+)
 from qperiods.periods import (
     ComparisonPoint,
     _centraliser,
@@ -32,6 +38,7 @@ from qperiods.periods import (
 )
 from qperiods.quivalg import (
     SubmoduleHandle,
+    direct_sum,
     end_algebra,
     hom_space,
     module_power,
@@ -461,6 +468,107 @@ def test_realize_rejects_non_relations():
     not_relation = Matrix([[1, 0], [0, 0]])    # pairs to 1 against e1
     r = realize_relation(m, not_relation)
     assert r.status == "unknown"
+
+
+# -- witnesses spun slot by slot ---------------------------------------------
+
+
+def slot_tuples(m, r: int, vector) -> list:
+    """Generator tuples of r vectors of M: one drawn by vector(), the same
+    with one slot zero, one of coordinate vectors and zero slots, and the
+    zero tuple."""
+    d = m.dim
+    drawn = [vector() for _ in range(r)]
+    out = [tuple(drawn)]
+    if r:
+        holed = list(drawn)
+        holed[r // 2] = (0,) * d
+        coords = [Matrix.identity(d).rows[k % d] if d and k % 2 == 0
+                  else (0,) * d for k in range(r)]
+        out += [tuple(holed), tuple(coords), ((0,) * d,) * r]
+    return out
+
+
+def assert_slotwise_spins_match_the_power(m, tuples_of, label):
+    """Spun slot by slot through M's blocks, each tuple alone and all of
+    them together, the witness is the spin of its embedding through the
+    block-diagonal arrow maps of M^r."""
+    for r in range(4):
+        flat = [tuple_embed(m, r, g) for g in tuples_of(r)]
+        for gens in [[v] for v in flat] + [flat]:
+            slotwise = SubmoduleHandle.spin(module_power(m, r), gens, m)
+            assert slotwise == SubmoduleHandle.spin(module_power(m, r),
+                                                    gens), (label, r)
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_slotwise_witnesses_equal_the_spin_in_the_power(key, m):
+    rng = random.Random(key)
+
+    def vector():
+        return tuple(rng.randint(-2, 2) for _ in range(m.dim))
+
+    assert_slotwise_spins_match_the_power(
+        m, lambda r: slot_tuples(m, r, vector), key)
+    # and realize's witness is that spin of its sigma tuple
+    relations = period_space(m).relations
+    for _ in range(2):
+        c = Matrix.unvec(random_functional(rng, relations), m.dim, m.dim)
+        real = realize_relation(m, c).realization
+        assert real.witness == SubmoduleHandle.spin(
+            module_power(m, real.power),
+            [tuple_embed(m, real.power, real.sigma)]), key
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_modules(), st.data())
+def test_slotwise_witnesses_equal_the_spin_in_the_power_on_rebased(m, data):
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def vector():
+        return tuple(data.draw(entry) for _ in range(m.dim))
+
+    assert_slotwise_spins_match_the_power(
+        m, lambda r: slot_tuples(m, r, vector), repr(m))
+
+
+def test_spin_refuses_an_ambient_that_is_not_a_power_of_the_base():
+    p1 = zoo.get_module("a2/p1")
+    s2 = zoo.get_module("a2/s2")
+    with pytest.raises(ValueError, match="not a power"):
+        SubmoduleHandle.spin(direct_sum([p1, s2]), [], p1)
+    with pytest.raises(ValueError, match="not a power"):
+        SubmoduleHandle.spin(module_power(p1, 2), [],
+                             zoo.get_module("a3/proj"))
+    # the only power of a zero module is zero
+    zero = module_power(p1, 0)
+    assert SubmoduleHandle.spin(zero, [()], zero) == SubmoduleHandle.zero(zero)
+    with pytest.raises(ValueError, match="not a power"):
+        SubmoduleHandle.spin(p1, [(1, 0)], zero)
+
+
+def test_realize_factors_from_the_nonzero_rows_as_from_all_of_them():
+    # omega is C's reduced row basis and sigma its columns at the pivots,
+    # whether or not the zero rows enter the elimination
+    rng = random.Random(27)
+    seen = set()
+    for key, m in ORACLE_INPUTS:
+        d = m.dim
+        relations = period_space(m).relations
+        for vec in relations.basis_vectors()[:4] + (
+                random_functional(rng, relations),):
+            c = Matrix.unvec(vec, d, d)
+            red, pivots = rref(c)
+            res = realize_relation(m, c)
+            assert res.status == "realized", key
+            real = res.realization
+            assert real.power == len(pivots), key
+            assert real.omega == red.rows[:len(pivots)], key
+            assert real.sigma == tuple(tuple(row[p] for row in c.rows)
+                                       for p in pivots), key
+            seen.add(any(not any(row) for row in c.rows))
+    assert seen == {True, False}
 
 
 def test_power_identity():

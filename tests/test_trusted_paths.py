@@ -10,9 +10,11 @@ maps every subspace through its arrows, while hom_space's basis maps,
 the handles of ModuleMap.image and depth's candidate handles, the
 column images and row kernels that periods._candidate_handles reads
 vertex by vertex (at power 1 those of e + f and e - f too), skip those
-checks, since they hold by construction.  The kernel of a module map,
-references.kernel, is built the same way for the oracles.
-These tests wrap all six trusted paths with a checking shim, ask every
+checks, since they hold by construction, and so do the handles of
+SubmoduleHandle.spin, realize's witnesses among them, spun slot by slot
+in a power of M through M's own arrow blocks.  The kernel of a module
+map, references.kernel, is built the same way for the oracles.
+These tests wrap all seven trusted paths with a checking shim, ask every
 corpus question, the ladder and dense rungs of dimension at most 8 and
 the modules of strategies.py, and require every entry the trusted paths
 receive to be a Fraction, or a NumberFieldElem throughout for matrices
@@ -78,9 +80,9 @@ SQRT2 = NumberField([-2, 0, 1])
 
 class TrustedPathCheck:
     """Checking shims around Matrix._wrap and Subspace._from_rows, and
-    around the maps of hom_space, the handles of references.kernel and
-    ModuleMap.image and depth's candidate handles, which go back through
-    the public constructors."""
+    around the maps of hom_space, the handles of references.kernel,
+    ModuleMap.image and SubmoduleHandle.spin and depth's candidate
+    handles, which go back through the public constructors."""
 
     def __init__(self):
         self.matrices = 0
@@ -88,6 +90,7 @@ class TrustedPathCheck:
         self.over_l = 0
         self.maps = 0
         self.handles = 0
+        self.spins = 0
         self.candidates = 0
 
     def install(self, mp: pytest.MonkeyPatch):
@@ -136,6 +139,16 @@ class TrustedPathCheck:
 
         mp.setattr(references, "kernel", checked_handle(references.kernel))
         mp.setattr(ModuleMap, "image", checked_handle(ModuleMap.image))
+
+        spin = SubmoduleHandle.spin.__func__
+
+        def checked_spin(cls, ambient, vectors, base=None):
+            handle = spin(cls, ambient, vectors, base)
+            SubmoduleHandle(handle.ambient, handle.spaces)
+            self.spins += 1
+            return handle
+
+        mp.setattr(SubmoduleHandle, "spin", classmethod(checked_spin))
 
         candidate_handles = periods._candidate_handles
 
@@ -286,7 +299,8 @@ def test_corpus_questions_pass_only_exact_entries(trusted):
                  "--target", str(FIXTURES / "a3_target.json")])
     assert code == 0
     assert trusted.matrices and trusted.subspaces and trusted.over_l
-    assert trusted.maps and trusted.handles and trusted.candidates
+    assert (trusted.maps and trusted.handles and trusted.spins
+            and trusted.candidates)
 
 
 def test_onemotive_models_over_larger_algebras_pass_only_exact_entries(
@@ -312,7 +326,7 @@ def test_ladder_and_dense_rungs_pass_only_exact_entries(trusted, rebased):
     eval_over_a_subfield(
         transform(module_power(zoo.get_module("a2/p1"), 2)), rng)
     assert trusted.matrices and trusted.subspaces and trusted.over_l
-    assert trusted.maps and trusted.candidates
+    assert trusted.maps and trusted.spins and trusted.candidates
 
 
 def test_oracle_inputs_pass_only_exact_entries(trusted):
@@ -358,6 +372,8 @@ def test_the_shim_catches_a_map_or_a_handle_that_is_not_one():
         mp.setattr(quivalg, "hom_space", lambda m, n: (not_a_map,))
         mp.setattr(references, "kernel", lambda f: not_a_sub)
         mp.setattr(ModuleMap, "image", lambda f: not_a_sub)
+        mp.setattr(SubmoduleHandle, "spin",
+                   classmethod(lambda cls, *args: not_a_sub))
         mp.setattr(periods, "_candidate_handles",
                    lambda *args: iter([not_a_sub]))
         check.install(mp)
@@ -367,6 +383,8 @@ def test_the_shim_catches_a_map_or_a_handle_that_is_not_one():
             references.kernel(ModuleMap.identity(m))
         with pytest.raises(NotASubmodule):
             ModuleMap.identity(m).image()
+        with pytest.raises(NotASubmodule):
+            SubmoduleHandle.spin(module_power(m, 1), [(1, 0)], m)
         with pytest.raises(NotASubmodule):
             next(periods._candidate_handles(m, 1, m, 1, ()))
 
