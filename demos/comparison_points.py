@@ -3,9 +3,9 @@
 A comparison point is a unit u of the algebra with coordinates in a
 number field L; evaluating a coefficient matrix C gives tr(rho(u) C)
 in L.  The interesting question is whether evaluation is injective on
-the period quotient.  At u = 1 it is not, and each kernel vector is fed
-back to the realization machinery; at a generic point over a cubic
-field the kernel on the quotient vanishes.
+the period quotient.  At u = 1 it is not, and each kernel vector is
+labelled realized when it pairs to zero with every path; at a generic
+point over a cubic field the kernel on the quotient vanishes.
 """
 
 from qperiods import zoo
@@ -22,8 +22,8 @@ one = ComparisonPoint(rationals, tuple(
 rep = eval_and_conjecture(m, one)
 print(f"u = 1: verdict {rep.verdict!r}")
 print(f"  kernel on the quotient: {len(rep.quotient_kernel)}")
-for coeffs, res in rep.realizations:
-    print(f"  kernel vector -> {res.status}")
+for status in rep.statuses:
+    print(f"  kernel vector -> {status}")
 assert rep.verdict == "fails"
 
 # a generic point over Q[x]/(x^3 - 2)

@@ -23,8 +23,9 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
   last at realize's budget) of a combination of the whole relation
   basis with coefficients drawn from [-3, 3] without 0 at seed
   RELATION_SEED, as cli.MODULE_DIM_BUDGET's comment times it;
-- ``eval`` on a2/p1^8, a2/p1^12 and a2/p1^16 (d = 16, 24 and 32) at
-  one fixed unit over Q[x]/(x^3 - 2).
+- ``eval`` on a2/p1^8, a2/p1^12, a2/p1^16 and a2/p1^24 (d = 16, 24, 32
+  and 48, the last at eval's budget) at one fixed unit over
+  Q[x]/(x^3 - 2).
 
 Each row prints the module (or model) dimension d, the best of
 ``--repeat`` wall clock times and the first 16 hex digits of the sha256
@@ -141,7 +142,8 @@ def rows() -> list:
         out.append((f"a2/p1^{k}", m, "realize",
                     ["--relation", relation_combination(m, rng)]))
     out += [(f"a2/p1^{k}", module_power(p1, k), "eval",
-             ["--comparison", unit_point(p1.algebra)]) for k in (8, 12, 16)]
+             ["--comparison", unit_point(p1.algebra)])
+            for k in (8, 12, 16, 24)]
     return out
 
 

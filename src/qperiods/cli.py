@@ -101,9 +101,9 @@ SPIN_BOUND_BUDGET = 64
 #   and 1.2 s on a2/p1^8, ^16 and ^32 (d = 16, 32 and 64), best of 2
 #   through scripts/size_wall.py, most of the last in the elimination of
 #   the coefficient matrix itself;
-# - eval takes 0.04, 0.14 and 0.34 s on a2/p1^8, ^12 and ^16 (d = 16, 24
+# - eval takes 0.02, 0.06 and 0.19 s on a2/p1^8, ^12 and ^16 (d = 16, 24
 #   and 32) at size_wall.py's unit over Q[x]/(x^3 - 2), best of 2, and
-#   1.6 s (220 MB) at its budget, on a2/p1^24 (d = 48); the budget was
+#   1.3 s (255 MB) at its budget, on a2/p1^24 (d = 48); the budget was
 #   chosen when that took 30 s and is kept, since moving a budget
 #   changes which inputs are answered;
 # - lift of the a3 sequence fixture's module to the k-th power (d = 5k)
@@ -350,7 +350,7 @@ def _cmd_eval(args):
     m = _load_module(args)
     point = load_comparison(args.comparison, m.algebra)
     rep = eval_and_conjecture(m, point)
-    statuses = sorted(r.status for _, r in rep.realizations)
+    statuses = sorted(rep.statuses)
     report = {
         "command": "eval",
         "verdict": rep.verdict,

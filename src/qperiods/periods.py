@@ -395,8 +395,7 @@ class RealizationResult:
 
 
 def realize_relation(m: FdModule, c: Matrix,
-                     power_budget: int | None = None,
-                     witnesses: dict | None = None) -> RealizationResult:
+                     power_budget: int | None = None) -> RealizationResult:
     """Realize a coefficient relation as a submodule of a power of M.
 
     Rank-factors C = sum_k outer(sigma_k, omega_k) with m = rank(C) and
@@ -405,15 +404,9 @@ def realize_relation(m: FdModule, c: Matrix,
     the spin this is the canonical candidate witness, and if the omega
     tuple fails to annihilate it the matrix is reported unrealizable at
     this power rather than silently widened.  The zero matrix has empty
-    tuples, which spin the zero submodule of M^0.
-
-    The witness depends on the sigma tuple alone.  witnesses maps each
-    sigma tuple spun so far to its witness handle; a caller realizing
-    many matrices of the same module passes one dict to all of those
-    calls, so that each distinct tuple is spun once.  Without it the call
-    spins for itself.  The omega tuple annihilates the witness when its
-    slice at each vertex vanishes on that vertex's basis, so no
-    annihilator is eliminated.
+    tuples, which spin the zero submodule of M^0.  The omega tuple
+    annihilates the witness when its slice at each vertex vanishes on
+    that vertex's basis, so no annihilator is eliminated.
     """
     d = m.dim
     if (c.nrows, c.ncols) != (d, d):
@@ -436,12 +429,8 @@ def realize_relation(m: FdModule, c: Matrix,
     sigma = tuple(tuple(row[p] for row in c.rows) for p in pivots)
     assert _contraction(map(_nonzero, sigma), map(_nonzero, omega),
                         d) == c.vec(), "rank factorization failed"
-    if witnesses is None:
-        witnesses = {}
-    witness = witnesses.get(sigma)
-    if witness is None:
-        witness = witnesses[sigma] = SubmoduleHandle.spin(
-            module_power(m, r), [tuple_embed(m, r, sigma)], m)
+    witness = SubmoduleHandle.spin(module_power(m, r),
+                                   [tuple_embed(m, r, sigma)], m)
     if witness.annihilated_by(tuple_embed(m, r, omega)):
         real = Realization(m, r, sigma, omega, witness)
         return RealizationResult("realized", real)
@@ -494,6 +483,15 @@ class ComparisonPoint:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """statuses[k] is "realized" when ambient kernel vector k is rational
+    and realize_relation would realize it, and "unknown" otherwise.  For
+    C = sum_k sigma_k omega_k^T the spin of sigma is {a.sigma : a in A},
+    and omega annihilates it iff sum_k omega_k(rho(a) sigma_k) =
+    tr(rho(a) C) is 0 for every path a, that is iff C lies in the pairing
+    kernel (Huber and Mueller-Stach, Periods and Nori Motives, 2017); the
+    status is read off the pairing, and realize_relation is its oracle.
+    """
+
     module: FdModule
     point: ComparisonPoint
     space: PeriodSpace
@@ -502,7 +500,7 @@ class EvalReport:
     ambient_kernel: tuple              # K-basis of kernel on coefficients
     relations_evaluate_to_zero: bool
     holds: bool                        # no kernel beyond the relations
-    realizations: tuple                # (vector, RealizationResult) pairs
+    statuses: tuple[str, ...]          # one per ambient kernel vector
 
     @property
     def verdict(self) -> str:
@@ -534,12 +532,13 @@ def eval_and_conjecture(m: FdModule, point: ComparisonPoint) -> EvalReport:
 
     Computes the value of every period class, the K-linear kernel of
     evaluation both on the period quotient and on the full coefficient
-    space, checks that the relation subspace evaluates to zero, and (for
-    rational kernel vectors) attempts to realize each ambient kernel
-    vector as a submodule relation.  The point holds when evaluation is
-    injective on the period quotient over K.  NotAField is raised when
-    L or K is a reducible Q[x]/(f) and the evaluation meets a zero
-    divisor there.
+    space, checks that the relation subspace evaluates to zero, and
+    labels each ambient kernel vector realized iff it is rational and
+    lies in the pairing kernel (EvalReport gives the argument), spinning
+    no witness; realize_relation, which spins one, is the oracle.  The
+    point holds when evaluation is injective on the period quotient over
+    K.  NotAField is raised when L or K is a reducible Q[x]/(f) and the
+    evaluation meets a zero divisor there.
     """
     try:
         return _evaluate(m, point)
@@ -560,12 +559,15 @@ def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
     emb = point.embedding()
     d = m.dim
     # the value of the coefficient unit E_ij is tr(rho(u) E_ij), the
-    # u-combination of the pairings tr(rho(b) E_ij) of the basis paths
+    # u-combination of the pairings tr(rho(b) E_ij) of the basis paths;
+    # columns maps each unit to its nonzero (path, pairing) pairs
     ambient_values = [lf.zero()] * (d * d)
-    for coeff, row in zip(point.u_coords, pairing.rows):
-        if coeff:
-            for p, x in enumerate(row):
-                if x:
+    columns = {}
+    for b, (coeff, row) in enumerate(zip(point.u_coords, pairing.rows)):
+        for p, x in enumerate(row):
+            if x is not ZERO and x:
+                columns.setdefault(p, []).append((b, x))
+                if coeff:
                     ambient_values[p] = ambient_values[p] + coeff * x
     # period class k is the class of the unit matrix at the k-th column
     # that is not a pivot of the relations, whose value is read off
@@ -574,37 +576,35 @@ def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
     values = tuple(x for j, x in enumerate(ambient_values) if j not in pivots)
     quotient_kernel = k_linear_kernel(emb, values)
     ambient_kernel = k_linear_kernel(emb, tuple(ambient_values))
-    # relation bases are almost all zeros, nearly every one of them the
-    # shared ZERO, which is skipped without a call to Fraction.__bool__
-    relations_zero = True
-    for v in space.relations.basis_vectors():
-        total = lf.zero()
-        for idx, x in enumerate(v):
-            if x is not ZERO and x:
-                total = total + ambient_values[idx] * x
-        if total:
-            relations_zero = False
-    # over K = Q the kernel vectors already are tuples of Fractions
-    realizations = []
-    witnesses = {}
+    # a relation's value only meets the units of nonzero value, and its
+    # entries there are nearly all the shared ZERO, skipped by identity
+    nonzero_values = [(p, x) for p, x in enumerate(ambient_values) if x]
+    relations_zero = not any(
+        sum((value * v[p] for p, value in nonzero_values
+             if v[p] is not ZERO and v[p]), lf.zero())
+        for v in space.relations.basis_vectors())
+    # a rational kernel vector C is realized iff it pairs to zero with
+    # every path, which only meets C at the columns' units; over K = Q
+    # the kernel vectors already are Fractions
+    statuses = []
     for vec in ambient_kernel:
         rational = vec if emb.domain is None else _rational_vector(vec)
         if rational is None:
-            realizations.append(
-                (vec, RealizationResult(
-                    "unknown", None,
-                    "kernel vector has non-rational coefficients")))
+            statuses.append("unknown")
             continue
-        c = Matrix._wrap(tuple(rational[i * d:(i + 1) * d]
-                               for i in range(d)), d)
-        realizations.append((vec, realize_relation(m, c,
-                                                   witnesses=witnesses)))
+        pairs = [ZERO] * len(pairing.rows)
+        for p, column in columns.items():
+            c = rational[p]
+            if c is not ZERO and c:
+                for b, x in column:
+                    pairs[b] += c * x
+        statuses.append("unknown" if any(pairs) else "realized")
     return EvalReport(
         module=m, point=point, space=space, values=values,
         quotient_kernel=quotient_kernel, ambient_kernel=ambient_kernel,
         relations_evaluate_to_zero=relations_zero,
         holds=(len(quotient_kernel) == 0),
-        realizations=tuple(realizations))
+        statuses=tuple(statuses))
 
 
 def _rational_vector(vec) -> tuple | None:

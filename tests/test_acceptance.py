@@ -297,10 +297,12 @@ def test_comparison_points_separate_unit_from_generic_values():
     rep = eval_and_conjecture(m, _unit_point(m.algebra, NumberField([0, 1])))
     assert rep.verdict == "fails"
     assert len(rep.quotient_kernel) == 2
-    realized = [r for _, r in rep.realizations if r.status == "realized"]
+    realized = [v for v, status in zip(rep.ambient_kernel, rep.statuses)
+                if status == "realized"]
     assert realized
-    socle = SubmoduleHandle.spin(m, [(0, 1)])
-    assert realized[0].realization.witness == socle
+    d = m.dim
+    real = realize_relation(m, Matrix.unvec(realized[0], d, d)).realization
+    assert real.witness == SubmoduleHandle.spin(m, [(0, 1)])
 
     cubic = NumberField([-2, 0, 0, 1])
     one, gen = cubic.one(), cubic.gen()

@@ -36,6 +36,11 @@ alphabet; the reference takes their images and kernels as module maps
 (references.sum_images_and_kernels), as depth did in a block of its own.
 Depth used to form every sum before its first candidate; it now forms
 each when a word first uses it, and the sums formed are counted.
+
+eval used to realize each rational kernel vector, spinning a witness in
+a power of M; it now reads the status off the pairing, and the last test
+requires that it neither realizes nor spins.  test_periods compares its
+statuses with realize_relation's.
 """
 
 import itertools
@@ -635,3 +640,19 @@ def test_a_candidate_that_is_not_a_submodule_escapes_the_pairing_kernel(
                         lambda *args: iter([not_a_sub]))
     with pytest.raises(AssertionError, match="escaped the pairing kernel"):
         depth_space(m, 1)
+
+
+def test_eval_neither_realizes_nor_spins(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval realized or spun")
+
+    rationals = exactlin.NumberField([0, 1])
+    points = [(m, periods.ComparisonPoint(rationals, tuple(
+        rationals.elem([0 if arrows else 1])
+        for _, arrows in m.algebra.basis))) for _, m in ORACLE_INPUTS]
+    monkeypatch.setattr(periods, "realize_relation", refuse)
+    monkeypatch.setattr(SubmoduleHandle, "spin", refuse)
+    statuses = set()
+    for m, point in points:
+        statuses.update(periods.eval_and_conjecture(m, point).statuses)
+    assert statuses == {"realized", "unknown"}

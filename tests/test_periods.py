@@ -647,12 +647,12 @@ def test_eval_at_unit_point_fails_for_p1():
     assert len(rep.quotient_kernel) == 2
     assert len(rep.ambient_kernel) == 3
     assert rep.relations_evaluate_to_zero
-    statuses = sorted(r.status for _, r in rep.realizations)
-    assert statuses == ["realized", "unknown", "unknown"]
+    assert sorted(rep.statuses) == ["realized", "unknown", "unknown"]
     # the realized kernel vector witnesses the socle
-    realized = [r for _, r in rep.realizations if r.status == "realized"]
-    socle = SubmoduleHandle.spin(m, [(0, 1)])
-    assert realized[0].realization.witness == socle
+    [vec] = [v for v, status in zip(rep.ambient_kernel, rep.statuses)
+             if status == "realized"]
+    real = realize_relation(m, Matrix.unvec(vec, m.dim, m.dim)).realization
+    assert real.witness == SubmoduleHandle.spin(m, [(0, 1)])
 
 
 def test_eval_at_generic_cubic_point_holds():
@@ -698,6 +698,13 @@ def test_eval_with_proper_coefficient_subfield():
     # kernels are K-spaces; evaluation stays exact all the way down
     assert rep.relations_evaluate_to_zero
     assert isinstance(rep.holds, bool)
+    # with u = e1 + sqrt(2) e2, E11 - E22/sqrt(2) is a kernel vector
+    # outside Q, which is never labelled realized
+    rep = eval_and_conjecture(m, ComparisonPoint(
+        lf, (lf.one(), image, lf.zero()), coeff_field=kf, coeff_image=image))
+    assert [x.coeffs for x in rep.ambient_kernel[0]] == \
+        [(1, 0), (0, 0), (0, 0), (0, Fraction(-1, 2))]
+    assert rep.statuses == ("unknown", "unknown", "realized")
 
 
 def _one_over_q(m):
@@ -720,30 +727,34 @@ def _cubic_unit(m, rng):
     return ComparisonPoint(lf, tuple(coords))
 
 
+def assert_statuses_equal_fresh_realizations(m, point, label) -> list:
+    """Eval reads each kernel vector's status off the pairing; it must be
+    the status a lone realize_relation gives.  Returns the fresh
+    results."""
+    rep = eval_and_conjecture(m, point)
+    fresh = [realize_relation(m, Matrix.unvec(vec, m.dim, m.dim))
+             for vec in rep.ambient_kernel]
+    assert rep.statuses == tuple(r.status for r in fresh), label
+    return fresh
+
+
 def test_eval_realizations_equal_fresh_realizations():
-    # eval spins each distinct sigma tuple once for all of its kernel
-    # vectors; every answer must be what a lone realize_relation gives
-    rank_two = repeats = unknown = 0
+    rank_two = unknown = 0
     for key, m in ORACLE_INPUTS:
-        d = m.dim
         for point in (_one_over_q(m), _cubic_unit(m, random.Random(key))):
-            rep = eval_and_conjecture(m, point)
-            sigmas = []
-            for vec, shared in rep.realizations:
-                fresh = realize_relation(m, Matrix.unvec(vec, d, d))
-                assert (shared.status, shared.reason) == \
-                    (fresh.status, fresh.reason), key
-                unknown += fresh.status == "unknown"
-                if fresh.realization is None:
-                    assert shared.realization is None
-                    continue
-                a, b = shared.realization, fresh.realization
-                assert (a.power, a.sigma, a.omega, a.witness.spaces) == \
-                    (b.power, b.sigma, b.omega, b.witness.spaces), key
-                rank_two += a.power == 2
-                sigmas.append(a.sigma)
-            repeats += len(sigmas) - len(set(sigmas))
-    assert rank_two and repeats and unknown, (rank_two, repeats, unknown)
+            for res in assert_statuses_equal_fresh_realizations(m, point,
+                                                                key):
+                unknown += res.status == "unknown"
+                rank_two += (res.status == "realized"
+                             and res.realization.power == 2)
+    assert rank_two and unknown, (rank_two, unknown)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_modules(), st.integers(0, 2 ** 16))
+def test_eval_realizations_equal_fresh_realizations_on_rebased(m, seed):
+    for point in (_one_over_q(m), _cubic_unit(m, random.Random(seed))):
+        assert_statuses_equal_fresh_realizations(m, point, repr(m))
 
 
 def test_one_eval_builds_the_pairing_once(monkeypatch):
