@@ -6,8 +6,10 @@ Imports the package from ROOT/src only, writes each input module under
 a temporary directory, and asks, through ``qperiods.cli.main`` with
 ``--format json``:
 
-- ``endo`` on a2/p1^5, a2/p1^6, a2/p1^7 and a2/p1^16, and on a3/tower^2
-  re-based by a seeded random integer basis change at every vertex;
+- ``endo`` on a2/p1^5, a2/p1^6, a2/p1^7 and a2/p1^16, and on a3/tower^2,
+  a2/p1^6 and a3/proj^4 (d = 12 for the last two) each re-based by a
+  seeded random integer basis change at every vertex, where the
+  centraliser blocks are dense;
 - ``depth --k dim M`` on a3/proj^3 and a3/proj^4;
 - ``depth --spin-bound 64``, the widest spin box the CLI admits, on
   a3/proj^2 with ``--k 2`` and on a3/proj^3 with ``--k 9``;
@@ -114,8 +116,10 @@ def rows() -> list:
     tower2 = module_power(zoo.get_module("a3/tower"), 2)
     out = [(f"a2/p1^{k}", module_power(p1, k), "endo", [])
            for k in (5, 6, 7, 16)]
-    out.append((f"a3/tower^2 rebased (seed {REBASE_SEED})",
-                rebase(tower2, random.Random(REBASE_SEED)), "endo", []))
+    for label, m in (("a3/tower^2", tower2), ("a2/p1^6", module_power(p1, 6)),
+                     ("a3/proj^4", module_power(proj, 4))):
+        out.append((f"{label} rebased (seed {REBASE_SEED})",
+                    rebase(m, random.Random(REBASE_SEED)), "endo", []))
     for k in (3, 4):
         m = module_power(proj, k)
         out.append((f"a3/proj^{k}", m, "depth", ["--k", str(m.dim)]))

@@ -179,30 +179,118 @@ def _is_scalar(entries: list, d: int) -> bool:
                                      for i, j, x in entries)
 
 
+def _path_ranks(m: FdModule):
+    """rank_of(w, v): the dimension of rho(A)_wv, the span of the maps of
+    the basis paths from v to w, each computed when first asked for.
+    The paths are grouped by (target, source) once; a lone path needs no
+    elimination.  The ranks over all (w, v) sum to the pairing's rank,
+    since the trace rows of paths with different ends have disjoint
+    supports."""
+    algebra = m.algebra
+    paths: dict[tuple, list] = {}
+    for src, arrows in algebra.basis:
+        paths.setdefault((algebra.path_target((src, arrows)), src),
+                         []).append(arrows)
+    ranks: dict[tuple, int] = {}
+
+    def rank_of(w: str, v: str) -> int:
+        if (w, v) not in ranks:
+            maps = [m.path_map(v, arrows) for arrows in paths.get((w, v), ())]
+            n = m.vdim(w) * m.vdim(v)
+            if not maps or not n:
+                ranks[w, v] = 0
+            elif len(maps) == 1:
+                ranks[w, v] = 0 if maps[0].is_zero() else 1
+            else:
+                ranks[w, v] = rank(Matrix._wrap(tuple(f.vec() for f in maps),
+                                                n))
+        return ranks[w, v]
+    return rank_of
+
+
+def _centraliser_blocks(m: FdModule) -> dict | None:
+    """The centraliser C of End(M) in M_d(Q), block by block: each
+    (w, v) with d_w*d_v > 0 maps to a basis of C_wv = e_w C e_v as sparse
+    {i*d_v + k: entry} dicts on the d_w x d_v block; None when C is all
+    of M_d(Q).
+
+    C is the bicommutant, an algebra holding rho(A) and so every vertex
+    idempotent rho(e_v); hence C is the sum of its blocks C_wv.  Every
+    f in End(M) acts vertex by vertex, so C_wv is {X : M_v -> M_w |
+    X f_v = f_w X for every f}.  Scalar basis endomorphisms commute with
+    everything and are skipped; while only those were seen, C is all of
+    M_d(Q).  Each other f narrows every open block from its d_w*d_v
+    units (the intertwiners of the pair (f_w, f_v)); where f_w and f_v
+    are both scalar, it leaves the block alone if they are the same
+    scalar and empties it if not.  C_wv holds rho(A)_wv, so once a block
+    is down to the rank of the paths v -> w (_path_ranks) no later f can
+    narrow it, and it is closed.
+    """
+    vertices, dims = m.algebra.vertices, m.dims
+    present = [t for t, n in enumerate(dims) if n]
+    blocks, narrowing = None, []
+    for f in hom_space(m, m):
+        entries = [b.nonzero_entries() for b in f.blocks]
+        scalars = [(e[0][2] if e else ZERO) if _is_scalar(e, n) else None
+                   for e, n in zip(entries, dims)]
+        cs = [scalars[t] for t in present]
+        if all(c is not None and c == cs[0] for c in cs):
+            continue
+        if blocks is None:
+            blocks = {(w, v): [{pos: ONE} for pos in range(dims[w] * dims[v])]
+                      for w in present for v in present}
+            narrowing = list(blocks)
+            rank_of = _path_ranks(m)
+        still = []
+        for w, v in narrowing:
+            cw, cv = scalars[w], scalars[v]
+            if cw is not None and cv is not None:
+                if cw == cv:
+                    still.append((w, v))
+                else:
+                    blocks[w, v] = []
+                continue
+            floor = rank_of(vertices[w], vertices[v])
+            if len(blocks[w, v]) > floor:
+                blocks[w, v] = intertwiners(blocks[w, v], dims[v],
+                                            [(entries[w], entries[v])])
+            if len(blocks[w, v]) > floor:
+                still.append((w, v))
+        narrowing = still
+        if not narrowing:
+            break
+    if blocks is None:
+        return None
+    return {(vertices[w], vertices[v]): basis
+            for (w, v), basis in blocks.items()}
+
+
 def _centraliser(m: FdModule) -> list | None:
     """A basis of the centraliser C of End(M) in M_d(Q), as sparse
-    {flat position: entry} dicts, or None when C is all of M_d(Q).
+    {flat position: entry} dicts sorted by free unit, or None when C is
+    all of M_d(Q).
 
-    Scalar basis endomorphisms commute with everything and are skipped;
-    while only those were seen, C is all of M_d(Q).  The first other E
-    narrows the d^2 matrix units to their combinations commuting with E
-    (the intertwiners of the pair (E, E)), and each later E narrows that
-    basis again, so no system has more than d^2 rows.  C holds the
-    scalars, so once it is down to one element no later E can narrow it.
+    C holds the vertex idempotents, so it is the sum of its vertex
+    blocks C_wv; _centraliser_blocks solves each alone and stops it at
+    the dimension of rho(A)_wv, which C_wv holds.  The blocks are placed
+    at their rows and columns here.  Each block's basis, started from
+    units in ascending position, is one at its own free unit, its last
+    nonzero one, and zero at the others'.  Placing keeps the order of
+    positions within a block, and blocks have disjoint supports, so the
+    union sorted by free unit is that same basis of C over its d^2
+    units.
     """
+    blocks = _centraliser_blocks(m)
+    if blocks is None:
+        return None
     d = m.dim
-    vertices = m.algebra.vertices
-    cent = None
-    for f in hom_space(m, m):
-        if cent is not None and len(cent) == 1:
-            break
-        entries = [e for v, b in zip(vertices, f.blocks)
-                   for e in m.placed(b, v, v)]
-        if _is_scalar(entries, d):
-            continue
-        if cent is None:
-            cent = [{pos: ONE} for pos in range(d * d)]
-        cent = intertwiners(cent, d, [(entries, entries)])
+    cent = []
+    for (w, v), basis in blocks.items():
+        dv, base = m.vdim(v), m.offsets[w] * d + m.offsets[v]
+        for y in basis:
+            cent.append({base + (pos // dv) * d + pos % dv: x
+                         for pos, x in y.items()})
+    cent.sort(key=max)
     return cent
 
 
@@ -218,20 +306,58 @@ def endo_quotient(m: FdModule) -> PeriodSpace:
     pairing kernel's quotient as a quotient; equality is what
     principality certificates are about.
 
-    So C is computed instead of the k*d^2 commutators (_centraliser),
-    and the quotient's dimension is dim C.  The relations are the kernel
-    of the trace pairing against C's basis, whose rows are built like
-    those of pairing_matrix.
+    So C is computed instead of the k*d^2 commutators, one vertex block
+    C_wv at a time (_centraliser_blocks), and the quotient's dimension
+    is dim C.  C is graded by the vertex idempotents it holds, and
+    tr(X Y) pairs X's (w, v) block only with Y's (v, w) block; so Y's
+    (v, w) block of relations is the kernel of the pairing of C_wv's
+    basis over local coordinates (k, i) -> X[i, k].  Every block of C
+    holds rho(A)'s, so no relation block is larger than the pairing
+    kernel's.  A full C_wv gives no relations and an empty one all
+    units.  The blocks' canonical bases have disjoint supports, so
+    their union sorted by pivot is the canonical basis of the relations.
     """
     d = m.dim
-    cent = _centraliser(m)
-    if cent is None:
+    blocks = _centraliser_blocks(m)
+    if blocks is None:
         return PeriodSpace(m, Subspace._from_rows(d * d, (), ()),
                            "endo-quotient")
-    pairing = tuple(_trace_row(((*divmod(pos, d), x) for pos, x in y.items()),
-                               d) for y in cent)
-    return PeriodSpace(m, kernel_subspace(Matrix._wrap(pairing, d * d)),
-                       "endo-quotient")
+    placed = []             # (pivot, relation row)
+    for (w, v), basis in blocks.items():
+        dw, dv = m.vdim(w), m.vdim(v)
+        n = dw * dv
+        if len(basis) == n:
+            continue
+        base = m.offsets[v] * d + m.offsets[w]
+        at = [base + k * d + i for k in range(dv) for i in range(dw)]
+        if not basis:
+            for p in at:
+                row = [ZERO] * (d * d)
+                row[p] = ONE
+                placed.append((p, tuple(row)))
+            continue
+        pairing = []
+        for y in basis:
+            row = [ZERO] * n
+            for pos, x in y.items():
+                i, k = divmod(pos, dv)
+                row[k * dw + i] = x
+            pairing.append(tuple(row))
+        kernel = kernel_subspace(Matrix._wrap(tuple(pairing), n))
+        # an RREF row is zero at the other pivots, so only the len(basis)
+        # columns that are no pivot can hold its other nonzeros
+        bound = sorted(set(range(n)).difference(kernel.pivots))
+        for p, vec in zip(kernel.pivots, kernel.basis.rows):
+            row = [ZERO] * (d * d)
+            row[at[p]] = vec[p]
+            for j in bound:
+                if vec[j]:
+                    row[at[j]] = vec[j]
+            placed.append((at[p], tuple(row)))
+    placed.sort(key=lambda item: item[0])
+    return PeriodSpace(m, Subspace._from_rows(
+        d * d, tuple(row for _, row in placed),
+        tuple(p for p, _ in placed)), "endo-quotient")
 
 
 # ---------------------------------------------------------------------------

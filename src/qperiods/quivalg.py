@@ -476,9 +476,12 @@ class FdModule:
 
     def path_map(self, source: str, arrows: Sequence[str]) -> Matrix:
         """The path from source along the arrows, in traversal order, as
-        the product of their maps: vdim(target) x vdim(source)."""
-        block = Matrix.identity(self.vdim(source))
-        for a in arrows:
+        the product of their maps: vdim(target) x vdim(source).  Only
+        the trivial path starts from the identity."""
+        if not arrows:
+            return Matrix.identity(self.vdim(source))
+        block = self.maps[arrows[0]]
+        for a in arrows[1:]:
             block = self.maps[a] * block
         return block
 

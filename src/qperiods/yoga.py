@@ -45,8 +45,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import Matrix, Subspace, rank
-from .periods import _centraliser, pairing_matrix
+from .exactlin import Matrix, Subspace
+from .periods import _centraliser, _path_ranks
 from .quivalg import (
     FdModule,
     SubmoduleHandle,
@@ -456,11 +456,15 @@ class PrincipalityVerdict:
 def _dim_pair(x: FdModule) -> dict:
     """The commutator-side and pairing-side dimensions, read without
     building either relation basis: dim C of the centraliser that
-    endo_quotient narrows, and the rank of the coefficient pairing."""
+    endo_quotient narrows, and the rank of the coefficient pairing, the
+    sum over blocks (w, v) of the rank of the paths v -> w."""
     d = x.dim
     cent = _centraliser(x)
+    rank_of = _path_ranks(x)
+    vertices = x.algebra.vertices
     return {"endo_quotient": d * d if cent is None else len(cent),
-            "period_space": rank(pairing_matrix(x))}
+            "period_space": sum(rank_of(w, v)
+                                for w in vertices for v in vertices)}
 
 
 def _core_candidates(x: FdModule, partition: WeightPartition, cap: int = 24):

@@ -5,7 +5,9 @@ power p1^3 over a2, and the projective at the head of the linear quiver
 A_n for n = 4..6.
 rebased_modules() generates a corpus module seen through a random
 invertible integer basis change at every vertex, entries in [-3, 3]: an
-isomorphic module whose matrices are dense.
+isomorphic module whose matrices are dense.  With max_power above 1 it
+first takes the module to a drawn power up to max_power, so that the
+basis change mixes the copies.
 """
 
 from hypothesis import strategies as st
@@ -56,7 +58,9 @@ def _invertible(d: int):
 
 
 @st.composite
-def rebased_modules(draw):
+def rebased_modules(draw, max_power: int = 1):
     entry = draw(st.sampled_from(zoo.corpus()))
     m = entry.module
+    if max_power > 1:
+        m = module_power(m, draw(st.integers(1, max_power)))
     return rebase(m, [draw(_invertible(d)) for d in m.dims])

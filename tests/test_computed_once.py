@@ -19,7 +19,10 @@ references.search_first_certify keeps both, and the verdicts must agree.
 endo_quotient used to reduce the k*d^2 commutators [E_ij, E] in one
 system; it now narrows the centraliser of End(M) one endomorphism at a
 time, and the sizes of the systems it eliminates show that the stack is
-gone.  test_periods compares its relations with the stack.
+gone.  It used to narrow over all d^2 matrix units at once; it now
+narrows each vertex block (w, v) over its d_w*d_v units, and the
+unknowns of its intertwiner systems are counted.  test_periods compares
+its relations with the stack.
 
 depth_space used to build each stage's whole candidate family before it
 contracted the first one, and compared the accumulated relations with
@@ -402,6 +405,38 @@ def test_endo_quotient_of_scalar_endomorphisms_eliminates_only_hom():
     assert len(hom_space(m, m)) == 1
     hom_rows = eliminated_row_counts(lambda: hom_space(m, m))
     assert eliminated_row_counts(lambda: endo_quotient(m)) == hom_rows
+
+
+def test_endo_quotient_of_vertex_scalar_endomorphisms_eliminates_only_hom():
+    # End(S1 + S2) is Q x Q: no basis map is scalar, but each is scalar
+    # at every vertex, so every block is kept whole or emptied unsolved
+    m = CORPUS["a2/s1+s2"].module
+    assert len(hom_space(m, m)) == 2
+    hom_rows = eliminated_row_counts(lambda: hom_space(m, m))
+    spaces = []
+    assert eliminated_row_counts(
+        lambda: spaces.append(endo_quotient(m))) == hom_rows
+    # C is Q x Q, the two vertex blocks; the blocks between them are 0
+    assert spaces[0].dim == 2
+
+
+@pytest.mark.parametrize("m", [module_power(CORPUS["a2/p1"].module, 3),
+                               module_power(CORPUS["a3/proj"].module, 2)],
+                         ids=["a2/p1^3", "a3/proj^2"])
+def test_endo_quotient_solves_no_system_wider_than_a_vertex_block(m):
+    unknowns = []
+    narrow = periods.intertwiners
+
+    def recording(basis, ncols, pairs):
+        unknowns.append(len(basis))
+        return narrow(basis, ncols, pairs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(periods, "intertwiners", recording)
+        endo_quotient(m)
+    assert unknowns
+    assert max(unknowns) <= max(a * b for a in m.dims for b in m.dims)
+    assert max(unknowns) < m.dim ** 2
 
 
 # -- depth_space ---------------------------------------------------------------

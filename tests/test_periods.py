@@ -20,6 +20,7 @@ from qperiods.exactlin import (
     NumberField,
     Subspace,
     ZeroDivisor,
+    rank,
     rref,
 )
 from qperiods.periods import (
@@ -133,6 +134,18 @@ def test_placed_blocks_equal_the_dense_actions(key, m):
 @given(rebased_modules())
 def test_placed_blocks_equal_the_dense_actions_on_rebased_modules(m):
     assert_placed_blocks_match_the_dense_actions(m, repr(m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_modules(max_power=2))
+def test_centraliser_equals_the_d_squared_oracle_on_rebased_powers(m):
+    # the blocks, their rho(A) floors and the vertex-scalar shortcut
+    # against one intertwiner system over all d^2 units
+    assert _centraliser(m) == references.centraliser(m), repr(m)
+    rank_of = periods._path_ranks(m)
+    vertices = m.algebra.vertices
+    assert (sum(rank_of(w, v) for w in vertices for v in vertices)
+            == rank(pairing_matrix(m))), repr(m)
 
 
 def test_frozen_period_and_endo_dims():
