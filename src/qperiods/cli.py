@@ -90,13 +90,16 @@ SPIN_BOUND_BUDGET = 64
 # --format json on a shared 2-vCPU host (S1^d is the a2 module with dims
 # {v1: d, v2: 0}):
 # - period and endo print a relation basis of about 13 d^4 bytes of JSON,
-#   222 MB at d = 64.  period takes 1.6 s on a2/p1^32 (d = 64; 490 MB
-#   resident) and 4.0 s on S1^80 (1.2 GB); endo takes 8.1 s on a2/p1^32
-#   and 17 s on S1^64;
+#   222 MB at d = 64.  period takes 0.11, 0.44 and 1.4 s on a2/p1^16,
+#   ^24 and ^32 (d = 32, 48 and 64), best of 2 through
+#   scripts/size_wall.py, and one call on the last peaks at 373 MB; endo
+#   takes 0.27 s on a2/p1^16 through size_wall.py, and, one call each,
+#   3.4 s on a2/p1^32 (373 MB) and 6.4 s on S1^64 (397 MB);
 # - depth --k d takes 18 s on a3/proj^6 (d = 18) and on a2/p1^8
 #   (d = 16), and 83 s on a3/proj^8 (d = 24);
-# - certify takes 4.8 s on a2/p1^32 and 3.8 s on S1^64 (170 MB), nearly
-#   all of it hom_space and the centraliser narrowed by its basis;
+# - certify takes 0.17 and 2.2 s on a2/p1^16 and ^32 and 0.27 s on
+#   S1^32, best of 2 through size_wall.py, and 4.1 s on S1^64 (166 MB),
+#   one call; most of it is hom_space;
 # - realize of a combination of the whole relation basis takes 0.03, 0.20
 #   and 1.2 s on a2/p1^8, ^16 and ^32 (d = 16, 32 and 64), best of 2
 #   through scripts/size_wall.py, most of the last in the elimination of

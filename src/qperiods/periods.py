@@ -11,6 +11,11 @@ Conventions, fixed once for the whole package:
   kernel of that pairing; the period space is the quotient of Q^(d*d) by
   the relation subspace, so its dimension equals the rank of the algebra
   action on M.
+- That kernel is the trace-annihilator of rho(A) in M_d(Q), and the
+  endomorphism-side bound's relations are that of the centraliser C of
+  End(M).  Both rho(A) and C hold every vertex idempotent, so both split
+  into vertex blocks, and both relation spaces are computed block by
+  block from them (_block_relations).
 - Every certified lower-bound construction in this module produces
   relation vectors inside that kernel; the containment is checked, not
   assumed.
@@ -34,7 +39,6 @@ from .exactlin import (
     intertwiners,
     k_linear_kernel,
     kernel_subspace,
-    rank,
     rref,
 )
 from .quivalg import (
@@ -112,9 +116,11 @@ def pairing_matrix(m: FdModule) -> Matrix:
 
 
 def period_space(m: FdModule) -> PeriodSpace:
-    """The full period space, via the kernel of the coefficient pairing."""
-    relations = kernel_subspace(pairing_matrix(m))
-    return PeriodSpace(m, relations, "pairing-kernel")
+    """The full period space: its relations, the pairing's kernel, are the
+    trace-annihilator of rho(A), read block by block (_path_blocks,
+    _block_relations)."""
+    return PeriodSpace(m, _block_relations(m, _path_blocks(m)),
+                       "pairing-kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -179,152 +185,51 @@ def _is_scalar(entries: list, d: int) -> bool:
                                      for i, j, x in entries)
 
 
-def _path_ranks(m: FdModule):
-    """rank_of(w, v): the dimension of rho(A)_wv, the span of the maps of
-    the basis paths from v to w, each computed when first asked for.
-    The paths are grouped by (target, source) once; a lone path needs no
-    elimination.  The ranks over all (w, v) sum to the pairing's rank,
-    since the trace rows of paths with different ends have disjoint
+def _path_blocks(m: FdModule) -> dict:
+    """rho(A) block by block: each (w, v) with d_w*d_v > 0 maps to a basis
+    of rho(A)_wv, the span of the maps of the basis paths from v to w, as
+    sparse {i*d_v + k: entry} dicts on the d_w x d_v block.  A lone
+    nonzero path map needs no elimination; a block with no path, or only
+    zero path maps, has an empty basis.  The sizes sum to the pairing's
+    rank, since the trace rows of paths with different ends have disjoint
     supports."""
     algebra = m.algebra
-    paths: dict[tuple, list] = {}
+    present = [v for v, n in zip(algebra.vertices, m.dims) if n]
+    blocks = {(w, v): [] for w in present for v in present}
+    maps: dict[tuple, list] = {}
     for src, arrows in algebra.basis:
-        paths.setdefault((algebra.path_target((src, arrows)), src),
-                         []).append(arrows)
-    ranks: dict[tuple, int] = {}
-
-    def rank_of(w: str, v: str) -> int:
-        if (w, v) not in ranks:
-            maps = [m.path_map(v, arrows) for arrows in paths.get((w, v), ())]
-            n = m.vdim(w) * m.vdim(v)
-            if not maps or not n:
-                ranks[w, v] = 0
-            elif len(maps) == 1:
-                ranks[w, v] = 0 if maps[0].is_zero() else 1
-            else:
-                ranks[w, v] = rank(Matrix._wrap(tuple(f.vec() for f in maps),
-                                                n))
-        return ranks[w, v]
-    return rank_of
+        key = (algebra.path_target((src, arrows)), src)
+        if key in blocks:
+            vec = m.path_map(src, arrows).vec()
+            if any(vec):
+                maps.setdefault(key, []).append(vec)
+    for (w, v), vecs in maps.items():
+        if len(vecs) > 1:
+            red, pivots = rref(Matrix._wrap(tuple(vecs),
+                                            m.vdim(w) * m.vdim(v)))
+            vecs = red.rows[:len(pivots)]
+        blocks[w, v] = [dict(_nonzero(vec)) for vec in vecs]
+    return blocks
 
 
-def _centraliser_blocks(m: FdModule) -> dict | None:
-    """The centraliser C of End(M) in M_d(Q), block by block: each
-    (w, v) with d_w*d_v > 0 maps to a basis of C_wv = e_w C e_v as sparse
-    {i*d_v + k: entry} dicts on the d_w x d_v block; None when C is all
-    of M_d(Q).
+def _block_relations(m: FdModule, blocks: dict) -> Subspace:
+    """The trace-annihilator {Y : tr(X Y) = 0 for every X in S} of a
+    block-graded subspace S of M_d(Q), given as its blocks: each (w, v)
+    with d_w*d_v > 0 maps to a basis of S_wv = e_w S e_v as sparse
+    {i*d_v + k: entry} dicts on the d_w x d_v block.
 
-    C is the bicommutant, an algebra holding rho(A) and so every vertex
-    idempotent rho(e_v); hence C is the sum of its blocks C_wv.  Every
-    f in End(M) acts vertex by vertex, so C_wv is {X : M_v -> M_w |
-    X f_v = f_w X for every f}.  Scalar basis endomorphisms commute with
-    everything and are skipped; while only those were seen, C is all of
-    M_d(Q).  Each other f narrows every open block from its d_w*d_v
-    units (the intertwiners of the pair (f_w, f_v)); where f_w and f_v
-    are both scalar, it leaves the block alone if they are the same
-    scalar and empties it if not.  C_wv holds rho(A)_wv, so once a block
-    is down to the rank of the paths v -> w (_path_ranks) no later f can
-    narrow it, and it is closed.
-    """
-    vertices, dims = m.algebra.vertices, m.dims
-    present = [t for t, n in enumerate(dims) if n]
-    blocks, narrowing = None, []
-    for f in hom_space(m, m):
-        entries = [b.nonzero_entries() for b in f.blocks]
-        scalars = [(e[0][2] if e else ZERO) if _is_scalar(e, n) else None
-                   for e, n in zip(entries, dims)]
-        cs = [scalars[t] for t in present]
-        if all(c is not None and c == cs[0] for c in cs):
-            continue
-        if blocks is None:
-            blocks = {(w, v): [{pos: ONE} for pos in range(dims[w] * dims[v])]
-                      for w in present for v in present}
-            narrowing = list(blocks)
-            rank_of = _path_ranks(m)
-        still = []
-        for w, v in narrowing:
-            cw, cv = scalars[w], scalars[v]
-            if cw is not None and cv is not None:
-                if cw == cv:
-                    still.append((w, v))
-                else:
-                    blocks[w, v] = []
-                continue
-            floor = rank_of(vertices[w], vertices[v])
-            if len(blocks[w, v]) > floor:
-                blocks[w, v] = intertwiners(blocks[w, v], dims[v],
-                                            [(entries[w], entries[v])])
-            if len(blocks[w, v]) > floor:
-                still.append((w, v))
-        narrowing = still
-        if not narrowing:
-            break
-    if blocks is None:
-        return None
-    return {(vertices[w], vertices[v]): basis
-            for (w, v), basis in blocks.items()}
-
-
-def _centraliser(m: FdModule) -> list | None:
-    """A basis of the centraliser C of End(M) in M_d(Q), as sparse
-    {flat position: entry} dicts sorted by free unit, or None when C is
-    all of M_d(Q).
-
-    C holds the vertex idempotents, so it is the sum of its vertex
-    blocks C_wv; _centraliser_blocks solves each alone and stops it at
-    the dimension of rho(A)_wv, which C_wv holds.  The blocks are placed
-    at their rows and columns here.  Each block's basis, started from
-    units in ascending position, is one at its own free unit, its last
-    nonzero one, and zero at the others'.  Placing keeps the order of
-    positions within a block, and blocks have disjoint supports, so the
-    union sorted by free unit is that same basis of C over its d^2
-    units.
-    """
-    blocks = _centraliser_blocks(m)
-    if blocks is None:
-        return None
-    d = m.dim
-    cent = []
-    for (w, v), basis in blocks.items():
-        dv, base = m.vdim(v), m.offsets[w] * d + m.offsets[v]
-        for y in basis:
-            cent.append({base + (pos // dv) * d + pos % dv: x
-                         for pos, x in y.items()})
-    cent.sort(key=max)
-    return cent
-
-
-def endo_quotient(m: FdModule) -> PeriodSpace:
-    """The endomorphism-side upper bound for the period space.
-
-    Relations are spanned by the commutators [E_ij, E] of the elementary
-    coefficient matrices with each basis endomorphism E.  Since
-    tr(X [A, E]) = tr(A [E, X]), a coefficient matrix X pairs to zero
-    with all of them exactly when X commutes with every E: the span is
-    the trace-annihilator of the centraliser C of End(M) in M_d(Q), and
-    the quotient is dual to the bicommutant of M.  It always has the
-    pairing kernel's quotient as a quotient; equality is what
-    principality certificates are about.
-
-    So C is computed instead of the k*d^2 commutators, one vertex block
-    C_wv at a time (_centraliser_blocks), and the quotient's dimension
-    is dim C.  C is graded by the vertex idempotents it holds, and
-    tr(X Y) pairs X's (w, v) block only with Y's (v, w) block; so Y's
-    (v, w) block of relations is the kernel of the pairing of C_wv's
-    basis over local coordinates (k, i) -> X[i, k].  Every block of C
-    holds rho(A)'s, so no relation block is larger than the pairing
-    kernel's.  A full C_wv gives no relations and an empty one all
-    units.  The blocks' canonical bases have disjoint supports, so
+    S is the sum of its blocks, and tr(X Y) pairs X's (w, v) block only
+    with Y's (v, w) block; so Y's (v, w) block of relations is the kernel
+    of the pairing of S_wv's basis over local coordinates
+    (k, i) -> X[i, k].  A full S_wv gives no relations and an empty one
+    all units.  The blocks' canonical bases have disjoint supports, so
     their union sorted by pivot is the canonical basis of the relations.
     """
     d = m.dim
-    blocks = _centraliser_blocks(m)
-    if blocks is None:
-        return PeriodSpace(m, Subspace._from_rows(d * d, (), ()),
-                           "endo-quotient")
+    dims = dict(zip(m.algebra.vertices, m.dims))
     placed = []             # (pivot, relation row)
     for (w, v), basis in blocks.items():
-        dw, dv = m.vdim(w), m.vdim(v)
+        dw, dv = dims[w], dims[v]
         n = dw * dv
         if len(basis) == n:
             continue
@@ -355,9 +260,84 @@ def endo_quotient(m: FdModule) -> PeriodSpace:
                     row[at[j]] = vec[j]
             placed.append((at[p], tuple(row)))
     placed.sort(key=lambda item: item[0])
-    return PeriodSpace(m, Subspace._from_rows(
-        d * d, tuple(row for _, row in placed),
-        tuple(p for p, _ in placed)), "endo-quotient")
+    return Subspace._from_rows(d * d, tuple(row for _, row in placed),
+                               tuple(p for p, _ in placed))
+
+
+def _centraliser_blocks(m: FdModule) -> dict:
+    """The centraliser C of End(M) in M_d(Q), block by block: each
+    (w, v) with d_w*d_v > 0 maps to a basis of C_wv = e_w C e_v as sparse
+    {i*d_v + k: entry} dicts on the d_w x d_v block.
+
+    C is the bicommutant, an algebra holding rho(A) and so every vertex
+    idempotent rho(e_v); hence C is the sum of its blocks C_wv.  Every
+    f in End(M) acts vertex by vertex, so C_wv is {X : M_v -> M_w |
+    X f_v = f_w X for every f}.  Every block starts from its d_w*d_v
+    units.  Scalar basis endomorphisms commute with everything and are
+    skipped.  Each other f narrows every open block (the intertwiners of
+    the pair (f_w, f_v)); where f_w and f_v are both scalar, it leaves
+    the block alone if they are the same scalar and empties it if not.
+    C_wv holds rho(A)_wv, so once a block is down to the dimension of
+    rho(A)_wv (_path_blocks, read when the first such f comes) no later
+    f can narrow it, and it is closed.
+    """
+    vertices, dims = m.algebra.vertices, m.dims
+    present = [t for t, n in enumerate(dims) if n]
+    narrowing = [(w, v) for w in present for v in present]
+    # blocks of one size start from one list of units, which nothing
+    # changes in place: intertwiners returns a new list
+    units = {n: [{pos: ONE} for pos in range(n)]
+             for n in {dims[w] * dims[v] for w, v in narrowing}}
+    blocks = {(vertices[w], vertices[v]): units[dims[w] * dims[v]]
+              for w, v in narrowing}
+    floors = None
+    for f in hom_space(m, m):
+        entries = [b.nonzero_entries() for b in f.blocks]
+        scalars = [(e[0][2] if e else ZERO) if _is_scalar(e, n) else None
+                   for e, n in zip(entries, dims)]
+        cs = [scalars[t] for t in present]
+        if all(c is not None and c == cs[0] for c in cs):
+            continue
+        if floors is None:
+            floors = _path_blocks(m)
+        still = []
+        for w, v in narrowing:
+            key = vertices[w], vertices[v]
+            cw, cv = scalars[w], scalars[v]
+            if cw is not None and cv is not None:
+                if cw == cv:
+                    still.append((w, v))
+                else:
+                    blocks[key] = []
+                continue
+            floor = len(floors[key])
+            if len(blocks[key]) > floor:
+                blocks[key] = intertwiners(blocks[key], dims[v],
+                                           [(entries[w], entries[v])])
+            if len(blocks[key]) > floor:
+                still.append((w, v))
+        narrowing = still
+        if not narrowing:
+            break
+    return blocks
+
+
+def endo_quotient(m: FdModule) -> PeriodSpace:
+    """The endomorphism-side upper bound for the period space.
+
+    Relations are spanned by the commutators [E_ij, E] of the elementary
+    coefficient matrices with each basis endomorphism E.  Since
+    tr(X [A, E]) = tr(A [E, X]), a coefficient matrix X pairs to zero
+    with all of them exactly when X commutes with every E: the span is
+    the trace-annihilator of the centraliser C of End(M) in M_d(Q), and
+    the quotient is dual to the bicommutant of M.  It always has the
+    pairing kernel's quotient as a quotient, since C holds rho(A);
+    equality is what principality certificates are about.  So C is
+    computed block by block instead of the k*d^2 commutators, and the
+    quotient's dimension is dim C.
+    """
+    return PeriodSpace(m, _block_relations(m, _centraliser_blocks(m)),
+                       "endo-quotient")
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +426,8 @@ def depth_space(m: FdModule, k: int, spin_bound: int = 1) -> DepthResult:
 
     Each stage contracts the hom-closure and spin-box candidate families
     and stops as soon as the accumulated relations reach the dimension r
-    of the pairing kernel P, which is d^2 minus the rank of the pairing.
+    of the pairing kernel P, which is d^2 minus the rank of the pairing,
+    the dimension of rho(A) summed over its blocks.
     Every accumulated relation is checked to pair to zero with every
     path, so it lies in P, reaching r is reaching P itself, and the
     stages after that repeat the dimension without work.  Each stage's
@@ -455,7 +436,7 @@ def depth_space(m: FdModule, k: int, spin_bound: int = 1) -> DepthResult:
     """
     d = m.dim
     pairing = pairing_matrix(m)
-    r = d * d - rank(pairing)
+    r = d * d - sum(map(len, _path_blocks(m).values()))
     paths = [terms for terms in map(_nonzero, pairing.rows) if terms]
     endos = hom_space(m, m)
     acc = Subspace.zero_space(d * d)
@@ -680,7 +661,7 @@ def eval_and_conjecture(m: FdModule, point: ComparisonPoint) -> EvalReport:
 def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
     _check_unit(m, point)
     pairing = pairing_matrix(m)
-    space = PeriodSpace(m, kernel_subspace(pairing), "pairing-kernel")
+    space = period_space(m)
     lf = point.value_field
     emb = point.embedding()
     d = m.dim

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactlin import Matrix, Subspace
-from .periods import _centraliser, _path_ranks
+from .periods import _centraliser_blocks, _path_blocks
 from .quivalg import (
     FdModule,
     SubmoduleHandle,
@@ -455,16 +455,10 @@ class PrincipalityVerdict:
 
 def _dim_pair(x: FdModule) -> dict:
     """The commutator-side and pairing-side dimensions, read without
-    building either relation basis: dim C of the centraliser that
-    endo_quotient narrows, and the rank of the coefficient pairing, the
-    sum over blocks (w, v) of the rank of the paths v -> w."""
-    d = x.dim
-    cent = _centraliser(x)
-    rank_of = _path_ranks(x)
-    vertices = x.algebra.vertices
-    return {"endo_quotient": d * d if cent is None else len(cent),
-            "period_space": sum(rank_of(w, v)
-                                for w in vertices for v in vertices)}
+    building either relation basis: the sizes of the blocks of the
+    centraliser C that endo_quotient annihilates and of rho(A)'s."""
+    return {"endo_quotient": sum(map(len, _centraliser_blocks(x).values())),
+            "period_space": sum(map(len, _path_blocks(x).values()))}
 
 
 def _core_candidates(x: FdModule, partition: WeightPartition, cap: int = 24):

@@ -19,9 +19,12 @@ module constructions, so agreement between the two is evidence for both.
 
 certify_principal now reads the dimension gap before it searches, and
 spin takes the span of the generators' images under the path basis;
-search_first_certify keeps the old order, with both dimensions read off
-the relation bases of endo_quotient and period_space and every spin made
-by fixpoint_spin, the arrow-by-arrow fixpoint that spin used to be.
+search_first_certify keeps the old order, with every spin made by
+fixpoint_spin, the arrow-by-arrow fixpoint that spin used to be, and
+both dimensions read off relation bases: endo_quotient's, and the
+pairing kernel eliminated over all d^2 coordinates at once
+(pairing_kernel), which shares no block code with certify's own
+dimensions.
 
 matrix_text is the text layout of a relation matrix one entry at a
 time, as the command line wrote it before it formatted each distinct
@@ -57,6 +60,10 @@ the dense d x d matrix that the package used to build for it, and
 pairing_matrix and centraliser are the coefficient pairing and the
 End-side centraliser read off those dense matrices and off each
 endomorphism written out as one block-diagonal matrix (flattened).
+pairing_kernel is that pairing's kernel in one d^2-wide elimination,
+the way period_space computed it before it went block by block, and
+placed_centraliser places the package's centraliser blocks on the d^2
+coordinates in centraliser's layout.
 
 The package reads End(M)'s radical off the trace form on M and builds
 no product of endomorphisms.  compose(f, g) is the composite of two
@@ -118,7 +125,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from qperiods import zoo
+from qperiods import periods, zoo
 from qperiods.exactlin import (
     ONE,
     ZERO,
@@ -305,7 +312,7 @@ def search_first_certify(x: FdModule, partition: WeightPartition,
     read off the relation bases."""
     partition.validate_for(x.algebra)
     dims = {"endo_quotient": endo_quotient(x).dim,
-            "period_space": period_space(x).dim}
+            "period_space": x.dim ** 2 - pairing_kernel(x).dim}
     if x.is_semisimple_rep():
         node = DerivationNode(
             "Semisimple",
@@ -732,9 +739,18 @@ def pairing_matrix(m: FdModule) -> Matrix:
         ncols=m.dim ** 2)
 
 
+def pairing_kernel(m: FdModule) -> Subspace:
+    """The relations of period_space as one elimination over all d^2
+    coordinates of the dense pairing."""
+    return kernel_subspace(pairing_matrix(m))
+
+
 def centraliser(m: FdModule) -> list | None:
-    """periods._centraliser with every basis endomorphism written out as
-    one dense matrix, whose nonzero entries are read back from it."""
+    """A basis of the centraliser C of End(M) in M_d(Q) as sparse
+    {flat position: entry} dicts, narrowed over all d^2 units at once,
+    with every basis endomorphism written out as one dense matrix whose
+    nonzero entries are read back from it; None when C is all of
+    M_d(Q)."""
     d = m.dim
     cent = None
     for f in hom_space(m, m):
@@ -746,6 +762,31 @@ def centraliser(m: FdModule) -> list | None:
         if cent is None:
             cent = [{pos: ONE} for pos in range(d * d)]
         cent = intertwiners(cent, d, [(entries, entries)])
+    return cent
+
+
+def placed_centraliser(m: FdModule) -> list | None:
+    """periods._centraliser_blocks placed at their rows and columns and
+    sorted by free unit, or None when every block is full.
+
+    Each block's basis, started from units in ascending position, is one
+    at its own free unit, its last nonzero one, and zero at the others'.
+    Placing keeps the order of positions within a block, and blocks have
+    disjoint supports, so the union sorted by free unit is centraliser's
+    basis over the d^2 units.
+    """
+    blocks = periods._centraliser_blocks(m)
+    if all(len(basis) == m.vdim(w) * m.vdim(v)
+           for (w, v), basis in blocks.items()):
+        return None
+    d = m.dim
+    cent = []
+    for (w, v), basis in blocks.items():
+        dv, base = m.vdim(v), m.offsets[w] * d + m.offsets[v]
+        for y in basis:
+            cent.append({base + (pos // dv) * d + pos % dv: x
+                         for pos, x in y.items()})
+    cent.sort(key=max)
     return cent
 
 

@@ -8,6 +8,7 @@ pass/fail line per guarantee.
 
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -61,6 +62,7 @@ from references import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def parts(algebra_key: str) -> WeightPartition:
@@ -313,11 +315,16 @@ def test_comparison_points_separate_unit_from_generic_values():
 
 
 def _run_cli(args):
+    # the child imports the package from this checkout's src, whatever
+    # PYTHONPATH the caller has
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from qperiods.cli import main; sys.exit(main(sys.argv[1:]))",
          *args],
-        capture_output=True, cwd=str(FIXTURES.parent.parent))
+        capture_output=True, cwd=str(FIXTURES.parent.parent), env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -342,6 +349,7 @@ def test_outputs_are_deterministic_and_exact():
     for args in commands:
         first = _run_cli(args)
         second = _run_cli(args)
+        assert first[0] == 0, first[2]
         assert first == second
         if "json" in args:
             json.loads(first[1])

@@ -25,7 +25,6 @@ from qperiods.exactlin import (
 )
 from qperiods.periods import (
     ComparisonPoint,
-    _centraliser,
     _is_scalar,
     NotAField,
     Realization,
@@ -121,7 +120,7 @@ def assert_placed_blocks_match_the_dense_actions(m, label):
     """The pairing and the centraliser read off placed blocks equal the
     ones read off dense d x d path actions and flattened endomorphisms."""
     assert pairing_matrix(m) == references.pairing_matrix(m), label
-    assert _centraliser(m) == references.centraliser(m), label
+    assert references.placed_centraliser(m) == references.centraliser(m), label
 
 
 @pytest.mark.parametrize("key,m", ORACLE_INPUTS,
@@ -141,11 +140,34 @@ def test_placed_blocks_equal_the_dense_actions_on_rebased_modules(m):
 def test_centraliser_equals_the_d_squared_oracle_on_rebased_powers(m):
     # the blocks, their rho(A) floors and the vertex-scalar shortcut
     # against one intertwiner system over all d^2 units
-    assert _centraliser(m) == references.centraliser(m), repr(m)
-    rank_of = periods._path_ranks(m)
-    vertices = m.algebra.vertices
-    assert (sum(rank_of(w, v) for w in vertices for v in vertices)
+    assert references.placed_centraliser(m) == references.centraliser(m), \
+        repr(m)
+    assert (sum(map(len, periods._path_blocks(m).values()))
             == rank(pairing_matrix(m))), repr(m)
+
+
+def assert_period_relations_equal_the_d_squared_kernel(m, label):
+    """period_space's relations, read block by block off rho(A), against
+    the kernel of the whole pairing in one d^2-wide elimination: the
+    same canonical rows with the same pivots, and rho(A)'s block bases
+    as large as the pairing's rank."""
+    ours, oracle = period_space(m).relations, references.pairing_kernel(m)
+    assert ours.basis.rows == oracle.basis.rows, label
+    assert ours.pivots == oracle.pivots, label
+    assert (sum(map(len, periods._path_blocks(m).values()))
+            == m.dim ** 2 - oracle.dim), label
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_period_relations_equal_the_d_squared_kernel(key, m):
+    assert_period_relations_equal_the_d_squared_kernel(m, key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(rebased_modules(max_power=2))
+def test_period_relations_equal_the_d_squared_kernel_on_rebased_powers(m):
+    assert_period_relations_equal_the_d_squared_kernel(m, repr(m))
 
 
 def test_frozen_period_and_endo_dims():
