@@ -10,7 +10,9 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
   a2/p1^6 and a3/proj^4 (d = 12 for the last two) each re-based by a
   seeded random integer basis change at every vertex, where the
   centraliser blocks are dense;
-- ``depth --k dim M`` on a3/proj^3 and a3/proj^4;
+- ``depth --k dim M`` on a3/proj^3 and a3/proj^4, and on a3/proj^3
+  re-based as above, where depth's check that its relations pair to
+  zero with rho(A) meets dense relations;
 - ``depth --spin-bound 64``, the widest spin box the CLI admits, on
   a3/proj^2 with ``--k 2`` and on a3/proj^3 with ``--k 9``;
 - ``period`` on a2/p1^16, a2/p1^24 and a2/p1^32 (d = 32, 48 and 64);
@@ -26,8 +28,10 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
   basis with coefficients drawn from [-3, 3] without 0 at seed
   RELATION_SEED, as cli.MODULE_DIM_BUDGET's comment times it;
 - ``eval`` on a2/p1^8, a2/p1^12, a2/p1^16 and a2/p1^24 (d = 16, 24, 32
-  and 48, the last at eval's budget) at one fixed unit over
-  Q[x]/(x^3 - 2).
+  and 48, the last at eval's budget), and on a2/p1^8 re-based as above,
+  whose arrow block of rho(A) is dense (64 entries, against 8), so that
+  reading each kernel vector's status off rho(A) does the most work,
+  each at one fixed unit over Q[x]/(x^3 - 2).
 
 Each row prints the module (or model) dimension d, the best of
 ``--repeat`` wall clock times and the first 16 hex digits of the sha256
@@ -123,6 +127,9 @@ def rows() -> list:
     for k in (3, 4):
         m = module_power(proj, k)
         out.append((f"a3/proj^{k}", m, "depth", ["--k", str(m.dim)]))
+    m = rebase(module_power(proj, 3), random.Random(REBASE_SEED))
+    out.append((f"a3/proj^3 rebased (seed {REBASE_SEED})", m, "depth",
+                ["--k", str(m.dim)]))
     for k, depth_k in ((2, 2), (3, 9)):
         out.append((f"a3/proj^{k} --spin-bound 64", module_power(proj, k),
                     "depth", ["--k", str(depth_k), "--spin-bound", "64"]))
@@ -148,6 +155,9 @@ def rows() -> list:
     out += [(f"a2/p1^{k}", module_power(p1, k), "eval",
              ["--comparison", unit_point(p1.algebra)])
             for k in (8, 12, 16, 24)]
+    out.append((f"a2/p1^8 rebased (seed {REBASE_SEED})",
+                rebase(module_power(p1, 8), random.Random(REBASE_SEED)),
+                "eval", ["--comparison", unit_point(p1.algebra)]))
     return out
 
 

@@ -30,8 +30,9 @@ to FdModule or ModuleMap go through them.  Whatever the engine computes from ent
 that are already exact is wrapped as it is: Matrix._wrap builds the
 results of identity, zero, +, -, negation, *, transpose, hstack,
 block_diagonal, rref and the intertwiner systems, and the matrices the
-other layers assemble from exact rows (the pairing rows of the placed
-path blocks, the blocks of a hom basis, outer products);
+other layers assemble from exact rows (path maps, block pairings,
+depth's candidate blocks, hom basis blocks, trace and Gram forms,
+realize's coefficient rows and contractions);
 Subspace._from_rows spans the sums, intersections, images and kernels
 here and the relation spans the other layers build.
 Neither walks the entries, so they must only ever see Fractions, or

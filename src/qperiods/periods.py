@@ -94,25 +94,23 @@ class PeriodSpace:
                 f"{self.provenance!r})")
 
 
-def _trace_row(entries, d: int) -> tuple:
-    """The functional C -> tr(X C) on Q^(d*d), for the d x d matrix X with
-    these nonzero (i, j, entry) triples: tr(X C) = sum X_ij C_ji, so X_ij
-    sits at C's flat position j*d + i."""
-    row = [ZERO] * (d * d)
-    for i, j, x in entries:
-        row[j * d + i] = x
-    return tuple(row)
+def _trace_terms(m: FdModule, w: str, v: str, entries) -> list:
+    """The functional C -> tr(X C) for the X that is zero outside its
+    (w, v) block, given there by (i*d_v + k, X_ik) pairs, as (flat
+    position, entry) pairs: tr(X C) = sum X_ik C_ki, so X_ik sits at C's
+    flat position (off_v + k)*d + off_w + i."""
+    d, dv = m.dim, m.vdim(v)
+    base = m.offsets[v] * d + m.offsets[w]
+    return [(base + pos % dv * d + pos // dv, x) for pos, x in entries]
 
 
-def pairing_matrix(m: FdModule) -> Matrix:
-    """Rows: the functional C -> tr(rho(b) C) for each basis path b, whose
-    action is its path map placed from its source's coordinates to its
-    target's."""
-    algebra = m.algebra
-    return Matrix._wrap(tuple(
-        _trace_row(m.placed(m.path_map(src, arrows),
-                            algebra.path_target((src, arrows)), src), m.dim)
-        for src, arrows in algebra.basis), m.dim ** 2)
+def _pairing(m: FdModule, blocks: dict) -> list:
+    """The functionals C -> tr(X C) for X over rho(A)'s block bases
+    (_path_blocks), as _trace_terms lists.  They span the pairing's rows
+    C -> tr(rho(b) C), so C pairs to zero with every path exactly when it
+    pairs to zero with each of them."""
+    return [_trace_terms(m, w, v, y.items())
+            for (w, v), basis in blocks.items() for y in basis]
 
 
 def period_space(m: FdModule) -> PeriodSpace:
@@ -427,17 +425,17 @@ def depth_space(m: FdModule, k: int, spin_bound: int = 1) -> DepthResult:
     Each stage contracts the hom-closure and spin-box candidate families
     and stops as soon as the accumulated relations reach the dimension r
     of the pairing kernel P, which is d^2 minus the rank of the pairing,
-    the dimension of rho(A) summed over its blocks.
-    Every accumulated relation is checked to pair to zero with every
-    path, so it lies in P, reaching r is reaching P itself, and the
-    stages after that repeat the dimension without work.  Each stage's
-    relation dimension is recorded; the chain is monotone by
-    construction.
+    the dimension of rho(A) summed over its blocks (_path_blocks, built
+    once for both).  Every accumulated relation is checked to pair to
+    zero with every block basis element (_pairing), so it lies in P,
+    reaching r is reaching P itself, and the stages after that repeat
+    the dimension without work.  Each stage's relation dimension is
+    recorded; the chain is monotone by construction.
     """
     d = m.dim
-    pairing = pairing_matrix(m)
-    r = d * d - sum(map(len, _path_blocks(m).values()))
-    paths = [terms for terms in map(_nonzero, pairing.rows) if terms]
+    blocks = _path_blocks(m)
+    r = d * d - sum(map(len, blocks.values()))
+    paths = _pairing(m, blocks)
     endos = hom_space(m, m)
     acc = Subspace.zero_space(d * d)
     per_stage = []
@@ -595,8 +593,9 @@ class EvalReport:
     C = sum_k sigma_k omega_k^T the spin of sigma is {a.sigma : a in A},
     and omega annihilates it iff sum_k omega_k(rho(a) sigma_k) =
     tr(rho(a) C) is 0 for every path a, that is iff C lies in the pairing
-    kernel (Huber and Mueller-Stach, Periods and Nori Motives, 2017); the
-    status is read off the pairing, and realize_relation is its oracle.
+    kernel (Huber and Mueller-Stach, Periods and Nori Motives, 2017).  The
+    status is read off rho(A)'s block bases (_pairing), whose functionals
+    span the paths', and realize_relation is its oracle.
     """
 
     module: FdModule
@@ -641,10 +640,11 @@ def eval_and_conjecture(m: FdModule, point: ComparisonPoint) -> EvalReport:
     evaluation both on the period quotient and on the full coefficient
     space, checks that the relation subspace evaluates to zero, and
     labels each ambient kernel vector realized iff it is rational and
-    lies in the pairing kernel (EvalReport gives the argument), spinning
-    no witness; realize_relation, which spins one, is the oracle.  The
-    point holds when evaluation is injective on the period quotient over
-    K.  NotAField is raised when L or K is a reducible Q[x]/(f) and the
+    pairs to zero with rho(A)'s block bases, which its relations are read
+    from too (EvalReport gives the argument), spinning no witness;
+    realize_relation, which spins one, is the oracle.  The point holds
+    when evaluation is injective on the period quotient over K.
+    NotAField is raised when L or K is a reducible Q[x]/(f) and the
     evaluation meets a zero divisor there.
     """
     try:
@@ -660,22 +660,22 @@ def eval_and_conjecture(m: FdModule, point: ComparisonPoint) -> EvalReport:
 
 def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
     _check_unit(m, point)
-    pairing = pairing_matrix(m)
-    space = period_space(m)
+    algebra = m.algebra
+    blocks = _path_blocks(m)
+    space = PeriodSpace(m, _block_relations(m, blocks), "pairing-kernel")
     lf = point.value_field
     emb = point.embedding()
     d = m.dim
     # the value of the coefficient unit E_ij is tr(rho(u) E_ij), the
-    # u-combination of the pairings tr(rho(b) E_ij) of the basis paths;
-    # columns maps each unit to its nonzero (path, pairing) pairs
+    # u-combination of the pairings tr(rho(b) E_ij) of the basis paths,
+    # each read off its path map in its block
     ambient_values = [lf.zero()] * (d * d)
-    columns = {}
-    for b, (coeff, row) in enumerate(zip(point.u_coords, pairing.rows)):
-        for p, x in enumerate(row):
-            if x is not ZERO and x:
-                columns.setdefault(p, []).append((b, x))
-                if coeff:
-                    ambient_values[p] = ambient_values[p] + coeff * x
+    for coeff, (src, arrows) in zip(point.u_coords, algebra.basis):
+        key = (algebra.path_target((src, arrows)), src)
+        if coeff and key in blocks:
+            for p, x in _trace_terms(m, *key, _nonzero(
+                    m.path_map(src, arrows).vec())):
+                ambient_values[p] = ambient_values[p] + coeff * x
     # period class k is the class of the unit matrix at the k-th column
     # that is not a pivot of the relations, whose value is read off
     # directly
@@ -691,21 +691,17 @@ def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
              if v[p] is not ZERO and v[p]), lf.zero())
         for v in space.relations.basis_vectors())
     # a rational kernel vector C is realized iff it pairs to zero with
-    # every path, which only meets C at the columns' units; over K = Q
-    # the kernel vectors already are Fractions
+    # every block basis element of rho(A), whose terms meet C mostly at
+    # the shared ZERO, skipped by identity; over K = Q the kernel vectors
+    # already are Fractions
+    pairing = _pairing(m, blocks)
     statuses = []
     for vec in ambient_kernel:
         rational = vec if emb.domain is None else _rational_vector(vec)
-        if rational is None:
-            statuses.append("unknown")
-            continue
-        pairs = [ZERO] * len(pairing.rows)
-        for p, column in columns.items():
-            c = rational[p]
-            if c is not ZERO and c:
-                for b, x in column:
-                    pairs[b] += c * x
-        statuses.append("unknown" if any(pairs) else "realized")
+        statuses.append("unknown" if rational is None or any(
+            sum(rational[p] * x for p, x in terms
+                if rational[p] is not ZERO and rational[p])
+            for terms in pairing) else "realized")
     return EvalReport(
         module=m, point=point, space=space, values=values,
         quotient_kernel=quotient_kernel, ambient_kernel=ambient_kernel,

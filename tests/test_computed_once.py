@@ -85,7 +85,12 @@ from references import (
     search_first_certify,
     sum_images_and_kernels,
 )
-from strategies import ORACLE_INPUTS, linear_projective, rebased_modules
+from strategies import (
+    ORACLE_INPUTS,
+    linear_projective,
+    rebase,
+    rebased_modules,
+)
 
 CORPUS = {e.key: e for e in zoo.corpus()}
 
@@ -670,6 +675,37 @@ def test_a_candidate_that_is_not_a_submodule_escapes_the_pairing_kernel(
     not_a_sub = SubmoduleHandle(
         m, [exactlin.Subspace.full_space(1), exactlin.Subspace.zero_space(1)],
         check=False)
+    assert depth_space(m, 1).certified
+    monkeypatch.setattr(periods, "_candidate_handles",
+                        lambda *args: iter([not_a_sub]))
+    with pytest.raises(AssertionError, match="escaped the pairing kernel"):
+        depth_space(m, 1)
+
+
+KRONECKER_BIG = CORPUS["kronecker/big"].module
+
+
+@pytest.mark.parametrize("m", [
+    KRONECKER_BIG,
+    rebase(module_power(KRONECKER_BIG, 2),
+           [Matrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 2]]),
+            Matrix([[2, 1], [1, 1]])]),
+], ids=["kronecker/big", "kronecker/big^2 rebased"])
+def test_a_candidate_kept_by_one_parallel_arrow_escapes_the_pairing_kernel(
+        monkeypatch, m):
+    # the parallel arrows a and b both map k1 to k2, so rho(A)'s (k2, k1)
+    # block is spanned by two paths; the kernel of a at k1 with nothing
+    # at k2 is kept by a but not by b, so some relation it contracts
+    # pairs to nonzero with b and with the block's basis
+    a, b = m.maps["a"], m.maps["b"]
+    kept = exactlin.kernel_subspace(a)
+    assert len(periods._path_blocks(m)["k2", "k1"]) == 2
+    assert not any(a * Matrix.unvec(v, a.ncols, 1) != Matrix.zero(a.nrows, 1)
+                   for v in kept.basis_vectors())
+    assert any(b * Matrix.unvec(v, b.ncols, 1) != Matrix.zero(b.nrows, 1)
+               for v in kept.basis_vectors())
+    not_a_sub = SubmoduleHandle(
+        m, [kept, exactlin.Subspace.zero_space(m.vdim("k2"))], check=False)
     assert depth_space(m, 1).certified
     monkeypatch.setattr(periods, "_candidate_handles",
                         lambda *args: iter([not_a_sub]))

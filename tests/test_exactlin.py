@@ -13,7 +13,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperiods.periods import pairing_matrix
+from references import pairing_matrix
 from strategies import ORACLE_INPUTS, rebased_modules
 from qperiods.exactlin import (
     DivisionByZero,

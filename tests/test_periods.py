@@ -31,7 +31,6 @@ from qperiods.periods import (
     depth_space,
     endo_quotient,
     eval_and_conjecture,
-    pairing_matrix,
     period_space,
     realize_relation,
     verify_realization,
@@ -116,10 +115,31 @@ FROZEN_DIMS = {
 }
 
 
+def _written_out(d, terms) -> tuple:
+    """A functional's (flat position, entry) pairs as a dense d^2 row."""
+    row = [Fraction(0)] * (d * d)
+    for p, x in terms:
+        row[p] = x
+    return tuple(row)
+
+
 def assert_placed_blocks_match_the_dense_actions(m, label):
     """The pairing and the centraliser read off placed blocks equal the
-    ones read off dense d x d path actions and flattened endomorphisms."""
-    assert pairing_matrix(m) == references.pairing_matrix(m), label
+    ones read off dense d x d path actions and flattened endomorphisms:
+    each basis path's functional placed from its block is its row of the
+    dense pairing, and the functionals of rho(A)'s block bases, which
+    depth and eval test against, span the same space as those rows."""
+    d, algebra = m.dim, m.algebra
+    oracle = references.pairing_matrix(m)
+    for (src, arrows), row in zip(algebra.basis, oracle.rows):
+        terms = periods._trace_terms(
+            m, algebra.path_target((src, arrows)), src,
+            periods._nonzero(m.path_map(src, arrows).vec()))
+        assert _written_out(d, terms) == row, (label, src, arrows)
+    blocks = periods._path_blocks(m)
+    assert (Subspace(d * d, [_written_out(d, terms) for terms
+                             in periods._pairing(m, blocks)])
+            == Subspace(d * d, oracle.rows)), label
     assert references.placed_centraliser(m) == references.centraliser(m), label
 
 
@@ -143,7 +163,7 @@ def test_centraliser_equals_the_d_squared_oracle_on_rebased_powers(m):
     assert references.placed_centraliser(m) == references.centraliser(m), \
         repr(m)
     assert (sum(map(len, periods._path_blocks(m).values()))
-            == rank(pairing_matrix(m))), repr(m)
+            == rank(references.pairing_matrix(m))), repr(m)
 
 
 def assert_period_relations_equal_the_d_squared_kernel(m, label):
@@ -792,19 +812,40 @@ def test_eval_realizations_equal_fresh_realizations_on_rebased(m, seed):
         assert_statuses_equal_fresh_realizations(m, point, repr(m))
 
 
-def test_one_eval_builds_the_pairing_once(monkeypatch):
-    m = module_power(zoo.get_module("a2/p1"), 2)
+def _counting_path_blocks(monkeypatch) -> list:
+    """The modules periods._path_blocks is called on from now on."""
     calls = []
-    built = periods.pairing_matrix
+    built = periods._path_blocks
 
     def counted(x):
         calls.append(x)
         return built(x)
 
-    monkeypatch.setattr(periods, "pairing_matrix", counted)
+    monkeypatch.setattr(periods, "_path_blocks", counted)
+    return calls
+
+
+# two parallel arrows act as 2 x 4 blocks, so a placement that swaps a
+# block's rows and columns cannot go unseen
+KRONECKER_BIG_SQUARED = module_power(zoo.get_module("kronecker/big"), 2)
+
+
+def test_one_eval_builds_the_pairing_once(monkeypatch):
+    m = KRONECKER_BIG_SQUARED
+    calls = _counting_path_blocks(monkeypatch)
     rep = eval_and_conjecture(m, _cubic_unit(m, random.Random(5)))
-    assert len(calls) == 1
+    assert calls == [m]
     assert rep.space.relations == period_space(m).relations
+    fresh = [realize_relation(m, Matrix.unvec(vec, m.dim, m.dim)).status
+             for vec in rep.ambient_kernel]
+    assert rep.statuses == tuple(fresh) and "realized" in fresh
+
+
+def test_one_depth_builds_the_pairing_once(monkeypatch):
+    m = KRONECKER_BIG_SQUARED
+    calls = _counting_path_blocks(monkeypatch)
+    assert depth_space(m, m.dim).certified
+    assert calls == [m]
 
 
 @pytest.mark.parametrize("row", [0, 1])
