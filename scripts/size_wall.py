@@ -34,10 +34,11 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
   each at one fixed unit over Q[x]/(x^3 - 2).
 
 Each row prints the module (or model) dimension d, the best of
-``--repeat`` wall clock times and the first 16 hex digits of the sha256
-of the output, so that two checkouts compare answers as well as times.
-The times are plain seconds on whatever host runs this; nothing is
-claimed from them.
+``--repeat`` wall clock times, the size of the output in bytes, so that
+a time can be read against what was written, and the first 16 hex
+digits of the sha256 of the output, so that two checkouts compare
+answers as well as times.  The times are plain seconds on whatever host
+runs this; nothing is claimed from them.
 """
 
 from __future__ import annotations
@@ -168,13 +169,16 @@ def model_dim(argv: list) -> int:
     return 2 * opts["--g"] + opts["--l"] + opts["--m"] + 2
 
 
-def ask(main, argv: list) -> tuple[float, str]:
+def ask(main, argv: list) -> tuple[float, int, str]:
+    """The wall clock time of one call, and the size in bytes and the
+    sha256 of its output."""
     out = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out):
         main(["--format", "json", *argv])
     elapsed = time.perf_counter() - start
-    return elapsed, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    text = out.getvalue().encode()
+    return elapsed, len(text), hashlib.sha256(text).hexdigest()
 
 
 def main() -> int:
@@ -191,7 +195,8 @@ def main() -> int:
     if (args.root / "src").resolve() not in origin.parents:
         raise RuntimeError(f"qperiods was imported from {origin}, "
                            f"not from {args.root / 'src'}")
-    print(f"{'input':<28} {'command':<9} {'d':>3} {'best s':>8}  sha256")
+    print(f"{'input':<28} {'command':<9} {'d':>3} {'best s':>8} "
+          f"{'bytes':>11}  sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, m, command, extra) in enumerate(rows()):
             for j, arg in enumerate(extra):
@@ -204,16 +209,17 @@ def main() -> int:
                 path = os.path.join(tmp, f"{i}.json")
                 Path(path).write_text(dump_json(module_to_data(m)))
                 argv, d = [command, path, *extra], m.dim
-            times, digests = [], set()
+            times, outputs = [], set()
             for _ in range(args.repeat):
-                elapsed, digest = ask(cli_main, argv)
+                elapsed, size, digest = ask(cli_main, argv)
                 times.append(elapsed)
-                digests.add(digest)
-            if len(digests) != 1:
+                outputs.add((size, digest))
+            if len(outputs) != 1:
                 raise RuntimeError(f"{label}: the output changed between "
                                    f"repeats")
-            print(f"{label:<28} {command:<9} {d:>3} {min(times):>8.3f}  "
-                  f"{digests.pop()[:16]}", flush=True)
+            size, digest = outputs.pop()
+            print(f"{label:<28} {command:<9} {d:>3} {min(times):>8.3f} "
+                  f"{size:>11}  {digest[:16]}", flush=True)
     return 0
 
 

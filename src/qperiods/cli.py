@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .exactlin import ZERO, NumberFieldElem
+from .exactlin import NumberFieldElem
 from .quivalg import NotAdmissible, NotFiniteDimensional, SubmoduleHandle
 from .periods import (
     NotAField,
@@ -43,6 +43,7 @@ from .onemotive import (
 from .serialize import (
     SCHEMAS,
     ParseError,
+    RationalVectors,
     ValidationError,
     dump_json,
     load_comparison,
@@ -133,53 +134,32 @@ def _scalar_data(x):
     return rational_str(x)
 
 
-def _vector_rows(vectors) -> list:
-    """Each vector as the list of its entries, as _scalar_data writes them.
-
-    Kernel vectors over Q are mostly the ZERO object, which reads "0";
-    every other distinct entry is written once.
-    """
-    text = _memo(_scalar_data)
-    return [["0" if x is ZERO else text(x) for x in v] for v in vectors]
+def _kernel_data(kernel, over_q: bool):
+    """A kernel basis as the report writes it: over Q from its nonzeros,
+    over a proper coefficient field K as lists of coefficient lists."""
+    if over_q:
+        return RationalVectors(kernel)
+    return [[_scalar_data(x) for x in v] for v in kernel]
 
 
-def _matrix_text(rows: list) -> list:
-    """Rows of entry strings, right-aligned in columns.  A row object that
-    appears more than once, such as a shared zero row, is laid out once."""
-    distinct = {id(row): row for row in rows}
-    widths = [max(map(len, col)) for col in zip(*distinct.values())]
-    line = "    " + "  ".join(f"%{w}s" for w in widths)
-    text = {key: line % tuple(row) for key, row in distinct.items()}
-    return [text[id(row)] for row in rows]
-
-
-def _memo(write):
-    """write, called once per distinct entry."""
-    texts = {}
-
-    def text(x):
-        s = texts.get(x)
-        if s is None:
-            s = texts[x] = write(x)
-        return s
-
-    return text
-
-
-def _relation_rows(vectors, d: int) -> list:
-    """Each relation vector as the d rows of its coefficient matrix
-    (Matrix.vec is row-major), every entry as rational_str writes it.
-
-    Relation bases are almost all zeros, most of them the ZERO object:
-    so each distinct value is written once, and the rows that are all
-    zero share one list.
-    """
-    zero_row = ["0"] * d
-    text = _memo(rational_str)
-    return [[zero_row if row.count(ZERO) == d
-             else ["0" if x is ZERO else text(x) for x in row]
-             for row in (v[i * d:(i + 1) * d] for i in range(d))]
-            for v in vectors]
+def _matrix_text(vector, positions, d: int, text) -> list:
+    """The d x d matrix of which vector is the row-major vec, as d lines
+    of entries right-aligned in columns, made from the positions of its
+    nonzero entries; text writes an entry."""
+    cells = {j: text(vector[j]) for j in positions}
+    widths = [1] * d
+    for j, s in cells.items():
+        c = j % d
+        widths[c] = max(widths[c], len(s))
+    zero = ["0".rjust(w) for w in widths]
+    lines = ["    " + "  ".join(zero)] * d
+    rows = {}
+    for j, s in cells.items():
+        r, c = divmod(j, d)
+        rows.setdefault(r, list(zero))[c] = s.rjust(widths[c])
+    for r, row in rows.items():
+        lines[r] = "    " + "  ".join(row)
+    return lines
 
 
 def _handle_data(handle: SubmoduleHandle) -> dict:
@@ -235,8 +215,9 @@ def _space_report(command: str, space) -> dict:
         "ambient_dim": space.ambient_dim,
         "dim": space.dim,
         "relation_dim": space.relations.dim,
-        "relation_basis": _relation_rows(space.relations.basis_vectors(),
-                                         space.module.dim),
+        "relation_basis": RationalVectors(space.relations.basis_vectors(),
+                                          space.module.dim,
+                                          space.relations.pivots),
         "provenance": space.provenance,
     }
 
@@ -245,9 +226,12 @@ def _space_text(label: str, report: dict) -> list:
     lines = [f"{label} dimension: {report['dim']} "
              f"(ambient {report['ambient_dim']}, relations "
              f"{report['relation_dim']})"]
-    for i, rows in enumerate(report["relation_basis"]):
+    basis = report["relation_basis"]
+    text = functools.cache(rational_str)
+    for i, (vector, positions) in enumerate(zip(basis.vectors,
+                                                basis.nonzeros())):
         lines.append(f"relation {i}:")
-        lines.extend(_matrix_text(rows))
+        lines.extend(_matrix_text(vector, positions, basis.width, text))
     return lines
 
 
@@ -354,14 +338,15 @@ def _cmd_eval(args):
     point = load_comparison(args.comparison, m.algebra)
     rep = eval_and_conjecture(m, point)
     statuses = sorted(rep.statuses)
+    over_q = point.coeff_field is None
     report = {
         "command": "eval",
         "verdict": rep.verdict,
         "holds": rep.holds,
         "period_dim": rep.space.dim,
         "values": [_scalar_data(v) for v in rep.values],
-        "quotient_kernel": _vector_rows(rep.quotient_kernel),
-        "ambient_kernel": _vector_rows(rep.ambient_kernel),
+        "quotient_kernel": _kernel_data(rep.quotient_kernel, over_q),
+        "ambient_kernel": _kernel_data(rep.ambient_kernel, over_q),
         "relations_evaluate_to_zero": rep.relations_evaluate_to_zero,
         "realization_statuses": statuses,
     }
@@ -575,7 +560,11 @@ def main(argv=None) -> int:
         return 1
     if args.fmt == "json":
         report["exit_code"] = code
-        print(dump_json(report), end="")
+        text = dump_json(report)
+        # a relation basis it holds can be freed before print encodes
+        # the text, which on a2/p1^32 is 211 MB
+        del report
+        print(text, end="")
     else:
         for line in lines:
             print(line)

@@ -454,10 +454,10 @@ def depth_space(m: FdModule, k: int, spin_bound: int = 1) -> DepthResult:
                 acc = acc.add(rel)
                 if acc.dim == r:
                     break
-            assert not any(sum(vec[p] * x for p, x in terms)
-                           for vec in acc.basis_vectors()
-                           for terms in paths), \
-                "a contracted relation escaped the pairing kernel"
+            if any(sum(vec[p] * x for p, x in terms)
+                   for vec in acc.basis_vectors() for terms in paths):
+                raise AssertionError(
+                    "a contracted relation escaped the pairing kernel")
         per_stage.append(acc.dim)
     space = PeriodSpace(m, acc, "depth")
     return DepthResult(space, tuple(per_stage), acc.dim == r)
@@ -532,8 +532,9 @@ def realize_relation(m: FdModule, c: Matrix,
     # sigma_k is C's column at pivot k and row i of C is
     # sum_k C[i][pivot k] * omega_k
     sigma = tuple(tuple(row[p] for row in c.rows) for p in pivots)
-    assert _contraction(map(_nonzero, sigma), map(_nonzero, omega),
-                        d) == c.vec(), "rank factorization failed"
+    if _contraction(map(_nonzero, sigma), map(_nonzero, omega),
+                    d) != c.vec():
+        raise AssertionError("rank factorization failed")
     witness = SubmoduleHandle.spin(module_power(m, r),
                                    [tuple_embed(m, r, sigma)], m)
     if witness.annihilated_by(tuple_embed(m, r, omega)):

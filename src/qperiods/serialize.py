@@ -7,15 +7,24 @@ raise ParseError for files that are not JSON at all, with file and
 line, and ValidationError naming the invariant a structurally intact
 file violates.  Dumpers sort keys and emit canonical rational strings
 so that repeated runs are byte identical.
+
+dump_json lays plain data out as json.dumps(indent=2, sort_keys=True)
+does.  A report's relation bases and kernel vectors are mostly zeros,
+so they reach it as RationalVectors and are written from their
+nonzeros: each run of zero entries, and each run of all-zero matrix
+rows, goes in as one string made once per run length, and only the
+nonzero entries are formatted, each distinct value once.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import is_not, itemgetter
 from pathlib import Path
 
-from .exactlin import Matrix, NumberField, NumberFieldElem
+from .exactlin import ZERO, Matrix, NumberField, NumberFieldElem
 from .quivalg import (
     BoundQuiverAlgebra,
     FdModule,
@@ -63,49 +72,110 @@ _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 _quote = json.encoder.encode_basestring_ascii
 
 
+class RationalVectors:
+    """Rational vectors for dump_json, which writes them as json.dumps
+    writes the list of their entries' rational_str texts or, given a row
+    width d, the list of their d x d matrices, row-major as Matrix.vec
+    reads them.  Given pivots, the vectors are the rows of a canonical
+    RREF basis with those pivots."""
+
+    __slots__ = ("vectors", "width", "pivots")
+
+    def __init__(self, vectors, width=None, pivots=None):
+        self.vectors = vectors
+        self.width = width
+        self.pivots = pivots
+
+    def nonzeros(self):
+        """For each vector, the ascending positions of its nonzero entries.
+
+        A row of a canonical RREF basis is zero before its pivot and at
+        every other pivot, so past its pivot only the free columns, those
+        of no pivot, can hold a nonzero entry; one tuple.count over its
+        entries there tells whether any does, and only then are they
+        searched."""
+        if self.pivots is None:
+            yield from map(_nonzero_positions, self.vectors)
+            return
+        n = len(self.vectors[0]) if self.vectors else 0
+        free = sorted(set(range(n)).difference(self.pivots))
+        pick = _picker(free)
+        for v, pivot in zip(self.vectors, self.pivots):
+            entries = pick(v)
+            if entries.count(ZERO) == len(entries):
+                yield [pivot]
+            else:
+                yield [pivot, *(free[i] for i in _nonzero_positions(entries))]
+
+
+def _picker(columns):
+    """v -> the tuple of v's entries at columns."""
+    if len(columns) > 1:
+        return itemgetter(*columns)
+    # itemgetter of one column gives the entry itself
+    return lambda v: tuple(v[c] for c in columns)
+
+
+# A slice up to this long is searched entry by entry, in C, at about
+# 30 ns an entry: halving it would cost more, since each count compares
+# every nonzero entry in its slice with ZERO through Fraction.__eq__
+_SHORT = 64
+
+
+def _nonzero_positions(vector) -> list:
+    """The ascending positions of vector's nonzero entries, found with no
+    Python step per ZERO entry.  In a short slice, the entries that are
+    not the ZERO object are picked out in C, and each one's value decides.
+    A long slice is passed over by one tuple.count when all its entries
+    equal ZERO, and halved otherwise."""
+    out = []
+    todo = [(0, len(vector))]
+    while todo:
+        lo, hi = todo.pop()
+        part = vector[lo:hi]
+        if hi - lo <= _SHORT:
+            out.extend(j for j in compress(range(lo, hi),
+                                           map(is_not, part, repeat(ZERO)))
+                       if vector[j])
+        elif part.count(ZERO) != hi - lo:
+            mid = (lo + hi) // 2
+            todo.append((mid, hi))
+            todo.append((lo, mid))
+    return out
+
+
 def dump_json(data) -> str:
     """data laid out as json.dumps(data, indent=2, sort_keys=True) lays it
-    out, plus a final newline."""
+    out, plus a final newline; RationalVectors inside it are laid out as
+    the lists they stand for."""
     parts = []
-    _write(data, "\n", parts, {})
+    _write(data, "\n", parts)
     parts.append("\n")
     return "".join(parts)
 
 
-def _write(value, newline: str, parts: list, written: dict) -> None:
+def _write(value, newline: str, parts: list) -> None:
     """Append the JSON text of value to parts; newline is the line break
-    and indent of value's own level.
-
-    A flat list of strings, such as one row of a relation's matrix, is
-    written in one join, and written maps (id, newline) of each one
-    written so far to its text: a report repeats one zero-row list
-    thousands of times, and data outlives the call, so no id is reused
-    meanwhile.
-    """
+    and indent of value's own level.  A flat list of strings, such as a
+    number-field element's coefficients, is written in one join."""
     if isinstance(value, str):
         parts.append(_quote(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             parts.append("[]")
             return
-        key = (id(value), newline)
-        text = written.get(key)
-        if text is None:
-            inner = newline + "  "
-            try:
-                # _quote refuses anything but a string
-                text = written[key] = (
-                    "[" + inner + ("," + inner).join(map(_quote, value))
-                    + newline + "]")
-            except TypeError:
-                sep = "[" + inner
-                for item in value:
-                    parts.append(sep)
-                    _write(item, inner, parts, written)
-                    sep = "," + inner
-                parts.append(newline + "]")
-                return
-        parts.append(text)
+        inner = newline + "  "
+        try:
+            # _quote refuses anything but a string
+            parts.append("[" + inner + ("," + inner).join(map(_quote, value))
+                         + newline + "]")
+        except TypeError:
+            sep = "[" + inner
+            for item in value:
+                parts.append(sep)
+                _write(item, inner, parts)
+                sep = "," + inner
+            parts.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
             parts.append("{}")
@@ -114,11 +184,96 @@ def _write(value, newline: str, parts: list, written: dict) -> None:
         sep = "{" + inner
         for key, item in sorted(value.items()):
             parts.append(sep + _quote(_key_str(key)) + ": ")
-            _write(item, inner, parts, written)
+            _write(item, inner, parts)
             sep = "," + inner
         parts.append(newline + "}")
+    elif isinstance(value, RationalVectors):
+        _write_vectors(value, newline, parts)
     else:
         parts.append(_ENCODER.encode(value))
+
+
+def _write_vectors(value: RationalVectors, newline: str, parts: list) -> None:
+    """Append the JSON text of value's vectors, at newline, to parts.
+
+    Each vector goes in as its nonzero entries' texts, or as its nonzero
+    rows, each made in one join from its entries, and between them one
+    string per run of zero entries or of all-zero rows."""
+    if not value.vectors:
+        parts.append("[]")
+        return
+    text = _Memo(lambda x: _quote(rational_str(x)))
+    inner = newline + "  "
+    d = value.width
+    if d is not None:
+        rows = inner + "  "
+        put_row = _list_writer('"0"', rows + "  ", rows)
+        zero_row = []
+        put_row(zero_row, d, ())
+        put_matrix = _list_writer("".join(zero_row), rows, inner)
+    else:
+        put_vector = _list_writer('"0"', inner + "  ", inner)
+    sep = "[" + inner
+    for v, positions in zip(value.vectors, value.nonzeros()):
+        parts.append(sep)
+        sep = "," + inner
+        if d is None:
+            put_vector(parts, len(v), [(j, text[v[j]]) for j in positions])
+            continue
+        cells = {}
+        for j in positions:
+            r, c = divmod(j, d)
+            cells.setdefault(r, []).append((c, text[v[j]]))
+        nonzero_rows = []
+        for r, row in cells.items():
+            out = []
+            put_row(out, d, row)
+            nonzero_rows.append((r, "".join(out)))
+        put_matrix(parts, d, nonzero_rows)
+    parts.append(newline + "]")
+
+
+def _list_writer(zero: str, inner: str, newline: str):
+    """put(out, n, items): append to out the JSON text, at newline, of a
+    list of n items at inner that are zero, whose text is zero, but for
+    items, the ascending (index, text) pairs of the others.  Each run of
+    zero items goes in as one string, made once per run length."""
+    head, sep, tail = "[" + inner, "," + inner, newline + "]"
+    runs = _Memo(lambda k: sep.join([zero] * k))
+
+    def put(out: list, n: int, items) -> None:
+        if not n:
+            out.append("[]")
+            return
+        out.append(head)
+        at = 0
+        for i, item in items:
+            if i > at:
+                out.append(runs[i - at])
+                out.append(sep)
+            out.append(item)
+            at = i + 1
+            if at < n:
+                out.append(sep)
+        if at < n:
+            out.append(runs[n - at])
+        out.append(tail)
+
+    return put
+
+
+class _Memo(dict):
+    """make(key) at each key, made when first asked for."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _key_str(key) -> str:
@@ -155,7 +310,8 @@ def parse_rational(value, what: str = "value") -> Fraction:
 def rational_str(value) -> str:
     if not isinstance(value, Fraction):
         value = Fraction(value)
-    # the literal is one shared string: relation bases are mostly zeros
+    # the literal is one shared string: module maps and number-field
+    # coefficient lists are mostly zeros
     return str(value) if value else "0"
 
 

@@ -47,8 +47,12 @@ statuses with realize_relation's.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -710,6 +714,54 @@ def test_a_candidate_kept_by_one_parallel_arrow_escapes_the_pairing_kernel(
                         lambda *args: iter([not_a_sub]))
     with pytest.raises(AssertionError, match="escaped the pairing kernel"):
         depth_space(m, 1)
+
+
+# the two escape cases above, a2/p1's non-submodule handle, and a scaled
+# omega row in realize, run in a child under python -O
+UNDER_O = """
+import sys
+from qperiods import exactlin, periods, zoo
+from qperiods.exactlin import Matrix
+from qperiods.quivalg import SubmoduleHandle
+
+m = zoo.get_module("a2/p1")
+not_a_sub = SubmoduleHandle(
+    m, [exactlin.Subspace.full_space(1), exactlin.Subspace.zero_space(1)],
+    check=False)
+periods._candidate_handles = lambda *args: iter([not_a_sub])
+try:
+    periods.depth_space(m, 1)
+except AssertionError as exc:
+    print("depth:", exc)
+exact = periods.rref
+
+def scaled(mat):
+    red, pivots = exact(mat)
+    rows = list(red.rows)
+    rows[0] = tuple(2 * x for x in rows[0])
+    return Matrix._wrap(tuple(rows), red.ncols), pivots
+
+periods.rref = scaled
+try:
+    periods.realize_relation(zoo.get_module("loop2/reg"),
+                             Matrix([[1, 2], [3, -1]]))
+except AssertionError as exc:
+    print("realize:", exc)
+print("optimize:", sys.flags.optimize)
+"""
+
+
+def test_depth_and_realize_checks_survive_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", UNDER_O],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "depth: a contracted relation escaped the pairing kernel",
+        "realize: rank factorization failed",
+        "optimize: 1",
+    ]
 
 
 def test_eval_neither_realizes_nor_spins(monkeypatch):

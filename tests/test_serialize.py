@@ -4,23 +4,18 @@ structure tables that fail their algebra checks are refused.
 The package writes no comparison points and no structure tables, so
 their dumpers live here, beside the round trips that use them."""
 
+import functools
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperiods import zoo
-from qperiods.cli import (
-    _matrix_text,
-    _relation_rows,
-    _scalar_data,
-    _vector_rows,
-    main,
-)
-from qperiods.exactlin import ZERO, Matrix, NumberField
+from qperiods.cli import _kernel_data, _matrix_text, _scalar_data, main
+from qperiods.exactlin import ZERO, Matrix, NumberField, Subspace
 from qperiods.periods import ComparisonPoint, period_space
 from qperiods.quivalg import (
     BoundQuiverAlgebra,
@@ -28,6 +23,7 @@ from qperiods.quivalg import (
     field_extension_structure,
 )
 from qperiods.serialize import (
+    RationalVectors,
     ValidationError,
     algebra_from_data,
     algebra_to_data,
@@ -240,7 +236,7 @@ def test_dump_json_equals_json_dumps_on_generated_reports(data):
 @given(st.lists(RATIONAL_STRINGS, max_size=4), REPORTS, st.data())
 def test_a_list_repeated_at_several_depths_is_written_at_each(
         row, other, data):
-    # the writer remembers each flat list it wrote by identity and depth
+    # one list object, written at several depths, takes each depth's indent
     places = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
     report = {"other": other, "rows": [row]}
     for depth in places:
@@ -283,27 +279,75 @@ ENTRIES = (st.just(ZERO)
 
 
 @st.composite
-def relation_vectors(draw):
-    """(d, vectors): a few length d^2 vectors, mostly ZERO."""
-    d = draw(st.integers(0, 6))
-    sparse = st.one_of(st.just(ZERO), st.just(ZERO), ENTRIES)
-    vectors = draw(st.lists(
-        st.lists(sparse, min_size=d * d, max_size=d * d).map(tuple),
-        max_size=4))
-    return d, vectors
+def sparse_vectors(draw, n: int):
+    """A length n vector: a few entries drawn from ENTRIES, ZERO elsewhere."""
+    entries = draw(st.dictionaries(st.integers(0, n - 1), ENTRIES,
+                                   max_size=4)) if n else {}
+    return tuple(entries.get(j, ZERO) for j in range(n))
 
 
-@settings(max_examples=200, deadline=None)
-@given(relation_vectors())
-def test_relation_rows_equal_the_per_entry_json_and_text(case):
-    d, vectors = case
-    rows = _relation_rows(vectors, d)
+def with_other_zeros(draw, vector: tuple) -> tuple:
+    """vector with some of its ZERO entries replaced by other zero
+    Fractions, as rref's cancellations leave them."""
+    where = draw(st.sets(st.integers(0, max(len(vector) - 1, 0))))
+    return tuple(Fraction(0) if j in where and x is ZERO else x
+                 for j, x in enumerate(vector))
+
+
+@st.composite
+def relation_bases(draw):
+    """(d, canonical subspace of Q^(d^2)) of mostly-ZERO basis vectors, some
+    of whose zeros are not ZERO; d = 0 has only the empty basis, and from
+    d = 9 on the free columns are too many to be searched unhalved."""
+    d = draw(st.integers(0, 10))
+    n = d * d
+    space = Subspace(n, draw(st.lists(sparse_vectors(n), max_size=5)))
+    rows = tuple(with_other_zeros(draw, v) for v in space.basis_vectors())
+    return d, Subspace._from_rows(n, rows, space.pivots)
+
+
+def nested(value, depth: int):
+    """value inside depth levels of dicts and lists, each level one more
+    indent."""
+    for level in range(depth):
+        value = ({"basis": value, "dim": level} if level % 2
+                 else ["before", value, {"after": []}])
+    return value
+
+
+def e(d: int, *terms) -> tuple:
+    """The d^2-vector with the given (row, column, value) entries."""
+    vec = [ZERO] * (d * d)
+    for i, j, x in terms:
+        vec[i * d + j] = Fraction(x)
+    return tuple(vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_bases(), st.integers(0, 3))
+@example((0, Subspace(0)), 1)
+@example((3, Subspace(9)), 2)
+@example((3, Subspace(9, [e(3, (0, 0, 1), (0, 2, "-3/2"))])), 0)  # first row
+@example((3, Subspace(9, [e(3, (2, 1, 1), (2, 2, 7))])), 1)       # last row
+@example((3, Subspace(9, [e(3, (0, 1, 1), (1, 0, 2), (2, 2, -1)),
+                          e(3, (0, 2, 1), (2, 0, "1/12"))])), 3)  # several
+@example((1, Subspace(1, [e(1, (0, 0, 1))])), 2)
+def test_relation_bases_are_written_as_their_per_entry_json_and_text(
+        case, depth):
+    # the lists of entry strings that the report used to hold
+    d, space = case
+    vectors = space.basis_vectors()
+    basis = RationalVectors(vectors, d, space.pivots)
+    assert list(basis.nonzeros()) == [[j for j, x in enumerate(v) if x]
+                                      for v in vectors]
     matrices = [[v[i * d:(i + 1) * d] for i in range(d)] for v in vectors]
-    assert rows == [[[rational_str(x) for x in row] for row in matrix]
-                    for matrix in matrices]
-    assert ([_matrix_text(r) for r in rows]
+    rows = [[[rational_str(x) for x in row] for row in matrix]
+            for matrix in matrices]
+    assert dump_json(nested(basis, depth)) == _dumps(nested(rows, depth))
+    text = functools.cache(rational_str)
+    assert ([_matrix_text(v, positions, d, text)
+             for v, positions in zip(vectors, basis.nonzeros())]
             == [matrix_text(matrix) for matrix in matrices])
-    assert dump_json(rows) == _dumps(rows)
 
 
 CUBIC = NumberField([-2, 0, 0, 1])
@@ -311,13 +355,29 @@ CUBIC_ENTRIES = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(
     CUBIC.elem)
 
 
-@settings(max_examples=200, deadline=None)
+@st.composite
+def rational_kernels(draw):
+    """Vectors of one length up to 300, mostly zeros of both kinds: long
+    enough to be halved more than once."""
+    n = draw(st.integers(0, 300))
+    return [with_other_zeros(draw, v)
+            for v in draw(st.lists(sparse_vectors(n), max_size=4))]
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(
-    st.lists(st.lists(st.one_of(st.just(ZERO), ENTRIES), max_size=12)
-             .map(tuple), max_size=4),
-    st.lists(st.lists(CUBIC_ENTRIES, max_size=6).map(tuple), max_size=4)))
-def test_vector_rows_equal_the_per_entry_data(vectors):
-    # kernel vectors over Q, and over a proper coefficient field K
-    rows = _vector_rows(vectors)
-    assert rows == [[_scalar_data(x) for x in v] for v in vectors]
-    assert dump_json(rows) == _dumps(rows)
+    st.tuples(st.just(True), rational_kernels()),
+    st.tuples(st.just(True), st.lists(
+        st.lists(ENTRIES, max_size=12).map(tuple), max_size=4)),
+    st.tuples(st.just(False), st.lists(
+        st.lists(CUBIC_ENTRIES, max_size=6).map(tuple), max_size=4))),
+    st.integers(0, 3))
+def test_kernel_vectors_are_written_as_their_per_entry_data(case, depth):
+    # over Q, and over the cubic field as a proper coefficient field K
+    over_q, vectors = case
+    data = _kernel_data(vectors, over_q)
+    if over_q:
+        assert list(data.nonzeros()) == [[j for j, x in enumerate(v) if x]
+                                         for v in vectors]
+    rows = [[_scalar_data(x) for x in v] for v in vectors]
+    assert dump_json(nested(data, depth)) == _dumps(nested(rows, depth))
