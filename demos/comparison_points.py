@@ -21,7 +21,7 @@ one = ComparisonPoint(rationals, tuple(
     for _, arrows in m.algebra.basis))
 rep = eval_and_conjecture(m, one)
 print(f"u = 1: verdict {rep.verdict!r}")
-print(f"  kernel on the quotient: {len(rep.quotient_kernel)}")
+print(f"  kernel on the quotient: {len(rep.quotient_kernel.vectors)}")
 for status in rep.statuses:
     print(f"  kernel vector -> {status}")
 assert rep.verdict == "fails"
@@ -32,6 +32,6 @@ gen = cubic.gen()
 point = ComparisonPoint(cubic, (cubic.one(), gen, gen * gen))
 rep = eval_and_conjecture(m, point)
 print(f"generic cubic u: verdict {rep.verdict!r}")
-print(f"  kernel on the quotient: {len(rep.quotient_kernel)}")
+print(f"  kernel on the quotient: {len(rep.quotient_kernel.vectors)}")
 print("  values:", [str(v) for v in rep.values])
 assert rep.verdict == "holds"

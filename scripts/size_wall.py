@@ -34,11 +34,16 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
   each at one fixed unit over Q[x]/(x^3 - 2).
 
 Each row prints the module (or model) dimension d, the best of
-``--repeat`` wall clock times, the size of the output in bytes, so that
-a time can be read against what was written, and the first 16 hex
-digits of the sha256 of the output, so that two checkouts compare
-answers as well as times.  The times are plain seconds on whatever host
-runs this; nothing is claimed from them.
+``--repeat`` wall clock times, the peak resident memory of the row asked
+once more, the size of the output in bytes, so that a time can be read
+against what was written, and the first 16 hex digits of the sha256 of
+the output, so that two checkouts compare answers as well as times.
+The times are taken in this process, with the output captured.  The
+peak memory is the ``ru_maxrss`` of a child process that loads the
+input files and asks only that row, once, through ``qperiods.cli.main``
+with its stdout, a real one, sent to /dev/null: the memory of one
+command-line question.  Times and memory are plain figures on whatever
+host runs this; nothing is claimed from them.
 """
 
 from __future__ import annotations
@@ -47,8 +52,10 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -181,6 +188,41 @@ def ask(main, argv: list) -> tuple[float, int, str]:
     return elapsed, len(text), hashlib.sha256(text).hexdigest()
 
 
+# A child's ru_maxrss counts the peak of the memory it leaves at exec,
+# the parent's when the parent starts it, so the children are started by
+# a launcher that is itself started while this process is still small.
+# The launcher reads one JSON argv a line and answers each with the
+# child's exit code and ru_maxrss (kilobytes on Linux).
+LAUNCHER = """
+import json, os, subprocess, sys
+for line in sys.stdin:
+    with subprocess.Popen(json.loads(line),
+                          stdout=subprocess.DEVNULL) as child:
+        # wait4, unlike wait, gives this child's own resource usage
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    print(json.dumps([child.returncode, usage.ru_maxrss]), flush=True)
+"""
+
+# what each child runs: argv[1] is the package's directory, the rest the
+# command line
+CHILD = ("import sys; sys.path.insert(0, sys.argv[1]); "
+         "from qperiods.cli import main; "
+         "sys.exit(main(['--format', 'json', *sys.argv[2:]]))")
+
+
+def peak_rss_mb(launcher, src: Path, argv: list) -> float:
+    """The peak resident memory, in MB, of a child process that asks argv
+    once through the command line, its stdout sent to /dev/null."""
+    launcher.stdin.write(json.dumps(
+        [sys.executable, "-c", CHILD, str(src), *argv]) + "\n")
+    launcher.stdin.flush()
+    code, kilobytes = json.loads(launcher.stdout.readline())
+    if code not in (0, 2):
+        raise RuntimeError(f"{argv[0]} exited {code}")
+    return kilobytes / 1024
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("root", type=Path)
@@ -188,6 +230,15 @@ def main() -> int:
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be positive")
+    with subprocess.Popen([sys.executable, "-c", LAUNCHER],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True) as launcher:
+        # leaving the block closes its stdin, which ends it
+        return wall(args, launcher)
+
+
+def wall(args, launcher) -> int:
+    """Print the size-wall rows of the checkout at args.root."""
     sys.path.insert(0, str(args.root / "src"))
     from qperiods.cli import main as cli_main
     from qperiods.serialize import dump_json, module_to_data
@@ -196,7 +247,7 @@ def main() -> int:
         raise RuntimeError(f"qperiods was imported from {origin}, "
                            f"not from {args.root / 'src'}")
     print(f"{'input':<28} {'command':<9} {'d':>3} {'best s':>8} "
-          f"{'bytes':>11}  sha256")
+          f"{'peak MB':>8} {'bytes':>11}  sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, m, command, extra) in enumerate(rows()):
             for j, arg in enumerate(extra):
@@ -218,8 +269,9 @@ def main() -> int:
                 raise RuntimeError(f"{label}: the output changed between "
                                    f"repeats")
             size, digest = outputs.pop()
+            peak = peak_rss_mb(launcher, args.root / "src", argv)
             print(f"{label:<28} {command:<9} {d:>3} {min(times):>8.3f} "
-                  f"{size:>11}  {digest[:16]}", flush=True)
+                  f"{peak:>8.1f} {size:>11}  {digest[:16]}", flush=True)
     return 0
 
 

@@ -105,11 +105,12 @@ SPIN_BOUND_BUDGET = 64
 #   and 1.2 s on a2/p1^8, ^16 and ^32 (d = 16, 32 and 64), best of 2
 #   through scripts/size_wall.py, most of the last in the elimination of
 #   the coefficient matrix itself;
-# - eval takes 0.02, 0.06 and 0.19 s on a2/p1^8, ^12 and ^16 (d = 16, 24
-#   and 32) at size_wall.py's unit over Q[x]/(x^3 - 2), best of 2, and
-#   1.3 s (255 MB) at its budget, on a2/p1^24 (d = 48); the budget was
-#   chosen when that took 30 s and is kept, since moving a budget
-#   changes which inputs are answered;
+# - eval takes 0.007, 0.02 and 0.05 s on a2/p1^8, ^12 and ^16 (d = 16,
+#   24 and 32) at size_wall.py's unit over Q[x]/(x^3 - 2), best of 2,
+#   and 0.27-0.35 s at its budget, on a2/p1^24 (d = 48), where one call
+#   peaks at 172 MB (size_wall.py's peak column); the budget was chosen
+#   when that took 30 s and is kept, since moving a budget changes which
+#   inputs are answered;
 # - lift of the a3 sequence fixture's module to the k-th power (d = 5k)
 #   takes 1.4 s at d = 160 and 13 s at d = 320.
 # The benchmark asks at most d = 16 (period on a2/p1^8).
@@ -135,11 +136,12 @@ def _scalar_data(x):
 
 
 def _kernel_data(kernel, over_q: bool):
-    """A kernel basis as the report writes it: over Q from its nonzeros,
-    over a proper coefficient field K as lists of coefficient lists."""
+    """A kernel basis (exactlin.KernelBasis) as the report writes it: over
+    Q from its nonzeros, which sit where the basis says, over a proper
+    coefficient field K as lists of coefficient lists."""
     if over_q:
-        return RationalVectors(kernel)
-    return [[_scalar_data(x) for x in v] for v in kernel]
+        return RationalVectors(kernel.vectors, kernel.columns, kernel.shared)
+    return [[_scalar_data(x) for x in v] for v in kernel.vectors]
 
 
 def _matrix_text(vector, positions, d: int, text) -> list:
@@ -216,8 +218,8 @@ def _space_report(command: str, space) -> dict:
         "dim": space.dim,
         "relation_dim": space.relations.dim,
         "relation_basis": RationalVectors(space.relations.basis_vectors(),
-                                          space.module.dim,
-                                          space.relations.pivots),
+                                          space.relations.pivots,
+                                          width=space.module.dim),
         "provenance": space.provenance,
     }
 
@@ -354,8 +356,8 @@ def _cmd_eval(args):
         f"verdict: the point {rep.verdict} "
         f"(injective on the period quotient: {'yes' if rep.holds else 'no'})",
         f"period space dimension: {rep.space.dim}",
-        f"kernel on the quotient: {len(rep.quotient_kernel)}",
-        f"kernel on all coefficients: {len(rep.ambient_kernel)}",
+        f"kernel on the quotient: {len(rep.quotient_kernel.vectors)}",
+        f"kernel on all coefficients: {len(rep.ambient_kernel.vectors)}",
         f"relations evaluate to zero: "
         f"{'yes' if rep.relations_evaluate_to_zero else 'no'}",
     ]

@@ -928,43 +928,77 @@ class FieldEmbedding:
         raise TypeError(f"cannot embed {value!r}")
 
 
+class KernelBasis:
+    """A kernel basis with the columns where its nonzeros sit: vector k
+    is one at columns[k] and otherwise nonzero only at columns in
+    shared, as a canonical RREF row is at its pivot and free columns."""
+
+    __slots__ = ("vectors", "columns", "shared")
+
+    def __init__(self, vectors: tuple, columns: tuple, shared: tuple):
+        self.vectors = vectors
+        self.columns = columns
+        self.shared = shared
+
+
 def k_linear_kernel(embedding: FieldEmbedding,
-                    values: Sequence[NumberFieldElem]) -> tuple[tuple, ...]:
+                    values: Sequence[NumberFieldElem]) -> KernelBasis:
     """Kernel of (c_1, ..., c_p) -> sum c_i * values[i] with c_i in K.
 
     Values live in L = embedding.codomain; coefficients range over the
     domain K (Q when the embedding's domain is None).  The sum is taken
     inside L through the embedding.  Returns a canonical K-basis of the
     kernel: tuples of Fractions when K is Q, tuples of K-elements
-    otherwise.
+    otherwise.  Over Q it is kernel_basis of the Q-system, one vector per
+    free column f, one at f and nonzero elsewhere only at the system's
+    <= [L:Q] pivots; over a proper K it is the K-RREF basis, whose rows
+    are nonzero only at their pivot and at the <= [L:K] columns of
+    nonzero value that are no pivot.  A column of zero value is free, and
+    its vector is its unit vector, so only the columns of nonzero value
+    are eliminated.
     """
     codomain = embedding.codomain
     for v in values:
         if v.field != codomain:
             raise FieldMismatch("value outside the embedding's codomain")
     p = len(values)
+    support = [j for j, v in enumerate(values) if v]
     if embedding.domain is None:
-        # one Q-row per L-coordinate
-        rows = tuple(tuple(values[j].coeffs[i] for j in range(p))
+        # one Q-row per L-coordinate; free column f's vector is minus f's
+        # reduced column at the pivots
+        rows = tuple(tuple(values[j].coeffs[i] for j in support)
                      for i in range(codomain.degree))
-        return kernel_basis(Matrix._wrap(rows, p))
-    dom = embedding.domain
-    e = dom.degree
-    # unknowns: c_j = sum_t u_{j,t} g^t with g the K-generator; the L-linear
-    # condition becomes a Q-system in the u_{j,t}.
-    gen_powers = [embedding.apply(dom.gen() ** t) for t in range(e)]
-    cols = []
-    for j in range(p):
-        for t in range(e):
-            prod = gen_powers[t] * values[j]
-            cols.append(prod.coeffs)
-    big = Matrix._wrap(tuple(cols), codomain.degree).transpose()
-    raw = kernel_basis(big)
-    if not raw:
-        return ()
-    # reassemble into K-vectors and put into canonical K-echelon form
-    k_rows = []
-    for vec in raw:
-        k_rows.append(tuple(dom.elem(vec[j * e:(j + 1) * e]) for j in range(p)))
-    red, pivots = rref(Matrix._wrap(tuple(k_rows), p))
-    return tuple(red.rows[:len(pivots)])
+        red, pivots = rref(Matrix._wrap(rows, len(support)))
+        shared = tuple(support[c] for c in pivots)
+        bound = set(shared)
+        columns = tuple(f for f in range(p) if f not in bound)
+        tail = {f: [(j, -x) for j, x in zip(shared, col) if x]
+                for f, col in zip(support, zip(*red.rows)) if f not in bound}
+        zero, one = ZERO, ONE
+    else:
+        dom = embedding.domain
+        e = dom.degree
+        # unknowns: c_j = sum_t u_{j,t} g^t with g the K-generator; the
+        # L-linear condition becomes a Q-system in the u_{j,t}
+        gen_powers = [embedding.apply(dom.gen() ** t) for t in range(e)]
+        cols = tuple((gen_powers[t] * values[j]).coeffs
+                     for j in support for t in range(e))
+        big = Matrix._wrap(cols, codomain.degree).transpose()
+        # reassembled into K-vectors and put into canonical K-echelon form
+        k_rows = tuple(tuple(dom.elem(vec[s * e:(s + 1) * e])
+                             for s in range(len(support)))
+                       for vec in kernel_basis(big))
+        red, pivots = rref(Matrix._wrap(k_rows, len(support)))
+        tail = {support[c]: [(j, x) for j, x in zip(support, row) if x]
+                for c, row in zip(pivots, red.rows)}
+        shared = tuple(j for j in support if j not in tail)
+        columns = tuple(j for j in range(p) if j in tail or not values[j])
+        zero, one = dom.zero(), dom.one()
+    vectors = []
+    for f in columns:
+        vec = [zero] * p
+        vec[f] = one
+        for j, x in tail.get(f, ()):
+            vec[j] = x
+        vectors.append(tuple(vec))
+    return KernelBasis(tuple(vectors), columns, shared)

@@ -29,6 +29,7 @@ from typing import Iterator, Sequence
 
 from .exactlin import (
     FieldEmbedding,
+    KernelBasis,
     Matrix,
     NumberField,
     NumberFieldElem,
@@ -183,25 +184,38 @@ def _is_scalar(entries: list, d: int) -> bool:
                                      for i, j, x in entries)
 
 
-def _path_blocks(m: FdModule) -> dict:
-    """rho(A) block by block: each (w, v) with d_w*d_v > 0 maps to a basis
-    of rho(A)_wv, the span of the maps of the basis paths from v to w, as
-    sparse {i*d_v + k: entry} dicts on the d_w x d_v block.  A lone
-    nonzero path map needs no elimination; a block with no path, or only
-    zero path maps, has an empty basis.  The sizes sum to the pairing's
-    rank, since the trace rows of paths with different ends have disjoint
-    supports."""
+def _path_maps(m: FdModule) -> dict:
+    """The nonzero maps of the basis paths, by block: each (w, v) with
+    d_w*d_v > 0 maps to the (k, vec) of the basis paths k from v to w
+    whose map is nonzero, k the path's index in the algebra basis and
+    vec its map's row-major entries on the d_w x d_v block."""
     algebra = m.algebra
-    present = [v for v, n in zip(algebra.vertices, m.dims) if n]
-    blocks = {(w, v): [] for w in present for v in present}
+    present = {v for v, n in zip(algebra.vertices, m.dims) if n}
     maps: dict[tuple, list] = {}
-    for src, arrows in algebra.basis:
-        key = (algebra.path_target((src, arrows)), src)
-        if key in blocks:
+    for k, (src, arrows) in enumerate(algebra.basis):
+        target = algebra.path_target((src, arrows))
+        if src in present and target in present:
             vec = m.path_map(src, arrows).vec()
             if any(vec):
-                maps.setdefault(key, []).append(vec)
-    for (w, v), vecs in maps.items():
+                maps.setdefault((target, src), []).append((k, vec))
+    return maps
+
+
+def _path_blocks(m: FdModule, maps: dict | None = None) -> dict:
+    """rho(A) block by block: each (w, v) with d_w*d_v > 0 maps to a basis
+    of rho(A)_wv, the span of the maps of the basis paths from v to w, as
+    sparse {i*d_v + k: entry} dicts on the d_w x d_v block.  The path
+    maps are _path_maps(m), formed here unless given.  A lone nonzero
+    path map needs no elimination; a block with no path, or only zero
+    path maps, has an empty basis.  The sizes sum to the pairing's rank,
+    since the trace rows of paths with different ends have disjoint
+    supports."""
+    if maps is None:
+        maps = _path_maps(m)
+    present = [v for v, n in zip(m.algebra.vertices, m.dims) if n]
+    blocks = {(w, v): [] for w in present for v in present}
+    for (w, v), paths in maps.items():
+        vecs = [vec for _, vec in paths]
         if len(vecs) > 1:
             red, pivots = rref(Matrix._wrap(tuple(vecs),
                                             m.vdim(w) * m.vdim(v)))
@@ -603,8 +617,8 @@ class EvalReport:
     point: ComparisonPoint
     space: PeriodSpace
     values: tuple                      # value of each period class
-    quotient_kernel: tuple             # K-basis of kernel on the quotient
-    ambient_kernel: tuple              # K-basis of kernel on coefficients
+    quotient_kernel: KernelBasis       # K-basis of kernel on the quotient
+    ambient_kernel: KernelBasis        # K-basis of kernel on coefficients
     relations_evaluate_to_zero: bool
     holds: bool                        # no kernel beyond the relations
     statuses: tuple[str, ...]          # one per ambient kernel vector
@@ -661,8 +675,8 @@ def eval_and_conjecture(m: FdModule, point: ComparisonPoint) -> EvalReport:
 
 def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
     _check_unit(m, point)
-    algebra = m.algebra
-    blocks = _path_blocks(m)
+    maps = _path_maps(m)
+    blocks = _path_blocks(m, maps)
     space = PeriodSpace(m, _block_relations(m, blocks), "pairing-kernel")
     lf = point.value_field
     emb = point.embedding()
@@ -671,52 +685,67 @@ def _evaluate(m: FdModule, point: ComparisonPoint) -> EvalReport:
     # u-combination of the pairings tr(rho(b) E_ij) of the basis paths,
     # each read off its path map in its block
     ambient_values = [lf.zero()] * (d * d)
-    for coeff, (src, arrows) in zip(point.u_coords, algebra.basis):
-        key = (algebra.path_target((src, arrows)), src)
-        if coeff and key in blocks:
-            for p, x in _trace_terms(m, *key, _nonzero(
-                    m.path_map(src, arrows).vec())):
-                ambient_values[p] = ambient_values[p] + coeff * x
+    for key, paths in maps.items():
+        for k, vec in paths:
+            coeff = point.u_coords[k]
+            if coeff:
+                for p, x in _trace_terms(m, *key, _nonzero(vec)):
+                    ambient_values[p] = ambient_values[p] + coeff * x
     # period class k is the class of the unit matrix at the k-th column
     # that is not a pivot of the relations, whose value is read off
     # directly
-    pivots = set(space.relations.pivots)
-    values = tuple(x for j, x in enumerate(ambient_values) if j not in pivots)
+    relations = space.relations
+    pivots = set(relations.pivots)
+    free = [j for j in range(d * d) if j not in pivots]
+    values = tuple(ambient_values[j] for j in free)
     quotient_kernel = k_linear_kernel(emb, values)
     ambient_kernel = k_linear_kernel(emb, tuple(ambient_values))
-    # a relation's value only meets the units of nonzero value, and its
-    # entries there are nearly all the shared ZERO, skipped by identity
-    nonzero_values = [(p, x) for p, x in enumerate(ambient_values) if x]
+    # a relation row is nonzero only at its pivot and at free columns, so
+    # its value only meets those of nonzero value, where its entries are
+    # nearly all the shared ZERO, skipped by identity
+    valued = [(j, x) for j, x in zip(free, values) if x]
     relations_zero = not any(
-        sum((value * v[p] for p, value in nonzero_values
-             if v[p] is not ZERO and v[p]), lf.zero())
-        for v in space.relations.basis_vectors())
+        sum((value * v[j] for j, value in valued
+             if v[j] is not ZERO and v[j]), ambient_values[p] * v[p])
+        for p, v in zip(relations.pivots, relations.basis_vectors()))
     # a rational kernel vector C is realized iff it pairs to zero with
-    # every block basis element of rho(A), whose terms meet C mostly at
-    # the shared ZERO, skipped by identity; over K = Q the kernel vectors
-    # already are Fractions
-    pairing = _pairing(m, blocks)
+    # every block basis element of rho(A); the pairing's terms are
+    # indexed by position once, and each vector meets them only at its
+    # few nonzeros
+    by_position: dict[int, list] = {}
+    for i, terms in enumerate(_pairing(m, blocks)):
+        for p, x in terms:
+            by_position.setdefault(p, []).append((i, x))
+    over_q = emb.domain is None
     statuses = []
-    for vec in ambient_kernel:
-        rational = vec if emb.domain is None else _rational_vector(vec)
-        statuses.append("unknown" if rational is None or any(
-            sum(rational[p] * x for p, x in terms
-                if rational[p] is not ZERO and rational[p])
-            for terms in pairing) else "realized")
+    for vec, own in zip(ambient_kernel.vectors, ambient_kernel.columns):
+        entries = _rational_entries(vec, (own, *ambient_kernel.shared),
+                                    over_q)
+        pairs = {}
+        for p, c in entries or ():
+            for i, x in by_position.get(p, ()):
+                pairs[i] = pairs.get(i, ZERO) + c * x
+        statuses.append("unknown" if entries is None or any(pairs.values())
+                        else "realized")
     return EvalReport(
         module=m, point=point, space=space, values=values,
         quotient_kernel=quotient_kernel, ambient_kernel=ambient_kernel,
         relations_evaluate_to_zero=relations_zero,
-        holds=(len(quotient_kernel) == 0),
+        holds=(len(quotient_kernel.vectors) == 0),
         statuses=tuple(statuses))
 
 
-def _rational_vector(vec) -> tuple | None:
-    """A vector of K-elements as Fractions, or None if an entry lies
-    outside Q."""
+def _rational_entries(vec, positions, over_q: bool) -> list | None:
+    """vec's nonzero entries at positions as (position, Fraction) pairs,
+    or None if one of them lies outside Q; over_q says the entries
+    already are Fractions, otherwise they are K-elements."""
     out = []
-    for x in vec:
-        if any(x.coeffs[1:]):
-            return None
-        out.append(x.coeffs[0])
-    return tuple(out)
+    for p in positions:
+        x = vec[p]
+        if not over_q:
+            if any(x.coeffs[1:]):
+                return None
+            x = x.coeffs[0]
+        if x:
+            out.append((p, x))
+    return out

@@ -19,6 +19,7 @@ nonzero entries are formatted, each distinct value once.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import is_not, itemgetter
@@ -76,36 +77,37 @@ class RationalVectors:
     """Rational vectors for dump_json, which writes them as json.dumps
     writes the list of their entries' rational_str texts or, given a row
     width d, the list of their d x d matrices, row-major as Matrix.vec
-    reads them.  Given pivots, the vectors are the rows of a canonical
-    RREF basis with those pivots."""
+    reads them.  Vector k is nonzero at columns[k] and otherwise only at
+    columns in shared, which defaults to the columns of no vector's, as
+    for the rows of a canonical RREF basis with columns its pivots; a
+    kernel basis (exactlin.KernelBasis) gives its own."""
 
-    __slots__ = ("vectors", "width", "pivots")
+    __slots__ = ("vectors", "columns", "shared", "width")
 
-    def __init__(self, vectors, width=None, pivots=None):
+    def __init__(self, vectors, columns, shared=None, width=None):
         self.vectors = vectors
+        self.columns = columns
+        self.shared = shared
         self.width = width
-        self.pivots = pivots
 
     def nonzeros(self):
-        """For each vector, the ascending positions of its nonzero entries.
-
-        A row of a canonical RREF basis is zero before its pivot and at
-        every other pivot, so past its pivot only the free columns, those
-        of no pivot, can hold a nonzero entry; one tuple.count over its
-        entries there tells whether any does, and only then are they
-        searched."""
-        if self.pivots is None:
-            yield from map(_nonzero_positions, self.vectors)
-            return
-        n = len(self.vectors[0]) if self.vectors else 0
-        free = sorted(set(range(n)).difference(self.pivots))
-        pick = _picker(free)
-        for v, pivot in zip(self.vectors, self.pivots):
+        """For each vector, the ascending positions of its nonzero entries:
+        its own column, and the shared columns where it is nonzero, which
+        are searched only when one tuple.count over its entries there
+        does not find them all ZERO."""
+        shared = self.shared
+        if shared is None:
+            n = len(self.vectors[0]) if self.vectors else 0
+            shared = sorted(set(range(n)).difference(self.columns))
+        pick = _picker(shared)
+        for v, own in zip(self.vectors, self.columns):
             entries = pick(v)
             if entries.count(ZERO) == len(entries):
-                yield [pivot]
+                yield [own]
             else:
-                yield [pivot, *(free[i] for i in _nonzero_positions(entries))]
+                positions = [shared[i] for i in _nonzero_positions(entries)]
+                insort(positions, own)
+                yield positions
 
 
 def _picker(columns):

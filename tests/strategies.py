@@ -8,12 +8,22 @@ invertible integer basis change at every vertex, entries in [-3, 3]: an
 isomorphic module whose matrices are dense.  With max_power above 1 it
 first takes the module to a drawn power up to max_power, so that the
 basis change mixes the copies.
+value_vectors(field) generates values for exactlin.k_linear_kernel, and
+OVER_Q and SQRT2 are its embeddings into L = Q[x]/(x^4 - 2): of Q, and
+of K = Q(sqrt 2) through x^2, as in
+test_eval_with_proper_coefficient_subfield.
 """
 
 from hypothesis import strategies as st
 
 from qperiods import zoo
-from qperiods.exactlin import Matrix, invert, rank
+from qperiods.exactlin import (
+    FieldEmbedding,
+    Matrix,
+    NumberField,
+    invert,
+    rank,
+)
 from qperiods.quivalg import (
     FdModule,
     build_algebra,
@@ -64,3 +74,32 @@ def rebased_modules(draw, max_power: int = 1):
     if max_power > 1:
         m = module_power(m, draw(st.integers(1, max_power)))
     return rebase(m, [draw(_invertible(d)) for d in m.dims])
+
+
+QUARTIC = NumberField([-2, 0, 0, 0, 1])
+OVER_Q = FieldEmbedding(None, QUARTIC)
+SQRT2 = FieldEmbedding(NumberField([-2, 0, 1]), QUARTIC,
+                       QUARTIC.elem([0, 0, 1]))
+
+
+@st.composite
+def value_vectors(draw, field: NumberField, max_size: int = 8):
+    """Up to max_size values in field: zeros interleaved with nonzero
+    values, all zeros, or no zeros.  The nonzero values are small integer
+    combinations of at most field.degree drawn elements, so that they are
+    often dependent."""
+    kind = draw(st.sampled_from(("interleaved", "zeros", "nonzero")))
+    coeffs = st.lists(st.integers(-2, 2), min_size=field.degree,
+                      max_size=field.degree)
+    base = [field.elem(c) for c in draw(
+        st.lists(coeffs, min_size=1, max_size=field.degree))]
+    out = []
+    for _ in range(draw(st.integers(0, max_size))):
+        if kind == "zeros" or (kind == "interleaved" and draw(st.booleans())):
+            out.append(field.zero())
+            continue
+        value = field.zero()
+        for b in base:
+            value = value + draw(st.integers(-2, 2)) * b
+        out.append(value or field.one())
+    return tuple(out)

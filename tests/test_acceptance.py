@@ -298,9 +298,9 @@ def test_comparison_points_separate_unit_from_generic_values():
     m = zoo.get_module("a2/p1")
     rep = eval_and_conjecture(m, _unit_point(m.algebra, NumberField([0, 1])))
     assert rep.verdict == "fails"
-    assert len(rep.quotient_kernel) == 2
-    realized = [v for v, status in zip(rep.ambient_kernel, rep.statuses)
-                if status == "realized"]
+    assert len(rep.quotient_kernel.vectors) == 2
+    realized = [v for v, status in zip(rep.ambient_kernel.vectors,
+                                       rep.statuses) if status == "realized"]
     assert realized
     d = m.dim
     real = realize_relation(m, Matrix.unvec(realized[0], d, d)).realization
@@ -311,7 +311,7 @@ def test_comparison_points_separate_unit_from_generic_values():
     point = ComparisonPoint(cubic, (one, gen, gen * gen))
     rep = eval_and_conjecture(m, point)
     assert rep.verdict == "holds"
-    assert len(rep.quotient_kernel) == 0
+    assert len(rep.quotient_kernel.vectors) == 0
 
 
 def _run_cli(args):

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from references import pairing_matrix
-from strategies import ORACLE_INPUTS, rebased_modules
+from strategies import (
+    ORACLE_INPUTS,
+    OVER_Q,
+    SQRT2,
+    rebased_modules,
+    value_vectors,
+)
 from qperiods.exactlin import (
     DivisionByZero,
     FieldEmbedding,
@@ -377,11 +383,49 @@ def test_field_embedding_and_k_linear_kernel():
     one = lf.one()
     a = lf.gen()
     # 1 and a are K-independent; (a, -a) has the obvious kernel
-    assert k_linear_kernel(emb, (one, a)) == ()
-    kern = k_linear_kernel(emb, (a, a))
+    assert k_linear_kernel(emb, (one, a)).vectors == ()
+    kern = k_linear_kernel(emb, (a, a)).vectors
     assert len(kern) == 1
     v = kern[0]
     assert v[0] * a + v[1] * a == lf.zero()
+
+
+def _full_width_kernel(emb: FieldEmbedding, values) -> tuple:
+    """k_linear_kernel's basis from an elimination over all p columns:
+    kernel_basis of the Q-system, or over a proper K the K-RREF of the
+    kernel of the Q-system in the coordinates of each c_j over K."""
+    p, lf = len(values), emb.codomain
+    if emb.domain is None:
+        return kernel_basis(Matrix._wrap(tuple(
+            tuple(v.coeffs[i] for v in values) for i in range(lf.degree)),
+            p))
+    dom = emb.domain
+    e = dom.degree
+    powers = [emb.apply(dom.gen() ** t) for t in range(e)]
+    system = Matrix._wrap(tuple((powers[t] * v).coeffs for v in values
+                                for t in range(e)), lf.degree).transpose()
+    red, pivots = rref(Matrix._wrap(tuple(
+        tuple(dom.elem(vec[j * e:(j + 1) * e]) for j in range(p))
+        for vec in kernel_basis(system)), p))
+    return red.rows[:len(pivots)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((OVER_Q, SQRT2)).flatmap(
+    lambda emb: st.tuples(st.just(emb), value_vectors(emb.codomain))))
+def test_k_linear_kernel_equals_the_full_width_elimination(case):
+    # only the columns of nonzero value are eliminated; the basis is the
+    # one an elimination over every column gives, and each vector is one
+    # at its own column and nonzero elsewhere only at the shared ones
+    emb, values = case
+    kernel = k_linear_kernel(emb, values)
+    assert kernel.vectors == _full_width_kernel(emb, values)
+    assert len(kernel.columns) == len(kernel.vectors)
+    assert len(kernel.shared) <= emb.codomain.degree
+    for vec, own in zip(kernel.vectors, kernel.columns):
+        assert vec[own] == 1 and own not in kernel.shared
+        assert not any(x for j, x in enumerate(vec)
+                       if j != own and j not in kernel.shared)
 
 
 def test_field_embedding_checks_polynomial():

@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 
 from qperiods import zoo
 from qperiods.cli import _kernel_data, _matrix_text, _scalar_data, main
-from qperiods.exactlin import ZERO, Matrix, NumberField, Subspace
+from qperiods.exactlin import (
+    ONE,
+    ZERO,
+    KernelBasis,
+    Matrix,
+    NumberField,
+    Subspace,
+    k_linear_kernel,
+)
 from qperiods.periods import ComparisonPoint, period_space
 from qperiods.quivalg import (
     BoundQuiverAlgebra,
@@ -43,6 +51,7 @@ from qperiods.serialize import (
 )
 from qperiods.yoga import WeightPartition
 from references import matrix_algebra_structure, matrix_text
+from strategies import OVER_Q, SQRT2, value_vectors
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -337,7 +346,7 @@ def test_relation_bases_are_written_as_their_per_entry_json_and_text(
     # the lists of entry strings that the report used to hold
     d, space = case
     vectors = space.basis_vectors()
-    basis = RationalVectors(vectors, d, space.pivots)
+    basis = RationalVectors(vectors, space.pivots, width=d)
     assert list(basis.nonzeros()) == [[j for j, x in enumerate(v) if x]
                                       for v in vectors]
     matrices = [[v[i * d:(i + 1) * d] for i in range(d)] for v in vectors]
@@ -350,32 +359,41 @@ def test_relation_bases_are_written_as_their_per_entry_json_and_text(
             == [matrix_text(matrix) for matrix in matrices])
 
 
-CUBIC = NumberField([-2, 0, 0, 1])
-CUBIC_ENTRIES = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(
-    CUBIC.elem)
-
-
 @st.composite
-def rational_kernels(draw):
-    """Vectors of one length up to 300, mostly zeros of both kinds: long
+def kernel_forms(draw):
+    """A kernel basis in kernel_basis's form, of vectors of one length up
+    to 300: each is one at its own column, its last nonzero, and nonzero
+    before it only at shared columns; zeros of both kinds, and long
     enough to be halved more than once."""
     n = draw(st.integers(0, 300))
-    return [with_other_zeros(draw, v)
-            for v in draw(st.lists(sparse_vectors(n), max_size=4))]
+    every = st.integers(0, max(n - 1, 0))
+    shared = sorted(draw(st.sets(every, max_size=8)) if n else ())
+    columns = sorted(draw(st.sets(every, max_size=4)).difference(shared)
+                     if n else ())
+    vectors = []
+    for f in columns:
+        vec = [ZERO] * n
+        vec[f] = ONE
+        for j in shared:
+            if j < f:
+                vec[j] = draw(ENTRIES)
+        vectors.append(with_other_zeros(draw, tuple(vec)))
+    return KernelBasis(tuple(vectors), tuple(columns), tuple(shared))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
-    st.tuples(st.just(True), rational_kernels()),
-    st.tuples(st.just(True), st.lists(
-        st.lists(ENTRIES, max_size=12).map(tuple), max_size=4)),
-    st.tuples(st.just(False), st.lists(
-        st.lists(CUBIC_ENTRIES, max_size=6).map(tuple), max_size=4))),
+    st.tuples(st.just(True), kernel_forms()),
+    st.tuples(st.just(True), value_vectors(OVER_Q.codomain, 12).map(
+        lambda values: k_linear_kernel(OVER_Q, values))),
+    st.tuples(st.just(False), value_vectors(SQRT2.codomain, 6).map(
+        lambda values: k_linear_kernel(SQRT2, values)))),
     st.integers(0, 3))
 def test_kernel_vectors_are_written_as_their_per_entry_data(case, depth):
-    # over Q, and over the cubic field as a proper coefficient field K
-    over_q, vectors = case
-    data = _kernel_data(vectors, over_q)
+    # over Q, and over Q(sqrt 2) as a proper coefficient field K
+    over_q, kernel = case
+    vectors = kernel.vectors
+    data = _kernel_data(kernel, over_q)
     if over_q:
         assert list(data.nonzeros()) == [[j for j, x in enumerate(v) if x]
                                          for v in vectors]
