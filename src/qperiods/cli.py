@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .exactlin import NumberFieldElem
 from .quivalg import NotAdmissible, NotFiniteDimensional, SubmoduleHandle
@@ -369,7 +369,7 @@ def _cmd_eval(args):
 def _cmd_lift(args):
     data = load_json(args.sequence)
     m, partition, cut = sequence_file_from_data(
-        data, base_dir=Path(args.sequence).parent,
+        data, base_dir=os.path.dirname(args.sequence),
         max_dim=MODULE_DIM_BUDGET["lift"])
     seq = slice_by_weight(m, partition, cut)
     vectors = target_vectors_from_data(
@@ -530,7 +530,7 @@ def _validate(args) -> None:
     for role in ("module", "weights", "relation", "comparison",
                  "sequence", "target", "input"):
         path = getattr(args, role, None)
-        if path is not None and not Path(path).is_file():
+        if path is not None and not os.path.isfile(path):
             raise ValidationError(f"{role} file does not exist: {path}")
     for name in ("spin_bound", "power_budget", "frontier_cap", "k"):
         bound = getattr(args, name, None)

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exactlin import (
     Matrix,
@@ -50,8 +49,7 @@ class NotASubmodule(ValueError):
     """A subspace is not vertex-homogeneous or not arrow-stable."""
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     name: str
     source: str
     target: str
@@ -132,6 +130,11 @@ class BoundQuiverAlgebra:
 _MAX_PATH_LENGTH = 24
 
 
+def _elimination_order(key: PathKey) -> tuple:
+    """The column order of the ideal's elimination: longest paths first."""
+    return (-len(key[1]), key[0], key[1])
+
+
 def build_algebra(vertices: Sequence[str],
                   arrows: Sequence,
                   relations: Sequence = ()) -> BoundQuiverAlgebra:
@@ -148,6 +151,16 @@ def build_algebra(vertices: Sequence[str],
     commits, which settles every ideal in this package's scope; if layers
     refuse to die within _MAX_PATH_LENGTH the construction raises
     NotFiniteDimensional rather than guess.
+
+    The ideal is held as the reduced echelon basis, over the paths
+    enumerated so far ordered longest first, of its elements p.r.q (r a
+    relation, p and q paths) whose terms all have length at most the
+    current one.  Each new layer puts its paths first in that order, so
+    the basis stays reduced, and only the elements whose longest term
+    reaches the new length are added to it; with no relations it stays
+    empty and no layer eliminates anything.  The paths that lead no row
+    are the basis, and each leading path reduces to minus the rest of
+    its row.
     """
     vertices = tuple(str(v) for v in vertices)
     if len(set(vertices)) != len(vertices):
@@ -163,13 +176,8 @@ def build_algebra(vertices: Sequence[str],
         raise NotAdmissible("duplicate arrow names")
     by_name = {a.name: a for a in arrow_objs}
 
-    def walk(key: PathKey) -> str:
-        v = key[0]
-        for a in key[1]:
-            v = by_name[a].target
-        return v
-
     norm_relations = []
+    shapes = []                 # (source, target, longest term) per relation
     max_rel_len = 1
     for rel in relations:
         terms = []
@@ -199,94 +207,100 @@ def build_algebra(vertices: Sequence[str],
         if not terms:
             raise NotAdmissible("relation with no nonzero terms")
         norm_relations.append(tuple(terms))
+        shapes.append((*endpoints, max(len(t[1][1]) for t in terms)))
     norm_relations = tuple(norm_relations)
 
-    def reduce_ideal(bound: int):
-        """RREF of the ideal elements whose terms have length <= bound,
-        over the paths enumerated so far ordered longest first."""
-        col_order = sorted(all_paths, key=lambda k: (-len(k[1]), k[0], k[1]))
-        col_index = {k: i for i, k in enumerate(col_order)}
-        ideal_rows = []
-        for rel in norm_relations:
-            src_v = rel[0][1][0]
-            tgt_v = walk(rel[0][1])
-            pres = [p for p in all_paths if walk(p) == src_v]
-            posts = [p for p in all_paths if p[0] == tgt_v]
-            for pre in pres:
-                for post in posts:
-                    row = [ZERO] * len(col_order)
-                    ok = True
-                    for coeff, (tsrc, tarrows) in rel:
-                        key = (pre[0], pre[1] + tarrows + post[1])
-                        if len(key[1]) > bound:
-                            ok = False
-                            break
-                        row[col_index[key]] += coeff
-                    if ok and any(row):
-                        ideal_rows.append(tuple(row))
-        red, pivots = rref(Matrix(ideal_rows) if ideal_rows
-                           else Matrix.zero(0, len(col_order)))
-        return col_order, red, pivots
+    # the reduced echelon basis of the ideal, each row a {path: coeff}
+    # dict keyed by its leading path
+    ideal: dict[PathKey, dict] = {}
 
+    def add(row: dict) -> None:
+        """Put row's span into the ideal's basis, keeping it reduced."""
+        for p in [p for p in row if p in ideal]:
+            c = row[p]
+            if c:
+                for q, x in ideal[p].items():
+                    row[q] = row.get(q, ZERO) - c * x
+        row = {q: x for q, x in row.items() if x}
+        if not row:
+            return
+        lead = min(row, key=_elimination_order)
+        pivot = row[lead]
+        if pivot != 1:
+            inv = 1 / pivot
+            row = {q: x * inv for q, x in row.items()}
+        for other in ideal.values():
+            c = other.get(lead)
+            if c:
+                for q, x in row.items():
+                    y = other.get(q, ZERO) - c * x
+                    if y:
+                        other[q] = y
+                    else:
+                        del other[q]
+        ideal[lead] = row
+
+    out_arrows = {v: [a for a in arrow_objs if a.source == v]
+                  for v in vertices}
     window = max(2, max_rel_len)
-    layers: list[list[PathKey]] = [[(v, ()) for v in vertices]]
-    all_paths: list[PathKey] = list(layers[0])
+    # the paths of each length, by the vertex they end at and by the one
+    # they start from
+    ending = [{v: [(v, ())] for v in vertices}]
+    starting = [{v: [(v, ())] for v in vertices}]
+    all_paths: list[PathKey] = [(v, ()) for v in vertices]
+    prev = all_paths
     dead_streak = 0
-    final_len = 0
     path_budget = 200_000
 
     for length in range(1, _MAX_PATH_LENGTH + 1):
-        prev = layers[length - 1]
         layer = []
+        ends: dict[str, list] = {}
+        starts: dict[str, list] = {}
         for src, seq in prev:
-            tip = walk((src, seq))
-            for a in arrow_objs:
-                if a.source == tip:
-                    layer.append((src, seq + (a.name,)))
-        layers.append(layer)
+            tip = by_name[seq[-1]].target if seq else src
+            for a in out_arrows[tip]:
+                path = (src, seq + (a.name,))
+                layer.append(path)
+                ends.setdefault(a.target, []).append(path)
+                starts.setdefault(src, []).append(path)
+        ending.append(ends)
+        starting.append(starts)
         all_paths.extend(layer)
         if len(all_paths) > path_budget:
             raise NotFiniteDimensional(
                 "path enumeration exceeded the budget; the algebra was not "
                 "certified finite-dimensional")
-        final_len = length
         if not layer:
-            reduced = None
             break
-        reduced = reduce_ideal(length)
-        col_order, _, pivots = reduced
-        pivot_paths = {col_order[c] for c in pivots}
-        if all(p in pivot_paths for p in layer):
+        for rel, (src_v, tgt_v, longest) in zip(norm_relations, shapes):
+            gap = length - longest
+            for i in range(gap + 1):
+                for pre in ending[i].get(src_v, ()):
+                    for post in starting[gap - i].get(tgt_v, ()):
+                        row: dict[PathKey, Fraction] = {}
+                        for coeff, (_, tarrows) in rel:
+                            key = (pre[0], pre[1] + tarrows + post[1])
+                            row[key] = row.get(key, ZERO) + coeff
+                        add(row)
+        if all(p in ideal for p in layer):
             dead_streak += 1
             if dead_streak >= window:
                 break
         else:
             dead_streak = 0
+        prev = layer
     else:
         raise NotFiniteDimensional(
             f"path layers did not die out within length {_MAX_PATH_LENGTH}")
 
-    # final reduction data over everything enumerated; a dead streak ends
-    # right after reducing at final_len, so only an empty layer needs it
-    if reduced is None:
-        reduced = reduce_ideal(final_len)
-    col_order, red, pivots = reduced
-    pivot_cols = set(pivots)
-    basis = tuple(sorted((k for i, k in enumerate(col_order)
-                          if i not in pivot_cols),
+    basis = tuple(sorted((k for k in all_paths if k not in ideal),
                          key=lambda k: (len(k[1]), k[0], k[1])))
     basis_index = {k: i for i, k in enumerate(basis)}
-    reduction: dict[PathKey, tuple] = {}
-    for k in basis:
-        reduction[k] = ((basis_index[k], ONE),)
-    for r, c in enumerate(pivots):
-        terms = []
-        for j in range(len(col_order)):
-            if j != c and red.rows[r][j]:
-                other = col_order[j]
-                assert other in basis_index, "pivot reduced to a pivot column"
-                terms.append((basis_index[other], -red.rows[r][j]))
-        reduction[col_order[c]] = tuple(sorted(terms))
+    reduction: dict[PathKey, tuple] = {k: ((i, ONE),)
+                                       for k, i in basis_index.items()}
+    for lead, row in ideal.items():
+        reduction[lead] = tuple(sorted((basis_index[q], -x)
+                                       for q, x in row.items() if q != lead))
 
     return BoundQuiverAlgebra(vertices, arrow_objs, norm_relations, basis,
                               reduction)

@@ -19,6 +19,7 @@ nonzero entries are formatted, each distinct value once.
 from __future__ import annotations
 
 import json
+import os
 from bisect import insort
 from fractions import Fraction
 from itertools import compress, repeat
@@ -59,7 +60,8 @@ class ValidationError(ValueError):
 
 def load_json(path):
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as exc:
         raise ParseError(path, None, exc.strerror or str(exc)) from exc
     try:
@@ -68,7 +70,7 @@ def load_json(path):
         raise ParseError(path, exc.lineno, exc.msg) from exc
 
 
-# lays out every scalar but a string, as json.dumps does
+# lays out floats, and refuses what JSON cannot hold, as json.dumps does
 _ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
 _quote = json.encoder.encode_basestring_ascii
 
@@ -192,7 +194,22 @@ def _write(value, newline: str, parts: list) -> None:
     elif isinstance(value, RationalVectors):
         _write_vectors(value, newline, parts)
     else:
-        parts.append(_ENCODER.encode(value))
+        parts.append(_scalar_text(value))
+
+
+def _scalar_text(value) -> str:
+    """The JSON text of a value that is not a string or a container, as
+    json.dumps writes it: ints (bools apart) by int.__repr__, with no
+    encoder call for the ints, bools and None that reports hold."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return _ENCODER.encode(value)
 
 
 def _write_vectors(value: RationalVectors, newline: str, parts: list) -> None:
@@ -284,7 +301,7 @@ def _key_str(key) -> str:
     if isinstance(key, str):
         return key
     if isinstance(key, (int, float)) or key is None:
-        return _ENCODER.encode(key)
+        return _scalar_text(key)
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {key.__class__.__name__}")
 
@@ -336,15 +353,25 @@ def matrix_from_data(rows, nrows: int, ncols: int, what: str) -> Matrix:
     if len(rows) != nrows:
         raise ValidationError(
             f"{what} must have {nrows} rows, got {len(rows)}")
-    parsed = []
+    # a map's entries are mostly a few strings such as "0" and "1", so
+    # each distinct string is parsed once
+    parsed, seen = [], {}
     for i, row in enumerate(rows):
         _expect(row, list, f"{what} row {i}")
         if len(row) != ncols:
             raise ValidationError(
                 f"{what} row {i} must have {ncols} entries, got {len(row)}")
-        parsed.append([parse_rational(x, f"{what}[{i}][{j}]")
-                       for j, x in enumerate(row)])
-    return Matrix(parsed, ncols=ncols)
+        entries = []
+        for j, x in enumerate(row):
+            q = seen.get(x) if type(x) is str else None
+            if q is None:
+                q = parse_rational(x, f"{what}[{i}][{j}]")
+                if type(x) is str:
+                    seen[x] = q
+            entries.append(q)
+        parsed.append(tuple(entries))
+    # every entry is a Fraction and every row ncols long
+    return Matrix._wrap(tuple(parsed), ncols)
 
 
 def matrix_to_data(mat: Matrix) -> list:
@@ -478,7 +505,7 @@ def module_to_data(m: FdModule) -> dict:
 
 
 def load_module(path, max_dim=None) -> FdModule:
-    return module_from_data(load_json(path), base_dir=Path(path).parent,
+    return module_from_data(load_json(path), base_dir=os.path.dirname(path),
                             max_dim=max_dim)
 
 

@@ -135,6 +135,7 @@ from qperiods.exactlin import (
     block_diagonal,
     intertwiners,
     kernel_subspace,
+    rat,
     rref,
 )
 from qperiods.onemotive import BModule, RangeError, b_module
@@ -145,12 +146,18 @@ from qperiods.periods import (
     period_space,
 )
 from qperiods.quivalg import (
+    Arrow,
+    BoundQuiverAlgebra,
     FdModule,
     ModuleMap,
+    NotAdmissible,
     NotAModuleMap,
     NotASubmodule,
+    NotFiniteDimensional,
+    PathKey,
     StructureAlgebra,
     SubmoduleHandle,
+    _MAX_PATH_LENGTH,
     build_algebra,
     direct_sum,
     hom_space,
@@ -1273,3 +1280,153 @@ def class_c_explore(m: FdModule, target: SubmoduleHandle,
         steps.append(step)
         key = parent
     return ExploreResult(True, tuple(reversed(steps)), visited, False)
+
+
+def layered_algebra(vertices: Sequence[str],
+                  arrows: Sequence,
+                  relations: Sequence = ()) -> BoundQuiverAlgebra:
+    """build_algebra as it read before it kept the ideal's echelon basis
+    from one layer to the next: at every layer it eliminates, from
+    scratch, all ideal elements p.r.q whose terms have length at most
+    the layer's, over every path enumerated so far."""
+    vertices = tuple(str(v) for v in vertices)
+    if len(set(vertices)) != len(vertices):
+        raise NotAdmissible("duplicate vertex names")
+    arrow_objs = []
+    for name, src, tgt in arrows:
+        if src not in vertices or tgt not in vertices:
+            raise NotAdmissible(f"arrow {name} touches an unknown vertex")
+        arrow_objs.append(Arrow(str(name), str(src), str(tgt)))
+    arrow_objs = tuple(arrow_objs)
+    names = [a.name for a in arrow_objs]
+    if len(set(names)) != len(names):
+        raise NotAdmissible("duplicate arrow names")
+    by_name = {a.name: a for a in arrow_objs}
+
+    def walk(key: PathKey) -> str:
+        v = key[0]
+        for a in key[1]:
+            v = by_name[a].target
+        return v
+
+    norm_relations = []
+    max_rel_len = 1
+    for rel in relations:
+        terms = []
+        endpoints = None
+        for coeff, arrow_seq in rel:
+            coeff = rat(coeff)
+            arrow_seq = tuple(str(a) for a in arrow_seq)
+            if len(arrow_seq) < 2:
+                raise NotAdmissible("relation terms must be paths of length >= 2")
+            if not coeff:
+                continue
+            for a in arrow_seq:
+                if a not in by_name:
+                    raise NotAdmissible(f"unknown arrow {a} in a relation")
+            src = by_name[arrow_seq[0]].source
+            v = src
+            for a in arrow_seq:
+                if by_name[a].source != v:
+                    raise NotAdmissible(f"relation term {arrow_seq} is not composable")
+                v = by_name[a].target
+            if endpoints is None:
+                endpoints = (src, v)
+            elif endpoints != (src, v):
+                raise NotAdmissible("relation terms are not parallel")
+            terms.append((coeff, (src, arrow_seq)))
+            max_rel_len = max(max_rel_len, len(arrow_seq))
+        if not terms:
+            raise NotAdmissible("relation with no nonzero terms")
+        norm_relations.append(tuple(terms))
+    norm_relations = tuple(norm_relations)
+
+    def reduce_ideal(bound: int):
+        """RREF of the ideal elements whose terms have length <= bound,
+        over the paths enumerated so far ordered longest first."""
+        col_order = sorted(all_paths, key=lambda k: (-len(k[1]), k[0], k[1]))
+        col_index = {k: i for i, k in enumerate(col_order)}
+        ideal_rows = []
+        for rel in norm_relations:
+            src_v = rel[0][1][0]
+            tgt_v = walk(rel[0][1])
+            pres = [p for p in all_paths if walk(p) == src_v]
+            posts = [p for p in all_paths if p[0] == tgt_v]
+            for pre in pres:
+                for post in posts:
+                    row = [ZERO] * len(col_order)
+                    ok = True
+                    for coeff, (tsrc, tarrows) in rel:
+                        key = (pre[0], pre[1] + tarrows + post[1])
+                        if len(key[1]) > bound:
+                            ok = False
+                            break
+                        row[col_index[key]] += coeff
+                    if ok and any(row):
+                        ideal_rows.append(tuple(row))
+        red, pivots = rref(Matrix(ideal_rows) if ideal_rows
+                           else Matrix.zero(0, len(col_order)))
+        return col_order, red, pivots
+
+    window = max(2, max_rel_len)
+    layers: list[list[PathKey]] = [[(v, ()) for v in vertices]]
+    all_paths: list[PathKey] = list(layers[0])
+    dead_streak = 0
+    final_len = 0
+    path_budget = 200_000
+
+    for length in range(1, _MAX_PATH_LENGTH + 1):
+        prev = layers[length - 1]
+        layer = []
+        for src, seq in prev:
+            tip = walk((src, seq))
+            for a in arrow_objs:
+                if a.source == tip:
+                    layer.append((src, seq + (a.name,)))
+        layers.append(layer)
+        all_paths.extend(layer)
+        if len(all_paths) > path_budget:
+            raise NotFiniteDimensional(
+                "path enumeration exceeded the budget; the algebra was not "
+                "certified finite-dimensional")
+        final_len = length
+        if not layer:
+            reduced = None
+            break
+        reduced = reduce_ideal(length)
+        col_order, _, pivots = reduced
+        pivot_paths = {col_order[c] for c in pivots}
+        if all(p in pivot_paths for p in layer):
+            dead_streak += 1
+            if dead_streak >= window:
+                break
+        else:
+            dead_streak = 0
+    else:
+        raise NotFiniteDimensional(
+            f"path layers did not die out within length {_MAX_PATH_LENGTH}")
+
+    # final reduction data over everything enumerated; a dead streak ends
+    # right after reducing at final_len, so only an empty layer needs it
+    if reduced is None:
+        reduced = reduce_ideal(final_len)
+    col_order, red, pivots = reduced
+    pivot_cols = set(pivots)
+    basis = tuple(sorted((k for i, k in enumerate(col_order)
+                          if i not in pivot_cols),
+                         key=lambda k: (len(k[1]), k[0], k[1])))
+    basis_index = {k: i for i, k in enumerate(basis)}
+    reduction: dict[PathKey, tuple] = {}
+    for k in basis:
+        reduction[k] = ((basis_index[k], ONE),)
+    for r, c in enumerate(pivots):
+        terms = []
+        for j in range(len(col_order)):
+            if j != c and red.rows[r][j]:
+                other = col_order[j]
+                assert other in basis_index, "pivot reduced to a pivot column"
+                terms.append((basis_index[other], -red.rows[r][j]))
+        reduction[col_order[c]] = tuple(sorted(terms))
+
+    return BoundQuiverAlgebra(vertices, arrow_objs, norm_relations, basis,
+                              reduction)
