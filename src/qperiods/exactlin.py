@@ -199,9 +199,27 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        cols = other.transpose().rows
-        return Matrix._wrap(tuple(
-            tuple(_dot(r, c) for c in cols) for r in self.rows), other.ncols)
+        # each entry sums the products of the nonzero entries of a row of
+        # self with the nonzero entries of other's rows, in row order; an
+        # entry that no such pair reaches is the zero of the products
+        n = other.ncols
+        if not (self.rows and self.ncols and n):
+            return Matrix._wrap(((ZERO,) * n,) * self.nrows, n)
+        zero = self.rows[0][0] * other.rows[0][0]
+        zero = zero.field.zero() if isinstance(zero, NumberFieldElem) else ZERO
+        right = [[(j, b) for j, b in enumerate(row) if b]
+                 for row in other.rows]
+        rows = []
+        for row in self.rows:
+            acc = {}
+            for a, terms in zip(row, right):
+                if terms and a:
+                    for j, b in terms:
+                        t = a * b
+                        acc[j] = acc[j] + t if j in acc else t
+            rows.append(tuple([acc.get(j, zero) for j in range(n)])
+                        if acc else (zero,) * n)
+        return Matrix._wrap(tuple(rows), n)
 
     def apply(self, vector: Sequence) -> tuple:
         if len(vector) != self.ncols:

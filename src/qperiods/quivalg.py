@@ -687,8 +687,10 @@ def hom_space(m: FdModule, n: FdModule) -> tuple[ModuleMap, ...]:
     return tuple(out)
 
 
-def end_algebra(m: FdModule) -> tuple[int, tuple[ModuleMap, ...]]:
-    """The dimension of the Jacobson radical of End(M), and hom_space(m, m).
+def end_algebra(m: FdModule, basis: tuple | None = None
+                ) -> tuple[int, tuple[ModuleMap, ...]]:
+    """The dimension of the Jacobson radical of End(M), and hom_space(m, m),
+    solved here unless the caller already has it as basis.
 
     End(M) acts faithfully on M, so over Q its radical J is the radical
     I of the trace form (f, g) -> tr_M(f g) (Dickson's criterion).  J
@@ -703,7 +705,8 @@ def end_algebra(m: FdModule) -> tuple[int, tuple[ModuleMap, ...]]:
     any two maps.  End(M) is semisimple exactly when that dimension is
     zero.
     """
-    basis = hom_space(m, m)
+    if basis is None:
+        basis = hom_space(m, m)
     k = len(basis)
     entries = [[((v, i, j), x) for v, b in enumerate(f.blocks)
                 for i, j, x in b.nonzero_entries()] for f in basis]

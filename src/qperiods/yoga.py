@@ -346,7 +346,21 @@ def _outward_homs_vanish(seq: AdmissibleSequence, side: str) -> bool:
     return _clears_high_vertices(seq, SubmoduleHandle.zero(m))
 
 
-def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
+def _end_basis(m: FdModule, known: dict) -> tuple:
+    """hom_space(m, m), read from known when the question has solved it
+    for an equal module already, and added to it otherwise; known maps
+    vertex dimensions to the (module, End basis) pairs solved so far."""
+    solved = known.setdefault(m.dims, [])
+    for n, basis in solved:
+        if n == m:
+            return basis
+    basis = hom_space(m, m)
+    solved.append((m, basis))
+    return basis
+
+
+def saturated_check(seq: AdmissibleSequence, side: str,
+                    known: dict | None = None) -> SaturatedVerdict:
     """Certify saturatedness on one side by the split-restriction test.
 
     Right side: restricting endomorphisms of the middle to the quotient
@@ -359,9 +373,15 @@ def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
     with kernels (resp. images) given by universal lifts (resp.
     extensions); the test is sufficient, so the negative outcome is
     'unknown', not a refutation.
+
+    known holds the End bases the question has solved, as _end_basis
+    reads them: both sides of a stage share the middle's, and a stage's
+    sub is often the middle of the stage below.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    if known is None:
+        known = {}
     m = seq.module
     if side == "right":
         stage = seq.quot
@@ -374,9 +394,9 @@ def saturated_check(seq: AdmissibleSequence, side: str) -> SaturatedVerdict:
     # vertices
     induced = [tuple(x for b, d in zip(f.blocks, stage.dims) if d
                      for x in b.vec())
-               for f in hom_space(m, m)]
+               for f in _end_basis(m, known)]
     outward = _outward_homs_vanish(seq, side)
-    radical_dim, stage_endos = end_algebra(stage)
+    radical_dim, stage_endos = end_algebra(stage, _end_basis(stage, known))
     target_dim = len(stage_endos)
     length = sum(d * d for d in stage.dims)
     rank = Subspace(length, induced).dim
@@ -588,14 +608,14 @@ def _apply_stage(partition: WeightPartition, seq: AdmissibleSequence,
 
 def _grow_tower(partition: WeightPartition, support: tuple[int, ...],
                 truncs: list[FdModule], k: int, acc: tuple, steps: tuple,
-                prev_node: DerivationNode):
+                prev_node: DerivationNode, known: dict):
     if k == len(truncs):
         yield steps, list(acc), prev_node
         return
     seq = slice_by_weight(truncs[k], partition, support[k - 1])
     used: list[FdModule] = []
     for side in _stage_sides(acc):
-        sat = saturated_check(seq, side)
+        sat = saturated_check(seq, side, known)
         for variant in ("plain", "witness"):
             got = _apply_stage(partition, seq, side, variant, acc, prev_node,
                                sat)
@@ -607,10 +627,10 @@ def _grow_tower(partition: WeightPartition, support: tuple[int, ...],
             used.append(companion)
             yield from _grow_tower(
                 partition, support, truncs, k + 1, acc + (companion,),
-                steps + ({"side": side, "variant": variant},), node)
+                steps + ({"side": side, "variant": variant},), node, known)
 
 
-def _tower_runs(core: FdModule, partition: WeightPartition):
+def _tower_runs(core: FdModule, partition: WeightPartition, known: dict):
     support = tuple(sorted(partition.support_weights(core)))
     if len(support) < 2:
         return
@@ -621,15 +641,18 @@ def _tower_runs(core: FdModule, partition: WeightPartition):
         "Semisimple",
         "the lowest stage is a sum of simples, which is principal",
         {"dims": list(truncs[0].dims)})
-    yield from _grow_tower(partition, support, truncs, 1, (), (), base)
+    yield from _grow_tower(partition, support, truncs, 1, (), (), base,
+                           known)
 
 
 def _certificate_search(x: FdModule, partition: WeightPartition,
                         core_cap: int) -> tuple[DerivationNode, dict] | None:
     """The core x tower search: (derivation, plan) of the first assembled
-    sum isomorphic to x, or None."""
+    sum isomorphic to x, or None.  The End bases its saturation checks
+    solve are kept for the rest of the search, and dropped with it."""
+    known: dict = {}
     for vecs, core in _core_candidates(x, partition, core_cap):
-        for steps, companions, node in _tower_runs(core, partition):
+        for steps, companions, node in _tower_runs(core, partition, known):
             assembled = direct_sum([core] + companions)
             if assembled.dims != x.dims:
                 continue
@@ -711,13 +734,14 @@ def replay_derivation(x: FdModule, partition: WeightPartition,
         return False
     node = DerivationNode("Semisimple", "replayed base", {})
     acc: tuple = ()
+    known: dict = {}
     for k, step in enumerate(plan["stages"], start=1):
         side = step["side"]
         if side not in _stage_sides(acc):
             return False
         seq = slice_by_weight(truncs[k], partition, support[k - 1])
         got = _apply_stage(partition, seq, side, step["variant"], acc, node,
-                           saturated_check(seq, side))
+                           saturated_check(seq, side, known))
         if got is None:
             return False
         companion, node = got

@@ -1430,3 +1430,21 @@ def layered_algebra(vertices: Sequence[str],
 
     return BoundQuiverAlgebra(vertices, arrow_objs, norm_relations, basis,
                               reduction)
+
+
+def triple_loop_product(a: Matrix, b: Matrix) -> list:
+    """a * b as lists of rows, each entry the sum over every k of
+    a[i][k] * b[k][j], zero products included, the way Matrix products
+    were formed before they skipped zero entries (ZERO when a has no
+    columns)."""
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            total = None
+            for k in range(a.ncols):
+                term = a.rows[i][k] * b.rows[k][j]
+                total = term if total is None else total + term
+            row.append(ZERO if total is None else total)
+        out.append(row)
+    return out

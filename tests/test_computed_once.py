@@ -58,7 +58,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperiods import exactlin, periods, yoga, zoo
+from qperiods import exactlin, periods, quivalg, yoga, zoo
 from qperiods.exactlin import Matrix, rref
 from qperiods.periods import (
     depth_space,
@@ -227,9 +227,9 @@ def count_saturation_checks(run) -> list:
     seen = []
     original = yoga.saturated_check
 
-    def counting(seq, side):
+    def counting(seq, side, *known):
         seen.append((seq, side))
-        return original(seq, side)
+        return original(seq, side, *known)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(yoga, "saturated_check", counting)
@@ -244,6 +244,28 @@ def test_certify_checks_each_stage_once_per_side(key):
     assert seen, key
     keys = [(id(seq), side) for seq, side in seen]
     assert len(keys) == len(set(keys)), key
+
+
+def module_key(m: FdModule) -> tuple:
+    return (m.dims, tuple((name, mat.rows) for name, mat in m.maps.items()))
+
+
+@pytest.mark.parametrize("entry", zoo.corpus(), ids=lambda e: e.key)
+def test_certify_solves_each_hom_space_once(entry):
+    # every hom_space call of one certify question, by the module pair it
+    # solves, in every namespace that calls it
+    calls = []
+    original = quivalg.hom_space
+
+    def counting(m, n):
+        calls.append((module_key(m), module_key(n)))
+        return original(m, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for namespace in (quivalg, periods, yoga):
+            mp.setattr(namespace, "hom_space", counting)
+        certify_principal(entry.module, parts(entry.algebra_key))
+    assert len(calls) == len(set(calls)), entry.key
 
 
 def test_replay_checks_every_stage_itself():

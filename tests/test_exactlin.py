@@ -40,7 +40,7 @@ from qperiods.exactlin import (
     rref,
 )
 from qperiods import exactlin
-from references import QuotientPresentation, column, solve
+from references import QuotientPresentation, column, solve, triple_loop_product
 
 
 def random_matrix(rng, nrows, ncols, span=6):
@@ -117,6 +117,45 @@ def test_block_diagonal_shape():
 
 small_fraction = st.fractions(min_value=-4, max_value=4,
                               max_denominator=3)
+
+CUBE_ROOT_2 = NumberField([-2, 0, 0, 1])
+
+
+@st.composite
+def product_pairs(draw):
+    """Two matrices that can be multiplied, over Q or over Q(2^(1/3)),
+    with some rows and columns all zero and any dimension possibly 0."""
+    n, k, m = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    over_q = draw(st.booleans())
+    zero = Fraction(0) if over_q else CUBE_ROOT_2.zero()
+
+    def entry():
+        if over_q:
+            return draw(small_fraction)
+        return CUBE_ROOT_2.elem([draw(small_fraction) for _ in range(3)])
+
+    def matrix(nrows, ncols):
+        zero_rows = draw(st.sets(st.integers(0, 3), max_size=2))
+        zero_cols = draw(st.sets(st.integers(0, 3), max_size=2))
+        return Matrix([[zero if i in zero_rows or j in zero_cols else entry()
+                        for j in range(ncols)] for i in range(nrows)],
+                      ncols=ncols)
+
+    return matrix(n, k), matrix(k, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_products_equal_the_triple_loop(pair):
+    # the product skips zero entries; every entry must keep its value and
+    # its type, a field element over the field even where it is zero
+    a, b = pair
+    product = a * b
+    expected = triple_loop_product(a, b)
+    assert (product.nrows, product.ncols) == (a.nrows, b.ncols)
+    assert [list(row) for row in product.rows] == expected
+    assert ([[type(x) for x in row] for row in product.rows]
+            == [[type(x) for x in row] for row in expected])
 
 
 @st.composite

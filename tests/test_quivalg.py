@@ -50,6 +50,7 @@ from references import (
     is_injective,
     is_surjective,
     kernel,
+    layered_algebra,
     matrix_algebra_structure,
     opposite,
     quotient_module,
@@ -74,6 +75,99 @@ ALGEBRA_DIMS = {
 def test_algebra_dimensions_frozen():
     for key, dim in ALGEBRA_DIMS.items():
         assert zoo.algebra(key).dim == dim, key
+
+
+def algebra_inputs(algebra) -> tuple:
+    """The vertices, arrows and relations an algebra was built from."""
+    return (algebra.vertices,
+            [(a.name, a.source, a.target) for a in algebra.arrows],
+            [[(c, key[1]) for c, key in rel] for rel in algebra.relations])
+
+
+def linear_an(n: int) -> tuple:
+    return ([f"x{i}" for i in range(n)],
+            [(f"a{i}", f"x{i}", f"x{i + 1}") for i in range(n - 1)], [])
+
+
+BUILD_INPUTS = (
+    [(key, algebra_inputs(zoo.algebra(key))) for key in ALGEBRA_DIMS]
+    + [(f"A{n}", linear_an(n)) for n in range(1, 11)]
+    + [
+        ("free loop", (["v"], [("z", "v", "v")], [])),
+        # a relation term is a sequence of arrow names; these are letters
+        ("loop z^3 = 0", (["v"], [("z", "v", "v")], [[(1, "zzz")]])),
+        ("exterior algebra", (["v"], [("x", "v", "v"), ("y", "v", "v")],
+                              [[(1, "xx")], [(1, "yy")],
+                               [(1, "xy"), (1, "yx")]])),
+        ("mixed lengths", (["v", "w"], [("x", "v", "v"), ("a", "v", "w")],
+                           [[(1, "xx")], [(1, "xxa"), (-2, "xa")]])),
+        ("cancelling terms", (["v", "w"], [("x", "v", "v"), ("a", "v", "w")],
+                              [[(1, "xxx")], [(2, "xa"), (-2, "xa")]])),
+    ])
+
+
+@pytest.mark.parametrize("label, inputs", BUILD_INPUTS,
+                         ids=[label for label, _ in BUILD_INPUTS])
+def test_build_algebra_equals_the_per_layer_elimination(label, inputs):
+    # the same basis in the same order and the same reduction table, or
+    # the same refusal
+    try:
+        want = layered_algebra(*inputs)
+    except (NotAdmissible, NotFiniteDimensional) as exc:
+        with pytest.raises(type(exc)) as got:
+            build_algebra(*inputs)
+        assert str(got.value) == str(exc), label
+        return
+    got = build_algebra(*inputs)
+    assert got.basis == want.basis, label
+    assert got._reduction == want._reduction, label
+    assert (got.vertices, got.arrows, got.relations) == (
+        want.vertices, want.arrows, want.relations), label
+
+
+@st.composite
+def acyclic_bound_quivers(draw):
+    """An acyclic quiver on two to four vertices, with up to two arrows
+    from each vertex to each later one, and one to three relations, each
+    a combination of parallel paths of length two or more, which may
+    differ in length."""
+    n = draw(st.integers(2, 4))
+    vertices = [f"v{i}" for i in range(n)]
+    arrows = []
+    for i, j in itertools.combinations(range(n), 2):
+        for _ in range(draw(st.integers(0, 2))):
+            arrows.append((f"a{len(arrows)}", f"v{i}", f"v{j}"))
+    paths = [(a[1], a[2], (a[0],)) for a in arrows]
+    longer = []
+    for _ in range(n - 1):
+        paths = [(s, a[2], seq + (a[0],)) for s, t, seq in paths
+                 for a in arrows if a[1] == t]
+        longer += paths
+    parallel: dict = {}
+    for s, t, seq in longer:
+        parallel.setdefault((s, t), []).append(seq)
+    relations = []
+    if parallel:
+        for _ in range(draw(st.integers(1, 3))):
+            group = parallel[draw(st.sampled_from(sorted(parallel)))]
+            terms = draw(st.lists(st.sampled_from(group), min_size=1,
+                                  max_size=3))
+            coeffs = st.sampled_from((-2, -1, 0, 1, 3))
+            relations.append([(draw(coeffs), seq) for seq in terms])
+    return vertices, arrows, relations
+
+
+@settings(max_examples=150, deadline=None)
+@given(acyclic_bound_quivers())
+def test_build_algebra_equals_the_per_layer_elimination_on_generated_quivers(
+        inputs):
+    test_build_algebra_equals_the_per_layer_elimination(repr(inputs), inputs)
+
+
+def test_a_free_loop_is_refused_as_before():
+    with pytest.raises(NotFiniteDimensional,
+                       match="^path layers did not die out within length 24$"):
+        build_algebra(["v"], [("z", "v", "v")])
 
 
 def test_build_algebra_rejects_bad_input():
