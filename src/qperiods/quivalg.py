@@ -243,29 +243,17 @@ def build_algebra(vertices: Sequence[str],
     out_arrows = {v: [a for a in arrow_objs if a.source == v]
                   for v in vertices}
     window = max(2, max_rel_len)
-    # the paths of each length, by the vertex they end at and by the one
-    # they start from
-    ending = [{v: [(v, ())] for v in vertices}]
-    starting = [{v: [(v, ())] for v in vertices}]
+    # the paths of each length, each with the vertex it ends at
+    layers = [[((v, ()), v) for v in vertices]]
     all_paths: list[PathKey] = [(v, ()) for v in vertices]
-    prev = all_paths
     dead_streak = 0
     path_budget = 200_000
 
     for length in range(1, _MAX_PATH_LENGTH + 1):
-        layer = []
-        ends: dict[str, list] = {}
-        starts: dict[str, list] = {}
-        for src, seq in prev:
-            tip = by_name[seq[-1]].target if seq else src
-            for a in out_arrows[tip]:
-                path = (src, seq + (a.name,))
-                layer.append(path)
-                ends.setdefault(a.target, []).append(path)
-                starts.setdefault(src, []).append(path)
-        ending.append(ends)
-        starting.append(starts)
-        all_paths.extend(layer)
+        layer = [((src, seq + (a.name,)), a.target)
+                 for (src, seq), tip in layers[-1] for a in out_arrows[tip]]
+        layers.append(layer)
+        all_paths.extend(path for path, _ in layer)
         if len(all_paths) > path_budget:
             raise NotFiniteDimensional(
                 "path enumeration exceeded the budget; the algebra was not "
@@ -275,20 +263,23 @@ def build_algebra(vertices: Sequence[str],
         for rel, (src_v, tgt_v, longest) in zip(norm_relations, shapes):
             gap = length - longest
             for i in range(gap + 1):
-                for pre in ending[i].get(src_v, ()):
-                    for post in starting[gap - i].get(tgt_v, ()):
+                posts = [path for path, _ in layers[gap - i]
+                         if path[0] == tgt_v]
+                for pre, tip in layers[i]:
+                    if tip != src_v:
+                        continue
+                    for post in posts:
                         row: dict[PathKey, Fraction] = {}
                         for coeff, (_, tarrows) in rel:
                             key = (pre[0], pre[1] + tarrows + post[1])
                             row[key] = row.get(key, ZERO) + coeff
                         add(row)
-        if all(p in ideal for p in layer):
+        if all(path in ideal for path, _ in layer):
             dead_streak += 1
             if dead_streak >= window:
                 break
         else:
             dead_streak = 0
-        prev = layer
     else:
         raise NotFiniteDimensional(
             f"path layers did not die out within length {_MAX_PATH_LENGTH}")
