@@ -6,6 +6,9 @@ Imports the package from ROOT/src only, writes each input module under
 a temporary directory, and asks, through ``qperiods.cli.main`` with
 ``--format json``:
 
+- two floor rows, the fixed cost of one question: ``period`` on a2/p1
+  (d = 2), which reads a module file, builds its algebra and writes a
+  relation basis, and ``baker --x 1 --l 1 --n 0``, which reads no file;
 - ``endo`` on a2/p1^5, a2/p1^6, a2/p1^7 and a2/p1^16, and on a3/tower^2,
   a2/p1^6 and a3/proj^4 (d = 12 for the last two) each re-based by a
   seeded random integer basis change at every vertex, where the
@@ -33,11 +36,12 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
   reading each kernel vector's status off rho(A) does the most work,
   each at one fixed unit over Q[x]/(x^3 - 2).
 
-Each row prints the module (or model) dimension d, the best of
-``--repeat`` wall clock times, the peak resident memory of the row asked
-once more, the size of the output in bytes, so that a time can be read
-against what was written, and the first 16 hex digits of the sha256 of
-the output, so that two checkouts compare answers as well as times.
+Each row prints the module (or model) dimension d ("-" for baker), the
+best of ``--repeat`` wall clock times, the peak resident memory of the
+row asked once more, the size of the output in bytes, so that a time can
+be read against what was written, and the first 16 hex digits of the
+sha256 of the output, so that two checkouts compare answers as well as
+times.
 The times are taken in this process, with the output captured.  The
 peak memory is the ``ru_maxrss`` of a child process that loads the
 input files and asks only that row, once, through ``qperiods.cli.main``
@@ -126,8 +130,11 @@ def rows() -> list:
     p1 = zoo.get_module("a2/p1")
     proj = zoo.get_module("a3/proj")
     tower2 = module_power(zoo.get_module("a3/tower"), 2)
-    out = [(f"a2/p1^{k}", module_power(p1, k), "endo", [])
-           for k in (5, 6, 7, 16)]
+    out = [("a2/p1", p1, "period", []),
+           ("x=1 l=1 n=0", None, "baker",
+            ["--x", "1", "--l", "1", "--n", "0"])]
+    out += [(f"a2/p1^{k}", module_power(p1, k), "endo", [])
+            for k in (5, 6, 7, 16)]
     for label, m in (("a3/tower^2", tower2), ("a2/p1^6", module_power(p1, 6)),
                      ("a3/proj^4", module_power(proj, 4))):
         out.append((f"{label} rebased (seed {REBASE_SEED})",
@@ -255,7 +262,9 @@ def wall(args, launcher) -> int:
                     extra[j] = os.path.join(tmp, f"{i}-{j}.json")
                     Path(extra[j]).write_text(dump_json(arg))
             if m is None:
-                argv, d = [command, *extra], model_dim(extra)
+                # baker builds no module and no model
+                argv = [command, *extra]
+                d = model_dim(extra) if command == "onemotive" else "-"
             else:
                 path = os.path.join(tmp, f"{i}.json")
                 Path(path).write_text(dump_json(module_to_data(m)))

@@ -25,8 +25,10 @@ Entries are checked and promoted once, where they enter the engine.
 Matrix(rows, ncols) and Matrix.unvec promote ints to Fractions, refuse
 any entry that is not a Fraction or a field element (floats, strings),
 and check the shape; Subspace(ambient, vectors) runs rat() on every
-entry and checks the lengths.  Parsed files, the zoo, and lists handed
-to FdModule or ModuleMap go through them.  Whatever the engine computes from entries
+entry and checks the lengths.  The zoo, and lists handed to FdModule or
+ModuleMap, go through them; a parsed file's matrices are wrapped by
+serialize.matrix_from_data, which parses every entry to a Fraction and
+checks the shape itself.  Whatever the engine computes from entries
 that are already exact is wrapped as it is: Matrix._wrap builds the
 results of identity, zero, +, -, negation, *, transpose, hstack,
 block_diagonal, rref and the intertwiner systems, and the matrices the
@@ -131,8 +133,9 @@ class Matrix:
     @classmethod
     def identity(cls, n: int, one=ONE, zero=ZERO) -> "Matrix":
         one, zero = _promote(one), _promote(zero)
-        return cls._wrap(tuple(tuple(one if i == j else zero
-                                     for j in range(n)) for i in range(n)), n)
+        row = (zero,) * n
+        return cls._wrap(tuple(row[:i] + (one,) + row[i + 1:]
+                               for i in range(n)), n)
 
     @classmethod
     def zero(cls, nrows: int, ncols: int, zero=ZERO) -> "Matrix":

@@ -349,15 +349,22 @@ def _field(data: dict, key: str, what: str):
 
 
 def matrix_from_data(rows, nrows: int, ncols: int, what: str) -> Matrix:
+    return _parse_matrix(rows, nrows, ncols, what, {})
+
+
+def _parse_matrix(rows, nrows: int, ncols: int, what: str,
+                  seen: dict) -> Matrix:
+    """matrix_from_data, with seen mapping each entry string parsed so
+    far to its Fraction: a module's maps hold mostly a few strings such
+    as "0" and "1", so each distinct one is parsed once per file."""
     _expect(rows, list, what)
     if len(rows) != nrows:
         raise ValidationError(
             f"{what} must have {nrows} rows, got {len(rows)}")
-    # a map's entries are mostly a few strings such as "0" and "1", so
-    # each distinct string is parsed once
-    parsed, seen = [], {}
+    parsed = []
     for i, row in enumerate(rows):
-        _expect(row, list, f"{what} row {i}")
+        if not isinstance(row, list):
+            _expect(row, list, f"{what} row {i}")
         if len(row) != ncols:
             raise ValidationError(
                 f"{what} row {i} must have {ncols} entries, got {len(row)}")
@@ -401,22 +408,22 @@ def algebra_from_data(data) -> BoundQuiverAlgebra:
     arrows = []
     for i, arrow in enumerate(_expect(
             _field(data, "arrows", "algebra"), list, "arrows")):
-        _expect(arrow, dict, f"arrow {i}")
-        arrows.append((str(_field(arrow, "name", f"arrow {i}")),
-                       str(_field(arrow, "from", f"arrow {i}")),
-                       str(_field(arrow, "to", f"arrow {i}"))))
+        what = f"arrow {i}"
+        _expect(arrow, dict, what)
+        arrows.append((str(_field(arrow, "name", what)),
+                       str(_field(arrow, "from", what)),
+                       str(_field(arrow, "to", what))))
     relations = []
     for i, rel in enumerate(_expect(data.get("relations", []),
                                     list, "relations")):
         _expect(rel, list, f"relation {i}")
         terms = []
         for j, term in enumerate(rel):
-            _expect(term, dict, f"relation {i} term {j}")
-            path = _expect(_field(term, "path", f"relation {i} term {j}"),
-                           list, "path")
-            coeff = parse_rational(term.get("coeff", 1),
-                                   f"relation {i} term {j} coeff")
-            terms.append((coeff, tuple(str(a) for a in path)))
+            what = f"relation {i} term {j}"
+            _expect(term, dict, what)
+            path = _expect(_field(term, "path", what), list, "path")
+            coeff = parse_rational(term.get("coeff", 1), what + " coeff")
+            terms.append((coeff, tuple(map(str, path))))
         relations.append(terms)
     try:
         return build_algebra(vertices, arrows, relations)
@@ -474,15 +481,16 @@ def module_from_data(data, base_dir=None, max_dim=None) -> FdModule:
 
     maps = {}
     maps_data = _expect(data.get("maps", {}), dict, "maps")
+    seen: dict = {}
     for name, rows in maps_data.items():
         if name not in algebra.arrow_by_name:
             raise ValidationError(f"maps names an unknown arrow {name!r}")
         arrow = algebra.arrow_by_name[name]
-        maps[name] = matrix_from_data(
+        maps[name] = _parse_matrix(
             rows,
             dims.get(arrow.target, 0),
             dims.get(arrow.source, 0),
-            f"map for arrow {name!r}")
+            f"map for arrow {name!r}", seen)
     try:
         return FdModule(algebra, dims, maps)
     except ValueError as exc:

@@ -92,6 +92,18 @@ outer_sum is sum_k outer(sigma_k, omega_k) added up one dense outer
 product at a time, the way a realization's contraction used to be
 built, and the oracle for periods._contraction.
 
+build_algebra keeps the relation ideal's reduced echelon basis from
+one path layer to the next and adds only the ideal elements whose
+longest term reaches the new layer.  layered_algebra is the
+construction it replaced, which eliminated every ideal element found so
+far, over every path enumerated so far, at every layer; the two must
+give the same basis, in the same order, the same reduction table and
+the same refusals.
+
+Matrix products multiply only nonzero entries; triple_loop_product is
+the product entry by entry over every k, zeros included, the way they
+were formed before.
+
 The rest are oracles that no command needs, kept beside the tests that
 check the engine against the paper with them:
 

@@ -252,6 +252,54 @@ def test_missing_file_is_refused(capsys):
     assert "module file does not exist" in err
 
 
+def module_beside(directory: Path, algebra) -> Path:
+    """A copy of the a2_P1 fixture in directory, naming algebra."""
+    directory.mkdir(exist_ok=True)
+    data = json.loads(Path(fx("a2_P1.json")).read_text())
+    data["algebra"] = algebra
+    path = directory / "module.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_refusals_of_unreadable_module_files_are_one_exact_line(
+        tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{\n  "algebra": "a2.json",\n  "dims": \n')
+    first, second = tmp_path / "first", tmp_path / "second"
+    cases = [
+        (["period", "no_such_file.json"],
+         "module file does not exist: no_such_file.json"),
+        (["endo", str(tmp_path)], f"module file does not exist: {tmp_path}"),
+        (["period", str(broken)],
+         f"{broken}:4: Expecting value"),
+        # a relative algebra path is resolved against the module file's
+        # directory, and named as pathlib joins the two
+        (["period", str(module_beside(first, "./missing.json"))],
+         f"{first / 'missing.json'}: No such file or directory"),
+        (["certify", str(module_beside(second, "..")), "--weights",
+          fx("a2_weights.json")],
+         f"{second}/..: Is a directory"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(["--format", "json", *argv], capsys)
+        assert (code, out, err) == (
+            1, "", f"qperiods {argv[0]}: {message}\n"), argv
+
+
+def test_a_relative_algebra_path_is_read_beside_the_module(
+        tmp_path, monkeypatch, capsys):
+    sub = tmp_path / "sub"
+    path = module_beside(sub, "a2.json")
+    (sub / "a2.json").write_text(Path(fx("a2.json")).read_text())
+    expected = run(["--format", "json", "period", fx("a2_P1.json")], capsys)
+    # the working directory holds no a2.json
+    monkeypatch.chdir(tmp_path)
+    assert run(["--format", "json", "period", str(path)], capsys) == expected
+    assert run(["--format", "json", "period",
+                os.path.join("sub", "module.json")], capsys) == expected
+
+
 def test_validation_error_names_the_offender(tmp_path, capsys):
     path = tmp_path / "bad_module.json"
     data = json.loads(Path(fx("a2_P1.json")).read_text())
