@@ -253,7 +253,7 @@ def wall(args, launcher) -> int:
     if (args.root / "src").resolve() not in origin.parents:
         raise RuntimeError(f"qperiods was imported from {origin}, "
                            f"not from {args.root / 'src'}")
-    print(f"{'input':<28} {'command':<9} {'d':>3} {'best s':>8} "
+    print(f"{'input':<28} {'command':<9} {'d':>3} {'best s':>9} "
           f"{'peak MB':>8} {'bytes':>11}  sha256")
     with tempfile.TemporaryDirectory() as tmp:
         for i, (label, m, command, extra) in enumerate(rows()):
@@ -279,7 +279,7 @@ def wall(args, launcher) -> int:
                                    f"repeats")
             size, digest = outputs.pop()
             peak = peak_rss_mb(launcher, args.root / "src", argv)
-            print(f"{label:<28} {command:<9} {d:>3} {min(times):>8.3f} "
+            print(f"{label:<28} {command:<9} {d:>3} {min(times):>9.6f} "
                   f"{peak:>8.1f} {size:>11}  {digest[:16]}", flush=True)
     return 0
 

@@ -98,13 +98,14 @@ SPIN_BOUND_BUDGET = 64
 #   3.4 s on a2/p1^32 (373 MB) and 6.4 s on S1^64 (397 MB);
 # - depth --k d takes 18 s on a3/proj^6 (d = 18) and on a2/p1^8
 #   (d = 16), and 83 s on a3/proj^8 (d = 24);
-# - certify takes 0.17 and 2.2 s on a2/p1^16 and ^32 and 0.27 s on
+# - certify takes 0.10 and 1.3 s on a2/p1^16 and ^32 and 0.17 s on
 #   S1^32, best of 2 through size_wall.py, and 4.1 s on S1^64 (166 MB),
-#   one call; most of it is hom_space;
-# - realize of a combination of the whole relation basis takes 0.03, 0.20
-#   and 1.2 s on a2/p1^8, ^16 and ^32 (d = 16, 32 and 64), best of 2
-#   through scripts/size_wall.py, most of the last in the elimination of
-#   the coefficient matrix itself;
+#   one call timed before matrix products skipped zero entries; most of
+#   it is hom_space;
+# - realize of a combination of the whole relation basis takes 0.014,
+#   0.11 and 1.1 s on a2/p1^8, ^16 and ^32 (d = 16, 32 and 64), best of
+#   2 through scripts/size_wall.py, most of the last in the elimination
+#   of the coefficient matrix itself;
 # - eval takes 0.007, 0.02 and 0.05 s on a2/p1^8, ^12 and ^16 (d = 16,
 #   24 and 32) at size_wall.py's unit over Q[x]/(x^3 - 2), best of 2,
 #   and 0.27-0.35 s at its budget, on a2/p1^24 (d = 48), where one call

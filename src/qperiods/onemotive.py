@@ -46,9 +46,11 @@ class ModelMismatch(RuntimeError):
 # (algebra dim + 2 + top + bottom) basis matrices of the realized
 # algebra, and the closed forms solve hom systems with up to (middle)^2
 # unknowns.  On a shared 2-vCPU host the slowest shape the budget admits,
-# g = 0, l = 1, m = 29 (d = 32), takes 0.2 s through the CLI (its
-# scripts/size_wall.py row); synthesize_model itself takes 0.4 s at
-# d = 40 and about 6 s at d = 100.  The corpus asks up to d = 16.
+# g = 0, l = 1, m = 29 (d = 32), takes 0.04 s through the CLI (its
+# scripts/size_wall.py row, best of 2); synthesize_model itself takes
+# 0.06 s at d = 40 and 0.8 s at d = 100, and b_module's check of a
+# layer's identity action, a product through its d nonzero entries,
+# 0.06 s at d = 97.  The corpus asks up to d = 16.
 # Larger models are refused up front, with the input-error exit code,
 # and that refusal is part of what the CLI answers, so the budget does
 # not follow the speed.

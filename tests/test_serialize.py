@@ -273,6 +273,34 @@ def test_dump_json_equals_json_dumps_on_edge_cases(data):
     assert dump_json(data) == _dumps(data)
 
 
+class _Shouting(int):
+    """An int whose repr and str are not its digits."""
+
+    def __repr__(self):
+        return "LOUD"
+
+    __str__ = __repr__
+
+
+INTS = (st.integers(-2**70, 2**70) | st.booleans() | st.none()
+        | st.integers(-5, 5).map(_Shouting))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    INTS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.integers(-2**70, 2**70), children,
+                                        max_size=4)
+                      | st.dictionaries(st.text(max_size=3), children,
+                                        max_size=4)),
+    max_leaves=30))
+def test_dump_json_writes_ints_bools_and_none_as_json_dumps(data):
+    # these scalars are written without the encoder: ints by int.__repr__,
+    # subclasses included, and int keys the same way
+    assert dump_json(data) == _dumps(data)
+
+
 def test_dump_json_refuses_what_json_dumps_refuses():
     for data in ({(1, 2): "tuple key"}, [Fraction(1, 2)], {"a": {1j}}):
         with pytest.raises(TypeError):
