@@ -245,7 +245,7 @@ def build_algebra(vertices: Sequence[str],
     window = max(2, max_rel_len)
     # the paths of each length, each with the vertex it ends at
     layers = [[((v, ()), v) for v in vertices]]
-    all_paths: list[PathKey] = [(v, ()) for v in vertices]
+    enumerated = len(vertices)
     dead_streak = 0
     path_budget = 200_000
 
@@ -253,8 +253,8 @@ def build_algebra(vertices: Sequence[str],
         layer = [((src, seq + (a.name,)), a.target)
                  for (src, seq), tip in layers[-1] for a in out_arrows[tip]]
         layers.append(layer)
-        all_paths.extend(path for path, _ in layer)
-        if len(all_paths) > path_budget:
+        enumerated += len(layer)
+        if enumerated > path_budget:
             raise NotFiniteDimensional(
                 "path enumeration exceeded the budget; the algebra was not "
                 "certified finite-dimensional")
@@ -284,8 +284,10 @@ def build_algebra(vertices: Sequence[str],
         raise NotFiniteDimensional(
             f"path layers did not die out within length {_MAX_PATH_LENGTH}")
 
-    basis = tuple(sorted((k for k in all_paths if k not in ideal),
-                         key=lambda k: (len(k[1]), k[0], k[1])))
+    # by length, then source and arrows: the paths of a layer have one
+    # length, so each layer is sorted as the tuples they are
+    basis = tuple(path for layer in layers
+                  for path in sorted(p for p, _ in layer if p not in ideal))
     basis_index = {k: i for i, k in enumerate(basis)}
     reduction: dict[PathKey, tuple] = {k: ((i, ONE),)
                                        for k, i in basis_index.items()}
