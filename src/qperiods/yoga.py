@@ -346,21 +346,20 @@ def _outward_homs_vanish(seq: AdmissibleSequence, side: str) -> bool:
     return _clears_high_vertices(seq, SubmoduleHandle.zero(m))
 
 
-def _end_basis(m: FdModule, known: dict) -> tuple:
-    """hom_space(m, m), read from known when the question has solved it
-    for an equal module already, and added to it otherwise; known maps
-    vertex dimensions to the (module, End basis) pairs solved so far."""
-    solved = known.setdefault(m.dims, [])
-    for n, basis in solved:
+def _end_basis(m: FdModule, known: list) -> tuple:
+    """hom_space(m, m), read from known, the (module, End basis) pairs
+    the question has solved so far, when it holds an equal module, and
+    added to it otherwise."""
+    for n, basis in known:
         if n == m:
             return basis
     basis = hom_space(m, m)
-    solved.append((m, basis))
+    known.append((m, basis))
     return basis
 
 
 def saturated_check(seq: AdmissibleSequence, side: str,
-                    known: dict | None = None) -> SaturatedVerdict:
+                    known: list | None = None) -> SaturatedVerdict:
     """Certify saturatedness on one side by the split-restriction test.
 
     Right side: restricting endomorphisms of the middle to the quotient
@@ -381,7 +380,7 @@ def saturated_check(seq: AdmissibleSequence, side: str,
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     if known is None:
-        known = {}
+        known = []
     m = seq.module
     if side == "right":
         stage = seq.quot
@@ -608,7 +607,7 @@ def _apply_stage(partition: WeightPartition, seq: AdmissibleSequence,
 
 def _grow_tower(partition: WeightPartition, support: tuple[int, ...],
                 truncs: list[FdModule], k: int, acc: tuple, steps: tuple,
-                prev_node: DerivationNode, known: dict):
+                prev_node: DerivationNode, known: list):
     if k == len(truncs):
         yield steps, list(acc), prev_node
         return
@@ -630,7 +629,7 @@ def _grow_tower(partition: WeightPartition, support: tuple[int, ...],
                 steps + ({"side": side, "variant": variant},), node, known)
 
 
-def _tower_runs(core: FdModule, partition: WeightPartition, known: dict):
+def _tower_runs(core: FdModule, partition: WeightPartition, known: list):
     support = tuple(sorted(partition.support_weights(core)))
     if len(support) < 2:
         return
@@ -650,7 +649,7 @@ def _certificate_search(x: FdModule, partition: WeightPartition,
     """The core x tower search: (derivation, plan) of the first assembled
     sum isomorphic to x, or None.  The End bases its saturation checks
     solve are kept for the rest of the search, and dropped with it."""
-    known: dict = {}
+    known: list = []
     for vecs, core in _core_candidates(x, partition, core_cap):
         for steps, companions, node in _tower_runs(core, partition, known):
             assembled = direct_sum([core] + companions)
@@ -734,7 +733,7 @@ def replay_derivation(x: FdModule, partition: WeightPartition,
         return False
     node = DerivationNode("Semisimple", "replayed base", {})
     acc: tuple = ()
-    known: dict = {}
+    known: list = []
     for k, step in enumerate(plan["stages"], start=1):
         side = step["side"]
         if side not in _stage_sides(acc):
