@@ -44,6 +44,12 @@ eval used to realize each rational kernel vector, spinning a witness in
 a power of M; it now reads the status off the pairing, and the last test
 requires that it neither realizes nor spins.  test_periods compares its
 statuses with realize_relation's.
+
+certify's saturation checks used to solve End of a stage's middle once
+for each side, and End of a stage's sub again where the stage below had
+solved it as its middle; the question now hands the bases it solved to
+each check, and every hom_space call of each corpus certify question is
+counted by the module pair it solves.
 """
 
 import itertools
