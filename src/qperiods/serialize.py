@@ -363,8 +363,7 @@ def _parse_matrix(rows, nrows: int, ncols: int, what: str,
             f"{what} must have {nrows} rows, got {len(rows)}")
     parsed = []
     for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            _expect(row, list, f"{what} row {i}")
+        _expect(row, list, f"{what} row {i}")
         if len(row) != ncols:
             raise ValidationError(
                 f"{what} row {i} must have {ncols} entries, got {len(row)}")
