@@ -24,8 +24,10 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
   a2/p1^3+s2^3 and a2/p1^4+s2^4 (d = 9 and 12), which have no
   dimension gap, so that certify runs its tower search, saturated_check
   and module_iso;
-- ``onemotive --g 0 --l 1 --m 29``, the slowest matrix model that
-  onemotive.MODEL_DIM_BUDGET admits (ambient dimension d = 32);
+- ``onemotive --g 0 --l 1 --m 29`` and ``onemotive --g 5 --l 10
+  --m 10``, two matrix models at onemotive.MODEL_DIM_BUDGET (ambient
+  dimension d = 32), the first with no middle piece and 29 units from
+  the bottom layer into a tag, the second with a middle piece of 10;
 - ``realize`` on a2/p1^8, a2/p1^16 and a2/p1^32 (d = 16, 32 and 64, the
   last at realize's budget) of a combination of the whole relation
   basis with coefficients drawn from [-3, 3] without 0 at seed
@@ -160,8 +162,9 @@ def rows() -> list:
     out += [(f"a2/p1^{k}+s2^{k}",
              direct_sum([module_power(p1, k), module_power(s2, k)]),
              "certify", ["--weights", weights]) for k in (3, 4)]
-    out.append(("rational g=0 l=1 m=29", None, "onemotive",
-                ["--g", "0", "--l", "1", "--m", "29"]))
+    out += [(f"rational g={g} l={l} m={m}", None, "onemotive",
+             ["--g", str(g), "--l", str(l), "--m", str(m)])
+            for g, l, m in ((0, 1, 29), (5, 10, 10))]
     rng = random.Random(RELATION_SEED)
     for k in (8, 16, 32):
         m = module_power(p1, k)

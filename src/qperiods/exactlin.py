@@ -391,15 +391,27 @@ def intertwiners(basis: Sequence[dict], ncols: int,
     square matrices given by their nonzero (row, column, entry) triples,
     as Matrix.nonzero_entries lists them.  Only X's nonzero entries reach
     L X - X R: entry x at (i, k) adds L[:, i]*x to column k of L X and
-    x*R[k, :] to row i of X R.  The differences, one column per basis
-    element, are stacked over the (pair, position)s they touch and
-    eliminated once, and each kernel vector y gives sum_s y_s X_s.
-    Started from matrix units, the result is the echelon kernel basis of
-    the system in those units: one at its own free unit, its last
-    nonzero one, and zero at the others'.
+    x*R[k, :] to row i of X R; for a diagonal pair that is
+    (L_ii - R_kk) x at (i, k), and as the factor scales a whole row of
+    the system, which keeps its kernel, x stands in for it where
+    L_ii != R_kk.  The differences, one column per basis element, are
+    stacked over the (pair, position)s they touch and eliminated once,
+    unless no two moved elements share one (the kernel is then 0), and
+    each kernel vector y gives sum_s y_s X_s.  Started from matrix
+    units, the result is the echelon kernel basis of the system in
+    those units: one at its own free unit, its last nonzero one, and
+    zero at the others'.
     """
     diffs = [{} for _ in basis]
     for t, (left, right) in enumerate(pairs):
+        if all(i == j for i, j, _ in itertools.chain(left, right)):
+            ldiag, rdiag = ({i: y for i, _, y in e} for e in (left, right))
+            for x, diff in zip(basis, diffs):
+                for pos, v in x.items():
+                    i, k = divmod(pos, ncols)
+                    if ldiag.get(i, ZERO) != rdiag.get(k, ZERO):
+                        diff[t, pos] = v
+            continue
         left_cols: dict[int, list] = {}
         for r, i, y in left:
             left_cols.setdefault(i, []).append((r, y))
@@ -423,9 +435,10 @@ def intertwiners(basis: Sequence[dict], ncols: int,
             active.append(s)
         else:
             out[s] = x
-    if not active:
-        return list(basis)
-    touched = sorted({p for s in active for p, v in diffs[s].items() if v})
+    moved = [p for s in active for p, v in diffs[s].items() if v]
+    touched = sorted(set(moved))
+    if len(touched) == len(moved):
+        return [out[s] for s in sorted(out)]
     system = Matrix._wrap(tuple(tuple(diffs[s].get(p, ZERO) for s in active)
                                 for p in touched), len(active))
     for f, y in _kernel_by_free_column(system):

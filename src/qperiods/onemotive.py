@@ -25,9 +25,10 @@ relations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .exactlin import Matrix, ZERO, ONE, intertwiners
+from .exactlin import Matrix, ZERO, ONE, block_diagonal, intertwiners
 from .quivalg import StructureAlgebra
 from .yoga import HypothesisFailed
 
@@ -41,16 +42,11 @@ class ModelMismatch(RuntimeError):
 
 
 # The matrix model has ambient dimension d = (top) + (middle) + (bottom)
-# + 2, which is 2g + l + m + 2 for rational inputs.  Its oracle narrows
-# the d^2 matrix units, one weight at a time, to the centraliser of the
-# (algebra dim + 2 + top + bottom) basis matrices of the realized
-# algebra, and the closed forms solve hom systems with up to (middle)^2
-# unknowns.  On a shared 2-vCPU host the slowest shape the budget admits,
-# g = 0, l = 1, m = 29 (d = 32), takes 0.04 s through the CLI (its
-# scripts/size_wall.py row, best of 2); synthesize_model itself takes
-# 0.06 s at d = 40 and 0.8 s at d = 100, and b_module's check of a
-# layer's identity action, a product through its d nonzero entries,
-# 0.06 s at d = 97.  The corpus asks up to d = 16.
+# + 2, which is 2g + l + m + 2 for rational inputs.  On a shared 2-vCPU
+# host its scripts/size_wall.py rows at the budget (d = 32, best of 3),
+# g = 0, l = 1, m = 29 and g = 5, l = m = 10, take 0.016 s and 0.009 s
+# through the CLI; synthesize_model itself takes 0.03 s at d = 40 and
+# 0.35 s at d = 100 (g = 0, l = 1).  The corpus asks up to d = 16.
 # Larger models are refused up front, with the input-error exit code,
 # and that refusal is part of what the CLI answers, so the budget does
 # not follow the speed.
@@ -97,18 +93,28 @@ def b_module(algebra: StructureAlgebra, mats) -> BModule:
         if (m.nrows, m.ncols) != (dim, dim):
             raise HypothesisFailed("action matrices must be square and "
                                    "of equal size")
-    unit_action = Matrix.zero(dim, dim)
-    for c, m in zip(algebra.unit, action):
-        unit_action = unit_action + m.scale(c)
-    if unit_action != Matrix.identity(dim):
+    entries = [m.nonzero_entries() for m in action]
+    # each action's nonzero (column, entry)s by row
+    rows = [{k: [(c, y) for _, c, y in group] for k, group in
+             itertools.groupby(terms, lambda e: e[0])} for terms in entries]
+
+    def collect(terms) -> dict:
+        acc = {}
+        for key, x in terms:
+            acc[key] = acc.get(key, ZERO) + x
+        return {key: x for key, x in acc.items() if x}
+
+    def combination(coeffs) -> dict:
+        return collect(((r, k), c * x) for c, terms in zip(coeffs, entries)
+                       if c for r, k, x in terms)
+
+    if combination(algebra.unit) != {(r, r): ONE for r in range(dim)}:
         raise HypothesisFailed("the unit does not act as the identity")
     for i in range(algebra.dim):
         for j in range(algebra.dim):
-            expected = Matrix.zero(dim, dim)
-            for k, c in enumerate(algebra.table[i][j]):
-                if c:
-                    expected = expected + action[k].scale(c)
-            if action[i] * action[j] != expected:
+            if collect(((r, c), x * y) for r, k, x in entries[i]
+                       for c, y in rows[j].get(k, ())) \
+                    != combination(algebra.table[i][j]):
                 raise HypothesisFailed(
                     f"action does not respect the product of basis "
                     f"elements {i} and {j}")
@@ -133,19 +139,9 @@ def regular_power(algebra: StructureAlgebra, k: int) -> BModule:
     if k < 0:
         raise RangeError("the power must be nonnegative")
     n = algebra.dim
-    mats = []
-    for i in range(n):
-        basis = tuple(ONE if t == i else ZERO for t in range(n))
-        block = algebra.left_mult(basis)
-        rows = []
-        for copy in range(k):
-            for r in range(n):
-                row = [ZERO] * (n * k)
-                for c in range(n):
-                    row[copy * n + c] = block.rows[r][c]
-                rows.append(row)
-        mats.append(Matrix(rows, ncols=n * k))
-    return b_module(algebra, mats)
+    return b_module(algebra, [block_diagonal([algebra.left_mult(
+        tuple(ONE if t == i else ZERO for t in range(n)))] * k)
+        for i in range(n)])
 
 
 def _same_algebra(a: StructureAlgebra, b: StructureAlgebra) -> bool:
@@ -169,14 +165,6 @@ class SaturatedInput:
     ha: BModule
     ht: BModule
     hl: BModule
-
-    @property
-    def gr0_nonzero(self) -> bool:
-        return self.hl.dim > 0
-
-    @property
-    def grm2_nonzero(self) -> bool:
-        return self.ht.dim > 0
 
 
 def saturated_input(algebra: StructureAlgebra, ha: BModule, ht: BModule,
@@ -219,10 +207,10 @@ def graded_period_dims(inp: SaturatedInput) -> tuple[int, int, int]:
     if not inp.algebra.is_semisimple():
         raise HypothesisFailed("the coefficient algebra has a nonzero "
                                "radical")
-    if not inp.gr0_nonzero:
+    if not inp.hl.dim:
         raise HypothesisFailed("the weight-zero layer vanishes; the graded "
                                "formula needs it")
-    if not inp.grm2_nonzero:
+    if not inp.ht.dim:
         raise HypothesisFailed("the weight-minus-two layer vanishes; the "
                                "graded formula needs it")
     d0 = 2 + hom_dim(inp.ha, inp.ha)
@@ -253,7 +241,7 @@ class ModelReport:
     """Commutator-quotient dimensions of the synthesized matrix model."""
 
     ambient_dim: int            # dimension of the total space
-    endo_basis: tuple           # realized endomorphism algebra, as matrices
+    endo_basis: tuple           # realized basis, by nonzero entries
     total_dim: int              # dim of the full commutator quotient
     graded: dict                # weight -> dim of that piece
     formula: tuple[int, int, int]
@@ -273,61 +261,64 @@ def synthesize_model(inp: SaturatedInput) -> ModelReport:
     that span is graded by entry weight.  Since tr(Y [A, X]) =
     tr([Y, A] X), it is the trace dual of the centraliser of the span,
     so each piece is read as the dimension of a piece of the
-    centraliser, narrowed from the matrix units one basis matrix at a
-    time.  The pieces must reproduce the closed forms, and
+    centraliser, narrowed from the d^2 matrix units.  A diagonal basis
+    matrix commutes with E_ab iff its entries at a and b agree, so the
+    diagonal members (the tag idempotents, and over B = Q the whole
+    coefficient action) keep the E_ab whose a and b have equal diagonal
+    signatures, the tuples of those members' entries there.  Each other
+    basis matrix r narrows only the elements it reaches: r X - X r reads
+    X only in the rows that are columns of r and the columns that are
+    rows of r.  The pieces must reproduce the closed forms, and
     ModelMismatch means an engine bug, not a refuted conjecture.
     """
     formula = graded_period_dims(inp)
     sizes = (inp.hl.dim, inp.ha.dim, inp.ht.dim, 1, 1)
-    weights = (0, -1, -2, 0, -2)
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    d = offsets[-1]
-    wt = []
-    for block, size in enumerate(sizes):
-        wt.extend([weights[block]] * size)
+    wt = [w for w, size in zip((0, -1, -2, 0, -2), sizes)
+          for _ in range(size)]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    top, _, bottom, tag0, tag2, d = offsets
 
-    def embed(block_mats: dict) -> Matrix:
-        rows = [[ZERO] * d for _ in range(d)]
-        for block, m in block_mats.items():
-            off = offsets[block]
-            for r in range(m.nrows):
-                for c in range(m.ncols):
-                    rows[off + r][off + c] = m.rows[r][c]
-        return Matrix(rows, ncols=d)
+    # each basis matrix by its nonzero (row, column, entry)s, row by row
+    basis = [[(off + r, off + c, x)
+              for off, layer in zip(offsets, (inp.hl, inp.ha, inp.ht))
+              for r, c, x in layer.action[b].nonzero_entries()]
+             for b in range(inp.algebra.dim)]
+    basis += [[(tag0, tag0, ONE)], [(tag2, tag2, ONE)]]
+    basis += [[(bottom + t, tag2, ONE)] for t in range(inp.ht.dim)]
+    basis += [[(tag0, top + i, ONE)] for i in range(inp.hl.dim)]
+    diagonal = [{i: x for i, _, x in r} for r in basis
+                if all(i == j for i, j, _ in r)]
+    signature = [tuple(r.get(a, ZERO) for r in diagonal) for a in range(d)]
 
-    def unit(r: int, c: int) -> Matrix:
-        rows = [[ZERO] * d for _ in range(d)]
-        rows[r][c] = ONE
-        return Matrix(rows, ncols=d)
+    # the centraliser so far by id, and the ids of the elements that have
+    # (or had) an entry in each row and in each column
+    cent, ids = {}, itertools.count()
+    in_row, in_col = [set() for _ in range(d)], [set() for _ in range(d)]
 
-    basis = []
-    for i in range(inp.algebra.dim):
-        basis.append(embed({0: inp.hl.action[i], 1: inp.ha.action[i],
-                            2: inp.ht.action[i]}))
-    basis.append(unit(offsets[3], offsets[3]))
-    basis.append(unit(offsets[4], offsets[4]))
-    for t in range(inp.ht.dim):
-        basis.append(unit(offsets[2] + t, offsets[4]))
-    for i in range(inp.hl.dim):
-        basis.append(unit(offsets[3], offsets[0] + i))
+    def keep(elements):
+        for s, x in zip(ids, elements):
+            cent[s] = x
+            for pos in x:
+                in_row[pos // d].add(s)
+                in_col[pos % d].add(s)
 
-    # the realized algebra has weight zero, so its centraliser is graded,
-    # and the trace form pairs the quotient's weight-w piece with the
-    # centraliser's weight -w piece
-    units: dict[int, list] = {}
-    for a in range(d):
-        for b in range(d):
-            units.setdefault(wt[b] - wt[a], []).append({a * d + b: ONE})
-    entries = [r.nonzero_entries() for r in basis]
-    graded = {}
-    for w in sorted(units, reverse=True):
-        cent = units[-w]
-        for r in entries:
-            cent = intertwiners(cent, d, [(r, r)])
-        graded[w] = len(cent)
-    total = sum(graded.values())
+    keep({a * d + b: ONE} for a in range(d) for b in range(d)
+         if signature[a] == signature[b])
+    for r in basis:
+        if any(i != j for i, j, _ in r):
+            reach = set().union(*(in_row[c] for _, c, _ in r),
+                                *(in_col[a] for a, _, _ in r))
+            keep(intertwiners([cent.pop(s) for s in sorted(reach)
+                               if s in cent], d, [(r, r)]))
+
+    # the realized algebra has weight zero, so every element keeps the
+    # weight of its units, and the trace form pairs the quotient's
+    # weight-w piece with the centraliser's weight -w piece
+    graded = dict.fromkeys(sorted({wt[b] - wt[a] for a in range(d)
+                                   for b in range(d)}, reverse=True), 0)
+    for x in cent.values():
+        a, b = divmod(next(iter(x)), d)
+        graded[wt[a] - wt[b]] += 1
     for w, dim in graded.items():
         if w > 0 and dim:
             raise ModelMismatch(
@@ -337,4 +328,5 @@ def synthesize_model(inp: SaturatedInput) -> ModelReport:
         raise ModelMismatch(
             f"model grading {graded} disagrees with the closed forms "
             f"{formula}")
-    return ModelReport(d, tuple(basis), total, graded, formula, True)
+    return ModelReport(d, tuple(basis), sum(graded.values()), graded,
+                       formula, True)

@@ -287,11 +287,11 @@ def _centraliser_blocks(m: FdModule) -> dict:
     X f_v = f_w X for every f}.  Every block starts from its d_w*d_v
     units.  Scalar basis endomorphisms commute with everything and are
     skipped.  Each other f narrows every open block (the intertwiners of
-    the pair (f_w, f_v)); where f_w and f_v are both scalar, it leaves
-    the block alone if they are the same scalar and empties it if not.
-    C_wv holds rho(A)_wv, so once a block is down to the dimension of
-    rho(A)_wv (_path_blocks, read when the first such f comes) no later
-    f can narrow it, and it is closed.
+    the pair (f_w, f_v); where both are scalar, they keep the block
+    whole if the scalars agree and empty it if not).  C_wv holds
+    rho(A)_wv, so once a block is down to the dimension of rho(A)_wv
+    (_path_blocks, read when the first such f comes) no later f can
+    narrow it, and it is closed.
     """
     vertices, dims = m.algebra.vertices, m.dims
     present = [t for t, n in enumerate(dims) if n]
@@ -305,23 +305,15 @@ def _centraliser_blocks(m: FdModule) -> dict:
     floors = None
     for f in hom_space(m, m):
         entries = [b.nonzero_entries() for b in f.blocks]
-        scalars = [(e[0][2] if e else ZERO) if _is_scalar(e, n) else None
-                   for e, n in zip(entries, dims)]
-        cs = [scalars[t] for t in present]
-        if all(c is not None and c == cs[0] for c in cs):
+        cs = {(entries[t][0][2] if entries[t] else ZERO)
+              if _is_scalar(entries[t], dims[t]) else None for t in present}
+        if len(cs) == 1 and None not in cs:
             continue
         if floors is None:
             floors = _path_blocks(m)
         still = []
         for w, v in narrowing:
             key = vertices[w], vertices[v]
-            cw, cv = scalars[w], scalars[v]
-            if cw is not None and cv is not None:
-                if cw == cv:
-                    still.append((w, v))
-                else:
-                    blocks[key] = []
-                continue
             floor = len(floors[key])
             if len(blocks[key]) > floor:
                 blocks[key] = intertwiners(blocks[key], dims[v],

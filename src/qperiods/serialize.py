@@ -60,10 +60,13 @@ class ValidationError(ValueError):
 
 def load_json(path):
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
     except OSError as exc:
         raise ParseError(path, None, exc.strerror or str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, None, f"not utf-8 text: {exc.reason} at "
+                         f"byte {exc.start}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

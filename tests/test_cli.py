@@ -287,6 +287,27 @@ def test_refusals_of_unreadable_module_files_are_one_exact_line(
             1, "", f"qperiods {argv[0]}: {message}\n"), argv
 
 
+def test_a_file_that_is_not_text_is_refused_in_every_role(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"algebra": "\xff\xfe", "dims": {}}')
+    module = fx("a2_P1.json")
+    cases = [
+        ["period", str(bad)],
+        ["period", str(module_beside(tmp_path / "beside", str(bad)))],
+        ["certify", module, "--weights", str(bad)],
+        ["realize", module, "--relation", str(bad)],
+        ["eval", module, "--comparison", str(bad)],
+        ["lift", str(bad), "--target", fx("a3_target.json")],
+        ["lift", fx("a3_seq.json"), "--target", str(bad)],
+        ["onemotive", "--input", str(bad)],
+    ]
+    for argv in cases:
+        code, out, err = run(["--format", "json", *argv], capsys)
+        assert (code, out, err) == (
+            1, "", f"qperiods {argv[0]}: {bad}: not utf-8 text: "
+                   f"invalid start byte at byte 13\n"), argv
+
+
 def test_a_relative_algebra_path_is_read_beside_the_module(
         tmp_path, monkeypatch, capsys):
     sub = tmp_path / "sub"

@@ -24,6 +24,13 @@ narrows each vertex block (w, v) over its d_w*d_v units, and the
 unknowns of its intertwiner systems are counted.  test_periods compares
 its relations with the stack.
 
+onemotive.synthesize_model used to narrow all d^2 matrix units by every
+basis matrix of the realized algebra, one weight at a time; it now
+settles the diagonal basis matrices by comparing entries and hands each
+other one only the elements it reaches, and the elements it hands to
+intertwiners are counted.  test_intertwiners compares its grading with
+the commutator stack.
+
 depth_space used to build each stage's whole candidate family before it
 contracted the first one, and compared the accumulated relations with
 the pairing kernel's basis to certify.  It now builds candidates on
@@ -64,8 +71,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperiods import exactlin, periods, quivalg, yoga, zoo
+from qperiods import exactlin, onemotive, periods, quivalg, yoga, zoo
 from qperiods.exactlin import Matrix, rref
+from qperiods.onemotive import rational_input, synthesize_model
 from qperiods.periods import (
     depth_space,
     endo_quotient,
@@ -474,6 +482,22 @@ def test_endo_quotient_solves_no_system_wider_than_a_vertex_block(m):
     assert unknowns
     assert max(unknowns) <= max(a * b for a in m.dims for b in m.dims)
     assert max(unknowns) < m.dim ** 2
+
+
+def test_the_matrix_model_narrows_only_what_its_basis_matrices_reach():
+    # narrowing every unit of each weight by every basis matrix handed
+    # intertwiners 1,508 element-pair visits here
+    visits = []
+    narrow = onemotive.intertwiners
+
+    def recording(basis, ncols, pairs):
+        visits.append(len(basis) * len(pairs))
+        return narrow(basis, ncols, pairs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(onemotive, "intertwiners", recording)
+        assert synthesize_model(rational_input(5, 2, 2)).matches
+    assert 0 < sum(visits) <= 300
 
 
 # -- depth_space ---------------------------------------------------------------

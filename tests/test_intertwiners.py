@@ -10,6 +10,8 @@ three now go through exactlin.intertwiners; these tests require the same
 bases entry for entry, the same dimensions and the same graded dict.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,9 +124,11 @@ def model_weights(inp) -> list:
 
 def reference_graded(basis, wt: list) -> dict:
     """synthesize_model's old commutator stack: [r, E_ij] for every basis
-    matrix r and matrix unit E_ij, split by the weight of E_ij, and each
-    weight's quotient by the span of its commutators."""
+    matrix r, written out densely from its nonzero entries, and matrix
+    unit E_ij, split by the weight of E_ij, and each weight's quotient by
+    the span of its commutators."""
     d = len(wt)
+    basis = [dense(entries, d) for entries in basis]
     coords: dict[int, list[tuple[int, int]]] = {}
     for a in range(d):
         for b in range(d):
@@ -157,6 +161,14 @@ def reference_graded(basis, wt: list) -> dict:
     return graded
 
 
+def dense(entries, d: int) -> Matrix:
+    """The d x d matrix with these nonzero (row, column, entry)s."""
+    rows = [[ZERO] * d for _ in range(d)]
+    for i, j, x in entries:
+        rows[i][j] = x
+    return Matrix(rows, ncols=d)
+
+
 # -- intertwiners --------------------------------------------------------------
 
 
@@ -182,6 +194,54 @@ def test_intertwiners_of_units_are_the_kernel_basis_of_the_dense_system(
     want = kernel_basis(Matrix._wrap(tuple(rows), dt * ds))
     assert [tuple(x.get(p, ZERO) for p in range(dt * ds)) for x in got] \
         == list(want)
+
+
+def reference_intertwiners(basis, dt: int, ds: int, pairs) -> list:
+    """The kernel of the dense system over the elements of basis, one
+    column per element X holding the entries of L X - X R for every
+    (L, R) in pairs, each kernel vector y giving sum_s y_s X_s, written
+    out densely."""
+    n = dt * ds
+    xs = [Matrix.unvec([x.get(p, ZERO) for p in range(n)], dt, ds)
+          for x in basis]
+    columns = [sum(((l * x - x * r).vec() for l, r in pairs), ())
+               for x in xs]
+    system = Matrix._wrap(tuple(zip(*columns)), len(basis))
+    return [tuple(sum((y_s * x.vec()[p] for y_s, x in zip(y, xs)), ZERO)
+                  for p in range(n))
+            for y in kernel_basis(system)]
+
+
+def diagonal(n: int):
+    # few distinct values, so that equal, unequal and zero entries meet
+    return st.lists(st.sampled_from([0, 1, 1, -1, 2]), min_size=n,
+                    max_size=n).map(lambda xs: Matrix(
+                        [[x if i == j else 0 for j in range(n)]
+                         for i, x in enumerate(xs)], ncols=n))
+
+
+def sparse_basis(n: int):
+    entry = st.sampled_from([1, -1, 2])
+    element = st.dictionaries(st.integers(0, n - 1), entry, min_size=1,
+                              max_size=3)
+    return st.lists(element, min_size=1, max_size=n).map(
+        lambda xs: [{p: Fraction(v) for p, v in x.items()} for x in xs])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.data())
+def test_intertwiners_of_diagonal_pairs_are_the_dense_kernel(dt, ds, units,
+                                                             data):
+    pairs = [(data.draw(diagonal(dt)), data.draw(diagonal(ds)))
+             for _ in range(data.draw(st.integers(1, 2)))]
+    if units:
+        basis = [{pos: ONE} for pos in range(dt * ds)]
+    else:
+        basis = data.draw(sparse_basis(dt * ds))
+    got = intertwiners(basis, ds, [(l.nonzero_entries(), r.nonzero_entries())
+                                   for l, r in pairs])
+    assert [tuple(x.get(p, ZERO) for p in range(dt * ds)) for x in got] \
+        == reference_intertwiners(basis, dt, ds, pairs)
 
 
 def test_intertwiners_narrow_a_given_basis():
@@ -239,6 +299,9 @@ def test_hom_space_equals_the_commutation_system_on_rebased_modules(m, data):
 def model_inputs() -> list:
     out = [(f"rational g={g} m={m} l={l}", rational_input(g, m, l))
            for g in range(3) for m in range(1, 4) for l in range(1, 4)]
+    # the corpus shapes, and d = 32 with a middle piece, at the budget
+    out += [(f"rational g={g} m={m} l={l}", rational_input(g, m, l))
+            for g, m, l in ((3, 2, 2), (4, 2, 2), (5, 2, 2), (5, 10, 10))]
     qi = field_extension_structure([1, 0, 1])      # x^2 = -1
     reg = regular_power(qi, 1)
     out.append(("gaussian", saturated_input(qi, reg, reg, reg)))
