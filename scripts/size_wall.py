@@ -16,6 +16,9 @@ a temporary directory, and asks, through ``qperiods.cli.main`` with
 - ``depth --k dim M`` on a3/proj^3 and a3/proj^4, and on a3/proj^3
   re-based as above, where depth's check that its relations pair to
   zero with rho(A) meets dense relations;
+- ``depth --k 24`` on P0 over A_24, the projective at the source of
+  x0 -> x1 -> ... -> x23 (d = 24, depth's budget), whose vertices are
+  all one-dimensional, so that rule R1 settles every block at stage 1;
 - ``depth --spin-bound 64``, the widest spin box the CLI admits, on
   a3/proj^2 with ``--k 2`` and on a3/proj^3 with ``--k 9``;
 - ``period`` on a2/p1^16, a2/p1^24 and a2/p1^32 (d = 32, 48 and 64);
@@ -126,7 +129,8 @@ def rows() -> list:
     extra argument that is a dict is written to a JSON file whose path
     takes its place."""
     from qperiods import zoo
-    from qperiods.quivalg import FdModule, direct_sum, module_power
+    from qperiods.quivalg import (FdModule, build_algebra, direct_sum,
+                                  module_power, projective_module)
     from qperiods.serialize import partition_to_data
     from qperiods.yoga import WeightPartition
     p1 = zoo.get_module("a2/p1")
@@ -147,6 +151,10 @@ def rows() -> list:
     m = rebase(module_power(proj, 3), random.Random(REBASE_SEED))
     out.append((f"a3/proj^3 rebased (seed {REBASE_SEED})", m, "depth",
                 ["--k", str(m.dim)]))
+    a24 = build_algebra([f"x{i}" for i in range(24)],
+                        [(f"a{i}", f"x{i}", f"x{i + 1}") for i in range(23)])
+    out.append(("A_24/P0", projective_module(a24, "x0"), "depth",
+                ["--k", "24"]))
     for k, depth_k in ((2, 2), (3, 9)):
         out.append((f"a3/proj^{k} --spin-bound 64", module_power(proj, k),
                     "depth", ["--k", str(depth_k), "--spin-bound", "64"]))

@@ -96,8 +96,15 @@ SPIN_BOUND_BUDGET = 64
 #   scripts/size_wall.py, and one call on the last peaks at 373 MB; endo
 #   takes 0.27 s on a2/p1^16 through size_wall.py, and, one call each,
 #   3.4 s on a2/p1^32 (373 MB) and 6.4 s on S1^64 (397 MB);
-# - depth --k d takes 18 s on a3/proj^6 (d = 18) and on a2/p1^8
-#   (d = 16), and 83 s on a3/proj^8 (d = 24);
+# - depth --k d takes 0.21 and 1.2 s on a3/proj^3 and ^4 (d = 9 and
+#   12) and 0.03 s on P0 over A_24 (d = 24), best of 3 through
+#   scripts/size_wall.py; rule R1 settles every block of the last at
+#   stage 1 (4.3 s when candidates ran there).  Where every vertex is
+#   large, stage 1 still runs candidates and certifies before R1
+#   settles a block: depth_space(m, d) takes 15 s in process on
+#   a3/proj^6 (d = 18), and an earlier host took 18 s on a2/p1^8
+#   (d = 16) and 83 s on a3/proj^8 (d = 24) through the CLI, one call
+#   each;
 # - certify takes 0.10 and 1.3 s on a2/p1^16 and ^32 and 0.17 s on
 #   S1^32, best of 2 through size_wall.py, and 4.1 s on S1^64 (166 MB),
 #   one call timed before matrix products skipped zero entries; most of

@@ -428,25 +428,49 @@ def _candidate_handles(m: FdModule, power: int, ambient: FdModule,
 def depth_space(m: FdModule, k: int, spin_bound: int = 1) -> DepthResult:
     """Accumulated relation space over submodules of M^1, ..., M^k.
 
-    Each stage contracts the hom-closure and spin-box candidate families
-    and stops as soon as the accumulated relations reach the dimension r
-    of the pairing kernel P, which is d^2 minus the rank of the pairing,
-    the dimension of rho(A) summed over its blocks (_path_blocks, built
-    once for both).  Every accumulated relation is checked to pair to
-    zero with every block basis element (_pairing), so it lies in P,
-    reaching r is reaching P itself, and the stages after that repeat
-    the dimension without work.  Each stage's relation dimension is
-    recorded; the chain is monotone by construction.
+    Stage k holds every element of the pairing kernel P of rank at most
+    k: sum_{i<=k} x_i phi_i^T in P contracts out of the spin of
+    (x_1, ..., x_k) in M^k, since phi annihilates it.  Rule R1 follows:
+    P's (v, w) block lies in P (_block_relations) and its elements have
+    rank at most min(d_v, d_w), so stage k holds the whole block wherever
+    min(d_v, d_w) <= k.
+
+    Each stage takes the blocks R1 settles whole, read by
+    _block_relations off rho(A)'s blocks (_path_blocks, built once).  A
+    stage with no open block, a nonzero block of P that R1 does not
+    settle, is P and needs no End basis, power of M or candidate; the
+    End basis is solved at the first stage with an open block.  There
+    the settled blocks seed the accumulator, and the hom-closure and
+    spin-box candidate families are contracted until the accumulated
+    relations reach the dimension r of P, d^2 minus the dimension of
+    rho(A) summed over its blocks.  Every accumulated relation is then
+    checked to pair to zero with every block basis element (_pairing),
+    so it lies in P, reaching r is reaching P itself, and the stages
+    after that repeat the dimension without work.  Each stage's relation
+    dimension is recorded; the chain is monotone by construction.
     """
     d = m.dim
     blocks = _path_blocks(m)
     r = d * d - sum(map(len, blocks.values()))
     paths = _pairing(m, blocks)
-    endos = hom_space(m, m)
+    dims = dict(zip(m.algebra.vertices, m.dims))
+    # the smaller side of each nonzero block of P, whose relation block
+    # (v, w) is the trace-annihilator of rho(A)_wv
+    sides = {(w, v): min(dims[w], dims[v]) for (w, v), basis in blocks.items()
+             if len(basis) < dims[w] * dims[v]}
+    endos = None
     acc = Subspace.zero_space(d * d)
     per_stage = []
     for power in range(1, k + 1):
+        if acc.dim < r and power in sides.values():
+            settled = _block_relations(m, {
+                key: blocks[key] for key, side in sides.items()
+                if side <= power})
+            acc = (settled if settled.dim == r or not acc.dim
+                   else acc.add(settled))
         if acc.dim < r:
+            if endos is None:
+                endos = hom_space(m, m)
             ambient = module_power(m, power)
             seen = set()
             for handle in _candidate_handles(m, power, ambient, spin_bound,

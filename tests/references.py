@@ -92,6 +92,12 @@ outer_sum is sum_k outer(sigma_k, omega_k) added up one dense outer
 product at a time, the way a realization's contraction used to be
 built, and the oracle for periods._contraction.
 
+Depth takes whole, at each stage k, every block (v, w) of the pairing
+kernel with min(d_v, d_w) <= k, and contracts candidates only while a
+block is still open.  candidate_depth_stages is the accumulator it
+replaced, which contracted candidates for every block: it returns each
+stage's relations, and the rule-built stages must hold them.
+
 build_algebra keeps the relation ideal's reduced echelon basis from
 one path layer to the next and adds only the ideal elements whose
 longest term reaches the new layer.  layered_algebra is the
@@ -934,6 +940,43 @@ def flat_relations(m: FdModule, power: int, ambient: FdModule,
                         vec[r * d + c] += a * b
             vecs.append(tuple(vec))
     return Subspace(d * d, vecs)
+
+
+def candidate_depth_stages(m: FdModule, k: int,
+                           spin_bound: int = 1) -> list[Subspace]:
+    """Stages 1..k of depth as depth_space built them from candidates
+    alone: each stage contracts the hom-closure and spin-box families
+    until the accumulated relations reach the pairing kernel's
+    dimension r, and every accumulated relation must pair to zero with
+    rho(A)'s block bases."""
+    d = m.dim
+    blocks = periods._path_blocks(m)
+    r = d * d - sum(map(len, blocks.values()))
+    paths = periods._pairing(m, blocks)
+    endos = hom_space(m, m)
+    acc = Subspace.zero_space(d * d)
+    stages = []
+    for power in range(1, k + 1):
+        if acc.dim < r:
+            ambient = module_power(m, power)
+            seen = set()
+            for handle in periods._candidate_handles(m, power, ambient,
+                                                     spin_bound, endos):
+                if handle.spaces in seen:
+                    continue
+                seen.add(handle.spaces)
+                rel = periods.relation_from_submodule(m, handle)
+                if rel.dim == 0:
+                    continue
+                acc = acc.add(rel)
+                if acc.dim == r:
+                    break
+            if any(sum(vec[p] * x for p, x in terms)
+                   for vec in acc.basis_vectors() for terms in paths):
+                raise AssertionError(
+                    "a contracted relation escaped the pairing kernel")
+        stages.append(acc)
+    return stages
 
 
 # -- linear algebra and the matrix algebra ------------------------------------

@@ -8,6 +8,10 @@ invertible integer basis change at every vertex, entries in [-3, 3]: an
 isomorphic module whose matrices are dense.  With max_power above 1 it
 first takes the module to a drawn power up to max_power, so that the
 basis change mixes the copies.
+relation_free_modules() generates modules nobody picked: random integer
+maps, entries in [-2, 2], on A_2, A_3, A_4, the Kronecker quiver and the
+star with three arms, each also with every arrow reversed, at vertex
+dimensions up to 3 and total dimension 1 to max_dim.
 value_vectors(field) generates values for exactlin.k_linear_kernel, and
 OVER_Q and SQRT2 are its embeddings into L = Q[x]/(x^4 - 2): of Q, and
 of K = Q(sqrt 2) through x^2, as in
@@ -74,6 +78,39 @@ def rebased_modules(draw, max_power: int = 1):
     if max_power > 1:
         m = module_power(m, draw(st.integers(1, max_power)))
     return rebase(m, [draw(_invertible(d)) for d in m.dims])
+
+
+def _relation_free_quivers() -> list:
+    linear = [([f"x{i}" for i in range(n)],
+               [(f"a{i}", f"x{i}", f"x{i + 1}") for i in range(n - 1)])
+              for n in (2, 3, 4)]
+    kronecker = (["k1", "k2"], [("a", "k1", "k2"), ("b", "k1", "k2")])
+    star = (["u1", "u2", "u3", "c"],
+            [(f"a{i}", f"u{i}", "c") for i in (1, 2, 3)])
+    out = []
+    for vertices, arrows in [*linear, kronecker, star]:
+        out.append(build_algebra(vertices, arrows))
+        out.append(build_algebra(vertices, [(a, t, s) for a, s, t in arrows]))
+    return out
+
+
+RELATION_FREE_QUIVERS = _relation_free_quivers()
+
+
+@st.composite
+def relation_free_modules(draw, max_dim: int = 8):
+    alg = draw(st.sampled_from(RELATION_FREE_QUIVERS))
+    n = len(alg.vertices)
+    dims = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)
+                .filter(lambda ds: 0 < sum(ds) <= max_dim))
+    vdim = dict(zip(alg.vertices, dims))
+    maps = {}
+    for a in alg.arrows:
+        rows, cols = vdim[a.target], vdim[a.source]
+        maps[a.name] = Matrix.unvec(
+            draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                          max_size=rows * cols)), rows, cols)
+    return FdModule(alg, vdim, maps)
 
 
 QUARTIC = NumberField([-2, 0, 0, 0, 1])

@@ -46,6 +46,10 @@ alphabet; the reference takes their images and kernels as module maps
 (references.sum_images_and_kernels), as depth did in a block of its own.
 Depth used to form every sum before its first candidate; it now forms
 each when a word first uses it, and the sums formed are counted.
+Depth used to solve End(M) and contract candidates at every stage short
+of P; it now takes whole each block (v, w) with min(d_v, d_w) at most
+the stage (rule R1), and the End bases, powers and candidate families
+it no longer builds are counted.
 
 eval used to realize each rational kernel vector, spinning a witness in
 a power of M; it now reads the status off the pairing, and the last test
@@ -610,6 +614,38 @@ def test_depth_spins_no_more_at_a_wider_spin_box_once_certified():
             == count_spins(lambda: depth_space(m, 2, spin_bound=1)))
 
 
+def depth_calls(monkeypatch, m: FdModule, k: int) -> list:
+    """The hom_space, module_power and _candidate_handles calls of one
+    depth_space(m, k), by name, with module_power's power."""
+    calls = []
+    for name in ("hom_space", "module_power", "_candidate_handles"):
+        def counting(*args, name=name, original=getattr(periods, name)):
+            calls.append((name, args[1]) if name == "module_power"
+                         else name)
+            return original(*args)
+        monkeypatch.setattr(periods, name, counting)
+    depth_space(m, k)
+    return calls
+
+
+@pytest.mark.parametrize("m", [CORPUS["a2/p1"].module, linear_projective(6)],
+                         ids=["a2/p1", "A_6/P0"])
+def test_depth_with_every_block_settled_builds_no_candidates(monkeypatch, m):
+    # every vertex is one-dimensional, so rule R1 settles every block at
+    # stage 1 and depth needs neither End(M), a power of M nor a candidate
+    assert depth_calls(monkeypatch, m, m.dim) == []
+
+
+def test_depth_builds_no_power_that_rule_r1_settles(monkeypatch):
+    # loop2/reg's one block is two-dimensional: stage 1 runs candidates
+    # and stays short of P, and stage 2 takes the block whole
+    m = CORPUS["loop2/reg"].module
+    assert depth_space(m, 2).per_stage_relation_dims == (1, 2)
+    calls = depth_calls(monkeypatch, m, 2)
+    assert ("module_power", 2) not in calls
+    assert calls[:2] == ["hom_space", ("module_power", 1)]
+
+
 # -- depth's candidates, read vertex by vertex -------------------------------
 
 
@@ -724,12 +760,14 @@ def test_vertex_relations_equal_the_flat_construction(key, m):
 
 def test_a_candidate_that_is_not_a_submodule_escapes_the_pairing_kernel(
         monkeypatch):
-    # on a2/p1 = (Q -> Q), all of v1 and nothing of v2 is not kept by
-    # the arrow; e_v1 contracted with the dual vector at v2 pairs to one
-    # with the arrow
-    m = CORPUS["a2/p1"].module
+    # on a2/p1^2 = (Q^2 -> Q^2), all of v1 and nothing of v2 is not kept
+    # by the arrow; a vector at v1 contracted with a dual vector at v2
+    # pairs to nonzero with the arrow.  Rule R1 settles every block of
+    # a2/p1 at stage 1, so its candidates never run; a2/p1^2's (v1, v1)
+    # block stays open at stage 1
+    m = module_power(CORPUS["a2/p1"].module, 2)
     not_a_sub = SubmoduleHandle(
-        m, [exactlin.Subspace.full_space(1), exactlin.Subspace.zero_space(1)],
+        m, [exactlin.Subspace.full_space(2), exactlin.Subspace.zero_space(2)],
         check=False)
     assert depth_space(m, 1).certified
     monkeypatch.setattr(periods, "_candidate_handles",
@@ -768,17 +806,17 @@ def test_a_candidate_kept_by_one_parallel_arrow_escapes_the_pairing_kernel(
         depth_space(m, 1)
 
 
-# the two escape cases above, a2/p1's non-submodule handle, and a scaled
+# the two escape cases above, a2/p1^2's non-submodule handle, and a scaled
 # omega row in realize, run in a child under python -O
 UNDER_O = """
 import sys
-from qperiods import exactlin, periods, zoo
+from qperiods import exactlin, periods, quivalg, zoo
 from qperiods.exactlin import Matrix
 from qperiods.quivalg import SubmoduleHandle
 
-m = zoo.get_module("a2/p1")
+m = quivalg.module_power(zoo.get_module("a2/p1"), 2)
 not_a_sub = SubmoduleHandle(
-    m, [exactlin.Subspace.full_space(1), exactlin.Subspace.zero_space(1)],
+    m, [exactlin.Subspace.full_space(2), exactlin.Subspace.zero_space(2)],
     check=False)
 periods._candidate_handles = lambda *args: iter([not_a_sub])
 try:

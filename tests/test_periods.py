@@ -67,6 +67,7 @@ from strategies import (
     linear_projective,
     rebase,
     rebased_modules,
+    relation_free_modules,
 )
 
 
@@ -370,8 +371,9 @@ def test_depth_space_certifies_and_stabilizes():
 
 # the star quiver with its arrows reversed, from c to u1, u2 and u3: every
 # block of rho(A) on this module is at most one-dimensional, so stage 1
-# of depth is all of P, and the submodule spun by e_c1 + 2 e_c2 contracts
-# a relation that the default spin box, which tries only e_i +- e_j, misses
+# of depth is all of P.  The submodule spun by e_c1 + 2 e_c2 contracts a
+# relation that the default spin box, which tries only e_i +- e_j, misses;
+# it lies in a block whose smaller side is 1, which rule R1 takes whole
 REVERSED_STAR = FdModule(
     build_algebra(["u1", "u2", "u3", "c"], [("a1", "c", "u1"),
                                             ("a2", "c", "u2"),
@@ -381,12 +383,61 @@ REVERSED_STAR = FdModule(
      "a3": [[1, 1, 1]]})
 
 
-@pytest.mark.xfail(strict=True, reason="depth's stage 1 misses a relation "
-                   "outside its default spin box and reads 8, not 7")
 def test_depth_stage_one_is_the_period_space_on_the_reversed_star():
     m = REVERSED_STAR
     assert period_space(m).dim == 7
     assert depth_space(m, 7).per_stage_dims[0] == 7
+
+
+def assert_rule_stages_hold_the_candidate_stages(m, label):
+    """Stage k of depth_space holds the candidate-only stage
+    (references.candidate_depth_stages), lies in P, and equals P's block
+    (v, w) wherever min(d_v, d_w) <= k; from the first k at which no
+    nonzero block of P has a larger smaller side, it is P, and so is the
+    candidate-only stage.  Both chains are monotone and inside P, so the
+    later stages repeat P and are not asked.  P and its blocks are read
+    off the dense pairing's kernel."""
+    d = m.dim
+    full = references.pairing_kernel(m)
+    blocks = []             # (smaller side, block units, P's block)
+    for v in m.algebra.vertices:
+        for w in m.algebra.vertices:
+            units = Subspace(d * d, [
+                [1 if p == (m.offsets[v] + i) * d + m.offsets[w] + j else 0
+                 for p in range(d * d)]
+                for i in range(m.vdim(v)) for j in range(m.vdim(w))])
+            if units.dim:
+                blocks.append((min(m.vdim(v), m.vdim(w)), units,
+                               full.intersect(units)))
+    closed_from = max([side for side, _, p_block in blocks if p_block.dim],
+                      default=1)
+    oracle = references.candidate_depth_stages(m, closed_from)
+    for k in range(1, closed_from + 1):
+        stage = depth_space(m, k).space.relations
+        assert full.contains(stage), (label, k)
+        assert stage.contains(oracle[k - 1]), (label, k)
+        for side, units, p_block in blocks:
+            if side <= k:
+                assert stage.intersect(units) == p_block, (label, k)
+    assert stage == oracle[-1] == full, label
+
+
+@pytest.mark.parametrize("key,m", ORACLE_INPUTS,
+                         ids=[key for key, _ in ORACLE_INPUTS])
+def test_depth_stages_hold_the_candidate_stages(key, m):
+    assert_rule_stages_hold_the_candidate_stages(m, key)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rebased_modules())
+def test_depth_stages_hold_the_candidate_stages_on_rebased_modules(m):
+    assert_rule_stages_hold_the_candidate_stages(m, repr(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(relation_free_modules())
+def test_depth_stages_hold_the_candidate_stages_on_generated_modules(m):
+    assert_rule_stages_hold_the_candidate_stages(m, repr(m))
 
 
 def test_realize_relation_frozen_cases():
